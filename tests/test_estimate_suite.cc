@@ -14,11 +14,22 @@
  * layouts aligned against it must still verify (translation validation),
  * so profile-free alignment can never ship a layout a trace-driven run
  * would reject.
+ *
+ * Agreement with earlier output is the third: MatchesPinnedDigest hashes
+ * the estimated program and its JSON report for every suite model (plus
+ * the gcc model scaled to 500 procedures) and compares the digests with
+ * tests/corpus/estimate/suite-digests.txt, so a change meant to make the
+ * estimator faster cannot move a single weight or report byte. Regenerate
+ * with BALIGN_REGEN_ESTIMATE_GOLDEN=1 after an intentional change.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -39,18 +50,54 @@ namespace {
 
 constexpr std::uint64_t kSuiteBudget = 100'000;
 
+/// Procedures in the scaled gcc model the digest test adds to the suite.
+constexpr std::size_t kScaledGccProcs = 500;
+
 /// Generates the model and gives it the measured profile the estimator
 /// is expected to discard (the realistic starting state).
 Program
-suiteProgram(const std::string &name)
+specProgram(const ProgramSpec &spec)
 {
-    Program program = generateProgram(suiteSpec(name));
+    Program program = generateProgram(spec);
     Profiler profiler(program);
     WalkOptions options;
     options.seed = 1;
     options.instrBudget = kSuiteBudget;
     walk(program, options, profiler);
     return program;
+}
+
+Program
+suiteProgram(const std::string &name)
+{
+    return specProgram(suiteSpec(name));
+}
+
+/// 64-bit FNV-1a over @p text.
+std::uint64_t
+fnv1a(const std::string &text)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (const char c : text) {
+        hash ^= static_cast<unsigned char>(c);
+        hash *= 0x100000001b3ull;
+    }
+    return hash;
+}
+
+/// Digest of everything the estimator produces for @p program: the
+/// estimated program text followed by the JSON report.
+std::string
+estimateDigest(Program program)
+{
+    const EstimateReport report = estimateProfile(program);
+    std::ostringstream json;
+    writeEstimateReportJson(report, program, json);
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(
+                      fnv1a(programToString(program) + json.str())));
+    return hex;
 }
 
 /// Runs the estimator with BALIGN_THREADS set to @p threads and returns
@@ -121,6 +168,35 @@ TEST_P(EstimateSuite, EstimatedLayoutsVerify)
                           << alignerKindName(kind) << ": "
                           << formatVerifyFailure(failure);
     }
+}
+
+TEST(EstimateSuite, MatchesPinnedDigest)
+{
+    std::ostringstream actual;
+    actual << "# FNV-1a 64 of programToString + writeEstimateReportJson "
+              "after estimateProfile.\n";
+    for (const ProgramSpec &spec : benchmarkSuite())
+        actual << spec.name << ' ' << estimateDigest(specProgram(spec))
+               << '\n';
+    ProgramSpec scaled = suiteSpec("gcc");
+    scaled.numProcs = kScaledGccProcs;
+    actual << "gcc@" << kScaledGccProcs << ' '
+           << estimateDigest(specProgram(scaled)) << '\n';
+
+    const std::string golden_path =
+        std::string(BALIGN_CORPUS_DIR) + "/estimate/suite-digests.txt";
+    if (std::getenv("BALIGN_REGEN_ESTIMATE_GOLDEN") != nullptr) {
+        std::ofstream(golden_path) << actual.str();
+        return;
+    }
+    std::ifstream in(golden_path);
+    ASSERT_TRUE(in.good())
+        << "missing golden " << golden_path
+        << " (regenerate with BALIGN_REGEN_ESTIMATE_GOLDEN=1)";
+    std::ostringstream golden;
+    golden << in.rdbuf();
+    EXPECT_EQ(actual.str(), golden.str())
+        << "estimated weights or reports drifted from the pinned digests";
 }
 
 INSTANTIATE_TEST_SUITE_P(Suite24, EstimateSuite, [] {

@@ -21,6 +21,10 @@
  * the classic weighted static-prediction hit rate (Ball-Larus report
  * ~70-80% on real programs).
  *
+ * Part 3 — throughput. Part 2's estimateProfile call is timed per
+ * program: seconds and blocks/s ride along with each program's accuracy,
+ * and the suite totals are reported next to the weighted hit rate.
+ *
  * Flags:
  *   --quick   cap the per-program trace at 50k instructions (CI smoke;
  *             BALIGN_TRACE_INSTRS still wins when set)
@@ -179,18 +183,38 @@ main(int argc, char **argv)
             value /= static_cast<double>(runs.size());
     }
 
-    // Part 2: weighted prediction accuracy per program.
-    std::vector<std::pair<std::string, double>> accuracy;
+    // Parts 2 and 3: weighted prediction accuracy and estimator
+    // throughput per program.
+    struct ProgramEstimate
+    {
+        std::string name;
+        double accuracy;
+        std::size_t blocks;
+        double seconds;
+    };
+    std::vector<ProgramEstimate> per_program;
     Accuracy overall;
+    std::size_t total_blocks = 0;
+    double total_seconds = 0.0;
     for (const ProgramSpec &spec : suite) {
         const PreparedProgram prepared = prepareProgram(spec);
         Program estimated = prepared.program;
+        const bench::WallClock clock;
         const EstimateReport report = estimateProfile(estimated);
+        const double seconds = clock.seconds();
+        std::size_t blocks = 0;
+        for (const Procedure &proc : estimated.procs())
+            blocks += proc.numBlocks();
         const Accuracy acc = scoreEstimate(prepared.program, report);
-        accuracy.emplace_back(spec.name, acc.rate());
+        per_program.push_back({spec.name, acc.rate(), blocks, seconds});
         overall.hits += acc.hits;
         overall.total += acc.total;
+        total_blocks += blocks;
+        total_seconds += seconds;
     }
+    auto blocks_per_s = [](std::size_t blocks, double seconds) {
+        return seconds > 0.0 ? static_cast<double>(blocks) / seconds : 0.0;
+    };
 
     // The endpoint contract: the estimate must beat doing nothing (the
     // original fall-through layout), and the recovery fraction is how
@@ -224,10 +248,19 @@ main(int argc, char **argv)
                << (cpi[c][kEstimated] < original ? "true" : "false") << "}";
         }
         os << "],\"weighted_accuracy\":" << overall.rate()
+           << ",\"estimate_s\":" << total_seconds
+           << ",\"estimate_blocks\":" << total_blocks
+           << ",\"estimate_blocks_per_s\":"
+           << blocks_per_s(total_blocks, total_seconds)
            << ",\"per_program_accuracy\":[";
-        for (std::size_t i = 0; i < accuracy.size(); ++i) {
-            os << (i ? "," : "") << "{\"program\":\"" << accuracy[i].first
-               << "\",\"accuracy\":" << accuracy[i].second << "}";
+        for (std::size_t i = 0; i < per_program.size(); ++i) {
+            const ProgramEstimate &pe = per_program[i];
+            os << (i ? "," : "") << "{\"program\":\"" << pe.name
+               << "\",\"accuracy\":" << pe.accuracy
+               << ",\"blocks\":" << pe.blocks
+               << ",\"estimate_s\":" << pe.seconds
+               << ",\"blocks_per_s\":" << blocks_per_s(pe.blocks, pe.seconds)
+               << "}";
         }
         os << "],\"estimate_beats_baseline\":"
            << (beats_baseline ? "true" : "false") << "}\n";
@@ -250,6 +283,10 @@ main(int argc, char **argv)
         std::cout << "\nweighted static-prediction accuracy vs true "
                      "profile: "
                   << overall.rate() * 100.0 << "%\n";
+        std::cout << "estimator throughput: " << total_blocks
+                  << " blocks in " << total_seconds << " s ("
+                  << blocks_per_s(total_blocks, total_seconds)
+                  << " blocks/s)\n";
         std::cout << "estimate beats fall-through baseline: "
                   << (beats_baseline ? "yes" : "NO") << "\n";
     }

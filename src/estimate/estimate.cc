@@ -90,8 +90,12 @@ estimateProfile(Program &program, const EstimateOptions &options)
     std::vector<ProcAnalysis> analyses;
     analyses.reserve(np);
     std::vector<ProcFreqs> freqs(np);
-    // callFreq[p][c]: expected calls from one invocation of p to c.
-    std::vector<std::vector<double>> callFreq(np);
+    // callees[p]: (c, expected calls from one invocation of p to c) for
+    // every callee c with a positive frequency, sorted by c — the sparse
+    // call graph both fixpoints below sum over in callee order.
+    std::vector<std::vector<std::pair<ProcId, double>>> callees(np);
+    std::vector<double> callFreq(np, 0.0);
+    std::vector<ProcId> called;
 
     for (ProcId p = 0; p < np; ++p) {
         const Procedure &proc = program.proc(p);
@@ -105,15 +109,26 @@ estimateProfile(Program &program, const EstimateOptions &options)
         report.procs[p].irreducibleFallback = freqs[p].irreducibleFallback;
         report.procs[p].tripCappedLoops = freqs[p].tripCappedLoops;
 
-        callFreq[p].assign(np, 0.0);
+        called.clear();
         for (const BasicBlock &block : proc.blocks()) {
             if (block.id >= freqs[p].block.size())
                 continue;
             const double bfreq = freqs[p].block[block.id];
             for (const CallSite &site : block.calls) {
-                if (site.callee < np)
-                    callFreq[p][site.callee] += bfreq;
+                if (site.callee >= np)
+                    continue;
+                if (callFreq[site.callee] == 0.0)
+                    called.push_back(site.callee);
+                callFreq[site.callee] += bfreq;
             }
+        }
+        std::sort(called.begin(), called.end());
+        called.erase(std::unique(called.begin(), called.end()),
+                     called.end());
+        for (const ProcId c : called) {
+            if (callFreq[c] > 0.0)
+                callees[p].emplace_back(c, callFreq[c]);
+            callFreq[c] = 0.0;
         }
         for (const BasicBlock &block : proc.blocks()) {
             if (block.term == Terminator::CondBranch)
@@ -127,10 +142,8 @@ estimateProfile(Program &program, const EstimateOptions &options)
     for (unsigned pass = 0; pass < kCallGraphPasses; ++pass) {
         for (std::size_t p = np; p-- > 0;) {
             double s = freqs[p].trapMass;
-            for (ProcId c = 0; c < np; ++c) {
-                if (callFreq[p][c] > 0.0)
-                    s += callFreq[p][c] * strand[c];
-            }
+            for (const auto &[c, calls] : callees[p])
+                s += calls * strand[c];
             strand[p] = std::min(s, 1.0);
         }
     }
@@ -150,12 +163,9 @@ estimateProfile(Program &program, const EstimateOptions &options)
             for (ProcId p = 0; p < np; ++p) {
                 if (invocations[p] <= 0.0)
                     continue;
-                for (ProcId c = 0; c < np; ++c) {
-                    if (callFreq[p][c] > 0.0) {
-                        next[c] = std::min(
-                            next[c] + invocations[p] * callFreq[p][c],
-                            kInvocationCeiling);
-                    }
+                for (const auto &[c, calls] : callees[p]) {
+                    next[c] = std::min(next[c] + invocations[p] * calls,
+                                       kInvocationCeiling);
                 }
             }
             invocations.swap(next);
@@ -176,6 +186,11 @@ estimateProfile(Program &program, const EstimateOptions &options)
         program.clearWeights();
         Weight total_stranded = 0;
         for (ProcId p = 0; p < np; ++p) {
+            // Over budget with room to rescale: this round's weights will
+            // be discarded, so stop pushing. The final round always runs
+            // in full and rewrites every report.procs entry.
+            if (total_stranded > options.strandBudget && entry_scale > 1)
+                break;
             double scaled =
                 invocations[p] * static_cast<double>(entry_scale);
             scaled = std::min(scaled, 1e15);
@@ -185,7 +200,7 @@ estimateProfile(Program &program, const EstimateOptions &options)
             report.procs[p].entryCount = entries;
             report.procs[p].stranded =
                 pushFlow(program.proc(p), analyses[p],
-                         report.edgeProbs[p], freqs[p], entries, options);
+                         report.edgeProbs[p], freqs[p], entries);
             total_stranded += report.procs[p].stranded;
         }
         if (total_stranded <= options.strandBudget) {

@@ -61,15 +61,15 @@ ProcFreqs propagateFrequencies(const Procedure &proc,
  * Deterministic integer flow push: injects @p entries activations at
  * the procedure entry and lets every block re-apportion exactly the
  * integer flow it receives across its out-edges (largest-remainder
- * rounding with per-edge carries; back-edge traversals additionally
- * capped near the closed-form totals in @p freqs so the trip prior
- * binds). Writes the resulting traversal counts into @p proc's edge
- * weights (which must be zero on entry) and returns the flow stranded
- * in trap SCCs.
+ * rounding with per-edge carries; shares follow each edge's remaining
+ * closed-form total from @p freqs, falling back to @p edgeProb once every
+ * target is met). Writes the resulting traversal counts into @p proc's
+ * edge weights (which must be zero on entry) and returns the flow
+ * stranded in trap SCCs or still moving at the pass cap.
  */
 Weight pushFlow(Procedure &proc, const ProcAnalysis &analysis,
                 const std::vector<double> &edgeProb, const ProcFreqs &freqs,
-                Weight entries, const EstimateOptions &options);
+                Weight entries);
 
 }  // namespace estimate_detail
 }  // namespace balign

@@ -36,6 +36,7 @@
 #include "estimate/internal.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 namespace balign {
@@ -48,10 +49,10 @@ namespace {
 /// affecting well-behaved programs.
 constexpr double kFreqCeiling = 1e15;
 
-/// RPO sweeps pushFlow may spend before stranding whatever still moves.
+/// RPO passes pushFlow may spend before stranding whatever still moves.
 constexpr unsigned kMaxPushPasses = 8192;
 
-/// Sweeps during which trap-SCC blocks still forward flow, so the edges
+/// Passes during which trap-SCC blocks still forward flow, so the edges
 /// of an inescapable cycle carry visible weight before the flow strands.
 constexpr unsigned kTrapSpinPasses = 16;
 
@@ -313,9 +314,8 @@ propagateFrequencies(const Procedure &proc, const ProcAnalysis &analysis,
 Weight
 pushFlow(Procedure &proc, const ProcAnalysis &analysis,
          const std::vector<double> &edgeProb, const ProcFreqs &freqs,
-         Weight entries, const EstimateOptions &options)
+         Weight entries)
 {
-    (void)options;
     const std::size_t n = proc.numBlocks();
     const RpoOrder &rpo = analysis.rpo();
     if (entries == 0 || rpo.order.empty() || proc.entry() >= n)
@@ -338,113 +338,152 @@ pushFlow(Procedure &proc, const ProcAnalysis &analysis,
             expect[e] = std::min(freqs.edge[e] * scale, 1e18);
     }
 
+    // Valid out-edges of the block at each RPO position (CSR), built once.
+    const std::size_t m = rpo.order.size();
+    std::vector<std::uint32_t> outBegin(m + 1, 0);
+    std::vector<std::uint32_t> outEdges;
+    std::size_t maxOut = 0;
+    for (std::size_t pos = 0; pos < m; ++pos) {
+        for (const std::uint32_t e : proc.block(rpo.order[pos]).outEdges) {
+            if (valid_edge(e))
+                outEdges.push_back(e);
+        }
+        outBegin[pos + 1] = static_cast<std::uint32_t>(outEdges.size());
+        maxOut = std::max<std::size_t>(maxOut,
+                                       outBegin[pos + 1] - outBegin[pos]);
+    }
+
     std::vector<Weight> pending(n, 0);
     std::vector<double> carry(proc.numEdges(), 0.0);
     pending[proc.entry()] = entries;
 
-    std::vector<std::uint32_t> outs;
-    std::vector<double> share;
-    std::vector<std::uint32_t> order;
+    std::vector<double> share(maxOut);
+    std::vector<Weight> alloc(maxOut);
+    std::vector<std::uint32_t> order(maxOut);
+
+    // A pass sweeps the RPO, but visits only the positions holding flow:
+    // `current` marks this pass's (a target later in RPO joins it as it
+    // receives flow), `upcoming` the next pass's (back-edge and self-loop
+    // targets). Both are bitsets over RPO positions, drained lowest first.
+    const std::size_t words = (m + 63) / 64;
+    std::vector<std::uint64_t> current(words, 0), upcoming(words, 0);
+    auto mark = [](std::vector<std::uint64_t> &set, std::uint32_t pos) {
+        set[pos >> 6] |= std::uint64_t{1} << (pos & 63);
+    };
+    if (rpo.reachable(proc.entry()))
+        mark(current, rpo.indexOf[proc.entry()]);
 
     for (unsigned pass = 0; pass < kMaxPushPasses; ++pass) {
-        bool moved = false;
-        for (const BlockId b : rpo.order) {
-            const Weight x = pending[b];
-            if (x == 0)
-                continue;
-            if (freqs.trapBlock[b] && pass >= kTrapSpinPasses)
-                continue;  // strand: the cycle is inescapable
-            outs.clear();
-            for (const std::uint32_t e : proc.block(b).outEdges) {
-                if (valid_edge(e))
-                    outs.push_back(e);
-            }
-            if (outs.empty()) {
-                pending[b] = 0;  // sink: Return or dead end absorbs
-                continue;
-            }
+        bool queued = false;
+        for (std::size_t w = 0; w < words; ++w) {
+            while (current[w] != 0) {
+                const auto pos = static_cast<std::uint32_t>(
+                    w * 64 + static_cast<unsigned>(
+                                 std::countr_zero(current[w])));
+                current[w] &= current[w] - 1;
+                const BlockId b = rpo.order[pos];
+                const Weight x = pending[b];  // > 0: only flow marks
+                if (freqs.trapBlock[b] && pass >= kTrapSpinPasses)
+                    continue;  // strand: the cycle is inescapable
+                const std::uint32_t *outs = outEdges.data() + outBegin[pos];
+                const std::size_t k = outBegin[pos + 1] - outBegin[pos];
+                if (k == 0) {
+                    pending[b] = 0;  // sink: Return or dead end absorbs
+                    continue;
+                }
 
-            // Shares from remaining expected totals; when every target is
-            // met (saturated cold paths, trap SCCs) fall back to the
-            // transition probabilities so residual flow still moves.
-            share.assign(outs.size(), 0.0);
-            double total = 0.0;
-            for (std::size_t i = 0; i < outs.size(); ++i) {
-                const std::uint32_t e = outs[i];
-                share[i] = std::max(
-                    expect[e] - static_cast<double>(proc.edge(e).weight),
-                    0.0);
-                total += share[i];
-            }
-            if (total <= 0.0) {
-                for (std::size_t i = 0; i < outs.size(); ++i) {
-                    share[i] = edgeProb[outs[i]];
+                // Shares from remaining expected totals; when every
+                // target is met (saturated cold paths, trap SCCs) fall
+                // back to the transition probabilities so residual flow
+                // still moves.
+                double total = 0.0;
+                for (std::size_t i = 0; i < k; ++i) {
+                    const std::uint32_t e = outs[i];
+                    share[i] = std::max(
+                        expect[e] - static_cast<double>(proc.edge(e).weight),
+                        0.0);
                     total += share[i];
                 }
-            }
-            const double uniform = 1.0 / static_cast<double>(outs.size());
-            for (std::size_t i = 0; i < outs.size(); ++i)
-                share[i] = total > 0.0 ? share[i] / total : uniform;
+                if (total <= 0.0) {
+                    for (std::size_t i = 0; i < k; ++i) {
+                        share[i] = edgeProb[outs[i]];
+                        total += share[i];
+                    }
+                }
+                const double uniform = 1.0 / static_cast<double>(k);
+                for (std::size_t i = 0; i < k; ++i)
+                    share[i] = total > 0.0 ? share[i] / total : uniform;
 
-            // Largest-remainder apportionment against the carry-adjusted
-            // targets; the correction step pins the total to exactly x.
-            std::vector<Weight> alloc(outs.size(), 0);
-            Weight allocated = 0;
-            for (std::size_t i = 0; i < outs.size(); ++i) {
-                const double target =
-                    static_cast<double>(x) * share[i] + carry[outs[i]];
-                const double base = std::floor(std::max(target, 0.0));
-                alloc[i] = static_cast<Weight>(
-                    std::min(base, static_cast<double>(x)));
-                allocated += alloc[i];
-            }
-            order.resize(outs.size());
-            for (std::size_t i = 0; i < outs.size(); ++i)
-                order[i] = static_cast<std::uint32_t>(i);
-            auto frac = [&](std::size_t i) {
-                return static_cast<double>(x) * share[i] + carry[outs[i]] -
-                       static_cast<double>(alloc[i]);
-            };
-            while (allocated > x) {  // over-allocation from carries
-                std::size_t victim = outs.size();
-                for (std::size_t i = 0; i < outs.size(); ++i) {
-                    if (alloc[i] > 0 &&
-                        (victim == outs.size() || frac(i) < frac(victim)))
-                        victim = i;
+                // Largest-remainder apportionment against the
+                // carry-adjusted targets; the correction step pins the
+                // total to exactly x.
+                Weight allocated = 0;
+                for (std::size_t i = 0; i < k; ++i) {
+                    const double target =
+                        static_cast<double>(x) * share[i] + carry[outs[i]];
+                    const double base = std::floor(std::max(target, 0.0));
+                    alloc[i] = static_cast<Weight>(
+                        std::min(base, static_cast<double>(x)));
+                    allocated += alloc[i];
                 }
-                --alloc[victim];
-                --allocated;
-            }
-            if (allocated < x) {
-                std::stable_sort(order.begin(), order.end(),
-                                 [&](std::uint32_t a, std::uint32_t c) {
-                                     return frac(a) > frac(c);
-                                 });
-                std::size_t i = 0;
-                while (allocated < x) {
-                    ++alloc[order[i % outs.size()]];
-                    ++allocated;
-                    ++i;
+                auto frac = [&](std::size_t i) {
+                    return static_cast<double>(x) * share[i] +
+                           carry[outs[i]] - static_cast<double>(alloc[i]);
+                };
+                while (allocated > x) {  // over-allocation from carries
+                    std::size_t victim = k;
+                    for (std::size_t i = 0; i < k; ++i) {
+                        if (alloc[i] > 0 &&
+                            (victim == k || frac(i) < frac(victim)))
+                            victim = i;
+                    }
+                    --alloc[victim];
+                    --allocated;
                 }
-            }
-            for (std::size_t i = 0; i < outs.size(); ++i) {
-                carry[outs[i]] = static_cast<double>(x) * share[i] +
-                                 carry[outs[i]] -
-                                 static_cast<double>(alloc[i]);
-                // Keep carries bounded even after cap-induced skew.
-                carry[outs[i]] =
-                    std::clamp(carry[outs[i]], -2.0, 2.0);
-                if (alloc[i] > 0) {
-                    Edge &edge = proc.edge(outs[i]);
-                    edge.weight += alloc[i];
-                    pending[edge.dst] += alloc[i];
-                    moved = true;
+                if (allocated < x) {
+                    // Stable insertion sort, largest fraction first.
+                    for (std::size_t i = 0; i < k; ++i) {
+                        const auto v = static_cast<std::uint32_t>(i);
+                        std::size_t j = i;
+                        for (; j > 0 && frac(v) > frac(order[j - 1]); --j)
+                            order[j] = order[j - 1];
+                        order[j] = v;
+                    }
+                    std::size_t i = 0;
+                    while (allocated < x) {
+                        ++alloc[order[i % k]];
+                        ++allocated;
+                        ++i;
+                    }
                 }
+                for (std::size_t i = 0; i < k; ++i) {
+                    carry[outs[i]] = static_cast<double>(x) * share[i] +
+                                     carry[outs[i]] -
+                                     static_cast<double>(alloc[i]);
+                    // Keep carries bounded even after cap-induced skew.
+                    carry[outs[i]] =
+                        std::clamp(carry[outs[i]], -2.0, 2.0);
+                    if (alloc[i] > 0) {
+                        Edge &edge = proc.edge(outs[i]);
+                        edge.weight += alloc[i];
+                        pending[edge.dst] += alloc[i];
+                        if (!rpo.reachable(edge.dst))
+                            continue;
+                        const std::uint32_t dst_pos = rpo.indexOf[edge.dst];
+                        if (dst_pos > pos) {
+                            mark(current, dst_pos);
+                        } else {
+                            mark(upcoming, dst_pos);
+                            queued = true;
+                        }
+                    }
+                }
+                pending[b] -= x;  // self-loop allocations stay pending
             }
-            pending[b] -= x;  // self-loop allocations stay pending
         }
-        if (!moved)
+        if (!queued)
             break;
+        current.swap(upcoming);
     }
 
     Weight stranded = 0;

@@ -1,9 +1,12 @@
 #include "sim/cpi.h"
 
+#include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 
 #include "emit/relax.h"
+#include "estimate/estimate.h"
 #include "layout/materialize.h"
 #include "sim/batch_replay.h"
 #include "support/log.h"
@@ -218,6 +221,15 @@ runConfigs(const PreparedProgram &prepared,
         }
     }
 
+    auto estimated_key = [](const ExperimentConfig &config) {
+        return config.kind != AlignerKind::Original &&
+               config.source == ProfileSource::Estimated;
+    };
+    // Every profile-free layout aligns against the same static estimate,
+    // so it is built once, before the pool, and shared read-only — the
+    // same copy-and-estimate alignProgram's Estimated branch performs.
+    std::optional<Program> estimated;
+
     std::vector<std::unique_ptr<ProgramLayout>> layouts(keys.size());
     std::vector<std::unique_ptr<CostModel>> models(keys.size());
     auto align_one = [&](std::size_t i) {
@@ -227,12 +239,10 @@ runConfigs(const PreparedProgram &prepared,
         arch_options.objective = config.objective;
         if (config.arch == Arch::BtFnt)
             arch_options.chainOrder = ChainOrderPolicy::BtFntPrecedence;
-        if (config.kind != AlignerKind::Original &&
-            config.source == ProfileSource::Estimated) {
-            // Profile-free layout: alignProgram estimates internally.
-            arch_options.profileSource = ProfileSource::Estimated;
+        if (estimated_key(config)) {
+            arch_options.profileSource = ProfileSource::Measured;
             layouts[i] = std::make_unique<ProgramLayout>(alignProgram(
-                program, config.kind, model.get(), arch_options));
+                *estimated, config.kind, model.get(), arch_options));
         } else if (config.kind != AlignerKind::Original &&
                    !config.degrade.isNone()) {
             // Align on the degraded profile; evaluation below still
@@ -256,6 +266,11 @@ runConfigs(const PreparedProgram &prepared,
     };
     {
         ScopedPhaseTimer timer(context.times, "align");
+        if (std::any_of(key_configs.begin(), key_configs.end(),
+                        estimated_key)) {
+            estimated.emplace(program);
+            estimateProfile(*estimated);
+        }
         if (context.pool != nullptr)
             context.pool->parallelFor(keys.size(), align_one);
         else

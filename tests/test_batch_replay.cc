@@ -5,6 +5,9 @@
  * batched runConfigs path is pinned byte-identical to the per-cell
  * reference engine on a real suite program, and the satellite fixes
  * (indexed cell() lookup, replay-free origInstrs recovery) are covered.
+ * SharedEstimate pins the profile-free path: runConfigs estimates once
+ * per program and shares that copy with every concurrent alignment, and
+ * must match aligning each layout key on its own estimate.
  * The full 24-program x all-configs matrix lives in test_replay_suite.cc
  * (`ctest -L replay`).
  */
@@ -14,11 +17,16 @@
 #include <utility>
 #include <vector>
 
+#include "bpred/cost_model.h"
 #include "check/differ.h"
+#include "core/align_program.h"
+#include "estimate/estimate.h"
+#include "layout/layout_diff.h"
 #include "layout/materialize.h"
 #include "sim/batch_replay.h"
 #include "sim/cpi.h"
 #include "support/saturating_counter.h"
+#include "support/thread_pool.h"
 #include "workload/generator.h"
 #include "workload/suite.h"
 
@@ -228,4 +236,75 @@ TEST(BatchReplay, HandBuiltPreparedProgramStillRuns)
     const ExperimentRun run = runConfigs(prepared, configs);
     EXPECT_GT(run.origInstrs, 0u);
     EXPECT_GT(run.cells[0].eval.instrs, 0u);
+}
+
+TEST(SharedEstimate, RunConfigsMatchesSeparateAlignments)
+{
+    // Estimated Greedy and ExtTSP cells over three architectures (BT/FNT
+    // gets its own keys), beside a measured Greedy cell that must keep
+    // aligning on the measured profile.
+    std::vector<ExperimentConfig> configs;
+    for (const Arch arch : {Arch::BtFnt, Arch::PhtDirect, Arch::BtbLarge}) {
+        ExperimentConfig greedy{arch, AlignerKind::Greedy};
+        greedy.source = ProfileSource::Estimated;
+        ExperimentConfig exttsp{arch, AlignerKind::ExtTsp,
+                                ObjectiveKind::ExtTsp};
+        exttsp.source = ProfileSource::Estimated;
+        configs.push_back(greedy);
+        configs.push_back(exttsp);
+    }
+    configs.push_back({Arch::PhtDirect, AlignerKind::Greedy});
+
+    auto options_for = [](const ExperimentConfig &config) {
+        AlignOptions options;
+        options.objective = config.objective;
+        options.profileSource = config.source;
+        if (config.arch == Arch::BtFnt)
+            options.chainOrder = ChainOrderPolicy::BtFntPrecedence;
+        return options;
+    };
+
+    ThreadPool pool(4);
+    RunContext context;
+    context.pool = &pool;
+    for (const char *name : {"compress", "li", "tomcatv", "spice"}) {
+        SCOPED_TRACE(name);
+        const PreparedProgram prepared = preparedSuiteProgram(name, 40'000);
+        const ExperimentRun run = runConfigs(prepared, configs, {}, context);
+        ASSERT_EQ(run.cells.size(), configs.size());
+
+        // Concurrent alignments reading one shared estimate must produce
+        // the layouts alignProgram's own copy-and-estimate branch does.
+        Program estimated = prepared.program;
+        estimateProfile(estimated);
+        std::vector<ProgramLayout> separate(configs.size());
+        std::vector<ProgramLayout> shared(configs.size());
+        pool.parallelFor(configs.size(), [&](std::size_t i) {
+            const CostModel model(configs[i].arch);
+            AlignOptions options = options_for(configs[i]);
+            separate[i] = alignProgram(prepared.program, configs[i].kind,
+                                       &model, options);
+            options.profileSource = ProfileSource::Measured;
+            shared[i] = alignProgram(
+                configs[i].source == ProfileSource::Estimated
+                    ? estimated
+                    : prepared.program,
+                configs[i].kind, &model, options);
+        });
+
+        for (std::size_t i = 0; i < configs.size(); ++i) {
+            const std::string label =
+                std::string(archName(configs[i].arch)) + "/" +
+                alignerKindName(configs[i].kind) + "/" +
+                profileSourceName(configs[i].source);
+            EXPECT_EQ(describeLayoutDifference(separate[i], shared[i]), "")
+                << label;
+            const std::vector<EvalResult> expected =
+                runBatchReplay(prepared.program, separate[i],
+                               *prepared.batch,
+                               {EvalParams::forArch(configs[i].arch)});
+            EXPECT_EQ(counters(run.cells[i].eval), counters(expected[0]))
+                << label;
+        }
+    }
 }

@@ -117,8 +117,12 @@ alignProgram(const Program &program, AlignerKind kind, const CostModel *model,
     if (kind != AlignerKind::Greedy && aligner->objectiveGuided() &&
         can_price) {
         const auto objective = makeObjective(options.objective, model);
-        ProgramLayout greedy =
-            alignProgram(program, AlignerKind::Greedy, model, options);
+        // Unproven here: the final verifyLayout below covers every
+        // procedure the splice keeps from it.
+        AlignOptions greedy_options = options;
+        greedy_options.verify = false;
+        ProgramLayout greedy = alignProgram(program, AlignerKind::Greedy,
+                                            model, greedy_options);
         layout = cheaperPerProc(program, std::move(layout),
                                 std::move(greedy), *objective);
     }

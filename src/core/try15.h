@@ -19,7 +19,9 @@
  *
  * The search backtracks over an undoable ChainSet with an incrementally
  * maintained cost sum, so each search node costs O(1) beyond the link
- * itself.
+ * itself, and it skips every subtree whose lower bound (built from
+ * AlignmentObjective::blockCostFloor) already exceeds the best subset
+ * found, which returns the exhaustive search's choice (DESIGN.md §9.5).
  */
 
 #ifndef BALIGN_CORE_TRY15_H

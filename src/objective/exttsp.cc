@@ -1,5 +1,6 @@
 #include "objective/exttsp.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
 
@@ -178,6 +179,34 @@ ExtTspObjective::blockCost(const Procedure &proc, BlockId id, BlockId next,
         return linkGain(proc.takenEdge(id));
       case Terminator::FallThrough:
         return linkGain(proc.fallThroughEdge(id));
+      case Terminator::IndirectJump:
+      case Terminator::Return:
+        return 0.0;
+    }
+    return 0.0;
+}
+
+double
+ExtTspObjective::blockCostFloor(const Procedure &proc, BlockId id) const
+{
+    // The same terms blockCost sums, each at its best: a realized link
+    // can at most turn every out-edge blockCost reads into a fallthrough.
+    auto bestGain = [&](std::int64_t edge_index) {
+        if (edge_index < 0)
+            return 0.0;
+        const Edge &edge =
+            proc.edge(static_cast<std::uint32_t>(edge_index));
+        return std::min(0.0, -static_cast<double>(edge.weight) *
+                                 params_.fallthroughWeight);
+    };
+    switch (proc.block(id).term) {
+      case Terminator::CondBranch:
+        return bestGain(proc.takenEdge(id)) +
+               bestGain(proc.fallThroughEdge(id));
+      case Terminator::UncondBranch:
+        return bestGain(proc.takenEdge(id));
+      case Terminator::FallThrough:
+        return bestGain(proc.fallThroughEdge(id));
       case Terminator::IndirectJump:
       case Terminator::Return:
         return 0.0;

@@ -96,6 +96,11 @@ class ExtTspObjective : public AlignmentObjective
                      const DirOracle &oracle = DirOracle(),
                      BlockId prev = kNoBlock) const override;
 
+    /// Every out-edge realized as a fallthrough at once (0 when the
+    /// fallthrough weight is negative).
+    double blockCostFloor(const Procedure &proc,
+                          BlockId id) const override;
+
     /// Negated extTspScore of the realized layout.
     double layoutCost(const Procedure &proc,
                       const ProcLayout &layout) const override;

@@ -172,6 +172,16 @@ class AlignmentObjective
                              BlockId prev = kNoBlock) const = 0;
 
     /**
+     * A value blockCost(proc, id, ...) never goes below, whatever the
+     * chain successor, chain predecessor and direction hints. The TryN
+     * search subtracts each undecided block's distance to its floor from
+     * the running cost to bound a subtree (core/try15.cc), so a floor
+     * that is too high would silently change layouts.
+     */
+    virtual double blockCostFloor(const Procedure &proc,
+                                  BlockId id) const = 0;
+
+    /**
      * Price of one procedure's realized layout, recomputed from final
      * addresses (independent of any aligner bookkeeping). Must be purely
      * intra-procedural: invariant under rebasing the procedure, so summing

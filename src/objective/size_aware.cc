@@ -17,6 +17,15 @@ sizeModel()
 
 }  // namespace
 
+SizeAwareObjective::SizeAwareObjective(const CostModel &model,
+                                       double bytesWeight)
+    : table_(model), bytesWeight_(bytesWeight)
+{
+    if (!(bytesWeight_ >= 0.0))
+        panic("SizeAwareObjective: bytes weight %g is negative",
+              bytesWeight_);
+}
+
 double
 SizeAwareObjective::blockCost(const Procedure &proc, BlockId id,
                               BlockId next, const DirOracle &oracle,
@@ -67,6 +76,18 @@ SizeAwareObjective::blockCost(const Procedure &proc, BlockId id,
         break;
     }
     return cycles + bytesWeight_ * bytes;
+}
+
+double
+SizeAwareObjective::blockCostFloor(const Procedure &proc, BlockId id) const
+{
+    // A conditional block always keeps its branch; every other byte
+    // blockCost counts is a jump some link can remove.
+    const unsigned bytes =
+        proc.block(id).term == Terminator::CondBranch
+            ? sizeModel().instrBytes(InstrClass::CondBranch, BranchForm::Short)
+            : 0;
+    return table_.blockCostFloor(proc, id) + bytesWeight_ * bytes;
 }
 
 double

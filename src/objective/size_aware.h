@@ -35,11 +35,10 @@ namespace balign {
 class SizeAwareObjective : public AlignmentObjective
 {
   public:
+    /// @p bytesWeight must be >= 0 (panics otherwise): the TryN bound
+    /// assumes fewer bytes never cost more.
     explicit SizeAwareObjective(const CostModel &model,
-                                double bytesWeight = 1.0)
-        : table_(model), bytesWeight_(bytesWeight)
-    {
-    }
+                                double bytesWeight = 1.0);
 
     std::string name() const override { return "size-aware"; }
     ObjectiveKind kind() const override { return ObjectiveKind::SizeAware; }
@@ -52,6 +51,8 @@ class SizeAwareObjective : public AlignmentObjective
     double blockCost(const Procedure &proc, BlockId id, BlockId next,
                      const DirOracle &oracle = DirOracle(),
                      BlockId prev = kNoBlock) const override;
+    double blockCostFloor(const Procedure &proc,
+                          BlockId id) const override;
     double layoutCost(const Procedure &proc,
                       const ProcLayout &layout) const override;
     using AlignmentObjective::layoutCost;

@@ -1,6 +1,7 @@
 #include "objective/table_cost.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "bpred/static_cost.h"
 #include "support/log.h"
@@ -67,6 +68,35 @@ TableCostObjective::blockCost(const Procedure &proc, BlockId id,
         return 0.0;  // alignment cannot change these
     }
     panic("TableCostObjective::blockCost: bad terminator");
+}
+
+double
+TableCostObjective::blockCostFloor(const Procedure &proc, BlockId id) const
+{
+    if (proc.block(id).term != Terminator::CondBranch)
+        return 0.0;  // adjacent single exits are free, jumps cost >= 0
+    // blockCost always prices one of the four realizations under one of
+    // the four hint pairs the oracle can return.
+    const Edge &taken =
+        proc.edge(static_cast<std::uint32_t>(proc.takenEdge(id)));
+    const Edge &fall =
+        proc.edge(static_cast<std::uint32_t>(proc.fallThroughEdge(id)));
+    double floor = std::numeric_limits<double>::infinity();
+    for (const CondRealization realization :
+         {CondRealization::FallAdjacent, CondRealization::TakenAdjacent,
+          CondRealization::NeitherJumpToFall,
+          CondRealization::NeitherJumpToTaken}) {
+        for (const DirHint dir_taken : {DirHint::Forward, DirHint::Backward}) {
+            for (const DirHint dir_fall :
+                 {DirHint::Forward, DirHint::Backward}) {
+                floor = std::min(
+                    floor, model_.condRealizationCost(taken.weight,
+                                                      fall.weight, realization,
+                                                      dir_taken, dir_fall));
+            }
+        }
+    }
+    return floor;
 }
 
 double

@@ -34,6 +34,8 @@ class TableCostObjective : public AlignmentObjective
     double blockCost(const Procedure &proc, BlockId id, BlockId next,
                      const DirOracle &oracle = DirOracle(),
                      BlockId prev = kNoBlock) const override;
+    double blockCostFloor(const Procedure &proc,
+                          BlockId id) const override;
     double layoutCost(const Procedure &proc,
                       const ProcLayout &layout) const override;
     using AlignmentObjective::layoutCost;

@@ -2,15 +2,15 @@
  * @file
  * Wall-clock timing bench for the perf trajectory: runs the full paper
  * experiment matrix (the Table 3 + Table 4 configurations over the
- * benchmark suite) on the parallel runner three times — per-cell
- * reference engine at 1 thread, batched engine at 1 thread, and batched
- * at the configured thread count — and prints one line of JSON per run
- * plus a summary line with the thread speedup and the single-thread
- * replay-phase speedup of the batched engine over the per-cell one.
+ * benchmark suite) on the parallel runner twice — at 1 thread and at the
+ * configured thread count — and prints one line of JSON per run plus a
+ * summary line with the thread speedup and the single-thread replay-phase
+ * seconds. The batched-vs-per-evaluator replay ratio lives in bench_micro
+ * (BM_ReplayBatched vs BM_ReplayPerCell).
  *
  * Environment: BALIGN_THREADS, BALIGN_TRACE_INSTRS, BALIGN_PROGRAMS as
- * usual. Set BALIGN_WALLCLOCK_SKIP_SERIAL=1 to skip both serial baselines
- * (the summary line then reports the speedups as 0).
+ * usual. Set BALIGN_WALLCLOCK_SKIP_SERIAL=1 to skip the serial baseline
+ * (the summary line then reports the speedup as 0).
  */
 
 #include <iostream>
@@ -32,14 +32,13 @@ struct TimedRun
 TimedRun
 timedRun(const std::vector<ProgramSpec> &suite,
          const std::vector<ExperimentConfig> &configs, unsigned threads,
-         ReplayEngine engine, const char *label)
+         const char *label)
 {
     bench::WallClock wall;
     PhaseTimes times;
     RunnerOptions options;
     options.threads = threads;
     options.times = &times;
-    options.engine = engine;
     const std::vector<ExperimentRun> runs = runSuite(suite, configs, options);
     const double seconds = wall.seconds();
     if (runs.size() != suite.size())
@@ -73,26 +72,19 @@ main()
         bench::tunedSuite(benchmarkSuite());
     const unsigned threads = defaultThreads();
 
-    TimedRun percell;
     TimedRun serial;
     const char *skip = std::getenv("BALIGN_WALLCLOCK_SKIP_SERIAL");
-    if (skip == nullptr || skip[0] == '\0' || skip[0] == '0') {
-        percell = timedRun(suite, configs, 1, ReplayEngine::PerCell,
-                           "wallclock_serial_percell");
-        serial = timedRun(suite, configs, 1, ReplayEngine::Batched,
-                          "wallclock_serial");
-    }
-    const TimedRun parallel = timedRun(
-        suite, configs, threads, ReplayEngine::Batched, "wallclock_parallel");
+    if (skip == nullptr || skip[0] == '\0' || skip[0] == '0')
+        serial = timedRun(suite, configs, 1, "wallclock_serial");
+    const TimedRun parallel =
+        timedRun(suite, configs, threads, "wallclock_parallel");
 
     std::printf(
         "{\"bench\":\"wallclock\",\"threads\":%u,\"programs\":%zu,"
         "\"configs\":%zu,\"serial_s\":%.6f,\"parallel_s\":%.6f,"
-        "\"speedup\":%.3f,\"replay_percell_s\":%.6f,"
-        "\"replay_batched_s\":%.6f,\"replay_speedup\":%.3f}\n",
+        "\"speedup\":%.3f,\"replay_s\":%.6f}\n",
         threads, suite.size(), configs.size(), serial.wall, parallel.wall,
         serial.wall > 0.0 ? serial.wall / parallel.wall : 0.0,
-        percell.replay, serial.replay,
-        serial.replay > 0.0 ? percell.replay / serial.replay : 0.0);
+        serial.replay);
     return 0;
 }

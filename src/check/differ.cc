@@ -169,15 +169,6 @@ class ProductionTap : public BranchEventHandler
     std::vector<BranchSample> samples_;
 };
 
-void
-feedEvents(const PreparedProgram &prepared, EventSink &sink)
-{
-    if (prepared.trace != nullptr)
-        prepared.trace->replay(prepared.program, sink);
-    else
-        walk(prepared.program, prepared.walk, sink);
-}
-
 /// Appends "name: oracle=X production=Y" for each mismatching counter.
 void
 compareCounter(std::ostringstream &out, const char *name,
@@ -229,6 +220,9 @@ diffLayout(const PreparedProgram &prepared, const ProgramLayout &layout,
            Arch arch, AlignerKind kind)
 {
     const Program &program = prepared.program;
+    if (prepared.trace == nullptr || prepared.batch == nullptr)
+        panic("diffLayout(%s): PreparedProgram has no recorded trace; "
+              "build it with prepareProgram", program.name().c_str());
     Divergence divergence;
     divergence.arch = arch;
     divergence.aligner = kind;
@@ -255,7 +249,7 @@ diffLayout(const PreparedProgram &prepared, const ProgramLayout &layout,
     MultiSink fanout;
     fanout.add(&adapter);
     fanout.add(&oracle);
-    feedEvents(prepared, fanout);
+    prepared.trace->replay(program, fanout);
 
     const std::string events = compareSamples(oracle.samples(),
                                               tap.samples());
@@ -274,22 +268,16 @@ diffLayout(const PreparedProgram &prepared, const ProgramLayout &layout,
         return divergence;
     }
 
-    // 4. The batched replay engine vs. the (just-validated) per-cell
-    // evaluator: same layout, one single-lane batched sweep. In the
-    // comparison below "oracle" is the per-cell ArchEvaluator and
-    // "production" is the batched lane.
-    if (prepared.batch != nullptr) {
-        const std::vector<EvalResult> lanes =
-            runBatchReplay(program, layout, *prepared.batch, {params});
-        const std::string batch =
-            compareResults(production.result(), lanes[0]);
-        if (!batch.empty()) {
-            divergence.kind = DivergenceKind::Batch;
-            divergence.detail =
-                "batched engine vs per-cell evaluator "
-                "(oracle=per-cell, production=batched):\n" + batch;
-            return divergence;
-        }
+    // 4. The batched replay engine runConfigs uses vs. the oracle: same
+    // layout, one single-lane batched sweep.
+    const std::vector<EvalResult> lanes =
+        runBatchReplay(program, layout, *prepared.batch, {params});
+    const std::string batch = compareResults(oracle.result(), lanes[0]);
+    if (!batch.empty()) {
+        divergence.kind = DivergenceKind::Batch;
+        divergence.detail =
+            "batched engine vs oracle (production=batched):\n" + batch;
+        return divergence;
     }
     return std::nullopt;
 }

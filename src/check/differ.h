@@ -3,10 +3,11 @@
  * Differential harness: oracle vs. the production evaluation pipeline.
  *
  * One recorded event stream is fanned out to both sides at once — the
- * production BranchEventAdapter -> ArchEvaluator chain (the exact code the
- * experiments run) and the naive OracleEvaluator — and the two resulting
- * branch-event streams are compared sample by sample. Four things can
- * diverge, checked in order:
+ * streaming BranchEventAdapter -> ArchEvaluator chain and the naive
+ * OracleEvaluator — and the two resulting branch-event streams are
+ * compared sample by sample; the batched engine the experiments run is
+ * then checked against the oracle's totals. Four things can diverge,
+ * checked in order:
  *
  *  1. Structural: the materializer's address/size bookkeeping disagrees
  *     with the oracle's independent derivation (crossCheckLayout).
@@ -16,9 +17,9 @@
  *     surrounding context.
  *  3. Counters: the streams matched but the accumulated EvalResult
  *     totals do not (an accounting bug outside the per-event path).
- *  4. Batch: the batched replay engine (sim/batch_replay.h) run as a
- *     single lane over the same layout disagrees with the per-cell
- *     evaluator it is pinned to.
+ *  4. Batch: the batched replay engine (sim/batch_replay.h) — the only
+ *     evaluator behind runConfigs — run as a single lane over the same
+ *     layout disagrees with the oracle's totals.
  *
  * diffPrepared() mirrors runConfigs() layout construction exactly
  * (per-architecture cost models, the BT/FNT chain-ordering override) so
@@ -48,8 +49,7 @@ enum class DivergenceKind : std::uint8_t {
     Verify,      ///< the layout verifier (verify/verify.h) could not prove
                  ///< a layout semantically equivalent to its program
     Batch,       ///< the batched replay engine (sim/batch_replay.h)
-                 ///< disagrees with the per-cell ArchEvaluator on some
-                 ///< EvalResult counter
+                 ///< disagrees with the oracle on some EvalResult counter
     Realign,     ///< incremental realignment (core/realign.h) broke its
                  ///< contract: threshold-0 differs from a full
                  ///< alignProgram, threshold-infinity differs from the old
@@ -129,7 +129,8 @@ std::string compareSamples(const std::vector<BranchSample> &oracle,
 
 /**
  * Diffs one (prepared program, layout, architecture) triple. The layout
- * must have been materialized for @p prepared.program.
+ * must have been materialized for @p prepared.program, and @p prepared
+ * must come from prepareProgram (it replays the recorded trace).
  */
 std::optional<Divergence> diffLayout(const PreparedProgram &prepared,
                                      const ProgramLayout &layout, Arch arch,

@@ -1,5 +1,6 @@
 #include "check/fuzz.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -703,6 +704,62 @@ verifyGateCheck(const Program &program, const DiffOptions &options,
     return divergence;
 }
 
+namespace {
+
+/// One configured (aligner, objective) alignment handed to a gate: the
+/// aligner, the options (objective included) and cost model it was
+/// aligned under, and the layout itself.
+struct GateAlignment
+{
+    AlignerKind kind;
+    const AlignOptions &align;
+    const CostModel &model;
+    const ProgramLayout &layout;
+};
+
+using GateAlignmentCheck =
+    std::function<std::optional<Divergence>(const GateAlignment &)>;
+
+/**
+ * Aligns @p program under every configured (aligner, objective) pair of
+ * @p options (empty kinds widen to allAlignerKindsExtended(), empty
+ * objectives to align.objective) with the Fallthrough cost model and the
+ * verifier off — failures must become findings, not panics — and returns
+ * the first finding @p check makes, stamped with its aligner and
+ * objective.
+ */
+std::optional<Divergence>
+firstAlignmentFinding(const Program &program, const DiffOptions &options,
+                      const GateAlignmentCheck &check)
+{
+    const std::vector<AlignerKind> &kinds =
+        options.kinds.empty() ? allAlignerKindsExtended() : options.kinds;
+    const std::vector<ObjectiveKind> objectives =
+        options.objectives.empty()
+            ? std::vector<ObjectiveKind>{options.align.objective}
+            : options.objectives;
+    const CostModel model(Arch::Fallthrough);
+    for (const AlignerKind kind : kinds) {
+        for (const ObjectiveKind objective : objectives) {
+            AlignOptions align = options.align;
+            align.objective = objective;
+            align.verify = false;
+            const ProgramLayout layout =
+                alignProgram(program, kind, &model, align);
+            std::optional<Divergence> finding =
+                check({kind, align, model, layout});
+            if (finding.has_value()) {
+                finding->aligner = kind;
+                finding->objective = objective;
+                return finding;
+            }
+        }
+    }
+    return std::nullopt;
+}
+
+}  // namespace
+
 std::optional<Divergence>
 realignGateCheck(const Program &program, const WalkOptions &walk,
                  const DiffOptions &options)
@@ -718,39 +775,25 @@ realignGateCheck(const Program &program, const WalkOptions &walk,
     spec.seed = 0x5EED5EEDull;
     degradeProfile(degraded, walk, spec);
 
-    const std::vector<AlignerKind> kinds =
-        options.kinds.empty() ? allAlignerKindsExtended() : options.kinds;
-    const std::vector<ObjectiveKind> objectives =
-        options.objectives.empty()
-            ? std::vector<ObjectiveKind>{options.align.objective}
-            : options.objectives;
-    const CostModel model(Arch::Fallthrough);
-
-    for (const AlignerKind kind : kinds) {
-        for (const ObjectiveKind objective : objectives) {
-            AlignOptions align = options.align;
-            align.objective = objective;
-            // Verification failures must become findings, not panics.
-            align.verify = false;
-
+    return firstAlignmentFinding(
+        program, options,
+        [&](const GateAlignment &gate) -> std::optional<Divergence> {
             auto report = [&](const std::string &what,
                               const std::string &detail) {
                 Divergence divergence;
                 divergence.kind = DivergenceKind::Realign;
-                divergence.aligner = kind;
-                divergence.objective = objective;
                 divergence.program = program.name();
                 divergence.detail = "  " + what + ": " + detail + "\n";
                 return divergence;
             };
 
-            const ProgramLayout old_layout =
-                alignProgram(program, kind, &model, align);
+            const ProgramLayout &old_layout = gate.layout;
             const ProgramLayout full =
-                alignProgram(degraded, kind, &model, align);
+                alignProgram(degraded, gate.kind, &gate.model, gate.align);
 
-            const ProgramLayout incremental = realignProgram(
-                program, old_layout, degraded, kind, &model, align, 0.0);
+            const ProgramLayout incremental =
+                realignProgram(program, old_layout, degraded, gate.kind,
+                               &gate.model, gate.align, 0.0);
             std::string mismatch =
                 describeLayoutDifference(full, incremental);
             if (!mismatch.empty())
@@ -758,8 +801,8 @@ realignGateCheck(const Program &program, const WalkOptions &walk,
                               mismatch);
 
             const ProgramLayout kept =
-                realignProgram(program, old_layout, degraded, kind, &model,
-                               align, kNeverRealign);
+                realignProgram(program, old_layout, degraded, gate.kind,
+                               &gate.model, gate.align, kNeverRealign);
             mismatch = describeLayoutDifference(old_layout, kept);
             if (!mismatch.empty())
                 return report(
@@ -768,8 +811,8 @@ realignGateCheck(const Program &program, const WalkOptions &walk,
 
             RealignStats stats;
             const ProgramLayout spliced =
-                realignProgram(program, old_layout, degraded, kind, &model,
-                               align, 0.25, &stats);
+                realignProgram(program, old_layout, degraded, gate.kind,
+                               &gate.model, gate.align, 0.25, &stats);
             const VerifyResult proof = verifyLayout(degraded, spliced);
             if (!proof.verified()) {
                 std::ostringstream detail;
@@ -779,9 +822,8 @@ realignGateCheck(const Program &program, const WalkOptions &walk,
                 return report("mid-threshold splice failed verification",
                               detail.str());
             }
-        }
-    }
-    return std::nullopt;
+            return std::nullopt;
+        });
 }
 
 std::optional<Divergence>
@@ -818,61 +860,29 @@ estimateGateCheck(const Program &program, const DiffOptions &options)
     }
 
     // Every aligner must produce a verifiable layout from the estimate.
-    const std::vector<AlignerKind> kinds =
-        options.kinds.empty() ? allAlignerKindsExtended() : options.kinds;
-    const std::vector<ObjectiveKind> objectives =
-        options.objectives.empty()
-            ? std::vector<ObjectiveKind>{options.align.objective}
-            : options.objectives;
-    const CostModel model(Arch::Fallthrough);
-    for (const AlignerKind kind : kinds) {
-        for (const ObjectiveKind objective : objectives) {
-            AlignOptions align = options.align;
-            align.objective = objective;
-            align.verify = false;  // failures become findings, not panics
-            const ProgramLayout layout =
-                alignProgram(estimated, kind, &model, align);
-            const VerifyResult proof = verifyLayout(estimated, layout);
-            if (!proof.verified()) {
-                Divergence divergence = report(
-                    "layout aligned on the estimated profile failed "
-                    "verification",
-                    formatVerifyFailure(proof.failures.front()));
-                divergence.aligner = kind;
-                divergence.objective = objective;
-                return divergence;
-            }
-        }
-    }
-    return std::nullopt;
+    return firstAlignmentFinding(
+        estimated, options,
+        [&](const GateAlignment &gate) -> std::optional<Divergence> {
+            const VerifyResult proof = verifyLayout(estimated, gate.layout);
+            if (proof.verified())
+                return std::nullopt;
+            return report("layout aligned on the estimated profile failed "
+                          "verification",
+                          formatVerifyFailure(proof.failures.front()));
+        });
 }
 
 std::optional<Divergence>
 emitGateCheck(const Program &program, const DiffOptions &options)
 {
-    const std::vector<AlignerKind> kinds =
-        options.kinds.empty() ? allAlignerKindsExtended() : options.kinds;
-    const std::vector<ObjectiveKind> objectives =
-        options.objectives.empty()
-            ? std::vector<ObjectiveKind>{options.align.objective}
-            : options.objectives;
-    const CostModel model(Arch::Fallthrough);
-
-    for (const AlignerKind kind : kinds) {
-        for (const ObjectiveKind objective : objectives) {
-            AlignOptions align = options.align;
-            align.objective = objective;
-            align.verify = false;  // failures become findings, not panics
-            const ProgramLayout layout =
-                alignProgram(program, kind, &model, align);
-
+    return firstAlignmentFinding(
+        program, options,
+        [&](const GateAlignment &gate) -> std::optional<Divergence> {
             auto report = [&](EncodingModelKind encoding,
                               const std::string &what,
                               const std::string &detail) {
                 Divergence divergence;
                 divergence.kind = DivergenceKind::Emit;
-                divergence.aligner = kind;
-                divergence.objective = objective;
                 divergence.program = program.name();
                 divergence.detail = std::string("  ") +
                                     encodingModelKindName(encoding) +
@@ -884,14 +894,14 @@ emitGateCheck(const Program &program, const DiffOptions &options)
                  allEncodingModelKinds()) {
                 const EncodingModel &em = encodingModel(encoding);
                 const RelaxedLayout relaxed =
-                    relaxLayout(program, layout, em);
+                    relaxLayout(program, gate.layout, em);
                 if (!relaxed.converged)
                     return report(encoding,
                                   "relaxation did not converge",
                                   relaxed.diagnostic);
 
-                const VerifyResult proof =
-                    verifyRelaxedLayout(program, layout, relaxed, em);
+                const VerifyResult proof = verifyRelaxedLayout(
+                    program, gate.layout, relaxed, em);
                 if (!proof.verified())
                     return report(
                         encoding, "relaxed layout failed verification",
@@ -900,7 +910,7 @@ emitGateCheck(const Program &program, const DiffOptions &options)
                 // Fixpoint determinism: relaxation keeps no hidden
                 // state, so a second run must reproduce every byte.
                 const RelaxedLayout again =
-                    relaxLayout(program, layout, em);
+                    relaxLayout(program, gate.layout, em);
                 if (again.totalBytes != relaxed.totalBytes ||
                     again.iterations != relaxed.iterations ||
                     again.instrs.size() != relaxed.instrs.size()) {
@@ -948,35 +958,21 @@ emitGateCheck(const Program &program, const DiffOptions &options)
                         detail.str());
                 }
             }
-        }
-    }
-    return std::nullopt;
+            return std::nullopt;
+        });
 }
 
 std::optional<Divergence>
 disasmGateCheck(const Program &program, const DiffOptions &options)
 {
-    const std::vector<AlignerKind> kinds =
-        options.kinds.empty() ? allAlignerKindsExtended() : options.kinds;
-    const std::vector<ObjectiveKind> objectives =
-        options.objectives.empty()
-            ? std::vector<ObjectiveKind>{options.align.objective}
-            : options.objectives;
-    const CostModel model(Arch::Fallthrough);
-
-    for (const AlignerKind kind : kinds) {
-        for (const ObjectiveKind objective : objectives) {
-            AlignOptions align = options.align;
-            align.objective = objective;
-            align.verify = false;  // failures become findings, not panics
-            const ProgramLayout layout =
-                alignProgram(program, kind, &model, align);
-
+    return firstAlignmentFinding(
+        program, options,
+        [&](const GateAlignment &gate) -> std::optional<Divergence> {
             for (const EncodingModelKind encoding :
                  allEncodingModelKinds()) {
                 const EncodingModel &em = encodingModel(encoding);
                 const RelaxedLayout relaxed =
-                    relaxLayout(program, layout, em);
+                    relaxLayout(program, gate.layout, em);
                 // Unconverged relaxations are the emit gate's finding;
                 // there is no trustworthy byte layout to validate.
                 if (!relaxed.converged)
@@ -991,8 +987,6 @@ disasmGateCheck(const Program &program, const DiffOptions &options)
 
                 Divergence divergence;
                 divergence.kind = DivergenceKind::Disasm;
-                divergence.aligner = kind;
-                divergence.objective = objective;
                 divergence.program = program.name();
                 std::ostringstream detail;
                 detail << "  " << encodingModelKindName(encoding) << ": "
@@ -1004,9 +998,18 @@ disasmGateCheck(const Program &program, const DiffOptions &options)
                 divergence.detail = detail.str();
                 return divergence;
             }
-        }
-    }
-    return std::nullopt;
+            return std::nullopt;
+        });
+}
+
+std::uint64_t
+FuzzReport::count(DivergenceKind kind) const
+{
+    return static_cast<std::uint64_t>(
+        std::count_if(divergences.begin(), divergences.end(),
+                      [&](const Divergence &divergence) {
+                          return divergence.kind == kind;
+                      }));
 }
 
 FuzzReport
@@ -1030,53 +1033,53 @@ runFuzz(const FuzzOptions &options)
     const std::size_t kinds = first_only.kinds.size();
     const std::size_t objectives = first_only.objectives.size();
 
-    // One seed's full check: profile once, lint first (cheap, static),
-    // then the differential oracle on the same prepared program.
+    // Every per-seed gate, in order: the static and alignment-level
+    // checks first (no trace replay), the differential oracle last.
+    using Gate =
+        std::function<std::optional<Divergence>(const PreparedProgram &)>;
+    const Gate gates[] = {
+        [&](const PreparedProgram &prepared) {
+            return lintGateCheck(prepared.program, first_only);
+        },
+        [&](const PreparedProgram &prepared) {
+            return verifyGateCheck(prepared.program, first_only,
+                                   options.layoutMutator);
+        },
+        [&](const PreparedProgram &prepared) {
+            return realignGateCheck(prepared.program, prepared.walk,
+                                    first_only);
+        },
+        [&](const PreparedProgram &prepared) {
+            return estimateGateCheck(prepared.program, first_only);
+        },
+        [&](const PreparedProgram &prepared) {
+            return emitGateCheck(prepared.program, first_only);
+        },
+        [&](const PreparedProgram &prepared) {
+            return disasmGateCheck(prepared.program, first_only);
+        },
+        [&](const PreparedProgram &prepared) -> std::optional<Divergence> {
+            std::vector<Divergence> divergences =
+                diffPrepared(prepared, first_only);
+            if (divergences.empty())
+                return std::nullopt;
+            return std::move(divergences.front());
+        },
+    };
+
+    // One seed's full check — and the shrinker's predicate: profile once,
+    // then run the gates on the same prepared program; the first finding
+    // wins.
     auto check = [&](Program program,
                      const WalkOptions &walk) -> std::optional<Divergence> {
         const PreparedProgram prepared =
             prepareProgram(std::move(program), walk);
-        if (options.lintGate) {
-            std::optional<Divergence> hit =
-                lintGateCheck(prepared.program, first_only);
+        for (const Gate &gate : gates) {
+            std::optional<Divergence> hit = gate(prepared);
             if (hit.has_value())
                 return hit;
         }
-        if (options.verifyGate) {
-            std::optional<Divergence> hit = verifyGateCheck(
-                prepared.program, first_only, options.layoutMutator);
-            if (hit.has_value())
-                return hit;
-        }
-        if (options.realignGate) {
-            std::optional<Divergence> hit = realignGateCheck(
-                prepared.program, prepared.walk, first_only);
-            if (hit.has_value())
-                return hit;
-        }
-        if (options.estimateGate) {
-            std::optional<Divergence> hit =
-                estimateGateCheck(prepared.program, first_only);
-            if (hit.has_value())
-                return hit;
-        }
-        if (options.emitGate) {
-            std::optional<Divergence> hit =
-                emitGateCheck(prepared.program, first_only);
-            if (hit.has_value())
-                return hit;
-        }
-        if (options.disasmGate) {
-            std::optional<Divergence> hit =
-                disasmGateCheck(prepared.program, first_only);
-            if (hit.has_value())
-                return hit;
-        }
-        std::vector<Divergence> divergences =
-            diffPrepared(prepared, first_only);
-        if (divergences.empty())
-            return std::nullopt;
-        return std::move(divergences.front());
+        return std::nullopt;
     };
 
     std::vector<std::optional<Divergence>> found(options.seeds);
@@ -1117,20 +1120,6 @@ runFuzz(const FuzzOptions &options)
         report.divergences.push_back(final_divergence.has_value()
                                          ? std::move(*final_divergence)
                                          : std::move(*found[i]));
-        if (report.divergences.back().kind == DivergenceKind::Lint)
-            ++report.lintHits;
-        if (report.divergences.back().kind == DivergenceKind::Verify)
-            ++report.verifyHits;
-        if (report.divergences.back().kind == DivergenceKind::Batch)
-            ++report.batchHits;
-        if (report.divergences.back().kind == DivergenceKind::Realign)
-            ++report.realignHits;
-        if (report.divergences.back().kind == DivergenceKind::Estimate)
-            ++report.estimateHits;
-        if (report.divergences.back().kind == DivergenceKind::Emit)
-            ++report.emitHits;
-        if (report.divergences.back().kind == DivergenceKind::Disasm)
-            ++report.disasmHits;
 
         std::string path;
         if (!options.corpusDir.empty()) {

@@ -6,8 +6,11 @@
  * compiler-shaped CFG (wide parameter ranges over the workload generator)
  * or one of the hand-built degenerate shapes (single-block loops, dense
  * indirect jumps, 1-instruction blocks, call chains past the walker's
- * depth cap, ...) — and drives every aligner x architecture pair through
- * the differential harness (check/differ.h).
+ * depth cap, ...) — and runs it through one ordered table of gates: lint,
+ * verify, realign, estimate, emit and disasm (the *GateCheck functions
+ * below), then every aligner x architecture pair through the
+ * differential harness (check/differ.h). The first finding wins; every
+ * kind shrinks the same way.
  *
  * When a divergence is found, the shrinker minimizes the repro in the
  * issue's order — drop procedures, drop blocks (truncate-to-return +
@@ -77,49 +80,10 @@ struct FuzzOptions
     ThreadPool *pool = nullptr;
     /// Per-seed progress lines on stderr.
     bool verbose = false;
-    /// Run the static linter (lint/lint.h) over the profiled program and
-    /// every layout BEFORE the differential oracle. A lint error is a
-    /// finding of its own (DivergenceKind::Lint) and shrinks exactly like
-    /// a divergence.
-    bool lintGate = true;
-    /// Run the translation-validating layout verifier (verify/verify.h)
-    /// over every layout alongside the lint gate. An undischarged proof
-    /// obligation is a finding of its own (DivergenceKind::Verify) and
-    /// shrinks exactly like a divergence.
-    bool verifyGate = true;
-    /// Test hook: corrupts each layout between alignment and
-    /// verification (see verify/driver.h), proving the gate catches
-    /// injected bugs end to end.
+    /// Test hook for the verify gate: corrupts each layout between
+    /// alignment and verification (see verify/driver.h), proving the gate
+    /// catches injected bugs end to end.
     LayoutMutator layoutMutator;
-    /// Perturb the profile and run incremental realignment
-    /// (core/realign.h) against a full realignment: threshold 0 must be
-    /// byte-identical to the full layout, threshold infinity to the old
-    /// one, and a mid-threshold splice must verify. A violation is a
-    /// finding of its own (DivergenceKind::Realign) and shrinks exactly
-    /// like a divergence.
-    bool realignGate = true;
-    /// Estimate a static profile for the program (estimate/estimate.h)
-    /// and check it passes the prof.*/est.* invariants and that every
-    /// aligner x objective pair produces a verifiable layout from it. A
-    /// violation is a finding of its own (DivergenceKind::Estimate) and
-    /// shrinks exactly like a divergence.
-    bool estimateGate = true;
-    /// Relax every aligner's layout under every encoding model
-    /// (emit/relax.h) and check the emission contract: convergence, the
-    /// relaxed-layout proof obligations, fixpoint determinism (a second
-    /// relaxation is byte-identical), and an ELF object that round-trips
-    /// through the self-contained reader with text bytes matching the
-    /// encoder. A violation is a finding of its own (DivergenceKind::Emit)
-    /// and shrinks exactly like a divergence.
-    bool emitGate = true;
-    /// Emit every aligner's layout under every encoding model, decode
-    /// the object with the independent disassembler (disasm/disasm.h)
-    /// and discharge the byte-level obligations (disasm/checkobj.h):
-    /// decode totality, branch targets, relocation correctness, CFG
-    /// isomorphism and size accounting. A violation is a finding of its
-    /// own (DivergenceKind::Disasm) and shrinks exactly like a
-    /// divergence.
-    bool disasmGate = true;
 };
 
 /// Campaign outcome.
@@ -127,31 +91,14 @@ struct FuzzReport
 {
     std::uint64_t programsRun = 0;
     std::uint64_t configsChecked = 0;
-    /// Findings of kind DivergenceKind::Lint among `divergences`.
-    std::uint64_t lintHits = 0;
-    /// Findings of kind DivergenceKind::Verify among `divergences`.
-    std::uint64_t verifyHits = 0;
-    /// Findings of kind DivergenceKind::Batch among `divergences`
-    /// (batched replay engine vs per-cell evaluator).
-    std::uint64_t batchHits = 0;
-    /// Findings of kind DivergenceKind::Realign among `divergences`
-    /// (incremental vs full realignment).
-    std::uint64_t realignHits = 0;
-    /// Findings of kind DivergenceKind::Estimate among `divergences`
-    /// (static estimator broke an invariant or produced an unalignable
-    /// profile).
-    std::uint64_t estimateHits = 0;
-    /// Findings of kind DivergenceKind::Emit among `divergences`
-    /// (relaxation or ELF emission broke its contract).
-    std::uint64_t emitHits = 0;
-    /// Findings of kind DivergenceKind::Disasm among `divergences`
-    /// (an emitted object failed the byte-level translation validator).
-    std::uint64_t disasmHits = 0;
     /// First divergence per diverging seed, AFTER shrinking.
     std::vector<Divergence> divergences;
     /// Repro files written (parallel to divergences; empty string when
     /// corpusDir was not set).
     std::vector<std::string> reproPaths;
+
+    /// Findings of @p kind among `divergences`.
+    std::uint64_t count(DivergenceKind kind) const;
 };
 
 /**

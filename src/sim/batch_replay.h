@@ -26,13 +26,15 @@
  *     only BTB lanes walk the full branch stream, because a BTB observes
  *     every break type in order.
  *
- * Contract: each lane's EvalResult is byte-identical to what an
- * ArchEvaluator fed through BranchEventAdapter by RecordedTrace::replay
- * produces for the same (layout, EvalParams). The per-cell path remains
- * in sim/cpi.cc as the reference implementation; the `ctest -L replay`
- * suite pins equivalence across the whole benchmark suite and the fuzz
- * corpus, and check/differ.cc re-checks it on every differential run so
- * the fuzzer shrinks batched-engine divergences like any other finding.
+ * Contract: each lane's EvalResult is byte-identical to what the naive
+ * OracleEvaluator (check/oracle.h) — and the streaming ArchEvaluator —
+ * accumulate from RecordedTrace::replay for the same (layout,
+ * EvalParams). This engine is the only evaluator behind runConfigs; the
+ * `ctest -L replay` suite pins every runConfigs cell to an oracle replay
+ * across the whole benchmark suite and the fuzz corpus, and
+ * check/differ.cc re-checks one lane against the oracle on every
+ * differential run so the fuzzer shrinks batched-engine divergences like
+ * any other finding.
  */
 
 #ifndef BALIGN_SIM_BATCH_REPLAY_H

@@ -28,17 +28,9 @@ ExperimentRun::buildCellIndex()
 const ExperimentCell &
 ExperimentRun::cell(Arch arch, AlignerKind kind) const
 {
-    if (!cellIndex.empty()) {
-        const auto found = cellIndex.find(std::make_pair(arch, kind));
-        if (found != cellIndex.end())
-            return cells[found->second];
-    } else {
-        // Hand-assembled runs (tests) may not have built the index.
-        for (const auto &cell : cells) {
-            if (cell.config.arch == arch && cell.config.kind == kind)
-                return cell;
-        }
-    }
+    const auto found = cellIndex.find(std::make_pair(arch, kind));
+    if (found != cellIndex.end())
+        return cells[found->second];
     fatal("ExperimentRun(%s): no cell for %s/%s", name.c_str(),
           archName(arch), alignerKindName(kind));
 }
@@ -82,17 +74,6 @@ prepareProgram(const ProgramSpec &spec)
 }
 
 namespace {
-
-/// Feeds the prepared program's event stream to one sink: a tight replay
-/// of the recorded trace, or (hand-built PreparedProgram) a fresh walk.
-void
-feedTrace(const PreparedProgram &prepared, EventSink &sink)
-{
-    if (prepared.trace != nullptr)
-        prepared.trace->replay(prepared.program, sink);
-    else
-        walk(prepared.program, prepared.walk, sink);
-}
 
 /**
  * Rewrites every address field of @p layout to its relaxed byte address
@@ -144,6 +125,9 @@ runConfigs(const PreparedProgram &prepared,
            const AlignOptions &options, const RunContext &context)
 {
     const Program &program = prepared.program;
+    if (prepared.batch == nullptr)
+        panic("runConfigs(%s): PreparedProgram has no batched trace; "
+              "build it with prepareProgram", program.name().c_str());
 
     ExperimentRun run;
     run.name = program.name();
@@ -278,50 +262,29 @@ runConfigs(const PreparedProgram &prepared,
                 align_one(i);
     }
 
-    // Evaluate every configuration. Batched engine: the cells sharing a
-    // layout are lanes of ONE sweep, and the pool parallelizes across
-    // layout groups. Per-cell reference engine: one ArchEvaluator fed by
-    // its own independent replay per cell.
-    const bool batched = context.engine == ReplayEngine::Batched &&
-                         prepared.batch != nullptr;
+    // Evaluate every configuration: the cells sharing a layout are lanes
+    // of ONE sweep, and the pool parallelizes across layout groups.
     std::vector<EvalResult> results(configs.size());
     {
         ScopedPhaseTimer timer(context.times, "replay");
-        if (batched) {
-            std::vector<std::vector<std::size_t>> members(keys.size());
-            for (std::size_t i = 0; i < configs.size(); ++i)
-                members[key_index.at(layout_key(configs[i]))].push_back(i);
-            auto replay_group = [&](std::size_t k) {
-                std::vector<EvalParams> lanes;
-                lanes.reserve(members[k].size());
-                for (const std::size_t i : members[k])
-                    lanes.push_back(EvalParams::forArch(configs[i].arch));
-                const std::vector<EvalResult> lane_results =
-                    runBatchReplay(program, *layouts[k], *prepared.batch,
-                                   lanes);
-                for (std::size_t j = 0; j < members[k].size(); ++j)
-                    results[members[k][j]] = lane_results[j];
-            };
-            if (context.pool != nullptr)
-                context.pool->parallelFor(keys.size(), replay_group);
-            else
-                for (std::size_t k = 0; k < keys.size(); ++k)
-                    replay_group(k);
-        } else {
-            auto replay_one = [&](std::size_t i) {
-                const ProgramLayout &layout =
-                    *layouts[key_index.at(layout_key(configs[i]))];
-                ArchEvaluator evaluator(
-                    program, layout, EvalParams::forArch(configs[i].arch));
-                feedTrace(prepared, evaluator.sink());
-                results[i] = evaluator.result();
-            };
-            if (context.pool != nullptr)
-                context.pool->parallelFor(configs.size(), replay_one);
-            else
-                for (std::size_t i = 0; i < configs.size(); ++i)
-                    replay_one(i);
-        }
+        std::vector<std::vector<std::size_t>> members(keys.size());
+        for (std::size_t i = 0; i < configs.size(); ++i)
+            members[key_index.at(layout_key(configs[i]))].push_back(i);
+        auto replay_group = [&](std::size_t k) {
+            std::vector<EvalParams> lanes;
+            lanes.reserve(members[k].size());
+            for (const std::size_t i : members[k])
+                lanes.push_back(EvalParams::forArch(configs[i].arch));
+            const std::vector<EvalResult> lane_results =
+                runBatchReplay(program, *layouts[k], *prepared.batch, lanes);
+            for (std::size_t j = 0; j < members[k].size(); ++j)
+                results[members[k][j]] = lane_results[j];
+        };
+        if (context.pool != nullptr)
+            context.pool->parallelFor(keys.size(), replay_group);
+        else
+            for (std::size_t k = 0; k < keys.size(); ++k)
+                replay_group(k);
     }
 
     // The original-layout instruction count anchors every relative CPI.
@@ -337,15 +300,8 @@ runConfigs(const PreparedProgram &prepared,
         // independent, so layout-level accounting over the recorded
         // activation histogram recovers it without replaying the trace.
         ScopedPhaseTimer timer(context.times, "replay");
-        const ProgramLayout orig = originalLayout(program);
-        if (prepared.batch != nullptr) {
-            orig_instrs = batchLayoutInstrs(*prepared.batch, orig);
-        } else {
-            ArchEvaluator eval(program, orig,
-                               EvalParams::forArch(Arch::BtFnt));
-            feedTrace(prepared, eval.sink());
-            orig_instrs = eval.result().instrs;
-        }
+        orig_instrs =
+            batchLayoutInstrs(*prepared.batch, originalLayout(program));
     }
     run.origInstrs = orig_instrs;
 

@@ -8,14 +8,13 @@
  *
  * The profiling walk is captured once into a RecordedTrace
  * (trace/recorder.h) and canonicalized into a BatchTrace
- * (sim/batch_replay.h). By default every distinct layout is then
- * evaluated in ONE batched sweep that drives all of its configurations'
- * predictors simultaneously; the per-cell ArchEvaluator replay remains
- * selectable as the reference engine (RunContext::engine) and the two are
- * pinned byte-identical by the `ctest -L replay` suite. Layout groups are
+ * (sim/batch_replay.h). Every distinct layout is then evaluated in ONE
+ * batched sweep that drives all of its configurations' predictors
+ * simultaneously; the `ctest -L replay` suite pins every cell to an
+ * independent OracleEvaluator replay (check/oracle.h). Layout groups are
  * independent, so runConfigs schedules them across a ThreadPool when one
  * is supplied (see sim/runner.h for the suite-level parallel driver).
- * Results are bit-identical regardless of thread count or engine.
+ * Results are bit-identical regardless of thread count.
  *
  * Layouts are shared where the paper shares them: Original and Greedy are
  * architecture-independent; Cost and TryN are re-run per architecture with
@@ -100,15 +99,15 @@ struct ExperimentRun
     std::vector<ExperimentCell> cells;
 
     /// (arch, kind) -> index of the first matching cell. Built once by
-    /// runConfigs so cell() is a map lookup instead of a linear scan
-    /// (benches call it in loops); rebuild with buildCellIndex() after
-    /// mutating `cells` by hand.
+    /// runConfigs so cell() is a map lookup (benches call it in loops);
+    /// rebuild with buildCellIndex() after mutating `cells` by hand.
     std::map<std::pair<Arch, AlignerKind>, std::size_t> cellIndex;
 
-    /// Rebuilds cellIndex from `cells` (first match wins, like the scan).
+    /// Rebuilds cellIndex from `cells` (the first matching cell wins).
     void buildCellIndex();
 
-    /// Finds a cell; fatal() when the configuration was not evaluated.
+    /// Finds a cell through cellIndex; fatal() when the configuration was
+    /// not evaluated (or the index was never built).
     const ExperimentCell &cell(Arch arch, AlignerKind kind) const;
 };
 
@@ -123,11 +122,10 @@ struct PreparedProgram
     WalkOptions walk;
     ProgramStats stats;
     /// The profiling walk's event stream; evaluation replays this buffer.
-    /// When null (hand-built PreparedProgram), runConfigs re-walks instead.
     std::shared_ptr<const RecordedTrace> trace;
     /// The trace in canonical batched form (sim/batch_replay.h), built
-    /// alongside it by prepareProgram. When null, runConfigs falls back
-    /// to the per-cell reference path.
+    /// alongside it by prepareProgram. runConfigs and diffLayout panic
+    /// without it, so build PreparedPrograms with prepareProgram.
     std::shared_ptr<const BatchTrace> batch;
 };
 
@@ -138,32 +136,19 @@ PreparedProgram prepareProgram(const ProgramSpec &spec);
 PreparedProgram prepareProgram(Program program, const WalkOptions &walk,
                                const std::string &name = "");
 
-/// Which engine evaluates the experiment cells.
-enum class ReplayEngine : std::uint8_t
-{
-    /// One batched sweep per distinct layout drives all of its cells
-    /// (sim/batch_replay.h). The default.
-    Batched,
-    /// Reference implementation: one ArchEvaluator replay per cell.
-    PerCell,
-};
-
 /// Optional execution context for runConfigs: a pool to spread alignment
-/// and per-configuration replays across, a phase-time sink, and the
-/// replay-engine selector.
+/// and per-layout-group replays across, and a phase-time sink.
 struct RunContext
 {
     ThreadPool *pool = nullptr;   ///< null = run serially
     PhaseTimes *times = nullptr;  ///< accumulates "align" / "replay" seconds
-    /// Engine choice; the batched engine needs prepared.batch and falls
-    /// back to PerCell when it is absent.
-    ReplayEngine engine = ReplayEngine::Batched;
 };
 
 /**
  * Evaluates all configurations against the prepared program's recorded
- * trace (one independent replay per configuration; parallel when the
- * context carries a pool).
+ * trace: one batched sweep per distinct layout (parallel across layouts
+ * when the context carries a pool). @p prepared must come from
+ * prepareProgram.
  */
 ExperimentRun runConfigs(const PreparedProgram &prepared,
                          const std::vector<ExperimentConfig> &configs,

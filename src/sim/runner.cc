@@ -52,7 +52,7 @@ runSuite(const std::vector<ProgramSpec> &suite,
 {
     ThreadPool pool(options.threads != 0 ? options.threads
                                          : defaultThreads());
-    const RunContext context{&pool, options.times, options.engine};
+    const RunContext context{&pool, options.times};
 
     std::vector<ExperimentRun> runs(suite.size());
     pool.parallelFor(suite.size(), [&](std::size_t i) {

@@ -5,11 +5,10 @@
  * The paper tables and figures all have the same shape: for every program
  * in a suite, generate the model, profile it with one recorded walk, build
  * the layouts, and evaluate every (architecture, algorithm) configuration
- * against the trace — by default one batched sweep per distinct layout
- * drives all of its configurations at once (sim/batch_replay.h). Every one
- * of those steps is independent across programs, and the per-layout-group
- * sweeps (or, under the PerCell reference engine, the per-configuration
- * replays) are independent within a program too. runSuite() schedules all
+ * against the trace — one batched sweep per distinct layout drives all of
+ * its configurations at once (sim/batch_replay.h). Every one of those
+ * steps is independent across programs, and the per-layout-group sweeps
+ * are independent within a program too. runSuite() schedules all
  * of it across a work-sharing thread pool: program-level tasks fan out
  * first, and each task's alignment and replay stages fan out further into
  * the same pool (nested parallelFor).
@@ -52,9 +51,6 @@ struct RunnerOptions
     AlignOptions align;           ///< passed through to the aligners
     unsigned threads = 0;         ///< 0 = defaultThreads()
     PhaseTimes *times = nullptr;  ///< optional per-phase wall-time sink
-    /// Replay engine (sim/cpi.h); the batched default shares one sweep
-    /// per layout group, PerCell is the reference path.
-    ReplayEngine engine = ReplayEngine::Batched;
 };
 
 /**

@@ -1,15 +1,15 @@
 /**
  * @file
  * Batched replay engine (sim/batch_replay.h) unit tests: the branchless
- * counter helpers are pinned to SaturatingCounter exhaustively, the
- * batched runConfigs path is pinned byte-identical to the per-cell
- * reference engine on a real suite program, and the satellite fixes
- * (indexed cell() lookup, replay-free origInstrs recovery) are covered.
+ * counter helpers are pinned to SaturatingCounter exhaustively, single
+ * lanes and the replay-free instruction count are pinned to direct
+ * ArchEvaluator replays, and the indexed cell() lookup and replay-free
+ * origInstrs recovery of runConfigs are covered.
  * SharedEstimate pins the profile-free path: runConfigs estimates once
  * per program and shares that copy with every concurrent alignment, and
  * must match aligning each layout key on its own estimate.
- * The full 24-program x all-configs matrix lives in test_replay_suite.cc
- * (`ctest -L replay`).
+ * The full 24-program x all-configs matrix, pinned to the oracle, lives
+ * in test_replay_suite.cc (`ctest -L replay`).
  */
 
 #include <gtest/gtest.h>
@@ -53,23 +53,6 @@ preparedSuiteProgram(const std::string &name, std::uint64_t budget)
     return prepareProgram(spec);
 }
 
-std::vector<ExperimentConfig>
-fullConfigMatrix()
-{
-    std::vector<ExperimentConfig> configs;
-    for (const Arch arch : allArchs()) {
-        for (const AlignerKind kind : allAlignerKindsExtended())
-            configs.push_back({arch, kind});
-    }
-    // ExtTSP-priced guided layouts exercise the arch-independent
-    // layout-sharing path of the batched grouping too.
-    for (const Arch arch : allArchs()) {
-        configs.push_back({arch, AlignerKind::Cost, ObjectiveKind::ExtTsp});
-        configs.push_back({arch, AlignerKind::Try15, ObjectiveKind::ExtTsp});
-    }
-    return configs;
-}
-
 }  // namespace
 
 TEST(BatchCounters, BranchlessUpdateMatchesClassExhaustively)
@@ -92,30 +75,6 @@ TEST(BatchCounters, BranchlessUpdateMatchesClassExhaustively)
                     << " taken=" << taken;
             }
         }
-    }
-}
-
-TEST(BatchReplay, MatchesPerCellEngineOnSuiteProgram)
-{
-    const PreparedProgram prepared = preparedSuiteProgram("eqntott", 60'000);
-    const std::vector<ExperimentConfig> configs = fullConfigMatrix();
-
-    RunContext batched;
-    batched.engine = ReplayEngine::Batched;
-    RunContext per_cell;
-    per_cell.engine = ReplayEngine::PerCell;
-    const ExperimentRun fast = runConfigs(prepared, configs, {}, batched);
-    const ExperimentRun slow = runConfigs(prepared, configs, {}, per_cell);
-
-    ASSERT_EQ(fast.cells.size(), slow.cells.size());
-    EXPECT_EQ(fast.origInstrs, slow.origInstrs);
-    for (std::size_t i = 0; i < fast.cells.size(); ++i) {
-        EXPECT_EQ(counters(fast.cells[i].eval),
-                  counters(slow.cells[i].eval))
-            << archName(configs[i].arch) << "/"
-            << alignerKindName(configs[i].kind) << "/"
-            << objectiveKindName(configs[i].objective);
-        EXPECT_EQ(fast.cells[i].relCpi, slow.cells[i].relCpi);
     }
 }
 
@@ -142,23 +101,20 @@ TEST(BatchReplay, BatchLayoutInstrsMatchesEvaluator)
 {
     const PreparedProgram prepared = preparedSuiteProgram("compress", 40'000);
     ASSERT_NE(prepared.batch, nullptr);
-    const std::vector<ExperimentConfig> configs = {
-        {Arch::Fallthrough, AlignerKind::Original},
-        {Arch::Fallthrough, AlignerKind::Greedy},
-        {Arch::Fallthrough, AlignerKind::Cost},
-    };
-    // Per-cell replays give the ground-truth per-layout instruction
-    // counts; batchLayoutInstrs must reproduce each without a sweep.
-    RunContext per_cell;
-    per_cell.engine = ReplayEngine::PerCell;
-    const ExperimentRun run = runConfigs(prepared, configs, {}, per_cell);
+    // Direct ArchEvaluator replays give the ground-truth per-layout
+    // instruction counts; batchLayoutInstrs must reproduce each without a
+    // sweep.
     const CostModel model(Arch::Fallthrough);
-    for (const auto &cell : run.cells) {
+    for (const AlignerKind kind :
+         {AlignerKind::Original, AlignerKind::Greedy, AlignerKind::Cost}) {
         const ProgramLayout layout =
-            alignProgram(prepared.program, cell.config.kind, &model);
+            alignProgram(prepared.program, kind, &model);
+        ArchEvaluator evaluator(prepared.program, layout,
+                                EvalParams::forArch(Arch::Fallthrough));
+        prepared.trace->replay(prepared.program, evaluator.sink());
         EXPECT_EQ(batchLayoutInstrs(*prepared.batch, layout),
-                  cell.eval.instrs)
-            << alignerKindName(cell.config.kind);
+                  evaluator.result().instrs)
+            << alignerKindName(kind);
     }
 }
 
@@ -215,27 +171,23 @@ TEST(ExperimentRunIndex, HandAssembledRunFallsBackToScan)
     cell.config = {Arch::Likely, AlignerKind::Greedy};
     cell.eval.instrs = 123;
     run.cells.push_back(cell);
-    // No buildCellIndex(): the scan path must still find the cell.
+    // Hand-assembled runs index their cells explicitly; cell() only ever
+    // looks through the index.
+    run.buildCellIndex();
     EXPECT_EQ(run.cell(Arch::Likely, AlignerKind::Greedy).eval.instrs,
               123u);
 }
 
-TEST(BatchReplay, HandBuiltPreparedProgramStillRuns)
+TEST(BatchReplayDeathTest, HandBuiltPreparedProgramPanics)
 {
-    // A PreparedProgram assembled by hand (tests do this) has no recorded
-    // trace and no batch form; runConfigs must fall back to walking.
-    ProgramSpec spec = suiteSpec("espresso");
-    spec.traceInstrs = 20'000;
+    // runConfigs has one evaluator, the batched engine; a PreparedProgram
+    // that prepareProgram did not build carries no batched trace.
     PreparedProgram prepared;
-    prepared.program = generateProgram(spec);
-    prepared.walk.seed = traceSeed(spec);
-    prepared.walk.instrBudget = spec.traceInstrs;
+    prepared.program = generateProgram(suiteSpec("espresso"));
     const std::vector<ExperimentConfig> configs = {
         {Arch::PhtDirect, AlignerKind::Greedy},
     };
-    const ExperimentRun run = runConfigs(prepared, configs);
-    EXPECT_GT(run.origInstrs, 0u);
-    EXPECT_GT(run.cells[0].eval.instrs, 0u);
+    EXPECT_DEATH(runConfigs(prepared, configs), "no batched trace");
 }
 
 TEST(SharedEstimate, RunConfigsMatchesSeparateAlignments)

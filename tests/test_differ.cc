@@ -3,12 +3,14 @@
  * Differential-harness tests. A differ that never fires is worthless, so
  * besides checking that clean configurations diff clean, these tests
  * corrupt materializer bookkeeping on purpose and require the harness to
- * detect each corruption as a Structural divergence, and they exercise
- * the sample-stream comparator on hand-built streams.
+ * detect each corruption as a Structural divergence, corrupt the batched
+ * trace and require a Batch divergence, and they exercise the
+ * sample-stream comparator on hand-built streams.
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "check/differ.h"
 #include "check/oracle.h"
 #include "layout/materialize.h"
+#include "sim/batch_replay.h"
 #include "sim/cpi.h"
 #include "workload/suite.h"
 
@@ -129,6 +132,33 @@ TEST(Differ, DetectsCorruptedBranchAddr)
     ProgramLayout layout = originalLayout(prepared.program);
     layout.procs[0].blocks[0].branchAddr += 1;
     expectStructural(prepared, layout, "branchAddr");
+}
+
+TEST(Differ, DetectsCorruptedBatchTrace)
+{
+    // Stage 4: flip one conditional outcome in a copy of the batched
+    // trace. The streaming evaluator and the oracle still replay the
+    // intact recording, so stages 1-3 stay clean and only the batched
+    // PHT lane sees the wrong direction.
+    PreparedProgram prepared = preparedSmall();
+    const ProgramLayout layout = originalLayout(prepared.program);
+    ASSERT_FALSE(diffLayout(prepared, layout, Arch::PhtDirect,
+                            AlignerKind::Original)
+                     .has_value());
+
+    auto corrupted = std::make_shared<BatchTrace>(*prepared.batch);
+    ASSERT_FALSE(corrupted->condViaTaken.empty());
+    corrupted->condViaTaken[0] ^= 1;
+    prepared.batch = corrupted;
+
+    const auto divergence =
+        diffLayout(prepared, layout, Arch::PhtDirect, AlignerKind::Original);
+    ASSERT_TRUE(divergence.has_value()) << "corrupted batch went undetected";
+    EXPECT_EQ(divergence->kind, DivergenceKind::Batch)
+        << formatDivergence(*divergence);
+    EXPECT_NE(divergence->detail.find("batched engine vs oracle"),
+              std::string::npos)
+        << divergence->detail;
 }
 
 TEST(Differ, CompareSamplesAcceptsIdenticalStreams)

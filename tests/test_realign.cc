@@ -6,8 +6,8 @@
  * The contract under test, pinned byte-for-byte:
  *  - threshold 0 realigns every procedure and reproduces a full
  *    alignProgram of the new profile exactly — every layout field and,
- *    replayed under BOTH engines (batched and per-cell), every
- *    EvalResult counter;
+ *    replayed under BOTH the batched engine and the streaming
+ *    ArchEvaluator, every EvalResult counter;
  *  - threshold kNeverRealign keeps the old layout verbatim (re-based),
  *    again field- and counter-identical;
  *  - a mid-threshold splice passes the translation validator
@@ -74,9 +74,9 @@ counters(const EvalResult &r)
             r.btbHits,    r.btbLookups};
 }
 
-/// Reference engine: one ArchEvaluator replay of the recorded trace.
+/// Streaming evaluator: one ArchEvaluator replay of the recorded trace.
 EvalResult
-evalPerCell(const PreparedProgram &prepared, const ProgramLayout &layout,
+evalStreaming(const PreparedProgram &prepared, const ProgramLayout &layout,
             const EvalParams &params)
 {
     ArchEvaluator evaluator(prepared.program, layout, params);
@@ -205,21 +205,21 @@ TEST(Realign, CountersByteIdenticalAcrossBothEngines)
         // Threshold 0 == full alignment, threshold infinity == old
         // layout, on every counter, under each engine — and the two
         // engines agree with each other on the spliced layouts.
-        EXPECT_EQ(counters(evalPerCell(prepared, incremental, params)),
-                  counters(evalPerCell(prepared, full, params))) << label;
+        EXPECT_EQ(counters(evalStreaming(prepared, incremental, params)),
+                  counters(evalStreaming(prepared, full, params))) << label;
         EXPECT_EQ(counters(evalBatched(prepared, incremental, params)),
                   counters(evalBatched(prepared, full, params))) << label;
-        EXPECT_EQ(counters(evalPerCell(prepared, kept, params)),
-                  counters(evalPerCell(prepared, old_layout, params)))
+        EXPECT_EQ(counters(evalStreaming(prepared, kept, params)),
+                  counters(evalStreaming(prepared, old_layout, params)))
             << label;
         EXPECT_EQ(counters(evalBatched(prepared, kept, params)),
                   counters(evalBatched(prepared, old_layout, params)))
             << label;
         EXPECT_EQ(counters(evalBatched(prepared, incremental, params)),
-                  counters(evalPerCell(prepared, incremental, params)))
+                  counters(evalStreaming(prepared, incremental, params)))
             << label;
         EXPECT_EQ(counters(evalBatched(prepared, kept, params)),
-                  counters(evalPerCell(prepared, kept, params))) << label;
+                  counters(evalStreaming(prepared, kept, params))) << label;
     }
 }
 

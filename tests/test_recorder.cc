@@ -174,38 +174,6 @@ TEST(Recorder, PreparedProgramCarriesReplayableTrace)
               prepared.stats.instrsTraced);
 }
 
-TEST(Recorder, RunConfigsMatchesWalkFallback)
-{
-    // The record-once engine and the legacy re-walk path (hand-built
-    // PreparedProgram without a trace) must produce identical experiments.
-    ProgramSpec spec = suiteSpec("sc");
-    spec.traceInstrs = 60'000;
-    const std::vector<ExperimentConfig> configs = {
-        {Arch::Fallthrough, AlignerKind::Original},
-        {Arch::BtFnt, AlignerKind::Greedy},
-        {Arch::PhtDirect, AlignerKind::Try15},
-        {Arch::BtbSmall, AlignerKind::Cost},
-    };
-
-    PreparedProgram recorded = prepareProgram(spec);
-    PreparedProgram walked;
-    walked.program = recorded.program;  // copy of the profiled CFG
-    walked.walk = recorded.walk;
-    walked.stats = recorded.stats;
-    walked.trace = nullptr;  // force the fallback walk
-
-    const ExperimentRun via_replay = runConfigs(recorded, configs);
-    const ExperimentRun via_walk = runConfigs(walked, configs);
-
-    EXPECT_EQ(via_replay.origInstrs, via_walk.origInstrs);
-    ASSERT_EQ(via_replay.cells.size(), via_walk.cells.size());
-    for (std::size_t i = 0; i < via_replay.cells.size(); ++i) {
-        expectEqualResults(via_replay.cells[i].eval, via_walk.cells[i].eval,
-                           "cell");
-        EXPECT_EQ(via_replay.cells[i].relCpi, via_walk.cells[i].relCpi);
-    }
-}
-
 TEST(Recorder, TraceSurvivesProgramMove)
 {
     // Call sites are stored by index, not by pointer, so a recorded trace

@@ -1,17 +1,20 @@
 /**
  * @file
- * The `ctest -L replay` group: batched-vs-per-cell engine equivalence
- * over the full 24-program benchmark suite and the fuzz corpus.
+ * The `ctest -L replay` group: the batched replay engine behind
+ * runConfigs, pinned to the independent oracle over the full 24-program
+ * benchmark suite and the fuzz corpus.
  *
  * Every suite program is prepared with a reduced trace budget and run
- * through runConfigs twice — once per engine — over the full
- * configuration matrix (8 architectures x 5 aligners under table-cost
- * plus the ExtTSP-priced guided aligners). Every EvalResult counter of
- * every cell must be byte-identical; so must origInstrs and the derived
- * relative CPI. Corpus repros (including shrunk fuzzer findings) get the
- * same treatment, so any program shape that ever broke the pipeline also
- * pins the batched engine. New engine divergences found by the fuzzer
- * land here automatically as DivergenceKind::Batch repro files.
+ * through runConfigs over the full configuration matrix (8 architectures
+ * x 5 aligners under table-cost plus the ExtTSP-priced guided aligners).
+ * Each cell's layout is then rebuilt the way runConfigs builds it and
+ * replayed through an OracleEvaluator (check/oracle.h): the two engines'
+ * EvalResult counters must be byte-identical for every cell, and so must
+ * origInstrs and the derived relative CPI. Corpus repros (including shrunk fuzzer
+ * findings) get the same treatment, so any program shape that ever broke
+ * the pipeline also pins the batched engine. New engine divergences found
+ * by the fuzzer land here automatically as DivergenceKind::Batch repro
+ * files.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +26,7 @@
 
 #include "check/differ.h"
 #include "check/fuzz.h"
+#include "check/oracle.h"
 #include "sim/cpi.h"
 #include "workload/generator.h"
 #include "workload/suite.h"
@@ -58,26 +62,48 @@ fullConfigMatrix()
     return configs;
 }
 
+/// The oracle's EvalResult for one cell: the cell's layout rebuilt as
+/// runConfigs builds it (per-architecture cost model, the cell's
+/// objective, the BT/FNT chain-order override), replayed naively.
+EvalResult
+oracleReplay(const PreparedProgram &prepared, const ExperimentConfig &config)
+{
+    const CostModel model(config.arch);
+    AlignOptions options;
+    options.objective = config.objective;
+    if (config.arch == Arch::BtFnt)
+        options.chainOrder = ChainOrderPolicy::BtFntPrecedence;
+    const ProgramLayout layout =
+        alignProgram(prepared.program, config.kind, &model, options);
+    OracleEvaluator oracle(prepared.program, layout,
+                           EvalParams::forArch(config.arch));
+    prepared.trace->replay(prepared.program, oracle);
+    return oracle.result();
+}
+
 void
-expectEnginesAgree(const PreparedProgram &prepared, const std::string &label)
+expectMatchesOracle(const PreparedProgram &prepared, const std::string &label)
 {
     const std::vector<ExperimentConfig> configs = fullConfigMatrix();
-    RunContext batched;
-    batched.engine = ReplayEngine::Batched;
-    RunContext per_cell;
-    per_cell.engine = ReplayEngine::PerCell;
-    const ExperimentRun fast = runConfigs(prepared, configs, {}, batched);
-    const ExperimentRun slow = runConfigs(prepared, configs, {}, per_cell);
+    const ExperimentRun run = runConfigs(prepared, configs);
+    ASSERT_EQ(run.cells.size(), configs.size()) << label;
 
-    ASSERT_EQ(fast.cells.size(), slow.cells.size()) << label;
-    EXPECT_EQ(fast.origInstrs, slow.origInstrs) << label;
-    for (std::size_t i = 0; i < fast.cells.size(); ++i) {
-        EXPECT_EQ(counters(fast.cells[i].eval),
-                  counters(slow.cells[i].eval))
+    std::vector<EvalResult> expected;
+    for (const ExperimentConfig &config : configs)
+        expected.push_back(oracleReplay(prepared, config));
+    // fullConfigMatrix() opens with the Original cell, which anchors
+    // every relative CPI.
+    ASSERT_EQ(configs.front().kind, AlignerKind::Original);
+    const std::uint64_t orig_instrs = expected.front().instrs;
+    EXPECT_EQ(run.origInstrs, orig_instrs) << label;
+
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        EXPECT_EQ(counters(run.cells[i].eval), counters(expected[i]))
             << label << ": " << archName(configs[i].arch) << "/"
             << alignerKindName(configs[i].kind) << "/"
             << objectiveKindName(configs[i].objective);
-        EXPECT_EQ(fast.cells[i].relCpi, slow.cells[i].relCpi) << label;
+        EXPECT_EQ(run.cells[i].relCpi, expected[i].relativeCpi(orig_instrs))
+            << label;
     }
 }
 
@@ -104,7 +130,7 @@ TEST_P(ReplaySuite, EnginesByteIdentical)
 {
     ProgramSpec spec = suiteSpec(GetParam());
     spec.traceInstrs = kSuiteBudget;
-    expectEnginesAgree(prepareProgram(spec), GetParam());
+    expectMatchesOracle(prepareProgram(spec), GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Suite24, ReplaySuite, [] {
@@ -130,7 +156,7 @@ TEST(ReplayCorpus, EnginesByteIdenticalOnEveryRepro)
         ASSERT_TRUE(repro.has_value()) << path;
         const PreparedProgram prepared =
             prepareProgram(repro->program, repro->walk);
-        expectEnginesAgree(
+        expectMatchesOracle(
             prepared, std::filesystem::path(path).stem().string());
     }
 }

@@ -384,7 +384,7 @@ TEST(VerifyGate, FuzzCampaignCatchesAndShrinksInjectedFailure)
 
     const FuzzReport report = runFuzz(options);
     EXPECT_EQ(report.programsRun, 1u);
-    EXPECT_EQ(report.verifyHits, 1u);
+    EXPECT_EQ(report.count(DivergenceKind::Verify), 1u);
     ASSERT_EQ(report.divergences.size(), 1u);
     EXPECT_EQ(report.divergences.front().kind, DivergenceKind::Verify);
     EXPECT_NE(report.divergences.front().detail.find("address-contiguity"),

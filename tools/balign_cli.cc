@@ -109,7 +109,9 @@
  *   Exit-code contract (lint, verify, emit and check-obj): 0 = clean,
  *   1 = findings (lint errors / failed proof obligations / unconverged
  *   relaxation / undischarged byte-level obligations), 2 = usage or IO
- *   error. Other subcommands exit 1 on any error.
+ *   error. Every subcommand exits 2 on an argument it cannot parse (an
+ *   unknown option, a missing option value, an unknown --arch, --algo or
+ *   --objective); the other subcommands exit 1 on any other error.
  *
  * Architectures: fallthrough btfnt likely pht gshare btb-small btb-large.
  * Algorithms: greedy cost try15 exttsp.
@@ -119,7 +121,9 @@
  * fallback splice; fuzz/repro sweep both objectives unless one is forced.
  */
 
+#include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -153,6 +157,20 @@
 using namespace balign;
 
 namespace {
+
+/// An argument the CLI cannot parse: reported like fatal(), but with the
+/// usage exit status 2 that every subcommand shares.
+[[noreturn]] __attribute__((format(printf, 1, 2))) void
+usageError(const char *fmt, ...)
+{
+    std::va_list ap;
+    va_start(ap, fmt);
+    std::fputs("usage error: ", stderr);
+    std::vfprintf(stderr, fmt, ap);
+    std::fputc('\n', stderr);
+    va_end(ap);
+    std::exit(2);
+}
 
 struct Args
 {
@@ -189,7 +207,7 @@ parseArgs(int argc, char **argv)
         const std::string arg = argv[i];
         auto next = [&]() -> std::string {
             if (i + 1 >= argc)
-                fatal("missing value for %s", arg.c_str());
+                usageError("missing value for %s", arg.c_str());
             return argv[++i];
         };
         if (arg == "-o" || arg == "--output")
@@ -240,7 +258,7 @@ parseArgs(int argc, char **argv)
         else if (arg == "--json")
             args.json = true;
         else if (!arg.empty() && arg[0] == '-')
-            fatal("unknown option '%s'", arg.c_str());
+            usageError("unknown option '%s'", arg.c_str());
         else
             args.positional.push_back(arg);
     }
@@ -264,7 +282,7 @@ parseArch(const std::string &name)
         return Arch::BtbSmall;
     if (name == "btb-large" || name == "btb")
         return Arch::BtbLarge;
-    fatal("unknown architecture '%s'", name.c_str());
+    usageError("unknown architecture '%s'", name.c_str());
 }
 
 AlignerKind
@@ -280,7 +298,7 @@ parseAlgo(const std::string &name)
         return AlignerKind::ExtTsp;
     if (name == "original")
         return AlignerKind::Original;
-    fatal("unknown algorithm '%s'", name.c_str());
+    usageError("unknown algorithm '%s'", name.c_str());
 }
 
 ObjectiveKind
@@ -288,7 +306,7 @@ parseObjective(const std::string &name)
 {
     const std::optional<ObjectiveKind> kind = parseObjectiveKind(name);
     if (!kind.has_value())
-        fatal("unknown objective '%s'", name.c_str());
+        usageError("unknown objective '%s'", name.c_str());
     return *kind;
 }
 
@@ -693,15 +711,8 @@ cmdLint(const Args &args)
     if (const int status = collectStaticInputs(args, "lint", inputs))
         return status;
 
-    const std::optional<ObjectiveKind> objective =
-        parseObjectiveKind(args.objective);
-    if (!objective.has_value()) {
-        std::fprintf(stderr, "lint: unknown objective '%s'\n",
-                     args.objective.c_str());
-        return 2;
-    }
     LintRunOptions run;
-    run.align.objective = *objective;
+    run.align.objective = parseObjective(args.objective);
 
     std::size_t total_errors = 0;
     std::size_t total_warnings = 0;
@@ -737,18 +748,10 @@ cmdVerify(const Args &args)
         return status;
 
     VerifyRunOptions run;
-    if (args.objectiveSet) {
-        const std::optional<ObjectiveKind> objective =
-            parseObjectiveKind(args.objective);
-        if (!objective.has_value()) {
-            std::fprintf(stderr, "verify: unknown objective '%s'\n",
-                         args.objective.c_str());
-            return 2;
-        }
-        run.objectives = {*objective};
-    } else {
-        run.objectives = allObjectiveKinds();
-    }
+    run.objectives = args.objectiveSet
+                         ? std::vector<ObjectiveKind>{parseObjective(
+                               args.objective)}
+                         : allObjectiveKinds();
 
     std::size_t total_failed = 0;
     std::size_t total_layouts = 0;

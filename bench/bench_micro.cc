@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bpred/btb.h"
+#include "bpred/cost_model.h"
 #include "check/differ.h"
 #include "sim/batch_replay.h"
 #include "support/saturating_counter.h"
@@ -229,6 +230,96 @@ BM_ReplayPerCell(benchmark::State &state)
                             static_cast<std::int64_t>(allArchs().size()));
 }
 BENCHMARK(BM_ReplayPerCell);
+
+/// The 18 layouts the paper matrix (7 architectures x {Original, Greedy,
+/// Cost, Try15}) aligns for one program, each with the lanes runConfigs
+/// gives it: Original and Greedy carry every architecture but BT/FNT,
+/// their BT/FNT-ordered twins carry BT/FNT, and each Cost and Try15
+/// layout carries the architecture it was priced for.
+struct PaperMatrixLanes
+{
+    std::vector<ProgramLayout> layouts;
+    std::vector<std::vector<EvalParams>> lanes;
+    std::int64_t laneCount = 0;
+};
+
+PaperMatrixLanes
+paperMatrixLanes(const Program &program)
+{
+    const std::vector<Arch> archs = {
+        Arch::Fallthrough,   Arch::BtFnt,    Arch::Likely,  Arch::PhtDirect,
+        Arch::PhtCorrelated, Arch::BtbSmall, Arch::BtbLarge};
+    PaperMatrixLanes matrix;
+    auto add = [&](AlignerKind kind, Arch priced_for,
+                   const std::vector<Arch> &lane_archs) {
+        const CostModel model(priced_for);
+        AlignOptions options;
+        if (priced_for == Arch::BtFnt)
+            options.chainOrder = ChainOrderPolicy::BtFntPrecedence;
+        matrix.layouts.push_back(
+            alignProgram(program, kind, &model, options));
+        std::vector<EvalParams> lanes;
+        for (const Arch arch : lane_archs)
+            lanes.push_back(EvalParams::forArch(arch));
+        matrix.laneCount += static_cast<std::int64_t>(lanes.size());
+        matrix.lanes.push_back(std::move(lanes));
+    };
+    std::vector<Arch> shared;
+    for (const Arch arch : archs) {
+        if (arch != Arch::BtFnt)
+            shared.push_back(arch);
+    }
+    for (const AlignerKind kind : {AlignerKind::Original, AlignerKind::Greedy}) {
+        add(kind, Arch::Fallthrough, shared);
+        add(kind, Arch::BtFnt, {Arch::BtFnt});
+    }
+    for (const AlignerKind kind : {AlignerKind::Cost, AlignerKind::Try15}) {
+        for (const Arch arch : archs)
+            add(kind, arch, {arch});
+    }
+    return matrix;
+}
+
+// All 18 paper-matrix layouts in ONE runBatchReplay call (one pass over
+// the op stream), vs one call per layout. items_processed counts trace
+// instructions times lanes, as BM_ReplayBatched does.
+void
+BM_ReplayMultiLayout(benchmark::State &state)
+{
+    const PreparedProgram prepared = prepareProgram(mediumSpec());
+    const PaperMatrixLanes matrix = paperMatrixLanes(prepared.program);
+    std::vector<LayoutLanes> input;
+    for (std::size_t k = 0; k < matrix.layouts.size(); ++k)
+        input.push_back({&matrix.layouts[k], matrix.lanes[k]});
+    for (auto _ : state) {
+        const std::vector<std::vector<EvalResult>> results =
+            runBatchReplay(prepared.program, input, *prepared.batch);
+        benchmark::DoNotOptimize(results[0][0].instrs);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            200'000 * matrix.laneCount);
+}
+BENCHMARK(BM_ReplayMultiLayout);
+
+void
+BM_ReplayPerLayout(benchmark::State &state)
+{
+    const PreparedProgram prepared = prepareProgram(mediumSpec());
+    const PaperMatrixLanes matrix = paperMatrixLanes(prepared.program);
+    for (auto _ : state) {
+        std::uint64_t instrs = 0;
+        for (std::size_t k = 0; k < matrix.layouts.size(); ++k) {
+            const std::vector<EvalResult> results =
+                runBatchReplay(prepared.program, matrix.layouts[k],
+                               *prepared.batch, matrix.lanes[k]);
+            instrs += results[0].instrs;
+        }
+        benchmark::DoNotOptimize(instrs);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            200'000 * matrix.laneCount);
+}
+BENCHMARK(BM_ReplayPerLayout);
 
 // The branchless saturating-counter update (arithmetic clamp) the SoA
 // predictor tables use, vs the compare-and-step member function.

@@ -1,5 +1,9 @@
 #include "sim/batch_replay.h"
 
+#include <algorithm>
+#include <array>
+
+#include "bpred/arch.h"
 #include "bpred/static_pred.h"
 #include "layout/materialize.h"
 #include "support/log.h"
@@ -89,8 +93,6 @@ class BatchTraceBuilder : public EventSink
           case Terminator::CondBranch: {
             const bool via_taken = edge.kind == EdgeKind::Taken;
             push(BatchTrace::Op::Cond, src, dst, via_taken ? 1 : 0);
-            out_.condSrc.push_back(src);
-            out_.condViaTaken.push_back(via_taken ? 1 : 0);
             ++out_.condExec;
             ++(via_taken ? out_.takenCount : out_.fallCount)[src];
             break;
@@ -198,8 +200,7 @@ std::size_t
 BatchTrace::sizeBytes() const
 {
     return ops.capacity() + opA.capacity() * 4 + opB.capacity() * 4 +
-           opC.capacity() * 4 + condSrc.capacity() * 4 +
-           condViaTaken.capacity() + rasOps.capacity() +
+           opC.capacity() * 4 + rasOps.capacity() +
            rasBlock.capacity() * 4 + rasOffset.capacity() * 4 +
            (activations.capacity() + takenCount.capacity() +
             fallCount.capacity()) *
@@ -210,35 +211,33 @@ BatchTrace::sizeBytes() const
 
 namespace {
 
-/// Per-layout structure-of-arrays tables: every fact a sweep gathers,
-/// indexed by global block, so the inner loops never touch Program or
-/// ProgramLayout.
+/// One global block's layout facts.
+struct BlockRow
+{
+    Addr addr = 0;
+    Addr branchAddr = 0;
+    Addr jumpAddr = 0;
+    Addr condTarget = kNoAddr;  ///< realized branch target (Cond only)
+    std::uint32_t baseInstrs = 0;
+    std::uint8_t cond = 0;  ///< CondRealization
+    std::uint8_t jumpInserted = 0;
+    std::uint8_t jumpRemoved = 0;
+};
+
+/// Per-layout tables: every fact the pass gathers, one row per global
+/// block, so the inner loops never touch Program or ProgramLayout and a
+/// lane reads one row per op.
 struct LayoutTables
 {
-    std::vector<Addr> addr;
-    std::vector<Addr> branchAddr;
-    std::vector<Addr> jumpAddr;
-    std::vector<std::uint32_t> baseInstrs;
-    std::vector<std::uint8_t> cond;  ///< CondRealization
-    std::vector<std::uint8_t> jumpInserted;
-    std::vector<std::uint8_t> jumpRemoved;
-    std::vector<Addr> condTarget;  ///< realized branch target (Cond only)
-    std::vector<Addr> entryAddr;   ///< per proc
+    std::vector<BlockRow> block;  ///< per global block
+    std::vector<Addr> entryAddr;  ///< per proc
 };
 
 LayoutTables
 flattenLayout(const BatchTrace &trace, const ProgramLayout &layout)
 {
     LayoutTables t;
-    const std::uint32_t n = trace.totalBlocks;
-    t.addr.resize(n);
-    t.branchAddr.resize(n);
-    t.jumpAddr.resize(n);
-    t.baseInstrs.resize(n);
-    t.cond.resize(n);
-    t.jumpInserted.resize(n);
-    t.jumpRemoved.resize(n);
-    t.condTarget.assign(n, kNoAddr);
+    t.block.resize(trace.totalBlocks);
     t.entryAddr.resize(layout.procs.size());
 
     for (ProcId p = 0; p < layout.procs.size(); ++p) {
@@ -247,27 +246,29 @@ flattenLayout(const BatchTrace &trace, const ProgramLayout &layout)
         const std::uint32_t base = trace.blockBase[p];
         for (std::uint32_t b = 0; b < proc.blocks.size(); ++b) {
             const BlockLayout &bl = proc.blocks[b];
-            const std::uint32_t g = base + b;
-            t.addr[g] = bl.addr;
-            t.branchAddr[g] = bl.branchAddr;
-            t.jumpAddr[g] = bl.jumpAddr;
-            t.baseInstrs[g] = bl.baseInstrs;
-            t.cond[g] = static_cast<std::uint8_t>(bl.cond);
-            t.jumpInserted[g] = bl.jumpInserted ? 1 : 0;
-            t.jumpRemoved[g] = bl.jumpRemoved ? 1 : 0;
+            BlockRow &row = t.block[base + b];
+            row.addr = bl.addr;
+            row.branchAddr = bl.branchAddr;
+            row.jumpAddr = bl.jumpAddr;
+            row.baseInstrs = bl.baseInstrs;
+            row.cond = static_cast<std::uint8_t>(bl.cond);
+            row.jumpInserted = bl.jumpInserted ? 1 : 0;
+            row.jumpRemoved = bl.jumpRemoved ? 1 : 0;
         }
     }
     // Second pass: realized conditional-branch targets need final block
     // addresses.
-    for (std::uint32_t g = 0; g < n; ++g) {
+    for (std::uint32_t g = 0; g < trace.totalBlocks; ++g) {
         if (static_cast<Terminator>(trace.term[g]) !=
             Terminator::CondBranch)
             continue;
+        BlockRow &row = t.block[g];
         const bool targets_taken =
-            branchTargetKind(static_cast<CondRealization>(t.cond[g])) ==
+            branchTargetKind(static_cast<CondRealization>(row.cond)) ==
             EdgeKind::Taken;
-        t.condTarget[g] =
-            t.addr[targets_taken ? trace.takenDst[g] : trace.fallDst[g]];
+        row.condTarget =
+            t.block[targets_taken ? trace.takenDst[g] : trace.fallDst[g]]
+                .addr;
     }
     return t;
 }
@@ -286,10 +287,11 @@ computeShared(const BatchTrace &trace, const LayoutTables &tables)
 {
     SharedCounters shared;
     for (std::uint32_t g = 0; g < trace.totalBlocks; ++g) {
-        shared.instrs += trace.activations[g] * tables.baseInstrs[g];
+        const BlockRow &row = tables.block[g];
+        shared.instrs += trace.activations[g] * row.baseInstrs;
         switch (static_cast<Terminator>(trace.term[g])) {
           case Terminator::CondBranch: {
-            const std::uint8_t real = tables.cond[g];
+            const std::uint8_t real = row.cond;
             const std::uint64_t taken = trace.takenCount[g];
             const std::uint64_t fall = trace.fallCount[g];
             shared.condTaken += (kOutTaken[real][1] ? taken : 0) +
@@ -301,11 +303,11 @@ computeShared(const BatchTrace &trace, const LayoutTables &tables)
             break;
           }
           case Terminator::UncondBranch:
-            if (tables.jumpRemoved[g] == 0)
+            if (row.jumpRemoved == 0)
                 shared.uncondExec += trace.takenCount[g];
             break;
           case Terminator::FallThrough:
-            if (tables.jumpInserted[g] != 0) {
+            if (row.jumpInserted != 0) {
                 shared.instrs += trace.fallCount[g];
                 shared.uncondExec += trace.fallCount[g];
             }
@@ -372,11 +374,11 @@ countRasCorrect(const BatchTrace &trace, const LayoutTables &tables,
         const std::uint32_t block = trace.rasBlock[i];
         switch (trace.rasOps[i]) {
           case 0:
-            ras.push(tables.addr[block] + trace.rasOffset[i] + 1);
+            ras.push(tables.block[block].addr + trace.rasOffset[i] + 1);
             break;
           case 1:
             correct += ras.pop() ==
-                       tables.addr[block] + trace.rasOffset[i] + 1;
+                       tables.block[block].addr + trace.rasOffset[i] + 1;
             break;
           default:
             ras.pop();
@@ -398,7 +400,7 @@ tallyStaticCond(const BatchTrace &trace, const LayoutTables &tables,
         if (static_cast<Terminator>(trace.term[g]) !=
             Terminator::CondBranch)
             continue;
-        const std::uint8_t real = tables.cond[g];
+        const std::uint8_t real = tables.block[g].cond;
         const bool pred = predict_taken[g] != 0;
         for (int via = 0; via < 2; ++via) {
             const std::uint64_t count =
@@ -412,42 +414,118 @@ tallyStaticCond(const BatchTrace &trace, const LayoutTables &tables,
     }
 }
 
-/// One PHT-family lane: a branchless scan of the resolved conditional
-/// stream. The predictor index rule is the only per-architecture part,
-/// passed in as @p index (also responsible for history updates).
-template <typename IndexFn>
 void
-scanPhtLane(const std::vector<Addr> &sites,
-            const std::vector<std::uint8_t> &outcomes,
-            std::vector<std::uint8_t> &table, std::uint8_t max,
-            IndexFn &&index, std::uint64_t &mispredicts,
-            std::uint64_t &misfetches)
+requirePowerOfTwo(std::size_t value, const char *what)
 {
-    const std::uint8_t threshold = max / 2;
-    const std::size_t n = sites.size();
-    for (std::size_t k = 0; k < n; ++k) {
-        const std::uint8_t taken = outcomes[k];
-        const std::size_t idx = index(sites[k], taken);
-        const std::uint8_t counter = table[idx];
-        const std::uint8_t predicted = counter > threshold ? 1 : 0;
-        const std::uint8_t wrong = predicted ^ taken;
-        mispredicts += wrong;
-        misfetches += static_cast<std::uint8_t>((wrong ^ 1) & taken);
-        table[idx] = saturatingUpdate(counter, max, taken != 0);
-    }
+    if (value == 0 || (value & (value - 1)) != 0)
+        panic("batch replay: %s must be a power of two (%zu)", what, value);
 }
 
-/// Structure-of-arrays BTB with the exact semantics of bpred/btb.cc:
-/// full-tag set-associative, LRU by update tick, taken-only insertion,
-/// weak-taken reset on insert.
+/// One PHT-family lane, stepped on every Cond op with its layout's site
+/// address and realized direction. A direct-mapped PHT is gshare with a
+/// zero history mask; the local two-level predictor (kLocal) instead
+/// indexes its pattern table with a per-site history.
+class PhtLane
+{
+  public:
+    PhtLane(const EvalParams &params, const LayoutTables &tables,
+            EvalResult &result)
+        : out(&result), block_(tables.block.data()),
+          max_(static_cast<std::uint8_t>((1u << params.counterBits) - 1)),
+          siteMask_(params.phtEntries - 1)
+    {
+        std::size_t table_entries = params.phtEntries;
+        switch (params.arch) {
+          case Arch::PhtDirect:
+            requirePowerOfTwo(params.phtEntries, "PHT entries");
+            break;
+          case Arch::PhtCorrelated:
+            requirePowerOfTwo(params.phtEntries, "gshare entries");
+            historyMask_ = (1ull << params.historyBits) - 1;
+            break;
+          case Arch::PhtLocal:
+            requirePowerOfTwo(params.phtEntries, "history entries");
+            historyMask_ = (1u << params.historyBits) - 1;
+            histories_.assign(params.phtEntries, 0);
+            table_entries = std::size_t{1} << params.historyBits;
+            break;
+          default:
+            panic("batch replay: not a PHT architecture");
+        }
+        table_.assign(table_entries, static_cast<std::uint8_t>(max_ / 2));
+    }
+
+    /// Steps the lane through @p n conditionals in trace order: source
+    /// blocks @p src, traversed-edge flags @p via. The lane's state lives
+    /// in locals for the loop, so counter-table stores cannot force it
+    /// back to memory on every step.
+    template <bool kLocal>
+    void
+    scan(const std::uint32_t *src, const std::uint8_t *via, std::size_t n)
+    {
+        const BlockRow *block = block_;
+        std::uint8_t *table = table_.data();
+        std::uint32_t *histories = histories_.data();
+        const std::uint8_t max = max_;
+        const std::size_t site_mask = siteMask_;
+        const std::uint64_t history_mask = historyMask_;
+        std::uint64_t history = history_;
+        std::uint64_t misp = 0;
+        std::uint64_t misf = 0;
+        for (std::size_t k = 0; k < n; ++k) {
+            const BlockRow &row = block[src[k]];
+            const Addr site = row.branchAddr;
+            const std::uint8_t taken = kOutTaken[row.cond][via[k]] ? 1 : 0;
+            std::size_t idx;
+            if constexpr (kLocal) {
+                std::uint32_t &local = histories[site & site_mask];
+                idx = local;
+                local = static_cast<std::uint32_t>(((local << 1) | taken) &
+                                                   history_mask);
+            } else {
+                idx = (site ^ history) & site_mask;
+                history = ((history << 1) | taken) & history_mask;
+            }
+            const std::uint8_t counter = table[idx];
+            const std::uint8_t predicted = counter > max / 2 ? 1 : 0;
+            const std::uint8_t wrong = predicted ^ taken;
+            misp += wrong;
+            misf += static_cast<std::uint8_t>((wrong ^ 1) & taken);
+            table[idx] = saturatingUpdate(counter, max, taken != 0);
+        }
+        history_ = history;
+        mispredicts += misp;
+        misfetches += misf;
+    }
+
+    EvalResult *out;
+    std::uint64_t mispredicts = 0;
+    std::uint64_t misfetches = 0;
+
+  private:
+    const BlockRow *block_;
+    std::uint8_t max_;
+    std::size_t siteMask_;
+    std::uint64_t historyMask_ = 0;
+    std::uint64_t history_ = 0;
+    std::vector<std::uint32_t> histories_;  ///< per site (local only)
+    std::vector<std::uint8_t> table_;
+};
+
+/// A BTB with the exact semantics of bpred/btb.cc: full-tag
+/// set-associative, LRU by update tick, taken-only insertion, weak-taken
+/// reset on insert. A set's ways are adjacent, so a lookup touches one
+/// or two cache lines. One extra slot past the last entry stands for a
+/// miss: it is never valid, never written, and its counter predicts
+/// not-taken, so a lookup's outcome can be read without first branching
+/// on whether it hit.
 class BtbLanes
 {
   public:
     BtbLanes(std::size_t entries, std::size_t ways, unsigned counter_bits)
-        : ways_(ways), setMask_(entries / ways - 1),
+        : ways_(ways), setMask_(entries / ways - 1), miss_(entries),
           max_(static_cast<std::uint8_t>((1u << counter_bits) - 1)),
-          valid_(entries, 0), tag_(entries, 0), target_(entries, 0),
-          counter_(entries, 0), lastUse_(entries, 0)
+          entries_(entries + 1)
     {
         if (entries == 0 || ways == 0 || entries % ways != 0)
             panic("batch replay: bad BTB geometry %zux%zu", entries, ways);
@@ -456,32 +534,43 @@ class BtbLanes
             panic("batch replay: BTB sets must be a power of two");
     }
 
-    /// Index of the hitting entry, or SIZE_MAX.
+    /// Index of the hitting entry, or the miss slot. Only a miss inserts,
+    /// so a tag is valid in at most one way of its set and every way can
+    /// be tested without an early exit.
     std::size_t
     find(Addr site) const
     {
         const std::size_t set = (site & setMask_) * ways_;
+        std::size_t hit = miss_;
         for (std::size_t w = 0; w < ways_; ++w) {
-            const std::size_t e = set + w;
-            if (valid_[e] != 0 && tag_[e] == site)
-                return e;
+            const Entry &entry = entries_[set + w];
+            const std::size_t match =
+                static_cast<std::size_t>(entry.valid != 0) &
+                static_cast<std::size_t>(entry.tag == site);
+            hit ^= (hit ^ (set + w)) & (std::size_t{0} - match);
         }
-        return SIZE_MAX;
+        return hit;
     }
 
-    bool counterTaken(std::size_t e) const { return counter_[e] > max_ / 2; }
-    Addr target(std::size_t e) const { return target_[e]; }
+    bool hit(std::size_t e) const { return e != miss_; }
+    bool counterTaken(std::size_t e) const
+    {
+        return entries_[e].counter > max_ / 2;
+    }
+    Addr target(std::size_t e) const { return entries_[e].target; }
 
+    /// BTB::update for @p site, whose entry find(site) just returned as
+    /// @p e: nothing touches the BTB between the lookup and the update,
+    /// so the update reuses it instead of searching the set again.
     void
-    update(Addr site, bool taken, Addr target)
+    updateAt(std::size_t e, Addr site, bool taken, Addr target)
     {
         ++tick_;
-        const std::size_t e = find(site);
-        if (e != SIZE_MAX) {
-            counter_[e] = saturatingUpdate(counter_[e], max_, taken);
-            if (taken)
-                target_[e] = target;
-            lastUse_[e] = tick_;
+        if (e != miss_) {
+            Entry &entry = entries_[e];
+            entry.counter = saturatingUpdate(entry.counter, max_, taken);
+            entry.target = taken ? target : entry.target;
+            entry.lastUse = tick_;
             return;
         }
         if (!taken)
@@ -490,173 +579,260 @@ class BtbLanes
         std::size_t victim = set;
         for (std::size_t w = 0; w < ways_; ++w) {
             const std::size_t candidate = set + w;
-            if (valid_[candidate] == 0) {
+            if (entries_[candidate].valid == 0) {
                 victim = candidate;
                 break;
             }
-            if (lastUse_[candidate] < lastUse_[victim])
+            if (entries_[candidate].lastUse < entries_[victim].lastUse)
                 victim = candidate;
         }
-        valid_[victim] = 1;
-        tag_[victim] = site;
-        target_[victim] = target;
-        counter_[victim] =
+        Entry &entry = entries_[victim];
+        entry.valid = 1;
+        entry.tag = site;
+        entry.target = target;
+        entry.counter =
             static_cast<std::uint8_t>(max_ / 2 + 1);  // resetWeak(true)
-        lastUse_[victim] = tick_;
+        entry.lastUse = tick_;
     }
 
   private:
-    std::size_t ways_;
-    std::size_t setMask_;
-    std::uint8_t max_;
-    std::uint64_t tick_ = 0;
-    std::vector<std::uint8_t> valid_;
-    std::vector<Addr> tag_;
-    std::vector<Addr> target_;
-    std::vector<std::uint8_t> counter_;
-    std::vector<std::uint64_t> lastUse_;
-};
-
-/// Penalty counters a BTB sweep accumulates (the execution-mix counters
-/// come from SharedCounters).
-struct BtbSweepResult
-{
-    std::uint64_t btbHits = 0;
-    std::uint64_t misfetches = 0;
-    std::uint64_t mispredicts = 0;
-    std::uint64_t condMispredicts = 0;
-    std::uint64_t returnMispredicts = 0;
-};
-
-BtbSweepResult
-runBtbLane(const BatchTrace &trace, const LayoutTables &tables,
-           const EvalParams &params)
-{
-    BtbLanes btb(params.btbEntries, params.btbWays, params.counterBits);
-    RasState ras(params.rasEntries);
-    BtbSweepResult r;
-
-    // ArchEvaluator::uncondBreak under a BTB: a hit predicting taken with
-    // the right target is free, everything else redirects after decode.
-    auto uncond_break = [&](Addr site, Addr target) {
-        const std::size_t e = btb.find(site);
-        if (e != SIZE_MAX) {
-            ++r.btbHits;
-            if (!(btb.counterTaken(e) && btb.target(e) == target))
-                ++r.misfetches;
-        } else {
-            ++r.misfetches;
-        }
-        btb.update(site, true, target);
+    struct Entry
+    {
+        Addr tag = 0;
+        Addr target = 0;
+        std::uint64_t lastUse = 0;
+        std::uint8_t counter = 0;
+        std::uint8_t valid = 0;
     };
 
+    std::size_t ways_;
+    std::size_t setMask_;
+    std::size_t miss_;
+    std::uint8_t max_;
+    std::uint64_t tick_ = 0;
+    std::vector<Entry> entries_;
+};
+
+/// One BTB lane: its BTB, its own return stack (interleaved with the
+/// lookups) and the penalty counters it accumulates; the execution-mix
+/// counters come from SharedCounters. Each op method reads its layout's
+/// tables and tallies penalties arithmetically from the lookup, as
+/// ArchEvaluator's branches decide them.
+class BtbLane
+{
+  public:
+    BtbLane(const EvalParams &params, const LayoutTables &tables,
+            EvalResult &result)
+        : out(&result), block_(tables.block.data()),
+          entryAddr_(tables.entryAddr.data()),
+          btb_(params.btbEntries, params.btbWays, params.counterBits),
+          ras_(params.rasEntries)
+    {
+    }
+
+    void
+    cond(std::uint32_t a, std::uint32_t b, int via)
+    {
+        const BlockRow &src = block_[a];
+        const bool taken = kOutTaken[src.cond][via];
+        const Addr site = src.branchAddr;
+        const Addr target = src.condTarget;
+        const std::size_t e = btb_.find(site);
+        btbHits += btb_.hit(e);
+        // A predicted-taken conditional with the wrong stored target
+        // also mispredicts. Fixed conditional targets make that
+        // partial-tag aliasing path unreachable; it is replicated from
+        // the evaluator so the two engines cannot drift.
+        const bool predicted = btb_.counterTaken(e);
+        const bool wrong = (predicted != taken) |
+                           (predicted & taken & (btb_.target(e) != target));
+        condMispredicts += wrong;
+        btb_.updateAt(e, site, taken, target);
+        if (kOutJump[src.cond][via])
+            uncondBreak(src.jumpAddr, block_[b].addr);
+    }
+
+    void
+    uncond(std::uint32_t a, std::uint32_t b)
+    {
+        const BlockRow &src = block_[a];
+        if (src.jumpRemoved == 0)
+            uncondBreak(src.branchAddr, block_[b].addr);
+    }
+
+    void
+    fallJump(std::uint32_t a, std::uint32_t b)
+    {
+        const BlockRow &src = block_[a];
+        if (src.jumpInserted != 0)
+            uncondBreak(src.jumpAddr, block_[b].addr);
+    }
+
+    void
+    indirect(std::uint32_t a, std::uint32_t b)
+    {
+        const Addr site = block_[a].branchAddr;
+        const Addr target = block_[b].addr;
+        const std::size_t e = btb_.find(site);
+        btbHits += btb_.hit(e);
+        indirectMispredicts +=
+            !(btb_.counterTaken(e) & (btb_.target(e) == target));
+        btb_.updateAt(e, site, true, target);
+    }
+
+    void
+    call(std::uint32_t a, std::uint32_t callee, std::uint32_t offset)
+    {
+        const Addr site = block_[a].addr + offset;
+        ras_.push(site + 1);
+        uncondBreak(site, entryAddr_[callee]);
+    }
+
+    /// A wrong return-stack prediction mispredicts whether or not the
+    /// BTB hits; a right one misfetches only on a BTB miss.
+    void
+    ret(std::uint32_t a, std::uint32_t resume, std::uint32_t offset)
+    {
+        const Addr site = block_[a].branchAddr;
+        const Addr target = block_[resume].addr + offset + 1;
+        const bool ras_correct = ras_.pop() == target;
+        const std::size_t e = btb_.find(site);
+        const bool hit = btb_.hit(e);
+        btbHits += hit;
+        returnMispredicts += !ras_correct;
+        misfetches += !hit & ras_correct;
+        btb_.updateAt(e, site, true, target);
+    }
+
+    /// Exit returns pop the stack but assess no penalty and make no BTB
+    /// lookup (evaluator.cc early-out on kNoAddr).
+    void retExit() { ras_.pop(); }
+
+    EvalResult *out;
+    std::uint64_t btbHits = 0;
+    std::uint64_t misfetches = 0;
+    std::uint64_t condMispredicts = 0;
+    std::uint64_t returnMispredicts = 0;
+    std::uint64_t indirectMispredicts = 0;
+
+  private:
+    /// ArchEvaluator::uncondBreak under a BTB: a hit predicting taken
+    /// with the right target is free, everything else redirects after
+    /// decode.
+    void
+    uncondBreak(Addr site, Addr target)
+    {
+        const std::size_t e = btb_.find(site);
+        btbHits += btb_.hit(e);
+        misfetches += !(btb_.counterTaken(e) & (btb_.target(e) == target));
+        btb_.updateAt(e, site, true, target);
+    }
+
+    const BlockRow *block_;
+    const Addr *entryAddr_;
+    BtbLanes btb_;
+    RasState ras_;
+};
+
+/// Every dynamic lane of a replay, across all of its layouts.
+struct DynamicLanes
+{
+    std::vector<BtbLane> btb;
+    std::vector<PhtLane> pht;    ///< direct-mapped and gshare
+    std::vector<PhtLane> local;  ///< local two-level
+};
+
+/// The one pass over the op stream, in chunks small enough to stay in
+/// L1: a chunk's Cond ops are first gathered, branch-free, into a
+/// scratch list that every PHT-family lane scans; then every op of the
+/// chunk steps every BTB lane. Each lane still sees its ops in
+/// trace order, and lanes never interact, so the interleave cannot
+/// change a counter.
+void
+sweepOps(const BatchTrace &trace, DynamicLanes &lanes)
+{
+    constexpr std::size_t kChunk = 512;
+    std::array<std::uint32_t, kChunk> cond_src;
+    std::array<std::uint8_t, kChunk> cond_via;
+    const bool any_pht = !lanes.pht.empty() || !lanes.local.empty();
     const std::size_t n = trace.ops.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint32_t a = trace.opA[i];
-        const std::uint32_t b = trace.opB[i];
-        switch (static_cast<BatchTrace::Op>(trace.ops[i])) {
-          case BatchTrace::Op::Cond: {
-            const std::uint8_t real = tables.cond[a];
-            const bool via_taken = trace.opC[i] != 0;
-            const bool taken = kOutTaken[real][via_taken ? 1 : 0];
-            const Addr site = tables.branchAddr[a];
-            const std::size_t e = btb.find(site);
-            if (e != SIZE_MAX)
-                ++r.btbHits;
-            const bool predicted = e != SIZE_MAX && btb.counterTaken(e);
-            const Addr target = tables.condTarget[a];
-            if (predicted != taken) {
-                ++r.mispredicts;
-                ++r.condMispredicts;
-            } else if (taken && btb.target(e) != target) {
-                // Fixed conditional targets make this partial-tag-aliasing
-                // path unreachable; replicated from the evaluator so the
-                // two engines cannot drift.
-                ++r.mispredicts;
-                ++r.condMispredicts;
+    for (std::size_t begin = 0; begin < n; begin += kChunk) {
+        const std::size_t end = std::min(n, begin + kChunk);
+        if (any_pht) {
+            std::size_t conds = 0;
+            for (std::size_t i = begin; i < end; ++i) {
+                cond_src[conds] = trace.opA[i];
+                cond_via[conds] = trace.opC[i] != 0 ? 1 : 0;
+                conds += trace.ops[i] ==
+                         static_cast<std::uint8_t>(BatchTrace::Op::Cond);
             }
-            btb.update(site, taken, target);
-            if (kOutJump[real][via_taken ? 1 : 0])
-                uncond_break(tables.jumpAddr[a], tables.addr[b]);
-            break;
-          }
-          case BatchTrace::Op::Uncond:
-            if (tables.jumpRemoved[a] == 0)
-                uncond_break(tables.branchAddr[a], tables.addr[b]);
-            break;
-          case BatchTrace::Op::FallJump:
-            if (tables.jumpInserted[a] != 0)
-                uncond_break(tables.jumpAddr[a], tables.addr[b]);
-            break;
-          case BatchTrace::Op::Indirect: {
-            const Addr site = tables.branchAddr[a];
-            const Addr target = tables.addr[b];
-            const std::size_t e = btb.find(site);
-            if (e != SIZE_MAX) {
-                ++r.btbHits;
-                if (!(btb.counterTaken(e) && btb.target(e) == target))
-                    ++r.mispredicts;
-            } else {
-                ++r.mispredicts;
+            for (PhtLane &lane : lanes.pht)
+                lane.scan<false>(cond_src.data(), cond_via.data(), conds);
+            for (PhtLane &lane : lanes.local)
+                lane.scan<true>(cond_src.data(), cond_via.data(), conds);
+        }
+        if (lanes.btb.empty())
+            continue;
+        for (std::size_t i = begin; i < end; ++i) {
+            const std::uint32_t a = trace.opA[i];
+            const std::uint32_t b = trace.opB[i];
+            const std::uint32_t c = trace.opC[i];
+            switch (static_cast<BatchTrace::Op>(trace.ops[i])) {
+              case BatchTrace::Op::Cond: {
+                const int via = c != 0 ? 1 : 0;
+                for (BtbLane &lane : lanes.btb)
+                    lane.cond(a, b, via);
+                break;
+              }
+              case BatchTrace::Op::Uncond:
+                for (BtbLane &lane : lanes.btb)
+                    lane.uncond(a, b);
+                break;
+              case BatchTrace::Op::FallJump:
+                for (BtbLane &lane : lanes.btb)
+                    lane.fallJump(a, b);
+                break;
+              case BatchTrace::Op::Indirect:
+                for (BtbLane &lane : lanes.btb)
+                    lane.indirect(a, b);
+                break;
+              case BatchTrace::Op::Call:
+                for (BtbLane &lane : lanes.btb)
+                    lane.call(a, b, c);
+                break;
+              case BatchTrace::Op::Ret:
+                for (BtbLane &lane : lanes.btb)
+                    lane.ret(a, b, c);
+                break;
+              case BatchTrace::Op::RetExit:
+                for (BtbLane &lane : lanes.btb)
+                    lane.retExit();
+                break;
             }
-            btb.update(site, true, target);
-            break;
-          }
-          case BatchTrace::Op::Call: {
-            const Addr site = tables.addr[a] + trace.opC[i];
-            ras.push(site + 1);
-            uncond_break(site, tables.entryAddr[b]);
-            break;
-          }
-          case BatchTrace::Op::Ret: {
-            const Addr predicted = ras.pop();
-            const Addr target = tables.addr[b] + trace.opC[i] + 1;
-            const Addr site = tables.branchAddr[a];
-            const bool ras_correct = predicted == target;
-            const std::size_t e = btb.find(site);
-            if (e != SIZE_MAX) {
-                ++r.btbHits;
-                if (!ras_correct) {
-                    ++r.mispredicts;
-                    ++r.returnMispredicts;
-                }
-            } else if (ras_correct) {
-                ++r.misfetches;
-            } else {
-                ++r.mispredicts;
-                ++r.returnMispredicts;
-            }
-            btb.update(site, true, target);
-            break;
-          }
-          case BatchTrace::Op::RetExit:
-            // Exit returns pop the stack but assess no penalty and make
-            // no BTB lookup (evaluator.cc early-out on kNoAddr).
-            ras.pop();
-            break;
         }
     }
-    return r;
 }
 
-bool
-usesBtb(Arch arch)
-{
-    return arch == Arch::BtbSmall || arch == Arch::BtbLarge;
-}
-
-bool
-usesPht(Arch arch)
-{
-    return arch == Arch::PhtDirect || arch == Arch::PhtCorrelated ||
-           arch == Arch::PhtLocal;
-}
-
+/// Counters of a non-BTB lane: only the conditional-branch penalties
+/// (@p cond_misp, @p cond_misf) vary by architecture. Everything else is
+/// the shared execution mix plus the return-stack accuracy. A PHT-family
+/// lane is set with zero conditional penalties before the pass and adds
+/// its own after it.
 void
-requirePowerOfTwo(std::size_t value, const char *what)
+setNonBtbPenalties(EvalResult &r, const BatchTrace &trace,
+                   const SharedCounters &shared, std::uint64_t ras_ok,
+                   std::uint64_t cond_misp, std::uint64_t cond_misf)
 {
-    if (value == 0 || (value & (value - 1)) != 0)
-        panic("batch replay: %s must be a power of two (%zu)", what, value);
+    const std::uint64_t ras_bad =
+        trace.returnExec - trace.exitReturns - ras_ok;
+    r.condMispredicts = cond_misp;
+    r.returnMispredicts = ras_bad;
+    // Misfetches: every unconditional break and call, every correct
+    // return-stack pop, plus correctly-predicted taken conditionals.
+    r.misfetches = shared.uncondExec + trace.callExec + ras_ok + cond_misf;
+    // Mispredicts: indirect jumps, wrong return-stack pops, and the
+    // architecture's conditional mispredictions.
+    r.mispredicts = trace.indirectExec + ras_bad + cond_misp;
 }
 
 }  // namespace
@@ -664,223 +840,152 @@ requirePowerOfTwo(std::size_t value, const char *what)
 std::uint64_t
 batchLayoutInstrs(const BatchTrace &trace, const ProgramLayout &layout)
 {
-    std::uint64_t instrs = 0;
-    for (ProcId p = 0; p < layout.procs.size(); ++p) {
-        const ProcLayout &proc = layout.procs[p];
-        const std::uint32_t base = trace.blockBase[p];
-        for (std::uint32_t b = 0; b < proc.blocks.size(); ++b) {
-            const BlockLayout &bl = proc.blocks[b];
-            const std::uint32_t g = base + b;
-            instrs += trace.activations[g] * bl.baseInstrs;
-            switch (static_cast<Terminator>(trace.term[g])) {
-              case Terminator::CondBranch: {
-                const auto real = static_cast<std::uint8_t>(bl.cond);
-                instrs += (kOutJump[real][1] ? trace.takenCount[g] : 0) +
-                          (kOutJump[real][0] ? trace.fallCount[g] : 0);
-                break;
-              }
-              case Terminator::FallThrough:
-                if (bl.jumpInserted)
-                    instrs += trace.fallCount[g];
-                break;
-              default:
-                break;
+    return computeShared(trace, flattenLayout(trace, layout)).instrs;
+}
+
+std::vector<std::vector<EvalResult>>
+runBatchReplay(const Program &program,
+               const std::vector<LayoutLanes> &layouts,
+               const BatchTrace &trace)
+{
+    std::vector<std::vector<EvalResult>> results(layouts.size());
+    // The lanes point into their layout's tables, so this never resizes.
+    std::vector<LayoutTables> tables(layouts.size());
+    DynamicLanes dynamic;
+
+    for (std::size_t k = 0; k < layouts.size(); ++k) {
+        const ProgramLayout &layout = *layouts[k].layout;
+        const std::vector<EvalParams> &lanes = layouts[k].lanes;
+        results[k].resize(lanes.size());
+        if (lanes.empty())
+            continue;
+
+        tables[k] = flattenLayout(trace, layout);
+        const LayoutTables &t = tables[k];
+        const SharedCounters shared = computeShared(trace, t);
+
+        // LIKELY bits flattened to global block indices (profile-majority
+        // realized direction; bpred/static_pred.cc is the source of
+        // truth).
+        std::vector<std::uint8_t> likely_bits;
+        if (std::any_of(lanes.begin(), lanes.end(),
+                        [](const EvalParams &lane) {
+                            return lane.arch == Arch::Likely;
+                        })) {
+            const LikelyBits likely(program, layout);
+            likely_bits.resize(trace.totalBlocks);
+            for (ProcId p = 0; p < program.numProcs(); ++p) {
+                const std::size_t blocks = program.proc(p).numBlocks();
+                for (BlockId b = 0; b < blocks; ++b)
+                    likely_bits[trace.blockBase[p] + b] =
+                        likely.taken(p, b) ? 1 : 0;
             }
         }
+
+        // Correct return-stack pops are shared by every non-BTB lane with
+        // the same stack size (BTB lanes re-simulate the stack inside the
+        // pass, interleaved with their lookups).
+        std::vector<std::pair<std::size_t, std::uint64_t>> ras_correct_cache;
+        auto ras_correct_for = [&](std::size_t entries) {
+            for (const auto &cached : ras_correct_cache) {
+                if (cached.first == entries)
+                    return cached.second;
+            }
+            const std::uint64_t correct = countRasCorrect(trace, t, entries);
+            ras_correct_cache.emplace_back(entries, correct);
+            return correct;
+        };
+
+        bool needs_pass = false;
+        for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
+            const EvalParams &params = lanes[lane];
+            EvalResult &r = results[k][lane];
+            r.penalties = params.penalties;
+            r.instrs = shared.instrs;
+            r.condExec = trace.condExec;
+            r.condTaken = shared.condTaken;
+            r.uncondExec = shared.uncondExec;
+            r.callExec = trace.callExec;
+            r.returnExec = trace.returnExec;
+            r.indirectExec = trace.indirectExec;
+
+            if (isBtb(params.arch)) {
+                r.btbLookups = shared.btbLookups;
+                dynamic.btb.emplace_back(params, t, r);
+                needs_pass = true;
+                continue;
+            }
+
+            std::uint64_t cond_misp = 0;
+            std::uint64_t cond_misf = 0;
+            switch (params.arch) {
+              case Arch::Fallthrough:
+                // Never predicts taken: every realized-taken conditional
+                // mispredicts, none misfetch.
+                cond_misp = shared.condTaken;
+                break;
+              case Arch::BtFnt: {
+                std::vector<std::uint8_t> predict(trace.totalBlocks, 0);
+                for (std::uint32_t g = 0; g < trace.totalBlocks; ++g) {
+                    if (static_cast<Terminator>(trace.term[g]) ==
+                        Terminator::CondBranch)
+                        predict[g] = btFntPredictsTaken(t.block[g].branchAddr,
+                                                        t.block[g].condTarget)
+                                         ? 1
+                                         : 0;
+                }
+                tallyStaticCond(trace, t, predict, cond_misp, cond_misf);
+                break;
+              }
+              case Arch::Likely:
+                tallyStaticCond(trace, t, likely_bits, cond_misp,
+                                cond_misf);
+                break;
+              case Arch::PhtLocal:
+                dynamic.local.emplace_back(params, t, r);
+                needs_pass = true;
+                break;
+              default:
+                dynamic.pht.emplace_back(params, t, r);
+                needs_pass = true;
+                break;
+            }
+            setNonBtbPenalties(r, trace, shared,
+                               ras_correct_for(params.rasEntries), cond_misp,
+                               cond_misf);
+        }
+        // Static-only layouts are complete; only layouts with dynamic
+        // lanes keep their tables for the pass.
+        if (!needs_pass)
+            tables[k] = LayoutTables{};
     }
-    return instrs;
+
+    sweepOps(trace, dynamic);
+
+    for (const BtbLane &lane : dynamic.btb) {
+        lane.out->btbHits = lane.btbHits;
+        lane.out->misfetches = lane.misfetches;
+        lane.out->mispredicts = lane.condMispredicts +
+                                lane.returnMispredicts +
+                                lane.indirectMispredicts;
+        lane.out->condMispredicts = lane.condMispredicts;
+        lane.out->returnMispredicts = lane.returnMispredicts;
+    }
+    for (const std::vector<PhtLane> *family : {&dynamic.pht, &dynamic.local}) {
+        for (const PhtLane &lane : *family) {
+            lane.out->condMispredicts += lane.mispredicts;
+            lane.out->mispredicts += lane.mispredicts;
+            lane.out->misfetches += lane.misfetches;
+        }
+    }
+    return results;
 }
 
 std::vector<EvalResult>
 runBatchReplay(const Program &program, const ProgramLayout &layout,
-               const BatchTrace &trace,
-               const std::vector<EvalParams> &lanes)
+               const BatchTrace &trace, const std::vector<EvalParams> &lanes)
 {
-    std::vector<EvalResult> results(lanes.size());
-    if (lanes.empty())
-        return results;
-
-    const LayoutTables tables = flattenLayout(trace, layout);
-    const SharedCounters shared = computeShared(trace, tables);
-
-    // Resolve the dense conditional stream once when any PHT lane needs
-    // it: per-event site address and realized direction.
-    bool any_pht = false;
-    bool any_likely = false;
-    for (const EvalParams &lane : lanes) {
-        any_pht = any_pht || usesPht(lane.arch);
-        any_likely = any_likely || lane.arch == Arch::Likely;
-    }
-    std::vector<Addr> cond_sites;
-    std::vector<std::uint8_t> cond_outcomes;
-    if (any_pht) {
-        const std::size_t n = trace.condSrc.size();
-        cond_sites.resize(n);
-        cond_outcomes.resize(n);
-        for (std::size_t k = 0; k < n; ++k) {
-            const std::uint32_t src = trace.condSrc[k];
-            cond_sites[k] = tables.branchAddr[src];
-            cond_outcomes[k] =
-                kOutTaken[tables.cond[src]][trace.condViaTaken[k]] ? 1 : 0;
-        }
-    }
-
-    // LIKELY bits flattened to global block indices (profile-majority
-    // realized direction; bpred/static_pred.cc is the source of truth).
-    std::vector<std::uint8_t> likely_bits;
-    if (any_likely) {
-        const LikelyBits likely(program, layout);
-        likely_bits.resize(trace.totalBlocks);
-        for (ProcId p = 0; p < program.numProcs(); ++p) {
-            const std::size_t blocks = program.proc(p).numBlocks();
-            for (BlockId b = 0; b < blocks; ++b)
-                likely_bits[trace.blockBase[p] + b] =
-                    likely.taken(p, b) ? 1 : 0;
-        }
-    }
-
-    // Correct return-stack pops are shared by every non-BTB lane with the
-    // same stack size (BTB lanes re-simulate the stack inside their own
-    // sweep, interleaved with their lookups).
-    std::vector<std::pair<std::size_t, std::uint64_t>> ras_correct_cache;
-    auto ras_correct_for = [&](std::size_t entries) {
-        for (const auto &cached : ras_correct_cache) {
-            if (cached.first == entries)
-                return cached.second;
-        }
-        const std::uint64_t correct =
-            countRasCorrect(trace, tables, entries);
-        ras_correct_cache.emplace_back(entries, correct);
-        return correct;
-    };
-
-    for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
-        const EvalParams &params = lanes[lane];
-        EvalResult &r = results[lane];
-        r.penalties = params.penalties;
-        r.instrs = shared.instrs;
-        r.condExec = trace.condExec;
-        r.condTaken = shared.condTaken;
-        r.uncondExec = shared.uncondExec;
-        r.callExec = trace.callExec;
-        r.returnExec = trace.returnExec;
-        r.indirectExec = trace.indirectExec;
-
-        if (usesBtb(params.arch)) {
-            const BtbSweepResult sweep =
-                runBtbLane(trace, tables, params);
-            r.btbLookups = shared.btbLookups;
-            r.btbHits = sweep.btbHits;
-            r.misfetches = sweep.misfetches;
-            r.mispredicts = sweep.mispredicts;
-            r.condMispredicts = sweep.condMispredicts;
-            r.returnMispredicts = sweep.returnMispredicts;
-            continue;
-        }
-
-        // Non-BTB lanes: only the conditional-branch penalties vary by
-        // architecture. Everything else is the shared execution mix plus
-        // the return-stack accuracy.
-        std::uint64_t cond_misp = 0;
-        std::uint64_t cond_misf = 0;
-        switch (params.arch) {
-          case Arch::Fallthrough:
-            // Never predicts taken: every realized-taken conditional
-            // mispredicts, none misfetch.
-            cond_misp = shared.condTaken;
-            break;
-          case Arch::BtFnt: {
-            std::vector<std::uint8_t> predict(trace.totalBlocks, 0);
-            for (std::uint32_t g = 0; g < trace.totalBlocks; ++g) {
-                if (static_cast<Terminator>(trace.term[g]) ==
-                    Terminator::CondBranch)
-                    predict[g] = btFntPredictsTaken(tables.branchAddr[g],
-                                                    tables.condTarget[g])
-                                     ? 1
-                                     : 0;
-            }
-            tallyStaticCond(trace, tables, predict, cond_misp, cond_misf);
-            break;
-          }
-          case Arch::Likely:
-            tallyStaticCond(trace, tables, likely_bits, cond_misp,
-                            cond_misf);
-            break;
-          case Arch::PhtDirect: {
-            requirePowerOfTwo(params.phtEntries, "PHT entries");
-            const auto max = static_cast<std::uint8_t>(
-                (1u << params.counterBits) - 1);
-            std::vector<std::uint8_t> table(
-                params.phtEntries, static_cast<std::uint8_t>(max / 2));
-            const std::size_t mask = params.phtEntries - 1;
-            scanPhtLane(
-                cond_sites, cond_outcomes, table, max,
-                [mask](Addr site, std::uint8_t) { return site & mask; },
-                cond_misp, cond_misf);
-            break;
-          }
-          case Arch::PhtCorrelated: {
-            requirePowerOfTwo(params.phtEntries, "gshare entries");
-            const auto max = static_cast<std::uint8_t>(
-                (1u << params.counterBits) - 1);
-            std::vector<std::uint8_t> table(
-                params.phtEntries, static_cast<std::uint8_t>(max / 2));
-            const std::size_t mask = params.phtEntries - 1;
-            const std::uint64_t history_mask =
-                (1ull << params.historyBits) - 1;
-            std::uint64_t history = 0;
-            scanPhtLane(
-                cond_sites, cond_outcomes, table, max,
-                [&history, mask, history_mask](Addr site,
-                                               std::uint8_t taken) {
-                    const std::size_t idx = (site ^ history) & mask;
-                    history = ((history << 1) | taken) & history_mask;
-                    return idx;
-                },
-                cond_misp, cond_misf);
-            break;
-          }
-          case Arch::PhtLocal: {
-            requirePowerOfTwo(params.phtEntries, "history entries");
-            const auto max = static_cast<std::uint8_t>(
-                (1u << params.counterBits) - 1);
-            std::vector<std::uint8_t> table(
-                std::size_t{1} << params.historyBits,
-                static_cast<std::uint8_t>(max / 2));
-            std::vector<std::uint32_t> histories(params.phtEntries, 0);
-            const std::size_t hist_mask = params.phtEntries - 1;
-            const std::uint32_t pattern_mask =
-                (1u << params.historyBits) - 1;
-            scanPhtLane(
-                cond_sites, cond_outcomes, table, max,
-                [&histories, hist_mask, pattern_mask](Addr site,
-                                                      std::uint8_t taken) {
-                    std::uint32_t &history = histories[site & hist_mask];
-                    const std::size_t idx = history & pattern_mask;
-                    history = ((history << 1) | taken) & pattern_mask;
-                    return idx;
-                },
-                cond_misp, cond_misf);
-            break;
-          }
-          default:
-            panic("batch replay: unexpected architecture");
-        }
-
-        const std::uint64_t ras_ok = ras_correct_for(params.rasEntries);
-        const std::uint64_t ras_bad =
-            trace.returnExec - trace.exitReturns - ras_ok;
-        r.condMispredicts = cond_misp;
-        r.returnMispredicts = ras_bad;
-        // Misfetches: every unconditional break and call, every correct
-        // return-stack pop, plus correctly-predicted taken conditionals.
-        r.misfetches =
-            shared.uncondExec + trace.callExec + ras_ok + cond_misf;
-        // Mispredicts: indirect jumps, wrong return-stack pops, and the
-        // architecture's conditional mispredictions.
-        r.mispredicts = trace.indirectExec + ras_bad + cond_misp;
-    }
-    return results;
+    return std::move(runBatchReplay(program, {{&layout, lanes}}, trace)[0]);
 }
 
 }  // namespace balign

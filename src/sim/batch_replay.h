@@ -15,16 +15,24 @@
  *     is a dense program-global block index. What remains per layout is
  *     pure integer dispatch: no virtual calls, no CFG lookups.
  *
- *  2. runBatchReplay() evaluates N architecture lanes against ONE layout
- *     in one pass. Per-block layout facts are flattened into
- *     structure-of-arrays tables; the architecture-independent counters
- *     (instruction counts, executed-branch mix, BTB lookup count, and the
- *     complete penalty totals of the three static architectures) are
- *     computed in O(blocks) from activation and edge-traversal counts;
- *     PHT-family lanes scan a dense conditional-branch stream with
- *     branchless saturating-counter updates (support/saturating_counter.h);
- *     only BTB lanes walk the full branch stream, because a BTB observes
- *     every break type in order.
+ *  2. runBatchReplay() evaluates every lane of every layout it is given
+ *     in ONE pass over the op stream. Per-block layout facts are
+ *     flattened into one row per block, one table per layout; the
+ *     architecture-independent counters (instruction counts,
+ *     executed-branch mix, BTB lookup count, and the complete penalty
+ *     totals of the three static architectures) are computed in
+ *     O(blocks) from activation and edge-traversal counts. The pass then
+ *     reads each op once and steps every dynamic lane against it: BTB
+ *     lanes on every op (a BTB observes every break type in order),
+ *     PHT-family lanes on Cond ops only, with branchless
+ *     saturating-counter updates (support/saturating_counter.h). Site and
+ *     direction come from the layout's tables, so the lanes are K
+ *     independent dependence chains over one shared stream.
+ *
+ *  3. runConfigs (sim/cpi.h) splits a program's lanes into as many lane
+ *     blocks as its pool has threads (at most one per layout with
+ *     dynamic lanes) and runs one pass per block. Lanes never interact,
+ *     so any partition gives byte-identical counters.
  *
  * Contract: each lane's EvalResult is byte-identical to what the naive
  * OracleEvaluator (check/oracle.h) — and the streaming ArchEvaluator —
@@ -82,14 +90,11 @@ struct BatchTrace
     std::vector<std::uint32_t> takenDst;   ///< global dst of the Taken edge
     std::vector<std::uint32_t> fallDst;    ///< global dst of the Fall edge
 
-    // --- canonical full branch-op stream (BTB lanes) --------------------
+    // --- canonical full branch-op stream (every dynamic lane) -----------
     std::vector<std::uint8_t> ops;
     std::vector<std::uint32_t> opA, opB, opC;
 
-    // --- dense sub-streams ----------------------------------------------
-    /// Conditional executions only (PHT-family lanes).
-    std::vector<std::uint32_t> condSrc;      ///< src global block
-    std::vector<std::uint8_t> condViaTaken;  ///< traversed the Taken edge
+    // --- dense sub-stream -----------------------------------------------
     /// Call/return executions only (return-stack accounting).
     /// op: 0=push (Call), 1=pop+compare (Ret), 2=pop only (RetExit).
     std::vector<std::uint8_t> rasOps;
@@ -110,16 +115,29 @@ struct BatchTrace
     std::size_t sizeBytes() const;
 };
 
+/// One layout and the architecture lanes to evaluate against it.
+struct LayoutLanes
+{
+    const ProgramLayout *layout = nullptr;
+    std::vector<EvalParams> lanes;
+};
+
 /**
- * Replays the canonical trace against @p layout once, evaluating every
- * lane simultaneously. Returns one EvalResult per entry of @p lanes,
+ * Replays the canonical trace once for every lane of every layout in
+ * @p layouts. Returns, per entry of @p layouts, one EvalResult per lane,
  * byte-identical to an ArchEvaluator replay with the same parameters.
+ * How lanes are grouped into calls never changes a counter.
  *
  * @param program the CFG (profile weights used only for LIKELY bits)
- * @param layout a layout materialized for @p program
+ * @param layouts layouts materialized for @p program, with their lanes
  * @param trace the canonical trace built from the same program
- * @param lanes architecture parameters, one per requested evaluation
  */
+std::vector<std::vector<EvalResult>>
+runBatchReplay(const Program &program,
+               const std::vector<LayoutLanes> &layouts,
+               const BatchTrace &trace);
+
+/// Single-layout form: the lanes of @p layout, one EvalResult each.
 std::vector<EvalResult> runBatchReplay(const Program &program,
                                        const ProgramLayout &layout,
                                        const BatchTrace &trace,

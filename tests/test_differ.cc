@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -136,10 +137,10 @@ TEST(Differ, DetectsCorruptedBranchAddr)
 
 TEST(Differ, DetectsCorruptedBatchTrace)
 {
-    // Stage 4: flip one conditional outcome in a copy of the batched
-    // trace. The streaming evaluator and the oracle still replay the
-    // intact recording, so stages 1-3 stay clean and only the batched
-    // PHT lane sees the wrong direction.
+    // Stage 4: flip the traversed edge of the first conditional op in a
+    // copy of the batched trace. The streaming evaluator and the oracle
+    // still replay the intact recording, so stages 1-3 stay clean and
+    // only the batched PHT lane sees the wrong direction.
     PreparedProgram prepared = preparedSmall();
     const ProgramLayout layout = originalLayout(prepared.program);
     ASSERT_FALSE(diffLayout(prepared, layout, Arch::PhtDirect,
@@ -147,8 +148,12 @@ TEST(Differ, DetectsCorruptedBatchTrace)
                      .has_value());
 
     auto corrupted = std::make_shared<BatchTrace>(*prepared.batch);
-    ASSERT_FALSE(corrupted->condViaTaken.empty());
-    corrupted->condViaTaken[0] ^= 1;
+    const auto first_cond =
+        std::find(corrupted->ops.begin(), corrupted->ops.end(),
+                  static_cast<std::uint8_t>(BatchTrace::Op::Cond));
+    ASSERT_NE(first_cond, corrupted->ops.end());
+    corrupted->opC[static_cast<std::size_t>(
+        first_cond - corrupted->ops.begin())] ^= 1;
     prepared.batch = corrupted;
 
     const auto divergence =

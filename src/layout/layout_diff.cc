@@ -110,7 +110,7 @@ describeLayoutDifference(const ProgramLayout &a, const ProgramLayout &b)
 bool
 layoutsIdentical(const ProgramLayout &a, const ProgramLayout &b)
 {
-    return describeLayoutDifference(a, b).empty();
+    return a == b;
 }
 
 }  // namespace balign

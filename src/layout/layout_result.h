@@ -97,6 +97,8 @@ struct BlockLayout
 
     /// Address of the inserted trailing jump, if any.
     Addr jumpAddr = kNoAddr;
+
+    bool operator==(const BlockLayout &) const = default;
 };
 
 /// Layout of one procedure.
@@ -118,6 +120,8 @@ struct ProcLayout
     std::uint32_t jumpsInserted = 0;
     std::uint32_t jumpsRemoved = 0;
     std::uint32_t sensesInverted = 0;
+
+    bool operator==(const ProcLayout &) const = default;
 };
 
 /**
@@ -142,6 +146,8 @@ struct ProgramLayout
     {
         return procs[id].blocks[procs[id].order.front()].addr;
     }
+
+    bool operator==(const ProgramLayout &) const = default;
 };
 
 }  // namespace balign

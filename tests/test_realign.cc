@@ -132,6 +132,71 @@ TEST(ProfileDivergence, MetricProperties)
     EXPECT_GT(max_divergence, 0.0);
 }
 
+TEST(LayoutDiff, IdenticalAgreesWithDescription)
+{
+    // layoutsIdentical compares with ==, describeLayoutDifference field
+    // by field; a change to any single field must register in both.
+    const PreparedProgram prepared = preparedSuiteProgram("espresso");
+    const CostModel model(Arch::PhtDirect);
+    const ProgramLayout base =
+        alignProgram(prepared.program, AlignerKind::Greedy, &model, {});
+    EXPECT_TRUE(layoutsIdentical(base, base));
+    const ProcId p = 1;
+    ASSERT_GT(base.procs[p].order.size(), 1u);
+    const BlockId b = base.procs[p].order.back();
+    const std::vector<void (*)(ProgramLayout &, ProcId, BlockId)> edits = {
+        [](ProgramLayout &l, ProcId, BlockId) { ++l.totalInstrs; },
+        [](ProgramLayout &l, ProcId q, BlockId) {
+            std::swap(l.procs[q].order.front(), l.procs[q].order.back());
+        },
+        [](ProgramLayout &l, ProcId q, BlockId) { ++l.procs[q].base; },
+        [](ProgramLayout &l, ProcId q, BlockId) { ++l.procs[q].totalInstrs; },
+        [](ProgramLayout &l, ProcId q, BlockId) {
+            ++l.procs[q].jumpsInserted;
+        },
+        [](ProgramLayout &l, ProcId q, BlockId) { ++l.procs[q].jumpsRemoved; },
+        [](ProgramLayout &l, ProcId q, BlockId) {
+            ++l.procs[q].sensesInverted;
+        },
+        [](ProgramLayout &l, ProcId q, BlockId c) {
+            ++l.procs[q].blocks[c].addr;
+        },
+        [](ProgramLayout &l, ProcId q, BlockId c) {
+            ++l.procs[q].blocks[c].orderIndex;
+        },
+        [](ProgramLayout &l, ProcId q, BlockId c) {
+            ++l.procs[q].blocks[c].finalInstrs;
+        },
+        [](ProgramLayout &l, ProcId q, BlockId c) {
+            ++l.procs[q].blocks[c].baseInstrs;
+        },
+        [](ProgramLayout &l, ProcId q, BlockId c) {
+            BlockLayout &block = l.procs[q].blocks[c];
+            block.cond = block.cond == CondRealization::FallAdjacent
+                             ? CondRealization::TakenAdjacent
+                             : CondRealization::FallAdjacent;
+        },
+        [](ProgramLayout &l, ProcId q, BlockId c) {
+            l.procs[q].blocks[c].jumpInserted ^= true;
+        },
+        [](ProgramLayout &l, ProcId q, BlockId c) {
+            l.procs[q].blocks[c].jumpRemoved ^= true;
+        },
+        [](ProgramLayout &l, ProcId q, BlockId c) {
+            ++l.procs[q].blocks[c].branchAddr;
+        },
+        [](ProgramLayout &l, ProcId q, BlockId c) {
+            ++l.procs[q].blocks[c].jumpAddr;
+        },
+    };
+    for (std::size_t i = 0; i < edits.size(); ++i) {
+        ProgramLayout edited = base;
+        edits[i](edited, p, b);
+        EXPECT_FALSE(layoutsIdentical(base, edited)) << "edit " << i;
+        EXPECT_NE(describeLayoutDifference(base, edited), "") << "edit " << i;
+    }
+}
+
 TEST(Realign, ThresholdEndpointsAreByteIdentical)
 {
     for (const std::string name : {"compress", "espresso", "li"}) {

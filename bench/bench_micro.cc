@@ -1,9 +1,9 @@
 /**
  * @file
  * Micro-benchmarks (google-benchmark): throughput of the core components —
- * the trace walker, the predictors, the chain set, the aligners and the
- * materializer. These are engineering benchmarks for the library itself,
- * not paper reproductions.
+ * the trace walker, the predictors, the chain set, the aligners, the
+ * materializer and the static profile estimator. These are engineering
+ * benchmarks for the library itself, not paper reproductions.
  */
 
 #include <benchmark/benchmark.h>
@@ -17,6 +17,7 @@
 #include "bpred/gshare.h"
 #include "bpred/pht.h"
 #include "core/align_program.h"
+#include "estimate/estimate.h"
 #include "layout/materialize.h"
 #include "sim/cpi.h"
 #include "support/log.h"
@@ -170,6 +171,27 @@ BM_Materialize(benchmark::State &state)
     }
 }
 BENCHMARK(BM_Materialize);
+
+// The static estimator on the gcc model scaled to range(0) procedures,
+// in blocks/s: the two sizes give its growth exponent in blocks.
+void
+BM_EstimateGcc(benchmark::State &state)
+{
+    ProgramSpec spec = suiteSpec("gcc");
+    spec.numProcs = static_cast<unsigned>(state.range(0));
+    Program program = generateProgram(spec);
+    std::int64_t blocks = 0;
+    for (const Procedure &proc : program.procs())
+        blocks += static_cast<std::int64_t>(proc.numBlocks());
+    for (auto _ : state) {
+        const EstimateReport report = estimateProfile(program);
+        benchmark::DoNotOptimize(report.totalStranded);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            blocks);
+    state.counters["blocks"] = static_cast<double>(blocks);
+}
+BENCHMARK(BM_EstimateGcc)->Arg(500)->Arg(4000)->Unit(benchmark::kMillisecond);
 
 void
 BM_EvaluateTrace(benchmark::State &state)

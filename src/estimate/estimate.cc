@@ -4,14 +4,14 @@
  *
  * Per procedure: heuristics -> transition probabilities -> Wu-Larus
  * frequencies. Across procedures: expected call frequencies give each
- * procedure an invocation count relative to one run of main, and a
- * strand probability (the chance one invocation feeds an inescapable
- * cycle, transitively through calls) pre-scales main's entry count so
- * the integer flow stranded program-wide stays within the budget the
- * prof.* lint slack tolerates. The integer profile itself is pushed
- * (propagate.cc), so per-block conservation is exact; a retry loop
- * rescales if the measured stranding still exceeds the budget, with an
- * empty (trivially conserving) profile as the final fallback.
+ * procedure an invocation count relative to one run of main. Each
+ * procedure strands exactly the trap SCCs' largest-remainder share of
+ * its entry count, which is below entries x trap share + one unit per
+ * trap entry, so main's entry count is chosen in closed form from that
+ * bound. The integer profile is then materialized once per procedure
+ * (propagate.cc), with per-block conservation exact; should even one
+ * activation strand more than the budget, the empty (trivially
+ * conserving) profile is the fallback.
  */
 
 #include "estimate/estimate.h"
@@ -172,54 +172,64 @@ estimateProfile(Program &program, const EstimateOptions &options)
         }
     }
 
-    // Scale main's entry count so expected stranding fits half the
-    // budget, then push and re-check the actual integer stranding.
+    // Stranding is known before any flow is placed: bound it per unit
+    // of main's entry count, plus the rounding slack, and scale main so
+    // the bound fits the budget.
+    double strand_per_entry = 0.0, strand_slack = 0.0;
+    for (ProcId p = 0; p < np; ++p) {
+        double total = 0.0, trapped = 0.0;
+        std::size_t traps = 0;
+        for (const SinkMass &sink : freqs[p].sinks) {
+            total += sink.mass;
+            if (sink.trap) {
+                trapped += sink.mass;
+                ++traps;
+            }
+        }
+        if (invocations[p] <= 0.0 || traps == 0)
+            continue;
+        const double share =
+            total > 0.0 ? trapped / total
+                        : static_cast<double>(traps) /
+                              static_cast<double>(freqs[p].sinks.size());
+        strand_per_entry += invocations[p] * share;
+        strand_slack += 0.5 * share + static_cast<double>(traps);
+    }
     Weight entry_scale = options.entryCount;
-    const double s_main = main < np ? strand[main] : 0.0;
-    if (s_main > 0.0) {
+    if (strand_per_entry > 0.0) {
         entry_scale = static_cast<Weight>(std::clamp(
-            static_cast<double>(options.strandBudget) / (2.0 * s_main),
+            std::floor((static_cast<double>(options.strandBudget) -
+                        strand_slack) /
+                       strand_per_entry),
             1.0, static_cast<double>(options.entryCount)));
     }
 
-    for (;;) {
+    program.clearWeights();
+    const double ceiling = static_cast<double>(kEstimateWeightCeiling);
+    Weight total_stranded = 0;
+    for (ProcId p = 0; p < np; ++p) {
+        const Weight entries =
+            p == main ? std::min(entry_scale, kEstimateWeightCeiling)
+                      : static_cast<Weight>(std::llround(std::min(
+                            invocations[p] * static_cast<double>(entry_scale),
+                            ceiling)));
+        report.procs[p].entryCount = entries;
+        report.procs[p].stranded =
+            materializeFlow(program.proc(p), analyses[p],
+                            report.edgeProbs[p], freqs[p], entries);
+        total_stranded += report.procs[p].stranded;
+    }
+    report.totalStranded = total_stranded;
+    if (total_stranded > options.strandBudget) {
+        // Even one activation strands too much (pathological trap
+        // nests): fall back to the empty profile, which conserves
+        // trivially (prof.degenerate notes it, nothing errors).
         program.clearWeights();
-        Weight total_stranded = 0;
         for (ProcId p = 0; p < np; ++p) {
-            // Over budget with room to rescale: this round's weights will
-            // be discarded, so stop pushing. The final round always runs
-            // in full and rewrites every report.procs entry.
-            if (total_stranded > options.strandBudget && entry_scale > 1)
-                break;
-            double scaled =
-                invocations[p] * static_cast<double>(entry_scale);
-            scaled = std::min(scaled, 1e15);
-            Weight entries =
-                p == main ? entry_scale
-                          : static_cast<Weight>(std::llround(scaled));
-            report.procs[p].entryCount = entries;
-            report.procs[p].stranded =
-                pushFlow(program.proc(p), analyses[p],
-                         report.edgeProbs[p], freqs[p], entries);
-            total_stranded += report.procs[p].stranded;
+            report.procs[p].entryCount = 0;
+            report.procs[p].stranded = 0;
         }
-        if (total_stranded <= options.strandBudget) {
-            report.totalStranded = total_stranded;
-            break;
-        }
-        if (entry_scale <= 1) {
-            // Even one activation strands too much (pathological trap
-            // nests): fall back to the empty profile, which conserves
-            // trivially (prof.degenerate notes it, nothing errors).
-            program.clearWeights();
-            for (ProcId p = 0; p < np; ++p) {
-                report.procs[p].entryCount = 0;
-                report.procs[p].stranded = 0;
-            }
-            report.totalStranded = 0;
-            break;
-        }
-        entry_scale = std::max<Weight>(entry_scale / 4, 1);
+        report.totalStranded = 0;
     }
 
     program.setProfileProvenance(ProfileProvenance::Estimated);

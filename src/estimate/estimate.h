@@ -21,13 +21,15 @@
  * per-block inflow == outflow for interior blocks, loop-boundary
  * conservation, zero weight on unreachable edges and in uncalled
  * procedures. Real-valued frequencies cannot guarantee that after
- * rounding, so the integer profile is materialized by a deterministic
- * flow-push pass (propagate.cc): each block re-apportions exactly the
- * integer flow it received across its out-edges (largest-remainder
- * rounding with per-edge carry), so conservation holds by construction.
- * Flow that enters an inescapable cycle (a trap SCC — the static image
- * of an infinite loop) is deliberately stranded there, and procedure
- * entry counts are pre-scaled so the program-wide stranded total stays
+ * rounding, so the integer profile is materialized in one demand-driven
+ * pass over the loop forest (propagate.cc): the entry count is split
+ * over the procedure's sinks, then every block's demand over its
+ * in-edges and every loop's header count over its back and entering
+ * edges, each split exact by largest remainder, so conservation holds
+ * by construction. Flow that enters an inescapable cycle (a trap SCC —
+ * the static image of an infinite loop) is absorbed there as stranded
+ * flow; that amount is known before any weight is placed, so main's
+ * entry count is chosen in closed form to keep the program-wide total
  * within the truncated-walk slack the lint rules already allow.
  *
  * The estimator never reads Edge::bias — that is the walker's ground
@@ -50,19 +52,26 @@ namespace balign {
 /// Version of the `balign estimate` JSON schema (`schema_version`).
 inline constexpr int kEstimateSchemaVersion = 1;
 
+/// Largest weight the estimator places on any edge. Loop header counts
+/// multiply down a nest; past this they saturate, so adversarial nests
+/// cannot overflow Weight or the sums downstream consumers form.
+inline constexpr Weight kEstimateWeightCeiling = Weight{1} << 44;
+
 /// Tunables. The defaults are used everywhere (benches, lint, fuzzing);
 /// they are exposed mainly so tests can probe edge behaviour.
 struct EstimateOptions
 {
     /// Invocation count assigned to main (the profile's global scale).
-    /// Procedures that can reach an inescapable cycle get a reduced
-    /// count so the stranded flow stays within the lint slack.
+    /// Programs that can reach an inescapable cycle get a reduced count
+    /// so the stranded flow stays within strandBudget.
     Weight entryCount = 1u << 16;
 
     /// Trip-count prior: cyclic probability is capped at this value, so
     /// a loop contributes at most 1 / (1 - cap) iterations per entry
     /// (default cap 15/16 = 16 iterations, Wu-Larus use a similar
-    /// epsilon guard).
+    /// epsilon guard). The prior shapes the call-graph invocation counts
+    /// and the circulation of trap loops; the integer profile inside a
+    /// procedure follows the uncapped probabilities.
     double maxCyclicProb = 1.0 - 1.0 / 16.0;
 
     /// Tighter trip-count prior for nested loops (depth >= 2): inner
@@ -143,7 +152,8 @@ struct EstimateReport
     /// Fire counts parallel to allEstimateHeuristics().
     std::vector<std::size_t> heuristicHits;
     /// Per-procedure, per-edge-index transition probabilities (the
-    /// distribution the est.prob rule validates and the push pass uses).
+    /// distribution the est.prob rule validates and materialization
+    /// follows).
     std::vector<std::vector<double>> edgeProbs;
     /// Program-wide integer flow left in trap SCCs (<= strandBudget).
     Weight totalStranded = 0;

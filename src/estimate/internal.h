@@ -9,6 +9,7 @@
 #ifndef BALIGN_ESTIMATE_INTERNAL_H
 #define BALIGN_ESTIMATE_INTERNAL_H
 
+#include <cstdint>
 #include <vector>
 
 #include "analysis/analysis.h"
@@ -30,15 +31,43 @@ std::vector<double> branchProbabilities(const Procedure &proc,
                                         std::vector<BranchEstimate> &branches,
                                         std::vector<std::size_t> &hits);
 
+/// How the integer profile treats one edge.
+enum class EdgeRole : std::uint8_t
+{
+    Dead,        ///< out of range, or leaves an unreachable block
+    Forward,     ///< destination later in RPO
+    Back,        ///< destination dominates the source (a loop's latch)
+    Retreating,  ///< retreating but not a back edge: irreducible, no flow
+};
+
+/// A place where an invocation's flow leaves the procedure.
+struct SinkMass
+{
+    BlockId block = kNoBlock;
+    /// Expected flow absorbed there per invocation (uncapped).
+    double mass = 0.0;
+    /// Entry of a trap SCC: what it absorbs is stranded.
+    bool trap = false;
+};
+
 /// Real-valued per-invocation frequencies for one procedure.
 struct ProcFreqs
 {
-    /// Expected executions of each block per procedure invocation.
+    /// Expected executions of each block per procedure invocation,
+    /// cyclic probabilities capped by the trip-count prior. Scales the
+    /// call graph.
     std::vector<double> block;
-    /// Expected traversals of each edge per procedure invocation.
-    std::vector<double> edge;
-    /// Member of an inescapable cycle (SCC with no leaving edge).
-    std::vector<bool> trapBlock;
+    /// The same with uncapped cyclic probabilities: the Markov solution
+    /// of the transition probabilities, which the integer profile
+    /// follows.
+    std::vector<double> flow;
+    /// Per loop (parallel to LoopForest::loops): uncapped header
+    /// executions per loop entry. Trap loops keep the capped prior.
+    std::vector<double> headerMul;
+    /// Per edge index.
+    std::vector<EdgeRole> edgeRole;
+    /// Blocks without out-edges and trap-SCC entries, in RPO order.
+    std::vector<SinkMass> sinks;
     /// Expected flow entering trap SCCs per invocation, in [0, 1].
     double trapMass = 0.0;
     /// Bounded-iteration fallback ran (irreducible region).
@@ -58,18 +87,17 @@ ProcFreqs propagateFrequencies(const Procedure &proc,
                                const EstimateOptions &options);
 
 /**
- * Deterministic integer flow push: injects @p entries activations at
- * the procedure entry and lets every block re-apportion exactly the
- * integer flow it receives across its out-edges (largest-remainder
- * rounding with per-edge carries; shares follow each edge's remaining
- * closed-form total from @p freqs, falling back to @p edgeProb once every
- * target is met). Writes the resulting traversal counts into @p proc's
- * edge weights (which must be zero on entry) and returns the flow
- * stranded in trap SCCs or still moving at the pass cap.
+ * One-pass integer materialization over the loop forest: splits
+ * @p entries over @p freqs' sinks, then walks every region in reverse
+ * RPO splitting each block's demand over its in-edges and each loop's
+ * header count over its back and entering edges, every split exact by
+ * largest remainder (see propagate.cc). Writes the traversal counts into
+ * @p proc's edge weights (which must be zero on entry) and returns the
+ * flow absorbed by trap SCCs.
  */
-Weight pushFlow(Procedure &proc, const ProcAnalysis &analysis,
-                const std::vector<double> &edgeProb, const ProcFreqs &freqs,
-                Weight entries);
+Weight materializeFlow(Procedure &proc, const ProcAnalysis &analysis,
+                       const std::vector<double> &edgeProb,
+                       const ProcFreqs &freqs, Weight entries);
 
 }  // namespace estimate_detail
 }  // namespace balign

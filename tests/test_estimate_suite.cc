@@ -25,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -197,6 +198,39 @@ TEST(EstimateSuite, MatchesPinnedDigest)
     golden << in.rdbuf();
     EXPECT_EQ(actual.str(), golden.str())
         << "estimated weights or reports drifted from the pinned digests";
+}
+
+TEST(EstimateSuite, MaterializedDirectionsFollowProbabilities)
+{
+    // The integer profile must not invert a branch: wherever a branch
+    // runs often enough for rounding not to matter and its estimate
+    // leans one way, the heavier out-edge is the side it favours.
+    std::size_t checked = 0;
+    for (const ProgramSpec &spec : benchmarkSuite()) {
+        Program program = specProgram(spec);
+        const EstimateReport report = estimateProfile(program);
+        for (const BranchEstimate &branch : report.branches) {
+            const Procedure &proc = program.proc(branch.proc);
+            const std::int64_t taken = proc.takenEdge(branch.block);
+            const std::int64_t fall = proc.fallThroughEdge(branch.block);
+            if (taken < 0 || fall < 0 ||
+                std::abs(branch.takenProb - 0.5) < 0.01)
+                continue;
+            const Weight wt =
+                proc.edge(static_cast<std::uint32_t>(taken)).weight;
+            const Weight wf =
+                proc.edge(static_cast<std::uint32_t>(fall)).weight;
+            if (wt + wf < 64)
+                continue;
+            ++checked;
+            const bool favours_taken = branch.takenProb > 0.5;
+            EXPECT_TRUE(favours_taken ? wt > wf : wf > wt)
+                << spec.name << " proc " << branch.proc << " block "
+                << branch.block << ": p " << branch.takenProb
+                << " but taken " << wt << " vs fall-through " << wf;
+        }
+    }
+    EXPECT_GT(checked, 2000u) << "too few branches to mean anything";
 }
 
 INSTANTIATE_TEST_SUITE_P(Suite24, EstimateSuite, [] {

@@ -138,7 +138,7 @@ branchProbabilities(const Procedure &proc, const ProcAnalysis &analysis,
             taken_index >= 0 && fall_index >= 0 &&
             taken_index != fall_index;
         if (!shaped_cond) {
-            // Single-successor blocks carry probability 1; indirect
+            // Single-successor blocks take probability 1; indirect
             // jumps (and malformed shapes) spread uniformly — there is
             // no static evidence to order computed targets.
             const double share = 1.0 / static_cast<double>(outs.size());

@@ -5,12 +5,12 @@
  * Unlike the other rule groups these do not inspect the program's own
  * profile — they run estimate/estimate.h on a COPY and verify what it
  * synthesized: per-block transition probabilities must be distributions
- * (est.prob), the pushed integer profile must conserve flow within the
- * stranding budget (est.flow — the same invariant prof.* demands of
- * measured profiles, re-checked at the source so an estimator bug is
- * attributed to the estimator, not the profile), and irreducible-region
- * fallbacks are surfaced as notes (est.fallback) so a user knows the
- * closed form did not apply.
+ * (est.prob), the materialized integer profile must conserve flow
+ * within the stranding budget (est.flow — the same invariant prof.*
+ * demands of measured profiles, re-checked at the source so an estimator
+ * bug is attributed to the estimator, not the profile), and
+ * irreducible-region fallbacks are surfaced as notes (est.fallback) so a
+ * user knows the closed form did not apply.
  */
 
 #include <cmath>
@@ -94,8 +94,8 @@ checkFlow(const Program &estimated, const LintOptions &options,
                     << in << ", outflow=" << out << ")";
                 emit(sink, "est.flow", {proc.id(), block.id, kNoEdge},
                      msg.str(),
-                     "the flow push must re-apportion exactly the "
-                     "received integer flow");
+                     "materialization must split exactly the demand "
+                     "each block carries");
                 continue;
             }
             total_excess += in - out;
@@ -108,7 +108,7 @@ checkFlow(const Program &estimated, const LintOptions &options,
             << report.totalStranded << "), above the allowance of "
             << options.flowSlack;
         emit(sink, "est.flow", {kNoProc, kNoBlock, kNoEdge}, msg.str(),
-             "the entry-count rescale loop must keep stranded flow "
+             "the closed-form entry count must keep stranded flow "
              "within the lint slack");
     }
 }

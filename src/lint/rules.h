@@ -99,9 +99,9 @@ void lintProfile(const Program &program, const LintOptions &options,
 // ---------------------------------------------------------------------
 // est.* — static-estimator self-checks: estimate a COPY of @p program
 // (estimate/estimate.h) and verify the synthesized branch probabilities
-// are distributions, the pushed integer profile conserves flow within
-// the stranding budget, and irreducible fallbacks are surfaced as
-// notes. Requires a structurally sound CFG (run cfg.* first).
+// are distributions, the materialized integer profile conserves flow
+// within the stranding budget, and irreducible fallbacks are surfaced
+// as notes. Requires a structurally sound CFG (run cfg.* first).
 
 /// Runs every est.* rule against a fresh estimate of @p program.
 void lintEstimate(const Program &program, const LintOptions &options,

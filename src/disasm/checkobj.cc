@@ -1,13 +1,13 @@
 #include "disasm/checkobj.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <ostream>
 #include <set>
 #include <sstream>
 
 #include "emit/elf.h"
+#include "support/json.h"
 
 namespace balign {
 
@@ -440,44 +440,6 @@ class ObjChecker
     ObjCheckResult result_;
 };
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-void
-writeJsonString(const std::string &text, std::ostream &os)
-{
-    os << '"';
-    for (const char c : text) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          case '\r': os << "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
-}
-
-void
-writeOptionalId(const char *key, std::uint64_t value, std::uint64_t sentinel,
-                std::ostream &os)
-{
-    os << '"' << key << "\":";
-    if (value == sentinel)
-        os << "null";
-    else
-        os << value;
-}
-
 }  // namespace
 
 const char *
@@ -586,9 +548,9 @@ writeObjCertificateJson(const ObjCertificate &certificate, std::ostream &os)
             os << ',';
         os << "{\"obligation\":\"" << objObligationName(failure.obligation)
            << "\",";
-        writeOptionalId("proc", failure.proc, kNoProc, os);
+        writeJsonOptionalId("proc", failure.proc, kNoProc, os);
         os << ',';
-        writeOptionalId("byte_addr", failure.byteAddr, kNoAddr, os);
+        writeJsonOptionalId("byte_addr", failure.byteAddr, kNoAddr, os);
         os << ",\"detail\":";
         writeJsonString(failure.detail, os);
         os << '}';

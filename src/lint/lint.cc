@@ -6,6 +6,7 @@
 
 #include "check/differ.h"
 #include "layout/chain_order.h"
+#include "support/json.h"
 
 namespace balign {
 
@@ -118,13 +119,9 @@ writeLintReportJson(const LintReport &report,
                     const std::string &programName, std::ostream &os)
 {
     os << "{\"schema_version\":" << kLintSchemaVersion
-       << ",\"program\":\"";
-    for (const char c : programName) {
-        if (c == '"' || c == '\\')
-            os << '\\';
-        os << c;
-    }
-    os << "\",\"profile\":\"" << report.profileProvenance
+       << ",\"program\":";
+    writeJsonString(programName, os);
+    os << ",\"profile\":\"" << report.profileProvenance
        << "\",\"clean\":" << (report.clean() ? "true" : "false")
        << ",\"errors\":" << report.errors()
        << ",\"warnings\":" << report.warnings()

@@ -1,51 +1,10 @@
 #include "verify/certificate.h"
 
-#include <cstdio>
 #include <ostream>
 
+#include "support/json.h"
+
 namespace balign {
-
-namespace {
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-void
-writeJsonString(const std::string &text, std::ostream &os)
-{
-    os << '"';
-    for (const char c : text) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          case '\r': os << "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
-}
-
-void
-writeOptionalId(const char *key, std::uint64_t value, std::uint64_t sentinel,
-                std::ostream &os)
-{
-    os << '"' << key << "\":";
-    if (value == sentinel)
-        os << "null";
-    else
-        os << value;
-}
-
-}  // namespace
 
 void
 writeCertificateJson(const VerifyCertificate &certificate, std::ostream &os)
@@ -81,9 +40,9 @@ writeCertificateJson(const VerifyCertificate &certificate, std::ostream &os)
             os << ',';
         os << "{\"obligation\":\"" << obligationName(failure.obligation)
            << "\",";
-        writeOptionalId("proc", failure.proc, kNoProc, os);
+        writeJsonOptionalId("proc", failure.proc, kNoProc, os);
         os << ',';
-        writeOptionalId("block", failure.block, kNoBlock, os);
+        writeJsonOptionalId("block", failure.block, kNoBlock, os);
         os << ",\"detail\":";
         writeJsonString(failure.detail, os);
         os << '}';

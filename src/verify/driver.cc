@@ -8,6 +8,7 @@
 #include "emit/relax.h"
 #include "layout/chain_order.h"
 #include "objective/objective.h"
+#include "support/json.h"
 
 namespace balign {
 
@@ -130,13 +131,9 @@ writeVerifyReportJson(const VerifyRunReport &report,
                       const std::string &programName, std::ostream &os)
 {
     os << "{\"schema_version\":" << kVerifySchemaVersion
-       << ",\"program\":\"";
-    for (const char c : programName) {
-        if (c == '"' || c == '\\')
-            os << '\\';
-        os << c;
-    }
-    os << "\",\"verified\":" << (report.verified() ? "true" : "false")
+       << ",\"program\":";
+    writeJsonString(programName, os);
+    os << ",\"verified\":" << (report.verified() ? "true" : "false")
        << ",\"layoutsVerified\":" << report.layoutsVerified
        << ",\"failedLayouts\":" << report.failedLayouts
        << ",\"checks\":" << report.totalChecks()

@@ -1,14 +1,23 @@
 /**
  * @file
  * Unit tests for support utilities: saturating counters, statistics
- * accumulators, coverage counting and the table writer.
+ * accumulators, coverage counting, the table writer and the JSON string
+ * writer (with the report writers that use it).
  */
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "cfg/serialize.h"
+#include "disasm/checkobj.h"
+#include "estimate/estimate.h"
+#include "lint/lint.h"
+#include "support/json.h"
 #include "support/saturating_counter.h"
 #include "support/stats.h"
 #include "support/table.h"
+#include "verify/driver.h"
 
 using namespace balign;
 
@@ -240,4 +249,65 @@ TEST(Table, NumericFormattingInCells)
     const std::string out = t.str();
     EXPECT_NE(out.find("3.14"), std::string::npos);
     EXPECT_NE(out.find("1,234,567"), std::string::npos);
+}
+
+// ---- JSON strings ----------------------------------------------------------
+
+TEST(JsonString, EscapesQuotesBackslashesAndControlCharacters)
+{
+    std::ostringstream out;
+    writeJsonString("a\"b\\c\td\ne\x01" "f\x1f", out);
+    EXPECT_EQ(out.str(), R"("a\"b\\c\td\ne\u0001f\u001f")");
+
+    std::ostringstream plain;
+    writeJsonString("caf\xc3\xa9 /x", plain);
+    EXPECT_EQ(plain.str(), "\"caf\xc3\xa9 /x\"");
+}
+
+TEST(JsonString, ReportWritersEscapeProgramNamesAndPaths)
+{
+    // A program and a procedure named q"x\y, reported under a path
+    // holding a tab: every writer must print the escaped forms.
+    const ParseResult parsed = programFromString("balign-program v1\n"
+                                                 "program q\"x\\y\n"
+                                                 "main 0\n"
+                                                 "proc 0 q\"x\\y entry 0\n"
+                                                 "block 0 1 return\n"
+                                                 "endproc\n");
+    ASSERT_TRUE(parsed.ok()) << parsed.error;
+    Program program = *parsed.program;
+    const std::string path = "dir\tq\"x\\y.balign";
+    const std::string escapedName = R"("q\"x\\y")";
+    const std::string escapedPath = R"("dir\tq\"x\\y.balign")";
+
+    std::ostringstream lint;
+    writeLintReportJson(LintReport{}, path, lint);
+    EXPECT_NE(lint.str().find("\"program\":" + escapedPath),
+              std::string::npos) << lint.str();
+
+    std::ostringstream verify;
+    writeVerifyReportJson(VerifyRunReport{}, path, verify);
+    EXPECT_NE(verify.str().find("\"program\":" + escapedPath),
+              std::string::npos) << verify.str();
+
+    std::ostringstream estimate;
+    writeEstimateReportJson(estimateProfile(program), program, estimate);
+    EXPECT_NE(estimate.str().find("\"program\":" + escapedName),
+              std::string::npos) << estimate.str();
+    EXPECT_NE(estimate.str().find("\"name\":" + escapedName),
+              std::string::npos) << estimate.str();
+
+    ObjCertificate certificate;
+    certificate.program = program.name();
+    certificate.object = path;
+    certificate.result.disasm.procs.emplace_back();
+    certificate.result.disasm.procs.back().name = program.proc(0).name();
+    std::ostringstream checkobj;
+    writeObjCertificateJson(certificate, checkobj);
+    EXPECT_NE(checkobj.str().find("\"program\":" + escapedName),
+              std::string::npos) << checkobj.str();
+    EXPECT_NE(checkobj.str().find("\"object\":" + escapedPath),
+              std::string::npos) << checkobj.str();
+    EXPECT_NE(checkobj.str().find("{\"name\":" + escapedName),
+              std::string::npos) << checkobj.str();
 }

@@ -11,6 +11,8 @@
 #define BALIGN_BPRED_ARCH_H
 
 #include <cstdint>
+#include <optional>
+#include <string_view>
 
 namespace balign {
 
@@ -29,6 +31,11 @@ enum class Arch : std::uint8_t {
 
 /// Printable architecture name.
 const char *archName(Arch arch);
+
+/// The architecture a command-line name selects: fallthrough, btfnt,
+/// likely, pht, gshare, btb-small, btb-large (or btb); nullopt for
+/// anything else.
+std::optional<Arch> parseArch(std::string_view name);
 
 /// True for the table-based direction predictors.
 inline bool

@@ -20,6 +20,26 @@ archName(Arch arch)
     return "?";
 }
 
+std::optional<Arch>
+parseArch(std::string_view name)
+{
+    if (name == "fallthrough")
+        return Arch::Fallthrough;
+    if (name == "btfnt")
+        return Arch::BtFnt;
+    if (name == "likely")
+        return Arch::Likely;
+    if (name == "pht")
+        return Arch::PhtDirect;
+    if (name == "gshare")
+        return Arch::PhtCorrelated;
+    if (name == "btb-small")
+        return Arch::BtbSmall;
+    if (name == "btb-large" || name == "btb")
+        return Arch::BtbLarge;
+    return std::nullopt;
+}
+
 const char *
 condRealizationName(CondRealization realization)
 {

@@ -22,6 +22,22 @@ alignerKindName(AlignerKind kind)
     return "?";
 }
 
+std::optional<AlignerKind>
+parseAlignerKind(std::string_view name)
+{
+    if (name == "greedy")
+        return AlignerKind::Greedy;
+    if (name == "cost")
+        return AlignerKind::Cost;
+    if (name == "try15" || name == "tryn")
+        return AlignerKind::Try15;
+    if (name == "exttsp" || name == "ext-tsp")
+        return AlignerKind::ExtTsp;
+    if (name == "original")
+        return AlignerKind::Original;
+    return std::nullopt;
+}
+
 const char *
 profileSourceName(ProfileSource source)
 {

@@ -15,7 +15,9 @@
 #define BALIGN_CORE_ALIGNER_H
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "bpred/cost_model.h"
 #include "cfg/procedure.h"
@@ -37,6 +39,10 @@ enum class AlignerKind : std::uint8_t {
 
 /// Printable kind name.
 const char *alignerKindName(AlignerKind kind);
+
+/// Inverse of alignerKindName, also accepting tryn and ext-tsp; nullopt
+/// for unknown names.
+std::optional<AlignerKind> parseAlignerKind(std::string_view name);
 
 /**
  * Which profile the aligners consume. Measured uses whatever edge

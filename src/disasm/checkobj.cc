@@ -555,30 +555,41 @@ writeObjCertificateJson(const ObjCertificate &certificate, std::ostream &os)
         writeJsonString(failure.detail, os);
         os << '}';
     }
-    // Per-procedure sizes measured from the DECODED object, under the
-    // same key names `balign emit --json` reports from the relaxed
-    // layout (pinned by the CLI schema test).
-    os << "],\"procs\":[";
-    for (std::size_t p = 0; p < result.disasm.procs.size(); ++p) {
-        const DecodedProc &proc = result.disasm.procs[p];
-        std::uint64_t shortBranches = 0;
-        std::uint64_t nearBranches = 0;
+    // Per-procedure sizes measured from the DECODED object.
+    std::vector<ProcSizeRow> rows;
+    for (const DecodedProc &proc : result.disasm.procs) {
+        ProcSizeRow &row = rows.emplace_back();
+        row.name = proc.name;
+        row.textBytes = proc.size;
+        row.instrs = proc.instrs.size();
         for (const DecodedInstr &instr : proc.instrs) {
             if (instr.form == BranchForm::Short)
-                ++shortBranches;
+                ++row.shortBranches;
             else if (instr.form == BranchForm::Near)
-                ++nearBranches;
+                ++row.nearBranches;
         }
-        if (p > 0)
+    }
+    os << "],";
+    writeProcSizesJson(rows, os);
+    os << '}';
+}
+
+void
+writeProcSizesJson(const std::vector<ProcSizeRow> &rows, std::ostream &os)
+{
+    os << "\"procs\":[";
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const ProcSizeRow &row = rows[i];
+        if (i > 0)
             os << ',';
         os << "{\"name\":";
-        writeJsonString(proc.name, os);
-        os << ",\"text_bytes\":" << proc.size
-           << ",\"instrs\":" << proc.instrs.size()
-           << ",\"short_branches\":" << shortBranches
-           << ",\"near_branches\":" << nearBranches << '}';
+        writeJsonString(row.name, os);
+        os << ",\"text_bytes\":" << row.textBytes
+           << ",\"instrs\":" << row.instrs
+           << ",\"short_branches\":" << row.shortBranches
+           << ",\"near_branches\":" << row.nearBranches << '}';
     }
-    os << "]}";
+    os << ']';
 }
 
 }  // namespace balign

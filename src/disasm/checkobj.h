@@ -135,6 +135,24 @@ struct ObjCertificate
     ObjCheckResult result;
 };
 
+/// One entry of the per-procedure size array ("procs") shared by check-obj
+/// certificates, measured from the decoded object, and `balign emit
+/// --json`, measured from the relaxed layout.
+struct ProcSizeRow
+{
+    std::string name;
+    std::uint64_t textBytes = 0;
+    std::uint64_t instrs = 0;
+    std::uint64_t shortBranches = 0;
+    std::uint64_t nearBranches = 0;
+};
+
+/// Writes `"procs":[{"name":...,"text_bytes":...,"instrs":...,
+/// "short_branches":...,"near_branches":...},...]`; the caller owns the
+/// enclosing object.
+void writeProcSizesJson(const std::vector<ProcSizeRow> &rows,
+                        std::ostream &os);
+
 /**
  * Writes @p certificate as one JSON object, the byte-level sibling of
  * the PR-5 verify certificate: schema_version, provenance (program /

@@ -172,6 +172,8 @@ relaxLayout(const Program &program, const ProgramLayout &layout,
         placed.numInstrs = static_cast<std::uint32_t>(relaxed.instrs.size());
         placed.converged = relaxed.converged;
         placed.iterations = relaxed.iterations;
+        placed.shortBranches = relaxed.shortBranches;
+        placed.nearBranches = relaxed.nearBranches;
         placed.blocks = std::move(relaxed.blocks);
         for (RelaxedBlock &block : placed.blocks) {
             block.byteAddr += base;

@@ -116,6 +116,8 @@ struct RelaxedProc
     std::uint32_t numInstrs = 0;
     bool converged = true;
     std::uint32_t iterations = 0;
+    std::uint64_t shortBranches = 0;  ///< relaxable slots by final form
+    std::uint64_t nearBranches = 0;
 };
 
 /// Program-wide relaxation result: the final byte layout.

@@ -152,7 +152,10 @@ struct Flag
 
 constexpr Flag kFlags[] = {
     {"-o", "--output", "PATH",
-     [](Options &o, std::string_view v) { return (o.output = v, true); }},
+     [](Options &o, std::string_view v) {
+         o.output = v;
+         return true;
+     }},
     {"--arch", nullptr,
      "fallthrough|btfnt|likely|pht|gshare|btb-small|btb-large",
      [](Options &o, std::string_view v) {
@@ -404,9 +407,7 @@ runEvaluate(const Options &opts, JsonOut &)
     const ObjectiveKind objective =
         opts.objective.value_or(ObjectiveKind::TableCost);
     std::vector<ExperimentConfig> configs;
-    for (const AlignerKind kind :
-         {AlignerKind::Original, AlignerKind::Greedy, AlignerKind::Cost,
-          AlignerKind::Try15, AlignerKind::ExtTsp})
+    for (const AlignerKind kind : allAlignerKindsExtended())
         configs.push_back({opts.arch, kind, objective});
     // Alignments and per-configuration replays run on the thread pool
     // (BALIGN_THREADS; results are identical for any thread count).
@@ -890,7 +891,8 @@ bool
 takes(const Command &command, std::string_view flag)
 {
     const std::string_view s = command.synopsis;
-    for (std::size_t at = s.find(flag); at != s.npos; at = s.find(flag, at + 1)) {
+    for (std::size_t at = s.find(flag); at != s.npos;
+         at = s.find(flag, at + 1)) {
         const std::size_t end = at + flag.size();
         if (at > 0 && std::strchr(" [|", s[at - 1]) != nullptr &&
             (end == s.size() || s[end] == ' ' || s[end] == ']'))
@@ -907,11 +909,14 @@ usage()
         std::fprintf(stderr, "  %s %s\n      %s\n", command.name,
                      command.synopsis, command.summary);
     std::fputs("\nflags:\n", stderr);
-    for (const Flag &flag : kFlags)
-        std::fprintf(stderr, "  %s%s%s %s\n", flag.name,
-                     flag.alias != nullptr ? ", " : "",
-                     flag.alias != nullptr ? flag.alias : "",
-                     flag.value != nullptr ? flag.value : "");
+    for (const Flag &flag : kFlags) {
+        std::string line = std::string("  ") + flag.name;
+        if (flag.alias != nullptr)
+            line += std::string(", ") + flag.alias;
+        if (flag.value != nullptr)
+            line += std::string(" ") + flag.value;
+        std::fprintf(stderr, "%s\n", line.c_str());
+    }
     std::fputs("\nexit status: 0 clean, 1 findings, 2 usage or IO error\n",
                stderr);
 }

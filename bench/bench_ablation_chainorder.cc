@@ -14,6 +14,7 @@
 
 #include "bench_util.h"
 #include "layout/materialize.h"
+#include "sim/batch_replay.h"
 #include "sim/cpi.h"
 #include "support/log.h"
 #include "support/table.h"
@@ -40,39 +41,30 @@ main()
         // runConfigs applies BT/FNT precedence ordering for the BT/FNT
         // architecture; to isolate the policy we drive the layouts by hand.
         const CostModel model(Arch::BtFnt);
-        auto eval_with = [&](AlignerKind kind, ChainOrderPolicy policy) {
+        auto align_with = [&](AlignerKind kind, ChainOrderPolicy policy) {
             AlignOptions options;
             options.chainOrder = policy;
-            const ProgramLayout layout = alignProgram(
-                prepared.program, kind, &model, options);
-            ArchEvaluator eval(prepared.program, layout,
-                               EvalParams::forArch(Arch::BtFnt));
-            walk(prepared.program, prepared.walk, eval.sink());
-            return eval.result();
+            return alignProgram(prepared.program, kind, &model, options);
         };
+        const ProgramLayout layouts[] = {
+            originalLayout(prepared.program),
+            align_with(AlignerKind::Greedy, ChainOrderPolicy::HotFirst),
+            align_with(AlignerKind::Greedy,
+                       ChainOrderPolicy::BtFntPrecedence),
+            align_with(AlignerKind::Try15, ChainOrderPolicy::HotFirst),
+            align_with(AlignerKind::Try15,
+                       ChainOrderPolicy::BtFntPrecedence),
+        };
+        std::vector<LayoutLanes> input;
+        for (const ProgramLayout &layout : layouts)
+            input.push_back({&layout, {EvalParams::forArch(Arch::BtFnt)}});
+        const std::vector<std::vector<EvalResult>> results =
+            runBatchReplay(prepared.program, input, *prepared.batch);
+        const std::uint64_t base = results[0][0].instrs;
 
-        const ProgramLayout orig = originalLayout(prepared.program);
-        ArchEvaluator orig_eval(prepared.program, orig,
-                                EvalParams::forArch(Arch::BtFnt));
-        walk(prepared.program, prepared.walk, orig_eval.sink());
-        const std::uint64_t base = orig_eval.result().instrs;
-
-        const EvalResult greedy_hot =
-            eval_with(AlignerKind::Greedy, ChainOrderPolicy::HotFirst);
-        const EvalResult greedy_prec = eval_with(
-            AlignerKind::Greedy, ChainOrderPolicy::BtFntPrecedence);
-        const EvalResult try_hot =
-            eval_with(AlignerKind::Try15, ChainOrderPolicy::HotFirst);
-        const EvalResult try_prec = eval_with(
-            AlignerKind::Try15, ChainOrderPolicy::BtFntPrecedence);
-
-        table.row()
-            .cell(spec.name)
-            .cell(orig_eval.result().relativeCpi(base), 3)
-            .cell(greedy_hot.relativeCpi(base), 3)
-            .cell(greedy_prec.relativeCpi(base), 3)
-            .cell(try_hot.relativeCpi(base), 3)
-            .cell(try_prec.relativeCpi(base), 3);
+        Table &row = table.row().cell(spec.name);
+        for (const std::vector<EvalResult> &result : results)
+            row.cell(result[0].relativeCpi(base), 3);
     }
 
     std::cout << "Ablation: chain ordering policy on the BT/FNT "

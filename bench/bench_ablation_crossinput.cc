@@ -16,6 +16,7 @@
 
 #include "bench_util.h"
 #include "layout/materialize.h"
+#include "sim/batch_replay.h"
 #include "sim/cpi.h"
 #include "support/log.h"
 #include "support/table.h"
@@ -24,20 +25,6 @@
 #include "workload/generator.h"
 
 using namespace balign;
-
-namespace {
-
-/// Evaluates a layout on a given walk.
-EvalResult
-evaluate(const Program &program, const ProgramLayout &layout, Arch arch,
-         const WalkOptions &walk_options)
-{
-    ArchEvaluator eval(program, layout, EvalParams::forArch(arch));
-    walk(program, walk_options, eval.sink());
-    return eval.result();
-}
-
-}  // namespace
 
 int
 main()
@@ -85,17 +72,17 @@ main()
         const ProgramLayout orig = originalLayout(program);
 
         // All evaluated on the TEST input.
-        const EvalResult orig_eval =
-            evaluate(program, orig, arch, test_walk);
-        const EvalResult self_eval =
-            evaluate(program, self_layout, arch, test_walk);
-        const EvalResult cross_eval =
-            evaluate(program, cross_layout, arch, test_walk);
+        const BatchTrace test_trace(program, recordTrace(program, test_walk));
+        const std::vector<EvalParams> lanes = {EvalParams::forArch(arch)};
+        const std::vector<std::vector<EvalResult>> results = runBatchReplay(
+            program,
+            {{&orig, lanes}, {&self_layout, lanes}, {&cross_layout, lanes}},
+            test_trace);
 
-        const auto base = orig_eval.instrs;
-        const double orig_cpi = orig_eval.relativeCpi(base);
-        const double self_cpi = self_eval.relativeCpi(base);
-        const double cross_cpi = cross_eval.relativeCpi(base);
+        const auto base = results[0][0].instrs;
+        const double orig_cpi = results[0][0].relativeCpi(base);
+        const double self_cpi = results[1][0].relativeCpi(base);
+        const double cross_cpi = results[2][0].relativeCpi(base);
         // Fraction of the self-trained improvement retained.
         const double transfer =
             orig_cpi - self_cpi > 1e-9

@@ -13,6 +13,7 @@
 
 #include "bench_util.h"
 #include "layout/materialize.h"
+#include "sim/batch_replay.h"
 #include "sim/cpi.h"
 #include "support/log.h"
 #include "support/table.h"
@@ -34,10 +35,8 @@ main()
         const CostModel model(Arch::Fallthrough);
 
         auto evaluate = [&](const ProgramLayout &layout) {
-            ArchEvaluator eval(program, layout,
-                               EvalParams::forArch(Arch::Fallthrough));
-            walk(program, prepared.walk, eval.sink());
-            return eval.result();
+            return runBatchReplay(program, layout, *prepared.batch,
+                                  {EvalParams::forArch(Arch::Fallthrough)})[0];
         };
 
         const ProgramLayout orig = originalLayout(program);

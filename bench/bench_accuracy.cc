@@ -10,10 +10,10 @@
  */
 
 #include <iostream>
-#include <memory>
 
 #include "bench_util.h"
 #include "layout/materialize.h"
+#include "sim/batch_replay.h"
 #include "sim/cpi.h"
 #include "support/log.h"
 #include "support/table.h"
@@ -27,6 +27,9 @@ main()
     const Arch archs[] = {Arch::Fallthrough, Arch::BtFnt,  Arch::Likely,
                           Arch::PhtDirect,   Arch::PhtCorrelated,
                           Arch::PhtLocal,    Arch::BtbLarge};
+    std::vector<EvalParams> lanes;
+    for (Arch arch : archs)
+        lanes.push_back(EvalParams::forArch(arch));
 
     Table table({"Program", "FALLTHRU", "BT/FNT", "LIKELY", "PHT", "COR",
                  "LOCAL", "BTB256"});
@@ -36,19 +39,12 @@ main()
     for (const auto &spec : bench::tunedSuite(benchmarkSuite())) {
         const PreparedProgram prepared = prepareProgram(spec);
         const ProgramLayout layout = originalLayout(prepared.program);
-
-        std::vector<std::unique_ptr<ArchEvaluator>> evaluators;
-        MultiSink fanout;
-        for (Arch arch : archs) {
-            evaluators.push_back(std::make_unique<ArchEvaluator>(
-                prepared.program, layout, EvalParams::forArch(arch)));
-            fanout.add(&evaluators.back()->sink());
-        }
-        walk(prepared.program, prepared.walk, fanout);
+        const std::vector<EvalResult> results = runBatchReplay(
+            prepared.program, layout, *prepared.batch, lanes);
 
         Table &row = table.row().cell(spec.name);
         for (std::size_t a = 0; a < std::size(archs); ++a) {
-            const double accuracy = evaluators[a]->result().condAccuracy();
+            const double accuracy = results[a].condAccuracy();
             row.cell(accuracy, 1);
             sums[a] += accuracy;
         }

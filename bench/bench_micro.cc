@@ -1,27 +1,23 @@
 /**
  * @file
  * Micro-benchmarks (google-benchmark): throughput of the core components —
- * the trace walker, the predictors, the chain set, the aligners, the
+ * the trace walker, the batched predictor replay, the aligners, the
  * materializer and the static profile estimator. These are engineering
  * benchmarks for the library itself, not paper reproductions.
  */
 
 #include <benchmark/benchmark.h>
 
-#include "bpred/btb.h"
 #include "bpred/cost_model.h"
 #include "check/differ.h"
-#include "sim/batch_replay.h"
-#include "support/saturating_counter.h"
-#include "bpred/evaluator.h"
-#include "bpred/gshare.h"
-#include "bpred/pht.h"
 #include "core/align_program.h"
 #include "estimate/estimate.h"
 #include "layout/materialize.h"
+#include "sim/batch_replay.h"
 #include "sim/cpi.h"
 #include "support/log.h"
 #include "support/rng.h"
+#include "support/saturating_counter.h"
 #include "trace/walker.h"
 #include "workload/generator.h"
 #include "workload/suite.h"
@@ -53,56 +49,6 @@ BM_WalkTrace(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations()) * 200'000);
 }
 BENCHMARK(BM_WalkTrace);
-
-void
-BM_PhtPredict(benchmark::State &state)
-{
-    PhtDirect pht(4096);
-    Rng rng(7);
-    std::uint64_t penalty = 0;
-    for (auto _ : state) {
-        const Addr site = rng.nextBounded(1 << 20);
-        const bool taken = rng.nextBool(0.6);
-        penalty += pht.predict(site) != taken;
-        pht.update(site, taken);
-    }
-    benchmark::DoNotOptimize(penalty);
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_PhtPredict);
-
-void
-BM_GsharePredict(benchmark::State &state)
-{
-    Gshare gshare(4096, 12);
-    Rng rng(7);
-    std::uint64_t penalty = 0;
-    for (auto _ : state) {
-        const Addr site = rng.nextBounded(1 << 20);
-        const bool taken = rng.nextBool(0.6);
-        penalty += gshare.predict(site) != taken;
-        gshare.update(site, taken);
-    }
-    benchmark::DoNotOptimize(penalty);
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_GsharePredict);
-
-void
-BM_BtbLookupUpdate(benchmark::State &state)
-{
-    Btb btb(256, 4);
-    Rng rng(7);
-    std::uint64_t hits = 0;
-    for (auto _ : state) {
-        const Addr site = rng.nextBounded(1 << 12);
-        hits += btb.lookup(site).has_value();
-        btb.update(site, true, site + 16);
-    }
-    benchmark::DoNotOptimize(hits);
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_BtbLookupUpdate);
 
 void
 BM_AlignGreedy(benchmark::State &state)
@@ -193,26 +139,8 @@ BM_EstimateGcc(benchmark::State &state)
 }
 BENCHMARK(BM_EstimateGcc)->Arg(500)->Arg(4000)->Unit(benchmark::kMillisecond);
 
-void
-BM_EvaluateTrace(benchmark::State &state)
-{
-    const PreparedProgram prepared = prepareProgram(mediumSpec());
-    const ProgramLayout layout = originalLayout(prepared.program);
-    for (auto _ : state) {
-        ArchEvaluator eval(prepared.program, layout,
-                           EvalParams::forArch(Arch::PhtDirect));
-        walk(prepared.program, prepared.walk, eval.sink());
-        benchmark::DoNotOptimize(eval.result().instrs);
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) * 200'000);
-}
-BENCHMARK(BM_EvaluateTrace);
-
 // One batched sweep evaluating ALL architectures at once against the
-// recorded trace, vs one streaming ArchEvaluator replay per architecture.
-// items_processed counts trace instructions times lanes, so the items/s
-// ratio is the per-lane replay speedup (soft-checked in CI).
+// recorded trace. items_processed counts trace instructions times lanes.
 void
 BM_ReplayBatched(benchmark::State &state)
 {
@@ -231,27 +159,6 @@ BM_ReplayBatched(benchmark::State &state)
                             static_cast<std::int64_t>(lanes.size()));
 }
 BENCHMARK(BM_ReplayBatched);
-
-void
-BM_ReplayPerCell(benchmark::State &state)
-{
-    const PreparedProgram prepared = prepareProgram(mediumSpec());
-    const ProgramLayout layout = originalLayout(prepared.program);
-    for (auto _ : state) {
-        std::uint64_t instrs = 0;
-        for (const Arch arch : allArchs()) {
-            ArchEvaluator eval(prepared.program, layout,
-                               EvalParams::forArch(arch));
-            prepared.trace->replay(prepared.program, eval.sink());
-            instrs += eval.result().instrs;
-        }
-        benchmark::DoNotOptimize(instrs);
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            200'000 *
-                            static_cast<std::int64_t>(allArchs().size()));
-}
-BENCHMARK(BM_ReplayPerCell);
 
 /// The 18 layouts the paper matrix (7 architectures x {Original, Greedy,
 /// Cost, Try15}) aligns for one program, each with the lanes runConfigs
@@ -304,7 +211,8 @@ paperMatrixLanes(const Program &program)
 
 // All 18 paper-matrix layouts in ONE runBatchReplay call (one pass over
 // the op stream), vs one call per layout. items_processed counts trace
-// instructions times lanes, as BM_ReplayBatched does.
+// instructions times lanes, as BM_ReplayBatched does, so the items/s
+// ratio is the one-pass speedup (soft-checked in CI).
 void
 BM_ReplayMultiLayout(benchmark::State &state)
 {
@@ -344,7 +252,7 @@ BM_ReplayPerLayout(benchmark::State &state)
 BENCHMARK(BM_ReplayPerLayout);
 
 // The branchless saturating-counter update (arithmetic clamp) the SoA
-// predictor tables use, vs the compare-and-step member function.
+// predictor tables use.
 void
 BM_CounterBranchless(benchmark::State &state)
 {
@@ -369,31 +277,6 @@ BM_CounterBranchless(benchmark::State &state)
                             static_cast<std::int64_t>(sites.size()));
 }
 BENCHMARK(BM_CounterBranchless);
-
-void
-BM_CounterBranchy(benchmark::State &state)
-{
-    Rng rng(7);
-    std::vector<SaturatingCounter> table(4096);
-    std::vector<std::uint32_t> sites(8192);
-    std::vector<std::uint8_t> outcomes(8192);
-    for (std::size_t i = 0; i < sites.size(); ++i) {
-        sites[i] = static_cast<std::uint32_t>(rng.nextBounded(4096));
-        outcomes[i] = rng.nextBool(0.6) ? 1 : 0;
-    }
-    std::uint64_t mispredicts = 0;
-    for (auto _ : state) {
-        for (std::size_t i = 0; i < sites.size(); ++i) {
-            SaturatingCounter &counter = table[sites[i]];
-            mispredicts += counter.taken() != (outcomes[i] != 0);
-            counter.update(outcomes[i] != 0);
-        }
-    }
-    benchmark::DoNotOptimize(mispredicts);
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(sites.size()));
-}
-BENCHMARK(BM_CounterBranchy);
 
 }  // namespace
 

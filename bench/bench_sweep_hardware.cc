@@ -7,17 +7,17 @@
  * over the SPECint92 models.
  *
  * Execution: programs run in parallel on the experiment runner's thread
- * pool, and within each program every (structure size, layout) point is an
- * independent replay of the recorded trace. Per-program results are
- * reduced in program order afterwards, so the printed averages are
- * identical for any BALIGN_THREADS.
+ * pool, and within each program one batched replay of the recorded trace
+ * evaluates every (structure size, layout) point as a lane. Per-program
+ * results are reduced in program order afterwards, so the printed
+ * averages are identical for any BALIGN_THREADS.
  */
 
 #include <iostream>
-#include <memory>
 
 #include "bench_util.h"
 #include "layout/materialize.h"
+#include "sim/batch_replay.h"
 #include "sim/runner.h"
 #include "support/log.h"
 #include "support/table.h"
@@ -99,41 +99,48 @@ main()
                                        &pht_model);
         }
 
-        // Evaluation points: (params, layout) pairs in a fixed order.
-        std::vector<std::pair<EvalParams, const ProgramLayout *>> points;
+        // Evaluation points as lanes: the original layout carries every
+        // point, each aligned layout the points of its family.
+        std::vector<EvalParams> btb_lanes;
         for (const auto &config : btb_configs) {
             EvalParams params = EvalParams::forArch(Arch::BtbLarge);
             params.btbEntries = config.entries;
             params.btbWays = config.ways;
-            points.emplace_back(params, &orig);
-            points.emplace_back(params, &btb_aligned);
+            btb_lanes.push_back(params);
         }
+        std::vector<EvalParams> pht_lanes;
         for (std::size_t size : pht_sizes) {
             EvalParams params = EvalParams::forArch(Arch::PhtDirect);
             params.phtEntries = size;
-            points.emplace_back(params, &orig);
-            points.emplace_back(params, &pht_aligned);
+            pht_lanes.push_back(params);
+        }
+        std::vector<EvalParams> orig_lanes = btb_lanes;
+        orig_lanes.insert(orig_lanes.end(), pht_lanes.begin(),
+                          pht_lanes.end());
+
+        std::vector<std::vector<EvalResult>> results;
+        {
+            ScopedPhaseTimer timer(&times, "replay");
+            results = runBatchReplay(prepared.program,
+                                     {{&orig, orig_lanes},
+                                      {&btb_aligned, btb_lanes},
+                                      {&pht_aligned, pht_lanes}},
+                                     *prepared.batch);
         }
 
         // The relative-CPI anchor: the original layout's instruction
-        // count, identical at every point, so evaluate it once up front.
-        ArchEvaluator base_eval(prepared.program, orig, points[0].first);
-        {
-            ScopedPhaseTimer timer(&times, "replay");
-            prepared.trace->replay(prepared.program, base_eval.sink());
-        }
-        const std::uint64_t base = base_eval.result().instrs;
-
-        // Each point replays the recorded trace independently; nested
-        // parallelFor shares the same pool.
+        // count, identical in every lane.
+        const std::uint64_t base = results[0][0].instrs;
         std::vector<double> &out = rel_cpis[prog_index];
-        pool.parallelFor(points.size(), [&](std::size_t p) {
-            ScopedPhaseTimer timer(&times, "replay");
-            ArchEvaluator eval(prepared.program, *points[p].second,
-                               points[p].first);
-            prepared.trace->replay(prepared.program, eval.sink());
-            out[p] = eval.result().relativeCpi(base);
-        });
+        std::size_t index = 0;
+        for (std::size_t c = 0; c < btb_lanes.size(); ++c) {
+            out[index++] = results[0][c].relativeCpi(base);
+            out[index++] = results[1][c].relativeCpi(base);
+        }
+        for (std::size_t c = 0; c < pht_lanes.size(); ++c) {
+            out[index++] = results[0][btb_lanes.size() + c].relativeCpi(base);
+            out[index++] = results[2][c].relativeCpi(base);
+        }
     });
 
     // Order-stable reduction: programs in name order, points in sweep order.

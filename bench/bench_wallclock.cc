@@ -5,8 +5,8 @@
  * benchmark suite) on the parallel runner twice — at 1 thread and at the
  * configured thread count — and prints one line of JSON per run plus a
  * summary line with the thread speedup and the single-thread replay-phase
- * seconds. The batched-vs-per-evaluator replay ratio lives in bench_micro
- * (BM_ReplayBatched vs BM_ReplayPerCell).
+ * seconds. The one-pass-vs-per-layout replay ratio lives in bench_micro
+ * (BM_ReplayMultiLayout vs BM_ReplayPerLayout).
  *
  * Environment: BALIGN_THREADS, BALIGN_TRACE_INSTRS, BALIGN_PROGRAMS as
  * usual. Set BALIGN_WALLCLOCK_SKIP_SERIAL=1 to skip the serial baseline

@@ -9,9 +9,9 @@
 
 #include <cstdio>
 
-#include "bpred/evaluator.h"
 #include "core/align_program.h"
 #include "layout/materialize.h"
+#include "sim/batch_replay.h"
 #include "trace/walker.h"
 #include "workload/paper_figures.h"
 
@@ -47,41 +47,34 @@ main()
     options.seed = 7;
     options.instrBudget = 1'000'000;
 
-    ArchEvaluator orig_eval(program, original,
-                            EvalParams::forArch(Arch::Fallthrough));
-    ArchEvaluator aligned_eval(program, aligned,
-                               EvalParams::forArch(Arch::Fallthrough));
-    MultiSink fanout;
-    fanout.add(&orig_eval.sink());
-    fanout.add(&aligned_eval.sink());
-    walk(program, options, fanout);
+    const BatchTrace trace(program, recordTrace(program, options));
+    const std::vector<EvalParams> ft = {
+        EvalParams::forArch(Arch::Fallthrough)};
+    const std::vector<std::vector<EvalResult>> ft_results = runBatchReplay(
+        program, {{&original, ft}, {&aligned, ft}}, trace);
+    const EvalResult &orig_eval = ft_results[0][0];
+    const EvalResult &aligned_eval = ft_results[1][0];
 
-    const auto base = orig_eval.result().instrs;
+    const auto base = orig_eval.instrs;
     std::printf("\nmeasured over %llu instructions:\n",
                 static_cast<unsigned long long>(base));
     std::printf("  original relative CPI: %.3f (%.1f%% fall-through)\n",
-                orig_eval.result().relativeCpi(base),
-                orig_eval.result().pctFallThrough());
+                orig_eval.relativeCpi(base), orig_eval.pctFallThrough());
     std::printf("  aligned  relative CPI: %.3f (%.1f%% fall-through)\n",
-                aligned_eval.result().relativeCpi(base),
-                aligned_eval.result().pctFallThrough());
+                aligned_eval.relativeCpi(base),
+                aligned_eval.pctFallThrough());
 
     // BT/FNT for contrast: the backward-taken loop is already predicted.
     const CostModel bf_model(Arch::BtFnt);
     const ProgramLayout bf_aligned =
         alignProgram(program, AlignerKind::Try15, &bf_model);
-    ArchEvaluator bf_orig(program, original,
-                          EvalParams::forArch(Arch::BtFnt));
-    ArchEvaluator bf_new(program, bf_aligned,
-                         EvalParams::forArch(Arch::BtFnt));
-    MultiSink bf_fanout;
-    bf_fanout.add(&bf_orig.sink());
-    bf_fanout.add(&bf_new.sink());
-    walk(program, options, bf_fanout);
+    const std::vector<EvalParams> bf = {EvalParams::forArch(Arch::BtFnt)};
+    const std::vector<std::vector<EvalResult>> bf_results = runBatchReplay(
+        program, {{&original, bf}, {&bf_aligned, bf}}, trace);
     std::printf("\nBT/FNT (no transformation expected):\n");
     std::printf("  original relative CPI: %.3f\n",
-                bf_orig.result().relativeCpi(base));
+                bf_results[0][0].relativeCpi(base));
     std::printf("  aligned  relative CPI: %.3f\n",
-                bf_new.result().relativeCpi(base));
+                bf_results[1][0].relativeCpi(base));
     return 0;
 }

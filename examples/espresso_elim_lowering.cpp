@@ -11,10 +11,10 @@
 
 #include <cstdio>
 
-#include "bpred/evaluator.h"
 #include "cfg/dot.h"
 #include "core/align_program.h"
 #include "layout/materialize.h"
+#include "sim/batch_replay.h"
 #include "trace/walker.h"
 #include "workload/paper_figures.h"
 
@@ -74,6 +74,7 @@ main()
     WalkOptions walk_options;
     walk_options.seed = 1994;
     walk_options.instrBudget = 500'000;
+    const BatchTrace trace(program, recordTrace(program, walk_options));
 
     std::printf("\n%-12s %14s %14s %12s %12s\n", "architecture",
                 "orig mispred", "orig misfetch", "try15 mis", "try15 mf");
@@ -82,24 +83,17 @@ main()
         const ProgramLayout aligned =
             alignProgram(program, AlignerKind::Try15, &model);
 
-        ArchEvaluator orig_eval(program, original,
-                                EvalParams::forArch(arch));
-        ArchEvaluator aligned_eval(program, aligned,
-                                   EvalParams::forArch(arch));
-        MultiSink fanout;
-        fanout.add(&orig_eval.sink());
-        fanout.add(&aligned_eval.sink());
-        walk(program, walk_options, fanout);
+        const std::vector<EvalParams> lanes = {EvalParams::forArch(arch)};
+        const std::vector<std::vector<EvalResult>> results = runBatchReplay(
+            program, {{&original, lanes}, {&aligned, lanes}}, trace);
+        const EvalResult &orig_eval = results[0][0];
+        const EvalResult &aligned_eval = results[1][0];
 
         std::printf("%-12s %14llu %14llu %12llu %12llu\n", archName(arch),
-                    static_cast<unsigned long long>(
-                        orig_eval.result().mispredicts),
-                    static_cast<unsigned long long>(
-                        orig_eval.result().misfetches),
-                    static_cast<unsigned long long>(
-                        aligned_eval.result().mispredicts),
-                    static_cast<unsigned long long>(
-                        aligned_eval.result().misfetches));
+                    static_cast<unsigned long long>(orig_eval.mispredicts),
+                    static_cast<unsigned long long>(orig_eval.misfetches),
+                    static_cast<unsigned long long>(aligned_eval.mispredicts),
+                    static_cast<unsigned long long>(aligned_eval.misfetches));
     }
 
     const CostModel ft(Arch::Fallthrough);

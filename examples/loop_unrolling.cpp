@@ -8,11 +8,11 @@
 
 #include <cstdio>
 
-#include "bpred/evaluator.h"
 #include "cfg/dot.h"
 #include "core/align_program.h"
 #include "core/unroll.h"
 #include "layout/materialize.h"
+#include "sim/batch_replay.h"
 #include "trace/profiler.h"
 #include "trace/walker.h"
 #include "workload/paper_figures.h"
@@ -37,10 +37,10 @@ bepPerKiloInstr(Program &program, Arch arch, std::uint64_t seed)
     const CostModel model(arch);
     const ProgramLayout layout =
         alignProgram(program, AlignerKind::Try15, &model);
-    ArchEvaluator eval(program, layout, EvalParams::forArch(arch));
-    walk(program, options, eval.sink());
-    return 1000.0 * eval.result().bep() /
-           static_cast<double>(eval.result().instrs);
+    const EvalResult result = runBatchReplay(
+        program, layout, BatchTrace(program, recordTrace(program, options)),
+        {EvalParams::forArch(arch)})[0];
+    return 1000.0 * result.bep() / static_cast<double>(result.instrs);
 }
 
 }  // namespace

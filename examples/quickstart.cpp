@@ -5,7 +5,8 @@
  * on the FALLTHROUGH architecture.
  *
  * This walks through the full public API surface:
- *   CfgBuilder -> walk/Profiler -> alignProgram -> ArchEvaluator.
+ *   CfgBuilder -> prepareProgram (walk/Profiler) -> runConfigs
+ *   (alignProgram + the batched replay engine).
  */
 
 #include <cstdio>

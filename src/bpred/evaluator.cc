@@ -1,7 +1,5 @@
 #include "bpred/evaluator.h"
 
-#include "support/log.h"
-
 namespace balign {
 
 EvalParams
@@ -22,220 +20,6 @@ EvalParams::forArch(Arch arch)
         break;
     }
     return params;
-}
-
-ArchEvaluator::ArchEvaluator(const Program &program,
-                             const ProgramLayout &layout,
-                             const EvalParams &params)
-    : params_(params),
-      adapter_(program, layout, *this),
-      ras_(params.rasEntries)
-{
-    result_.penalties = params.penalties;
-    switch (params.arch) {
-      case Arch::PhtDirect:
-        pht_ = std::make_unique<PhtDirect>(params.phtEntries,
-                                           params.counterBits);
-        break;
-      case Arch::PhtCorrelated:
-        gshare_ = std::make_unique<Gshare>(
-            params.phtEntries, params.historyBits, params.counterBits);
-        break;
-      case Arch::PhtLocal:
-        local_ = std::make_unique<LocalTwoLevel>(
-            params.phtEntries, params.historyBits, params.counterBits);
-        break;
-      case Arch::BtbSmall:
-      case Arch::BtbLarge:
-        btb_ = std::make_unique<Btb>(params.btbEntries, params.btbWays,
-                                     params.counterBits);
-        break;
-      case Arch::Likely:
-        likely_ = std::make_unique<LikelyBits>(program, layout);
-        break;
-      case Arch::Fallthrough:
-      case Arch::BtFnt:
-        break;
-    }
-}
-
-void
-ArchEvaluator::onInstrs(std::uint64_t count)
-{
-    result_.instrs += count;
-}
-
-void
-ArchEvaluator::onBranch(const BranchEvent &event)
-{
-    switch (event.type) {
-      case BranchEvent::Type::Cond:
-        condBranch(event);
-        break;
-      case BranchEvent::Type::Uncond:
-        ++result_.uncondExec;
-        uncondBreak(event);
-        break;
-      case BranchEvent::Type::Call:
-        ++result_.callExec;
-        ras_.push(event.site + 1);
-        uncondBreak(event);
-        break;
-      case BranchEvent::Type::Indirect:
-        indirectJump(event);
-        break;
-      case BranchEvent::Type::Return:
-        returnBranch(event);
-        break;
-    }
-}
-
-void
-ArchEvaluator::condBranch(const BranchEvent &event)
-{
-    ++result_.condExec;
-    if (event.taken)
-        ++result_.condTaken;
-
-    if (btb_ != nullptr) {
-        ++result_.btbLookups;
-        const auto hit = btb_->lookup(event.site);
-        if (hit.has_value())
-            ++result_.btbHits;
-        const bool predicted_taken = hit.has_value() && hit->counterTaken;
-        if (predicted_taken != event.taken) {
-            ++result_.mispredicts;
-            ++result_.condMispredicts;
-        } else if (event.taken && hit->target != event.target) {
-            // Conditional targets are fixed, so this only fires under
-            // partial-tag aliasing (not modelled); kept for safety.
-            ++result_.mispredicts;
-            ++result_.condMispredicts;
-        }
-        // Correctly predicted taken through the BTB: the stored target
-        // redirected fetch, so no bubble at all.
-        btb_->update(event.site, event.taken, event.target);
-        return;
-    }
-
-    bool predicted_taken = false;
-    switch (params_.arch) {
-      case Arch::Fallthrough:
-        predicted_taken = fallthroughPredictsTaken();
-        break;
-      case Arch::BtFnt:
-        predicted_taken = btFntPredictsTaken(event.site, event.target);
-        break;
-      case Arch::Likely:
-        predicted_taken = likely_->taken(event.proc, event.block);
-        break;
-      case Arch::PhtDirect:
-        predicted_taken = pht_->predict(event.site);
-        pht_->update(event.site, event.taken);
-        break;
-      case Arch::PhtCorrelated:
-        predicted_taken = gshare_->predict(event.site);
-        gshare_->update(event.site, event.taken);
-        break;
-      case Arch::PhtLocal:
-        predicted_taken = local_->predict(event.site);
-        local_->update(event.site, event.taken);
-        break;
-      default:
-        panic("condBranch: unexpected arch");
-    }
-
-    if (predicted_taken != event.taken) {
-        ++result_.mispredicts;
-        ++result_.condMispredicts;
-    } else if (event.taken) {
-        // Correct direction, but the target is only known after decode.
-        ++result_.misfetches;
-    }
-}
-
-void
-ArchEvaluator::uncondBreak(const BranchEvent &event)
-{
-    if (btb_ != nullptr) {
-        ++result_.btbLookups;
-        const auto hit = btb_->lookup(event.site);
-        if (hit.has_value()) {
-            ++result_.btbHits;
-            if (!(hit->counterTaken && hit->target == event.target)) {
-                // Stale direction or target: redirect after decode.
-                ++result_.misfetches;
-            }
-        } else {
-            ++result_.misfetches;
-        }
-        btb_->update(event.site, true, event.target);
-        return;
-    }
-    ++result_.misfetches;
-}
-
-void
-ArchEvaluator::indirectJump(const BranchEvent &event)
-{
-    ++result_.indirectExec;
-    if (btb_ != nullptr) {
-        ++result_.btbLookups;
-        const auto hit = btb_->lookup(event.site);
-        if (hit.has_value()) {
-            ++result_.btbHits;
-            if (!(hit->counterTaken && hit->target == event.target))
-                ++result_.mispredicts;
-        } else {
-            ++result_.mispredicts;
-        }
-        btb_->update(event.site, true, event.target);
-        return;
-    }
-    // Static and PHT architectures cannot predict computed targets.
-    ++result_.mispredicts;
-}
-
-void
-ArchEvaluator::returnBranch(const BranchEvent &event)
-{
-    ++result_.returnExec;
-    const Addr predicted = ras_.pop();
-    if (event.target == kNoAddr) {
-        // Program exit: no in-program resume address; assess no penalty.
-        return;
-    }
-    const bool ras_correct = predicted == event.target;
-
-    if (btb_ != nullptr) {
-        ++result_.btbLookups;
-        const auto hit = btb_->lookup(event.site);
-        if (hit.has_value()) {
-            ++result_.btbHits;
-            // A hit identifies the return at fetch; the return stack
-            // supplies the target, so a correct stack costs nothing.
-            if (!ras_correct) {
-                ++result_.mispredicts;
-                ++result_.returnMispredicts;
-            }
-        } else {
-            if (ras_correct) {
-                ++result_.misfetches;  // redirect after decode
-            } else {
-                ++result_.mispredicts;
-                ++result_.returnMispredicts;
-            }
-        }
-        btb_->update(event.site, true, event.target);
-        return;
-    }
-
-    if (ras_correct) {
-        ++result_.misfetches;  // a taken break with a decode-time target
-    } else {
-        ++result_.mispredicts;
-        ++result_.returnMispredicts;
-    }
 }
 
 }  // namespace balign

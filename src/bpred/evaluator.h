@@ -1,10 +1,12 @@
 /**
  * @file
- * Trace-driven branch-architecture evaluator.
+ * Branch-architecture evaluation: the parameters of one simulated
+ * architecture and the metrics a trace replay accumulates for it.
  *
- * An ArchEvaluator consumes resolved branch events (trace/branch_events.h)
- * for one concrete layout, simulating one branch prediction architecture
- * and accumulating the paper's metrics:
+ * Two engines fill an EvalResult: runBatchReplay (sim/batch_replay.h),
+ * the production engine behind every experiment, and the naive
+ * OracleEvaluator (check/oracle.h), the reference it is checked
+ * against. Both accumulate the paper's metrics:
  *
  *  - instructions executed under that layout (sense inversions do not
  *    change the count; inserted jumps add instructions when executed,
@@ -25,18 +27,10 @@
 #ifndef BALIGN_BPRED_EVALUATOR_H
 #define BALIGN_BPRED_EVALUATOR_H
 
-#include <memory>
+#include <cstddef>
+#include <cstdint>
 
 #include "bpred/arch.h"
-#include "bpred/btb.h"
-#include "bpred/gshare.h"
-#include "bpred/local2level.h"
-#include "bpred/pht.h"
-#include "bpred/ras.h"
-#include "bpred/static_pred.h"
-#include "cfg/program.h"
-#include "layout/layout_result.h"
-#include "trace/branch_events.h"
 
 namespace balign {
 
@@ -112,60 +106,6 @@ struct EvalResult
                static_cast<double>(condExec - condMispredicts) /
                static_cast<double>(condExec);
     }
-};
-
-/**
- * Replays a walk against one (layout, architecture) pair. Register sink()
- * with the walker (use MultiSink to evaluate many configurations from one
- * walk).
- */
-class ArchEvaluator : public BranchEventHandler
-{
-  public:
-    /**
-     * @param program the CFG (profile weights used only for LIKELY bits)
-     * @param layout the materialized layout under evaluation; must outlive
-     *        the evaluator
-     * @param params architecture configuration
-     */
-    ArchEvaluator(const Program &program, const ProgramLayout &layout,
-                  const EvalParams &params);
-
-    /// Only references are kept; temporaries would dangle.
-    ArchEvaluator(const Program &, ProgramLayout &&,
-                  const EvalParams &) = delete;
-    ArchEvaluator(Program &&, const ProgramLayout &,
-                  const EvalParams &) = delete;
-
-    /// The EventSink to drive with a walk.
-    EventSink &sink() { return adapter_; }
-
-    void onInstrs(std::uint64_t count) override;
-    void onBranch(const BranchEvent &event) override;
-
-    const EvalResult &result() const { return result_; }
-    const EvalParams &params() const { return params_; }
-
-  private:
-    void condBranch(const BranchEvent &event);
-    /// An always-taken break with a decode-time-known target (unconditional
-    /// branch or direct call).
-    void uncondBreak(const BranchEvent &event);
-    void indirectJump(const BranchEvent &event);
-    void returnBranch(const BranchEvent &event);
-
-    EvalParams params_;
-    EvalResult result_;
-    BranchEventAdapter adapter_;
-
-    // Predictor state (only the structures the architecture needs are
-    // constructed).
-    std::unique_ptr<PhtDirect> pht_;
-    std::unique_ptr<Gshare> gshare_;
-    std::unique_ptr<LocalTwoLevel> local_;
-    std::unique_ptr<Btb> btb_;
-    ReturnStack ras_;
-    std::unique_ptr<LikelyBits> likely_;
 };
 
 }  // namespace balign

@@ -10,23 +10,4 @@ ReturnStack::ReturnStack(std::size_t entries) : stack_(entries, kNoAddr)
         panic("ReturnStack: need at least one entry");
 }
 
-void
-ReturnStack::push(Addr return_addr)
-{
-    stack_[top_] = return_addr;
-    top_ = (top_ + 1) % stack_.size();
-    if (depth_ < stack_.size())
-        ++depth_;
-}
-
-Addr
-ReturnStack::pop()
-{
-    if (depth_ == 0)
-        return kNoAddr;
-    top_ = (top_ + stack_.size() - 1) % stack_.size();
-    --depth_;
-    return stack_[top_];
-}
-
 }  // namespace balign

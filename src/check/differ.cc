@@ -15,7 +15,6 @@ divergenceKindName(DivergenceKind kind)
     switch (kind) {
       case DivergenceKind::Structural: return "structural";
       case DivergenceKind::Event: return "event";
-      case DivergenceKind::Counters: return "counters";
       case DivergenceKind::Lint: return "lint";
       case DivergenceKind::Verify: return "verify";
       case DivergenceKind::Batch: return "batch";
@@ -115,38 +114,19 @@ compareSamples(const std::vector<BranchSample> &oracle,
 namespace {
 
 /**
- * Taps the production BranchEventAdapter -> ArchEvaluator chain: forwards
- * every callback unchanged while recording each branch event together
- * with the penalty the evaluator attributed to it (observed as counter
- * deltas around the call).
+ * Records the production BranchEventAdapter's output as branch samples:
+ * every field the adapter resolves (type, site, target, direction,
+ * procedure, block) plus the instructions it reported before each
+ * branch. Penalties are not the adapter's to decide, so they stay 0.
  */
 class ProductionTap : public BranchEventHandler
 {
   public:
-    explicit ProductionTap(ArchEvaluator &evaluator) : evaluator_(evaluator)
-    {
-    }
-
-    void
-    onInstrs(std::uint64_t count) override
-    {
-        evaluator_.onInstrs(count);
-    }
-
-    void
-    onFetchRange(Addr addr, std::uint32_t count) override
-    {
-        evaluator_.onFetchRange(addr, count);
-    }
+    void onInstrs(std::uint64_t count) override { instrs_ += count; }
 
     void
     onBranch(const BranchEvent &event) override
     {
-        const EvalResult &result = evaluator_.result();
-        const std::uint64_t instrs_before = result.instrs;
-        const std::uint64_t mf_before = result.misfetches;
-        const std::uint64_t mp_before = result.mispredicts;
-        evaluator_.onBranch(event);
         BranchSample sample;
         sample.type = event.type;
         sample.site = event.site;
@@ -154,18 +134,14 @@ class ProductionTap : public BranchEventHandler
         sample.taken = event.taken;
         sample.proc = event.proc;
         sample.block = event.block;
-        sample.misfetches =
-            static_cast<std::uint8_t>(result.misfetches - mf_before);
-        sample.mispredicts =
-            static_cast<std::uint8_t>(result.mispredicts - mp_before);
-        sample.instrsBefore = instrs_before;
+        sample.instrsBefore = instrs_;
         samples_.push_back(sample);
     }
 
     const std::vector<BranchSample> &samples() const { return samples_; }
 
   private:
-    ArchEvaluator &evaluator_;
+    std::uint64_t instrs_ = 0;
     std::vector<BranchSample> samples_;
 };
 
@@ -240,35 +216,31 @@ diffLayout(const PreparedProgram &prepared, const ProgramLayout &layout,
         return divergence;
     }
 
-    // 2. One shared event stream, both consumers.
+    // 2. One shared event stream, both consumers: the adapter's events
+    // against the oracle's, with the oracle's per-event penalties set
+    // aside (stage 3 checks the penalty totals).
     const EvalParams params = EvalParams::forArch(arch);
     OracleEvaluator oracle(program, layout, params);
-    ArchEvaluator production(program, layout, params);
-    ProductionTap tap(production);
+    ProductionTap tap;
     BranchEventAdapter adapter(program, layout, tap);
     MultiSink fanout;
     fanout.add(&adapter);
     fanout.add(&oracle);
     prepared.trace->replay(program, fanout);
 
-    const std::string events = compareSamples(oracle.samples(),
-                                              tap.samples());
+    std::vector<BranchSample> oracle_events = oracle.samples();
+    for (BranchSample &sample : oracle_events) {
+        sample.misfetches = 0;
+        sample.mispredicts = 0;
+    }
+    const std::string events = compareSamples(oracle_events, tap.samples());
     if (!events.empty()) {
         divergence.kind = DivergenceKind::Event;
         divergence.detail = events;
         return divergence;
     }
 
-    // 3. Accumulated totals.
-    const std::string counters =
-        compareResults(oracle.result(), production.result());
-    if (!counters.empty()) {
-        divergence.kind = DivergenceKind::Counters;
-        divergence.detail = counters;
-        return divergence;
-    }
-
-    // 4. The batched replay engine runConfigs uses vs. the oracle: same
+    // 3. The batched replay engine runConfigs uses vs. the oracle: same
     // layout, one single-lane batched sweep.
     const std::vector<EvalResult> lanes =
         runBatchReplay(program, layout, *prepared.batch, {params});

@@ -2,24 +2,23 @@
  * @file
  * Differential harness: oracle vs. the production evaluation pipeline.
  *
- * One recorded event stream is fanned out to both sides at once — the
- * streaming BranchEventAdapter -> ArchEvaluator chain and the naive
- * OracleEvaluator — and the two resulting branch-event streams are
- * compared sample by sample; the batched engine the experiments run is
- * then checked against the oracle's totals. Four things can diverge,
- * checked in order:
+ * One recorded event stream is fanned out at once to the production
+ * BranchEventAdapter (the layout-to-branch-event mapping the Alpha 21064
+ * pipeline model consumes) and to the naive OracleEvaluator, and the two
+ * branch-event streams are compared sample by sample; the batched engine
+ * the experiments run is then checked against the oracle's totals. Three
+ * things can diverge, checked in order:
  *
  *  1. Structural: the materializer's address/size bookkeeping disagrees
  *     with the oracle's independent derivation (crossCheckLayout).
- *  2. Event: the streams differ at some branch execution — wrong site,
- *     target, direction or penalty classification. The report pins the
- *     first diverging event with both sides' renderings and the
- *     surrounding context.
- *  3. Counters: the streams matched but the accumulated EvalResult
- *     totals do not (an accounting bug outside the per-event path).
- *  4. Batch: the batched replay engine (sim/batch_replay.h) — the only
- *     evaluator behind runConfigs — run as a single lane over the same
- *     layout disagrees with the oracle's totals.
+ *  2. Event: the streams differ at some branch execution — wrong type,
+ *     site, target, direction, procedure, block or instruction count
+ *     before it. The report pins the first diverging event with both
+ *     sides' renderings and the surrounding context.
+ *  3. Batch: the batched replay engine (sim/batch_replay.h) — the one
+ *     production predictor engine — run as a single lane over the same
+ *     layout disagrees with the oracle on some EvalResult counter,
+ *     penalties included.
  *
  * diffPrepared() mirrors runConfigs() layout construction exactly
  * (per-architecture cost models, the BT/FNT chain-ordering override) so
@@ -43,7 +42,6 @@ namespace balign {
 enum class DivergenceKind : std::uint8_t {
     Structural,  ///< materializer bookkeeping vs. independent derivation
     Event,       ///< branch-event streams differ
-    Counters,    ///< streams agree but accumulated totals do not
     Lint,        ///< static lint rules (lint/lint.h) rejected the inputs
                  ///< before any trace was replayed
     Verify,      ///< the layout verifier (verify/verify.h) could not prove

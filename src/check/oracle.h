@@ -17,14 +17,15 @@
  *    pending-return resolution);
  *  - re-predicts every branch with straight-line predictor models (plain
  *    vectors, modulo indexing, linear scans) written independently of
- *    src/bpred/;
+ *    the batched engine's lanes;
  *  - re-accumulates instruction counts, misfetches, mispredicts, BEP and
  *    relative CPI.
  *
  * The differential harness (check/differ.h) runs this oracle in lockstep
- * with the production evaluator and reports the first diverging branch
- * event. Keep this file boring: no caching, no bit tricks, no sharing —
- * every optimization added here weakens the oracle.
+ * with the production BranchEventAdapter, reports the first diverging
+ * branch event, and then compares its totals with the batched replay
+ * engine (sim/batch_replay.h). Keep this file boring: no caching, no bit
+ * tricks, no sharing — every optimization added here weakens the oracle.
  */
 
 #ifndef BALIGN_CHECK_ORACLE_H

@@ -4,6 +4,7 @@
 #include <array>
 
 #include "bpred/arch.h"
+#include "bpred/ras.h"
 #include "bpred/static_pred.h"
 #include "layout/materialize.h"
 #include "support/log.h"
@@ -317,48 +318,12 @@ computeShared(const BatchTrace &trace, const LayoutTables &tables)
         }
     }
     // Exit returns pop the return stack but emit no penalty-assessed
-    // event, so they never reach a BTB lookup (evaluator.cc).
+    // event, so they never reach a BTB lookup.
     shared.btbLookups = trace.condExec + shared.uncondExec +
                         trace.callExec + trace.indirectExec +
                         (trace.returnExec - trace.exitReturns);
     return shared;
 }
-
-/// Exact replica of ReturnStack (bpred/ras.cc): circular, depth-capped,
-/// kNoAddr on underflow.
-class RasState
-{
-  public:
-    explicit RasState(std::size_t entries) : stack_(entries, kNoAddr)
-    {
-        if (entries == 0)
-            panic("batch replay: need at least one return-stack entry");
-    }
-
-    void
-    push(Addr return_addr)
-    {
-        stack_[top_] = return_addr;
-        top_ = (top_ + 1) % stack_.size();
-        if (depth_ < stack_.size())
-            ++depth_;
-    }
-
-    Addr
-    pop()
-    {
-        if (depth_ == 0)
-            return kNoAddr;
-        top_ = (top_ + stack_.size() - 1) % stack_.size();
-        --depth_;
-        return stack_[top_];
-    }
-
-  private:
-    std::vector<Addr> stack_;
-    std::size_t top_ = 0;
-    std::size_t depth_ = 0;
-};
 
 /// Correct return-stack predictions over the dense call/return stream.
 /// Layout-dependent only through wrap-around and underflow effects, so it
@@ -367,7 +332,7 @@ std::uint64_t
 countRasCorrect(const BatchTrace &trace, const LayoutTables &tables,
                 std::size_t ras_entries)
 {
-    RasState ras(ras_entries);
+    ReturnStack ras(ras_entries);
     std::uint64_t correct = 0;
     const std::size_t n = trace.rasOps.size();
     for (std::size_t i = 0; i < n; ++i) {
@@ -421,6 +386,15 @@ requirePowerOfTwo(std::size_t value, const char *what)
         panic("batch replay: %s must be a power of two (%zu)", what, value);
 }
 
+/// A history register needs at least one bit, and no more than its
+/// shifts and table can hold (@p max_bits).
+void
+requireHistoryBits(unsigned bits, unsigned max_bits)
+{
+    if (bits == 0 || bits > max_bits)
+        panic("batch replay: bad history length %u", bits);
+}
+
 /// One PHT-family lane, stepped on every Cond op with its layout's site
 /// address and realized direction. A direct-mapped PHT is gshare with a
 /// zero history mask; the local two-level predictor (kLocal) instead
@@ -441,10 +415,12 @@ class PhtLane
             break;
           case Arch::PhtCorrelated:
             requirePowerOfTwo(params.phtEntries, "gshare entries");
+            requireHistoryBits(params.historyBits, 63);
             historyMask_ = (1ull << params.historyBits) - 1;
             break;
           case Arch::PhtLocal:
             requirePowerOfTwo(params.phtEntries, "history entries");
+            requireHistoryBits(params.historyBits, 24);
             historyMask_ = (1u << params.historyBits) - 1;
             histories_.assign(params.phtEntries, 0);
             table_entries = std::size_t{1} << params.historyBits;
@@ -487,7 +463,8 @@ class PhtLane
                 history = ((history << 1) | taken) & history_mask;
             }
             const std::uint8_t counter = table[idx];
-            const std::uint8_t predicted = counter > max / 2 ? 1 : 0;
+            const std::uint8_t predicted =
+                saturatingTaken(counter, max) ? 1 : 0;
             const std::uint8_t wrong = predicted ^ taken;
             misp += wrong;
             misf += static_cast<std::uint8_t>((wrong ^ 1) & taken);
@@ -512,13 +489,14 @@ class PhtLane
     std::vector<std::uint8_t> table_;
 };
 
-/// A BTB with the exact semantics of bpred/btb.cc: full-tag
-/// set-associative, LRU by update tick, taken-only insertion, weak-taken
-/// reset on insert. A set's ways are adjacent, so a lookup touches one
-/// or two cache lines. One extra slot past the last entry stands for a
-/// miss: it is never valid, never written, and its counter predicts
-/// not-taken, so a lookup's outcome can be read without first branching
-/// on whether it hit.
+/// The branch target buffer (paper §3): full-tag set-associative, LRU by
+/// update tick. Only taken branches are inserted, each entry holding its
+/// target and a saturating counter reset to weakly taken; a hit trains
+/// the counter, and a taken hit also retrains the target. A set's ways
+/// are adjacent, so a lookup touches one or two cache lines. One extra
+/// slot past the last entry stands for a miss: it is never valid, never
+/// written, and its counter predicts not-taken, so a lookup's outcome can
+/// be read without first branching on whether it hit.
 class BtbLanes
 {
   public:
@@ -555,11 +533,11 @@ class BtbLanes
     bool hit(std::size_t e) const { return e != miss_; }
     bool counterTaken(std::size_t e) const
     {
-        return entries_[e].counter > max_ / 2;
+        return saturatingTaken(entries_[e].counter, max_);
     }
     Addr target(std::size_t e) const { return entries_[e].target; }
 
-    /// BTB::update for @p site, whose entry find(site) just returned as
+    /// Trains the BTB on @p site, whose entry find(site) just returned as
     /// @p e: nothing touches the BTB between the lookup and the update,
     /// so the update reuses it instead of searching the set again.
     void
@@ -616,8 +594,8 @@ class BtbLanes
 /// One BTB lane: its BTB, its own return stack (interleaved with the
 /// lookups) and the penalty counters it accumulates; the execution-mix
 /// counters come from SharedCounters. Each op method reads its layout's
-/// tables and tallies penalties arithmetically from the lookup, as
-/// ArchEvaluator's branches decide them.
+/// tables and tallies penalties arithmetically from the lookup, by the
+/// paper's penalty rules (bpred/evaluator.h).
 class BtbLane
 {
   public:
@@ -641,8 +619,8 @@ class BtbLane
         btbHits += btb_.hit(e);
         // A predicted-taken conditional with the wrong stored target
         // also mispredicts. Fixed conditional targets make that
-        // partial-tag aliasing path unreachable; it is replicated from
-        // the evaluator so the two engines cannot drift.
+        // partial-tag aliasing path unreachable; the oracle assesses it
+        // too, so the two engines cannot drift.
         const bool predicted = btb_.counterTaken(e);
         const bool wrong = (predicted != taken) |
                            (predicted & taken & (btb_.target(e) != target));
@@ -705,7 +683,7 @@ class BtbLane
     }
 
     /// Exit returns pop the stack but assess no penalty and make no BTB
-    /// lookup (evaluator.cc early-out on kNoAddr).
+    /// lookup: there is no in-program resume address.
     void retExit() { ras_.pop(); }
 
     EvalResult *out;
@@ -716,9 +694,9 @@ class BtbLane
     std::uint64_t indirectMispredicts = 0;
 
   private:
-    /// ArchEvaluator::uncondBreak under a BTB: a hit predicting taken
-    /// with the right target is free, everything else redirects after
-    /// decode.
+    /// An always-taken break with a decode-time target under a BTB: a
+    /// hit predicting taken with the right target is free, everything
+    /// else redirects after decode.
     void
     uncondBreak(Addr site, Addr target)
     {
@@ -731,7 +709,7 @@ class BtbLane
     const BlockRow *block_;
     const Addr *entryAddr_;
     BtbLanes btb_;
-    RasState ras_;
+    ReturnStack ras_;
 };
 
 /// Every dynamic lane of a replay, across all of its layouts.

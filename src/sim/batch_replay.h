@@ -1,10 +1,13 @@
 /**
  * @file
- * Batched multi-architecture replay engine.
+ * Batched multi-architecture replay engine: the one production
+ * implementation of the paper's predictors (direct-mapped PHT, gshare,
+ * local two-level, BTB) and of the return stack's use in penalty
+ * accounting.
  *
- * The experiment matrix used to replay the recorded trace once per
- * (architecture, aligner, objective) cell: one virtual EventSink call per
- * event per cell, plus a full BranchEventAdapter state machine and
+ * Replaying the recorded trace once per (architecture, aligner,
+ * objective) cell would cost one virtual EventSink call per event per
+ * cell, plus a full BranchEventAdapter state machine and
  * Program/ProgramLayout pointer chasing inside every replay. This engine
  * restructures that work so one sweep drives every predictor:
  *
@@ -35,14 +38,20 @@
  *     so any partition gives byte-identical counters.
  *
  * Contract: each lane's EvalResult is byte-identical to what the naive
- * OracleEvaluator (check/oracle.h) — and the streaming ArchEvaluator —
- * accumulate from RecordedTrace::replay for the same (layout,
- * EvalParams). This engine is the only evaluator behind runConfigs; the
- * `ctest -L replay` suite pins every runConfigs cell to an oracle replay
- * across the whole benchmark suite and the fuzz corpus, and
- * check/differ.cc re-checks one lane against the oracle on every
- * differential run so the fuzzer shrinks batched-engine divergences like
- * any other finding.
+ * OracleEvaluator (check/oracle.h) accumulates from RecordedTrace::replay
+ * for the same (layout, EvalParams). Every EvalResult outside the oracle
+ * comes from this engine. The `ctest -L replay` suite pins every
+ * runConfigs cell to an oracle replay across the whole benchmark suite
+ * and the fuzz corpus; hand-built programs in the unit tests pin both
+ * engines to hand-computed counts; and check/differ.cc re-checks one
+ * lane against the oracle on every differential run so the fuzzer
+ * shrinks batched-engine divergences like any other finding.
+ *
+ * A hand-built program is replayed with
+ * `BatchTrace(program, recordTrace(program, walk))`. The engine panics on
+ * predictor geometry it cannot simulate (a table or BTB set count that is
+ * not a power of two, a history length of 0 bits or more than 63 for
+ * gshare and 24 for the local predictor).
  */
 
 #ifndef BALIGN_SIM_BATCH_REPLAY_H
@@ -125,7 +134,7 @@ struct LayoutLanes
 /**
  * Replays the canonical trace once for every lane of every layout in
  * @p layouts. Returns, per entry of @p layouts, one EvalResult per lane,
- * byte-identical to an ArchEvaluator replay with the same parameters.
+ * byte-identical to an OracleEvaluator replay with the same parameters.
  * How lanes are grouped into calls never changes a counter.
  *
  * @param program the CFG (profile weights used only for LIKELY bits)
@@ -144,8 +153,8 @@ std::vector<EvalResult> runBatchReplay(const Program &program,
                                        const std::vector<EvalParams> &lanes);
 
 /**
- * Instructions the recorded run executes under @p layout — exactly what
- * an ArchEvaluator accumulates via onInstrs — computed in O(blocks) from
+ * Instructions the recorded run executes under @p layout — exactly the
+ * EvalResult::instrs a replay accumulates — computed in O(blocks) from
  * the activation histogram, with no trace sweep. Equals the recorded
  * WalkResult's count whenever the layout neither inserts nor deletes
  * jumps on executed paths (e.g. most identity layouts).

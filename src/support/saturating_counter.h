@@ -1,88 +1,26 @@
 /**
  * @file
- * N-bit saturating up/down counter, the basic predictor state element.
+ * N-bit saturating up/down counters, the basic predictor state element.
  *
  * The paper's dynamic predictors (direct-mapped PHT, correlation PHT, BTB
- * entries) all use 2-bit saturating counters; the Alpha 21064 line-predictor
- * model uses a 1-bit counter. The width is a runtime parameter so sweeps can
- * explore other widths.
+ * entries) all use 2-bit saturating counters. A counter is a raw value in
+ * [0, max] with max = 2^bits - 1; the width is a runtime parameter so
+ * sweeps can explore other widths. A fresh PHT counter starts weakly
+ * not-taken (max/2); a fresh BTB entry starts weakly taken (max/2 + 1).
  */
 
 #ifndef BALIGN_SUPPORT_SATURATING_COUNTER_H
 #define BALIGN_SUPPORT_SATURATING_COUNTER_H
 
-#include <cassert>
 #include <cstdint>
 
 namespace balign {
 
 /**
- * A saturating counter of @p bits bits. The "taken" prediction is the top
- * half of the range; the counter initializes weakly-not-taken by default.
- */
-class SaturatingCounter
-{
-  public:
-    /**
-     * @param bits counter width in bits, 1..8
-     * @param initial initial value; defaults to the weakly-not-taken state
-     *        (max/2, i.e. 1 for a 2-bit counter)
-     */
-    explicit SaturatingCounter(unsigned bits = 2, unsigned initial = kDefault)
-        : max_((1u << bits) - 1),
-          value_(initial == kDefault ? max_ / 2 : initial)
-    {
-        assert(bits >= 1 && bits <= 8);
-        if (value_ > max_)
-            value_ = max_;
-    }
-
-    /// Predicted direction: taken when in the upper half of the range.
-    bool taken() const { return value_ > max_ / 2; }
-
-    /// Update toward the observed outcome.
-    void
-    update(bool was_taken)
-    {
-        if (was_taken) {
-            if (value_ < max_)
-                ++value_;
-        } else {
-            if (value_ > 0)
-                --value_;
-        }
-    }
-
-    /// Reset to a specific value (clamped to range).
-    void
-    reset(unsigned value)
-    {
-        value_ = value > max_ ? max_ : value;
-    }
-
-    /// Set to the weakest state agreeing with @p was_taken.
-    void
-    resetWeak(bool was_taken)
-    {
-        value_ = was_taken ? max_ / 2 + 1 : max_ / 2;
-    }
-
-    unsigned value() const { return value_; }
-    unsigned max() const { return max_; }
-
-  private:
-    static constexpr unsigned kDefault = 0xFFFFFFFFu;
-
-    unsigned max_;
-    unsigned value_;
-};
-
-/**
- * Branchless counterpart of SaturatingCounter::update() for
- * structure-of-arrays predictor tables (sim/batch_replay.cc): the
- * compare-and-step becomes an arithmetic clamp, which compiles to an add
- * plus two conditional moves instead of a data-dependent branch. Produces
- * the identical next state for every value in [0, max].
+ * Steps @p value one toward the observed outcome, clamped to [0, max].
+ * Written as an arithmetic clamp for structure-of-arrays predictor tables
+ * (sim/batch_replay.cc): it compiles to an add plus two conditional moves
+ * instead of a data-dependent branch.
  */
 inline std::uint8_t
 saturatingUpdate(std::uint8_t value, std::uint8_t max, bool taken)
@@ -94,7 +32,7 @@ saturatingUpdate(std::uint8_t value, std::uint8_t max, bool taken)
 }
 
 /// Direction a raw counter value predicts: the upper half of the range is
-/// taken, matching SaturatingCounter::taken().
+/// taken.
 inline bool
 saturatingTaken(std::uint8_t value, std::uint8_t max)
 {

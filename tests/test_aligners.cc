@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include "bpred/evaluator.h"
 #include "cfg/builder.h"
 #include "core/align_program.h"
 #include "core/cost_align.h"

@@ -1,10 +1,10 @@
 /**
  * @file
  * Batched replay engine (sim/batch_replay.h) unit tests: the branchless
- * counter helpers are pinned to SaturatingCounter exhaustively, single
- * lanes and the replay-free instruction count are pinned to direct
- * ArchEvaluator replays, and the indexed cell() lookup and replay-free
- * origInstrs recovery of runConfigs are covered.
+ * counter helpers are pinned to a written-out clamp exhaustively, single
+ * lanes and the replay-free instruction count are pinned to oracle
+ * replays, and the indexed cell() lookup and replay-free origInstrs
+ * recovery of runConfigs are covered.
  * MultiLayoutMatchesOracle pins the one-pass multi-layout form to the
  * oracle under non-default predictor parameters and every way of
  * splitting the lanes into blocks, and runConfigs to itself across pool
@@ -34,6 +34,7 @@
 #include "estimate/estimate.h"
 #include "layout/layout_diff.h"
 #include "layout/materialize.h"
+#include "replay_util.h"
 #include "sim/batch_replay.h"
 #include "sim/cpi.h"
 #include "support/saturating_counter.h"
@@ -44,17 +45,6 @@
 using namespace balign;
 
 namespace {
-
-/// All EvalResult counters, comparable with one EXPECT_EQ.
-std::vector<std::uint64_t>
-counters(const EvalResult &r)
-{
-    return {r.instrs,     r.misfetches, r.mispredicts,
-            r.condExec,   r.condTaken,  r.condMispredicts,
-            r.uncondExec, r.callExec,   r.returnExec,
-            r.returnMispredicts, r.indirectExec,
-            r.btbHits,    r.btbLookups};
-}
 
 PreparedProgram
 preparedSuiteProgram(const std::string &name, std::uint64_t budget)
@@ -141,11 +131,9 @@ expectMultiLayoutMatchesOracle(const PreparedProgram &prepared,
 
     std::vector<std::vector<EvalResult>> expected(layouts.size());
     for (std::size_t k = 0; k < layouts.size(); ++k) {
-        for (const EvalParams &params : lanes) {
-            OracleEvaluator oracle(prepared.program, layouts[k], params);
-            prepared.trace->replay(prepared.program, oracle);
-            expected[k].push_back(oracle.result());
-        }
+        for (const EvalParams &params : lanes)
+            expected[k].push_back(
+                oracleReplay(prepared, layouts[k], params));
     }
 
     for (std::size_t blocks = 1; blocks <= 3; ++blocks) {
@@ -206,20 +194,24 @@ runSignature(const ExperimentRun &run)
 
 TEST(BatchCounters, BranchlessUpdateMatchesClassExhaustively)
 {
+    // The clamp written out as compare-and-step, for every width and
+    // state.
     for (unsigned bits = 1; bits <= 8; ++bits) {
         const auto max =
             static_cast<std::uint8_t>((1u << bits) - 1u);
         for (unsigned value = 0; value <= max; ++value) {
+            EXPECT_EQ(saturatingTaken(static_cast<std::uint8_t>(value), max),
+                      2 * value > max)
+                << "bits=" << bits << " value=" << value;
             for (const bool taken : {false, true}) {
-                SaturatingCounter reference(bits, value);
-                EXPECT_EQ(saturatingTaken(static_cast<std::uint8_t>(value),
-                                          max),
-                          reference.taken())
-                    << "bits=" << bits << " value=" << value;
-                reference.update(taken);
+                unsigned next = value;
+                if (taken && value < max)
+                    ++next;
+                else if (!taken && value > 0)
+                    --next;
                 EXPECT_EQ(saturatingUpdate(static_cast<std::uint8_t>(value),
                                            max, taken),
-                          reference.value())
+                          next)
                     << "bits=" << bits << " value=" << value
                     << " taken=" << taken;
             }
@@ -250,19 +242,17 @@ TEST(BatchReplay, BatchLayoutInstrsMatchesEvaluator)
 {
     const PreparedProgram prepared = preparedSuiteProgram("compress", 40'000);
     ASSERT_NE(prepared.batch, nullptr);
-    // Direct ArchEvaluator replays give the ground-truth per-layout
-    // instruction counts; batchLayoutInstrs must reproduce each without a
-    // sweep.
+    // Oracle replays give the ground-truth per-layout instruction
+    // counts; batchLayoutInstrs must reproduce each without a sweep.
     const CostModel model(Arch::Fallthrough);
     for (const AlignerKind kind :
          {AlignerKind::Original, AlignerKind::Greedy, AlignerKind::Cost}) {
         const ProgramLayout layout =
             alignProgram(prepared.program, kind, &model);
-        ArchEvaluator evaluator(prepared.program, layout,
-                                EvalParams::forArch(Arch::Fallthrough));
-        prepared.trace->replay(prepared.program, evaluator.sink());
         EXPECT_EQ(batchLayoutInstrs(*prepared.batch, layout),
-                  evaluator.result().instrs)
+                  oracleReplay(prepared, layout,
+                               EvalParams::forArch(Arch::Fallthrough))
+                      .instrs)
             << alignerKindName(kind);
     }
 }
@@ -274,12 +264,11 @@ TEST(BatchReplay, SingleLaneRunMatchesEvaluatorDirectly)
     const ProgramLayout layout = originalLayout(prepared.program);
     for (const Arch arch : allArchs()) {
         const EvalParams params = EvalParams::forArch(arch);
-        ArchEvaluator evaluator(prepared.program, layout, params);
-        prepared.trace->replay(prepared.program, evaluator.sink());
         const std::vector<EvalResult> lanes = runBatchReplay(
             prepared.program, layout, *prepared.batch, {params});
         ASSERT_EQ(lanes.size(), 1u);
-        EXPECT_EQ(counters(lanes[0]), counters(evaluator.result()))
+        EXPECT_EQ(counters(lanes[0]),
+                  counters(oracleReplay(prepared, layout, params)))
             << archName(arch);
     }
 }

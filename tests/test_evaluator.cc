@@ -1,16 +1,16 @@
 /**
  * @file
- * Tests for the architecture evaluator against hand-computed penalty
- * counts: a deterministic (patterned) loop is walked once and every
- * architecture's misfetch/mispredict tallies are checked exactly.
+ * The paper's penalty rules against hand-computed counts: a
+ * deterministic (patterned) loop is walked once and every architecture's
+ * misfetch/mispredict tallies are checked exactly, through both the
+ * batched replay engine and the oracle.
  */
 
 #include <gtest/gtest.h>
 
-#include "bpred/evaluator.h"
 #include "cfg/builder.h"
 #include "layout/materialize.h"
-#include "trace/walker.h"
+#include "replay_util.h"
 
 using namespace balign;
 
@@ -41,12 +41,10 @@ patternedLoop()
 EvalResult
 runOnce(const Program &program, const ProgramLayout &layout, Arch arch)
 {
-    ArchEvaluator eval(program, layout, EvalParams::forArch(arch));
     WalkOptions options;
     options.instrBudget = 1000;
     options.restartOnExit = false;
-    walk(program, options, eval.sink());
-    return eval.result();
+    return replayBoth(program, layout, options, EvalParams::forArch(arch));
 }
 
 }  // namespace
@@ -247,13 +245,12 @@ TEST(Evaluator, IndirectJumpPenalties)
 
     // BTB: first execution misses; repeated executions with a stable
     // target hit for free.
-    ArchEvaluator eval(program, layout,
-                       EvalParams::forArch(Arch::BtbLarge));
     WalkOptions options;
     options.instrBudget = 30;  // ten runs of 3 instructions
-    walk(program, options, eval.sink());
-    EXPECT_EQ(eval.result().indirectExec, 10u);
-    EXPECT_EQ(eval.result().mispredicts, 1u);
+    const EvalResult btb = replayBoth(program, layout, options,
+                                      EvalParams::forArch(Arch::BtbLarge));
+    EXPECT_EQ(btb.indirectExec, 10u);
+    EXPECT_EQ(btb.mispredicts, 1u);
 }
 
 TEST(Evaluator, CondAccuracyMetric)

@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
-#include "bpred/evaluator.h"
+#include <memory>
+
 #include "layout/materialize.h"
+#include "sim/batch_replay.h"
 #include "trace/profiler.h"
 #include "trace/walker.h"
 #include "workload/generator.h"
@@ -23,6 +25,7 @@ struct Prepared
 {
     Program program;
     WalkOptions walk;
+    std::unique_ptr<BatchTrace> trace;
 };
 
 const Prepared &
@@ -31,11 +34,13 @@ gccModel()
     static const Prepared prepared = [] {
         ProgramSpec spec = suiteSpec("gcc");
         spec.traceInstrs = 200'000;
-        Prepared p{generateProgram(spec), WalkOptions{}};
+        Prepared p{generateProgram(spec), WalkOptions{}, nullptr};
         p.walk.seed = traceSeed(spec);
         p.walk.instrBudget = spec.traceInstrs;
         Profiler profiler(p.program);
         walk(p.program, p.walk, profiler);
+        p.trace = std::make_unique<BatchTrace>(
+            p.program, recordTrace(p.program, p.walk));
         return p;
     }();
     return prepared;
@@ -46,9 +51,8 @@ evalWith(const EvalParams &params)
 {
     const Prepared &prepared = gccModel();
     const ProgramLayout layout = originalLayout(prepared.program);
-    ArchEvaluator eval(prepared.program, layout, params);
-    walk(prepared.program, prepared.walk, eval.sink());
-    return eval.result();
+    return runBatchReplay(prepared.program, layout, *prepared.trace,
+                          {params})[0];
 }
 
 }  // namespace

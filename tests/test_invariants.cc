@@ -7,8 +7,8 @@
  *    instruction counts of two layouts differ exactly by the inserted
  *    jumps executed minus the deleted jumps avoided.
  *  - The evaluator's BEP equals misfetches + 4 * mispredicts.
- *  - Static-architecture results are independent of evaluation order and
- *    of fan-out (MultiSink) versus solo runs.
+ *  - Results are independent of evaluation order and of how many lanes
+ *    share one batched replay.
  *  - The materializer's static size equals original size + inserted -
  *    removed jumps.
  *  - Block addresses are disjoint, contiguous and cover the whole image.
@@ -16,9 +16,9 @@
 
 #include <gtest/gtest.h>
 
-#include "bpred/evaluator.h"
 #include "core/align_program.h"
 #include "layout/materialize.h"
+#include "replay_util.h"
 #include "trace/profiler.h"
 #include "trace/walker.h"
 #include "workload/generator.h"
@@ -111,17 +111,15 @@ TEST_P(LayoutInvariantSweep, ExecutedInstructionAccounting)
     const ProgramLayout aligned =
         alignProgram(prepared.program, AlignerKind::Try15, &model);
 
-    ArchEvaluator orig_eval(prepared.program, orig,
-                            EvalParams::forArch(Arch::Fallthrough));
-    ArchEvaluator aligned_eval(prepared.program, aligned,
-                               EvalParams::forArch(Arch::Fallthrough));
-    MultiSink fanout;
-    fanout.add(&orig_eval.sink());
-    fanout.add(&aligned_eval.sink());
-    walk(prepared.program, prepared.walk, fanout);
+    const std::vector<EvalParams> lanes = {
+        EvalParams::forArch(Arch::Fallthrough)};
+    const std::vector<std::vector<EvalResult>> results = runBatchReplay(
+        prepared.program, {{&orig, lanes}, {&aligned, lanes}},
+        BatchTrace(prepared.program,
+                   recordTrace(prepared.program, prepared.walk)));
 
-    const EvalResult &a = orig_eval.result();
-    const EvalResult &b = aligned_eval.result();
+    const EvalResult &a = results[0][0];
+    const EvalResult &b = results[1][0];
     // The same CFG path executes under both layouts.
     EXPECT_EQ(a.condExec, b.condExec);
     EXPECT_EQ(a.callExec, b.callExec);
@@ -137,16 +135,18 @@ TEST_P(LayoutInvariantSweep, BepDecomposition)
 {
     const Prepared prepared = prepareSuiteProgram(GetParam(), 50'000);
     const ProgramLayout orig = originalLayout(prepared.program);
+    std::vector<EvalParams> lanes;
     for (Arch arch : {Arch::Fallthrough, Arch::Likely, Arch::PhtDirect,
-                      Arch::BtbSmall}) {
-        ArchEvaluator eval(prepared.program, orig,
-                           EvalParams::forArch(arch));
-        walk(prepared.program, prepared.walk, eval.sink());
-        const EvalResult &r = eval.result();
+                      Arch::BtbSmall})
+        lanes.push_back(EvalParams::forArch(arch));
+    const std::vector<EvalResult> results =
+        batchReplay(prepared.program, orig, prepared.walk, lanes);
+    for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
+        const EvalResult &r = results[lane];
         EXPECT_DOUBLE_EQ(r.bep(),
                          static_cast<double>(r.misfetches) * 1.0 +
                              static_cast<double>(r.mispredicts) * 4.0)
-            << archName(arch);
+            << archName(lanes[lane].arch);
     }
 }
 
@@ -155,23 +155,22 @@ TEST_P(LayoutInvariantSweep, FanoutMatchesSoloEvaluation)
     const Prepared prepared = prepareSuiteProgram(GetParam(), 40'000);
     const ProgramLayout orig = originalLayout(prepared.program);
 
-    ArchEvaluator solo(prepared.program, orig,
-                       EvalParams::forArch(Arch::PhtDirect));
-    walk(prepared.program, prepared.walk, solo.sink());
+    const BatchTrace trace(prepared.program,
+                           recordTrace(prepared.program, prepared.walk));
 
-    ArchEvaluator first(prepared.program, orig,
-                        EvalParams::forArch(Arch::BtbLarge));
-    ArchEvaluator second(prepared.program, orig,
-                         EvalParams::forArch(Arch::PhtDirect));
-    MultiSink fanout;
-    fanout.add(&first.sink());
-    fanout.add(&second.sink());
-    walk(prepared.program, prepared.walk, fanout);
+    const EvalResult solo =
+        runBatchReplay(prepared.program, orig, trace,
+                       {EvalParams::forArch(Arch::PhtDirect)})[0];
+    const std::vector<EvalResult> shared = runBatchReplay(
+        prepared.program, orig, trace,
+        {EvalParams::forArch(Arch::BtbLarge),
+         EvalParams::forArch(Arch::PhtDirect)});
+    const EvalResult &second = shared[1];
 
-    EXPECT_EQ(solo.result().instrs, second.result().instrs);
-    EXPECT_EQ(solo.result().misfetches, second.result().misfetches);
-    EXPECT_EQ(solo.result().mispredicts, second.result().mispredicts);
-    EXPECT_EQ(solo.result().condTaken, second.result().condTaken);
+    EXPECT_EQ(solo.instrs, second.instrs);
+    EXPECT_EQ(solo.misfetches, second.misfetches);
+    EXPECT_EQ(solo.mispredicts, second.mispredicts);
+    EXPECT_EQ(solo.condTaken, second.condTaken);
 }
 
 TEST_P(LayoutInvariantSweep, AlignedLayoutsAreValidPermutations)

@@ -6,10 +6,10 @@
 
 #include <gtest/gtest.h>
 
-#include "bpred/evaluator.h"
 #include "cfg/validate.h"
 #include "core/align_program.h"
 #include "layout/materialize.h"
+#include "sim/batch_replay.h"
 #include "trace/walker.h"
 #include "workload/paper_figures.h"
 
@@ -93,15 +93,12 @@ TEST(Figure1, AlignmentReducesBepOnEveryStaticArch)
         options.seed = 77;
         options.instrBudget = 200'000;
 
-        ArchEvaluator orig_eval(program, orig, EvalParams::forArch(arch));
-        ArchEvaluator aligned_eval(program, aligned,
-                                   EvalParams::forArch(arch));
-        MultiSink fanout;
-        fanout.add(&orig_eval.sink());
-        fanout.add(&aligned_eval.sink());
-        walk(program, options, fanout);
+        const std::vector<EvalParams> lanes = {EvalParams::forArch(arch)};
+        const std::vector<std::vector<EvalResult>> results = runBatchReplay(
+            program, {{&orig, lanes}, {&aligned, lanes}},
+            BatchTrace(program, recordTrace(program, options)));
 
-        EXPECT_LT(aligned_eval.result().bep(), orig_eval.result().bep())
+        EXPECT_LT(results[1][0].bep(), results[0][0].bep())
             << archName(arch);
     }
 }
@@ -171,14 +168,10 @@ TEST(Figure3, CostAlignerAlsoBeatsGreedyHere)
     options.instrBudget = 100'000;
     const ProgramLayout greedy_layout =
         alignProgram(program, AlignerKind::Greedy, nullptr);
-    ArchEvaluator greedy_eval(program, greedy_layout,
-                              EvalParams::forArch(Arch::Likely));
-    ArchEvaluator cost_eval(program, cost_layout,
-                            EvalParams::forArch(Arch::Likely));
-    MultiSink fanout;
-    fanout.add(&greedy_eval.sink());
-    fanout.add(&cost_eval.sink());
-    walk(program, options, fanout);
-    EXPECT_LE(cost_eval.result().bep(),
-              greedy_eval.result().bep() * 1.001);
+    const std::vector<EvalParams> lanes = {
+        EvalParams::forArch(Arch::Likely)};
+    const std::vector<std::vector<EvalResult>> results = runBatchReplay(
+        program, {{&greedy_layout, lanes}, {&cost_layout, lanes}},
+        BatchTrace(program, recordTrace(program, options)));
+    EXPECT_LE(results[1][0].bep(), results[0][0].bep() * 1.001);
 }

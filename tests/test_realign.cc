@@ -6,8 +6,8 @@
  * The contract under test, pinned byte-for-byte:
  *  - threshold 0 realigns every procedure and reproduces a full
  *    alignProgram of the new profile exactly — every layout field and,
- *    replayed under BOTH the batched engine and the streaming
- *    ArchEvaluator, every EvalResult counter;
+ *    replayed under BOTH the batched engine and the oracle, every
+ *    EvalResult counter;
  *  - threshold kNeverRealign keeps the old layout verbatim (re-based),
  *    again field- and counter-identical;
  *  - a mid-threshold splice passes the translation validator
@@ -24,16 +24,14 @@
 #include <string>
 #include <vector>
 
-#include "bpred/evaluator.h"
 #include "check/differ.h"
 #include "check/fuzz.h"
 #include "core/align_program.h"
 #include "core/realign.h"
 #include "layout/layout_diff.h"
 #include "profile/degrade.h"
-#include "sim/batch_replay.h"
+#include "replay_util.h"
 #include "sim/cpi.h"
-#include "trace/branch_events.h"
 #include "workload/suite.h"
 
 using namespace balign;
@@ -62,27 +60,6 @@ movedProfile(const PreparedProgram &prepared)
     spec.seed = 99;
     degradeProfile(moved, prepared.walk, spec);
     return moved;
-}
-
-std::vector<std::uint64_t>
-counters(const EvalResult &r)
-{
-    return {r.instrs,     r.misfetches, r.mispredicts,
-            r.condExec,   r.condTaken,  r.condMispredicts,
-            r.uncondExec, r.callExec,   r.returnExec,
-            r.returnMispredicts, r.indirectExec,
-            r.btbHits,    r.btbLookups};
-}
-
-/// Streaming evaluator: one ArchEvaluator replay of the recorded trace.
-EvalResult
-evalStreaming(const PreparedProgram &prepared, const ProgramLayout &layout,
-            const EvalParams &params)
-{
-    ArchEvaluator evaluator(prepared.program, layout, params);
-    BranchEventAdapter adapter(prepared.program, layout, evaluator);
-    prepared.trace->replay(prepared.program, adapter);
-    return evaluator.result();
 }
 
 /// Batched engine: a single-lane sweep over the same trace.
@@ -270,21 +247,21 @@ TEST(Realign, CountersByteIdenticalAcrossBothEngines)
         // Threshold 0 == full alignment, threshold infinity == old
         // layout, on every counter, under each engine — and the two
         // engines agree with each other on the spliced layouts.
-        EXPECT_EQ(counters(evalStreaming(prepared, incremental, params)),
-                  counters(evalStreaming(prepared, full, params))) << label;
+        EXPECT_EQ(counters(oracleReplay(prepared, incremental, params)),
+                  counters(oracleReplay(prepared, full, params))) << label;
         EXPECT_EQ(counters(evalBatched(prepared, incremental, params)),
                   counters(evalBatched(prepared, full, params))) << label;
-        EXPECT_EQ(counters(evalStreaming(prepared, kept, params)),
-                  counters(evalStreaming(prepared, old_layout, params)))
+        EXPECT_EQ(counters(oracleReplay(prepared, kept, params)),
+                  counters(oracleReplay(prepared, old_layout, params)))
             << label;
         EXPECT_EQ(counters(evalBatched(prepared, kept, params)),
                   counters(evalBatched(prepared, old_layout, params)))
             << label;
         EXPECT_EQ(counters(evalBatched(prepared, incremental, params)),
-                  counters(evalStreaming(prepared, incremental, params)))
+                  counters(oracleReplay(prepared, incremental, params)))
             << label;
         EXPECT_EQ(counters(evalBatched(prepared, kept, params)),
-                  counters(evalStreaming(prepared, kept, params))) << label;
+                  counters(oracleReplay(prepared, kept, params))) << label;
     }
 }
 

@@ -11,9 +11,9 @@
 #include <tuple>
 #include <vector>
 
-#include "bpred/evaluator.h"
 #include "core/align_program.h"
 #include "layout/materialize.h"
+#include "replay_util.h"
 #include "sim/cpi.h"
 #include "trace/profiler.h"
 #include "trace/recorder.h"
@@ -84,25 +84,6 @@ class LogSink : public EventSink
     std::vector<Entry> log;
 };
 
-void
-expectEqualResults(const EvalResult &a, const EvalResult &b,
-                   const char *label)
-{
-    EXPECT_EQ(a.instrs, b.instrs) << label;
-    EXPECT_EQ(a.misfetches, b.misfetches) << label;
-    EXPECT_EQ(a.mispredicts, b.mispredicts) << label;
-    EXPECT_EQ(a.condExec, b.condExec) << label;
-    EXPECT_EQ(a.condTaken, b.condTaken) << label;
-    EXPECT_EQ(a.condMispredicts, b.condMispredicts) << label;
-    EXPECT_EQ(a.uncondExec, b.uncondExec) << label;
-    EXPECT_EQ(a.callExec, b.callExec) << label;
-    EXPECT_EQ(a.returnExec, b.returnExec) << label;
-    EXPECT_EQ(a.returnMispredicts, b.returnMispredicts) << label;
-    EXPECT_EQ(a.indirectExec, b.indirectExec) << label;
-    EXPECT_EQ(a.btbHits, b.btbHits) << label;
-    EXPECT_EQ(a.btbLookups, b.btbLookups) << label;
-}
-
 }  // namespace
 
 TEST(Recorder, ReplayReproducesExactEventStream)
@@ -137,6 +118,7 @@ TEST(Recorder, ReplayEvaluationBitIdenticalToDirectWalk)
         const Prepared prepared = profiledProgram(name, 80'000);
         const RecordedTrace trace =
             recordTrace(prepared.program, prepared.walk);
+        const BatchTrace batch(prepared.program, trace);
 
         const CostModel model(Arch::BtFnt);
         const std::vector<ProgramLayout> layouts = {
@@ -148,16 +130,20 @@ TEST(Recorder, ReplayEvaluationBitIdenticalToDirectWalk)
                               Arch::BtbSmall, Arch::BtbLarge};
         for (const ProgramLayout &layout : layouts) {
             for (Arch arch : archs) {
-                ArchEvaluator walked(prepared.program, layout,
-                                     EvalParams::forArch(arch));
-                walk(prepared.program, prepared.walk, walked.sink());
-
-                ArchEvaluator replayed(prepared.program, layout,
-                                       EvalParams::forArch(arch));
-                trace.replay(prepared.program, replayed.sink());
-
-                expectEqualResults(walked.result(), replayed.result(),
-                                   archName(arch));
+                const EvalParams params = EvalParams::forArch(arch);
+                // The oracle consumes the walker directly and the
+                // recorded trace alike; the batched engine consumes only
+                // the recording.
+                OracleEvaluator replayed(prepared.program, layout, params);
+                trace.replay(prepared.program, replayed);
+                const EvalResult walked = oracleReplay(
+                    prepared.program, layout, prepared.walk, params);
+                EXPECT_EQ(counters(walked), counters(replayed.result()))
+                    << archName(arch);
+                EXPECT_EQ(counters(walked),
+                          counters(runBatchReplay(prepared.program, layout,
+                                                  batch, {params})[0]))
+                    << archName(arch);
             }
         }
     }
@@ -184,9 +170,10 @@ TEST(Recorder, TraceSurvivesProgramMove)
         recordTrace(prepared.program, prepared.walk);
 
     const ProgramLayout layout = originalLayout(prepared.program);
-    ArchEvaluator before(prepared.program, layout,
-                         EvalParams::forArch(Arch::BtbSmall));
-    trace.replay(prepared.program, before.sink());
+    const EvalParams params = EvalParams::forArch(Arch::BtbSmall);
+    const EvalResult before =
+        runBatchReplay(prepared.program, layout,
+                       BatchTrace(prepared.program, trace), {params})[0];
 
     const Program moved = std::move(prepared.program);
 
@@ -194,7 +181,7 @@ TEST(Recorder, TraceSurvivesProgramMove)
     trace.replay(moved, replayed);
     EXPECT_EQ(replayed.log.size(), trace.numEvents());
 
-    ArchEvaluator after(moved, layout, EvalParams::forArch(Arch::BtbSmall));
-    trace.replay(moved, after.sink());
-    expectEqualResults(before.result(), after.result(), "after move");
+    const EvalResult after = runBatchReplay(
+        moved, layout, BatchTrace(moved, trace), {params})[0];
+    EXPECT_EQ(counters(before), counters(after)) << "after move";
 }

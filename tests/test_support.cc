@@ -21,60 +21,36 @@
 
 using namespace balign;
 
-// ---- SaturatingCounter ---------------------------------------------------
+// ---- Saturating counters --------------------------------------------------
 
-TEST(SaturatingCounter, TwoBitDefaultsWeaklyNotTaken)
+TEST(SaturatingUpdate, TwoBitHysteresis)
 {
-    SaturatingCounter c(2);
-    EXPECT_EQ(c.value(), 1u);
-    EXPECT_FALSE(c.taken());
+    std::uint8_t c = 1;  // weakly not-taken
+    c = saturatingUpdate(c, 3, true);  // 1 -> 2
+    EXPECT_TRUE(saturatingTaken(c, 3));
+    c = saturatingUpdate(c, 3, false);  // 2 -> 1
+    EXPECT_FALSE(saturatingTaken(c, 3));
 }
 
-TEST(SaturatingCounter, TwoBitHysteresis)
+TEST(SaturatingUpdate, SaturatesAtBounds)
 {
-    SaturatingCounter c(2);
-    c.update(true);  // 1 -> 2
-    EXPECT_TRUE(c.taken());
-    c.update(false);  // 2 -> 1
-    EXPECT_FALSE(c.taken());
-}
-
-TEST(SaturatingCounter, SaturatesAtBounds)
-{
-    SaturatingCounter c(2);
+    std::uint8_t c = 1;
     for (int i = 0; i < 10; ++i)
-        c.update(true);
-    EXPECT_EQ(c.value(), 3u);
+        c = saturatingUpdate(c, 3, true);
+    EXPECT_EQ(c, 3u);
     for (int i = 0; i < 10; ++i)
-        c.update(false);
-    EXPECT_EQ(c.value(), 0u);
+        c = saturatingUpdate(c, 3, false);
+    EXPECT_EQ(c, 0u);
 }
 
-TEST(SaturatingCounter, OneBitFlipsImmediately)
+TEST(SaturatingUpdate, OneBitFlipsImmediately)
 {
-    SaturatingCounter c(1);
-    EXPECT_FALSE(c.taken());
-    c.update(true);
-    EXPECT_TRUE(c.taken());
-    c.update(false);
-    EXPECT_FALSE(c.taken());
-}
-
-TEST(SaturatingCounter, ResetWeak)
-{
-    SaturatingCounter c(2);
-    c.resetWeak(true);
-    EXPECT_TRUE(c.taken());
-    EXPECT_EQ(c.value(), 2u);
-    c.resetWeak(false);
-    EXPECT_FALSE(c.taken());
-    EXPECT_EQ(c.value(), 1u);
-}
-
-TEST(SaturatingCounter, ExplicitInitialClamped)
-{
-    SaturatingCounter c(2, 99);
-    EXPECT_EQ(c.value(), 3u);
+    std::uint8_t c = 0;
+    EXPECT_FALSE(saturatingTaken(c, 1));
+    c = saturatingUpdate(c, 1, true);
+    EXPECT_TRUE(saturatingTaken(c, 1));
+    c = saturatingUpdate(c, 1, false);
+    EXPECT_FALSE(saturatingTaken(c, 1));
 }
 
 class CounterWidthSweep : public ::testing::TestWithParam<unsigned>
@@ -84,24 +60,25 @@ class CounterWidthSweep : public ::testing::TestWithParam<unsigned>
 TEST_P(CounterWidthSweep, TakenThresholdIsUpperHalf)
 {
     const unsigned bits = GetParam();
-    const unsigned max = (1u << bits) - 1;
+    const auto max = static_cast<std::uint8_t>((1u << bits) - 1);
     for (unsigned v = 0; v <= max; ++v) {
-        SaturatingCounter c(bits, v);
-        EXPECT_EQ(c.taken(), v > max / 2) << "bits=" << bits << " v=" << v;
+        EXPECT_EQ(saturatingTaken(static_cast<std::uint8_t>(v), max),
+                  v >= (max + 1u) / 2)
+            << "bits=" << bits << " v=" << v;
     }
 }
 
 TEST_P(CounterWidthSweep, MonotoneUpdates)
 {
     const unsigned bits = GetParam();
-    SaturatingCounter c(bits, 0);
-    unsigned prev = c.value();
+    const auto max = static_cast<std::uint8_t>((1u << bits) - 1);
+    std::uint8_t c = 0;
     for (unsigned i = 0; i < (2u << bits); ++i) {
-        c.update(true);
-        EXPECT_GE(c.value(), prev);
-        prev = c.value();
+        const std::uint8_t next = saturatingUpdate(c, max, true);
+        EXPECT_GE(next, c);
+        c = next;
     }
-    EXPECT_EQ(c.value(), (1u << bits) - 1);
+    EXPECT_EQ(c, max);
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, CounterWidthSweep,

@@ -7,12 +7,12 @@
 
 #include <gtest/gtest.h>
 
-#include "bpred/evaluator.h"
 #include "cfg/builder.h"
 #include "cfg/validate.h"
 #include "core/align_program.h"
 #include "core/unroll.h"
 #include "layout/materialize.h"
+#include "replay_util.h"
 #include "trace/profiler.h"
 #include "trace/walker.h"
 #include "workload/paper_figures.h"
@@ -177,11 +177,10 @@ TEST(Unroll, ImprovesFallthroughArchitecture)
         const CostModel model(arch);
         const ProgramLayout layout =
             alignProgram(program, AlignerKind::Try15, &model);
-        ArchEvaluator eval(program, layout, EvalParams::forArch(arch));
-        walk(program, options, eval.sink());
+        const EvalResult result = batchReplay(
+            program, layout, options, {EvalParams::forArch(arch)})[0];
         // Normalize per executed instruction (programs differ in size).
-        return eval.result().bep() /
-               static_cast<double>(eval.result().instrs);
+        return result.bep() / static_cast<double>(result.instrs);
     };
 
     EXPECT_LT(bep_of(unrolled, Arch::Fallthrough),

@@ -34,11 +34,7 @@ main()
                            "tex"};
     for (const char *name : names) {
         ProgramSpec spec = suiteSpec(name);
-        if (const char *env = std::getenv("BALIGN_TRACE_INSTRS")) {
-            const auto v = std::strtoull(env, nullptr, 10);
-            if (v > 0)
-                spec.traceInstrs = v;
-        }
+        spec.traceInstrs = bench::traceInstrs(spec.traceInstrs);
         Program program = generateProgram(spec);
 
         WalkOptions walk_options;

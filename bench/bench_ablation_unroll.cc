@@ -35,11 +35,7 @@ main()
                            "eqntott", "compress"};
     for (const char *name : names) {
         ProgramSpec spec = suiteSpec(name);
-        if (const char *env = std::getenv("BALIGN_TRACE_INSTRS")) {
-            const auto v = std::strtoull(env, nullptr, 10);
-            if (v > 0)
-                spec.traceInstrs = v;
-        }
+        spec.traceInstrs = bench::traceInstrs(spec.traceInstrs);
 
         // Baseline: profile + align the generated program.
         const PreparedProgram plain = prepareProgram(spec);

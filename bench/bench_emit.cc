@@ -62,13 +62,9 @@ struct SizeRow
 SizeRow
 measure(const Program &program, std::uint64_t decode_target)
 {
-    const CostModel model(kArch);
-    AlignOptions options;
-    options.chainOrder = ChainOrderPolicy::BtFntPrecedence;
-    const ProgramLayout original =
-        alignProgram(program, AlignerKind::Original, &model, options);
+    const ProgramLayout original = originalLayout(program);
     const ProgramLayout aligned =
-        alignProgram(program, AlignerKind::Cost, &model, options);
+        alignForArch(program, AlignerKind::Cost, kArch);
 
     const EncodingModel &fixed = encodingModel(EncodingModelKind::FixedWord);
     const EncodingModel &variable =

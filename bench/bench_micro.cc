@@ -181,12 +181,7 @@ paperMatrixLanes(const Program &program)
     PaperMatrixLanes matrix;
     auto add = [&](AlignerKind kind, Arch priced_for,
                    const std::vector<Arch> &lane_archs) {
-        const CostModel model(priced_for);
-        AlignOptions options;
-        if (priced_for == Arch::BtFnt)
-            options.chainOrder = ChainOrderPolicy::BtFntPrecedence;
-        matrix.layouts.push_back(
-            alignProgram(program, kind, &model, options));
+        matrix.layouts.push_back(alignForArch(program, kind, priced_for));
         std::vector<EvalParams> lanes;
         for (const Arch arch : lane_archs)
             lanes.push_back(EvalParams::forArch(arch));

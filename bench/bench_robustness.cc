@@ -386,11 +386,12 @@ main(int argc, char **argv)
             const CostModel model(kArch);
             AlignOptions options;
             options.objective = contender.objective;
-            options.chainOrder = ChainOrderPolicy::BtFntPrecedence;
-            const ProgramLayout old_layout = alignProgram(
-                prepared.program, contender.kind, &model, options);
+            // realignProgram takes the options alignForArch would apply.
+            options = archAlignOptions(kArch, options);
+            const ProgramLayout old_layout = alignForArch(
+                prepared.program, contender.kind, kArch, options);
             const ProgramLayout full =
-                alignProgram(moved, contender.kind, &model, options);
+                alignForArch(moved, contender.kind, kArch, options);
 
             for (std::size_t t = 0; t < kNumThresholds; ++t) {
                 RealignStats stats;

@@ -71,12 +71,7 @@ main()
 
     pool.parallelFor(num_programs, [&](std::size_t prog_index) {
         ProgramSpec spec = suiteSpec(names[prog_index]);
-        spec.traceInstrs = 1'000'000;
-        if (const char *env = std::getenv("BALIGN_TRACE_INSTRS")) {
-            const auto v = std::strtoull(env, nullptr, 10);
-            if (v > 0)
-                spec.traceInstrs = v;
-        }
+        spec.traceInstrs = bench::traceInstrs(1'000'000);
         PreparedProgram prepared;
         {
             ScopedPhaseTimer timer(&times, "prepare");

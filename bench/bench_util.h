@@ -10,10 +10,13 @@
 #ifndef BALIGN_BENCH_BENCH_UTIL_H
 #define BALIGN_BENCH_BENCH_UTIL_H
 
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "support/log.h"
@@ -23,19 +26,32 @@
 
 namespace balign::bench {
 
+/// BALIGN_TRACE_INSTRS as a trace length, or @p fallback when it is
+/// unset. Anything but a positive decimal integer is a fatal error: `2e5`
+/// or `200k` must not silently become a 2- or 200-instruction run.
+inline std::uint64_t
+traceInstrs(std::uint64_t fallback)
+{
+    const char *env = std::getenv("BALIGN_TRACE_INSTRS");
+    if (env == nullptr)
+        return fallback;
+    const char *end = env + std::strlen(env);
+    std::uint64_t budget = 0;
+    const auto [ptr, error] = std::from_chars(env, end, budget);
+    if (error != std::errc() || ptr != end || budget == 0)
+        fatal("BALIGN_TRACE_INSTRS: '%s' is not a positive instruction "
+              "count", env);
+    return budget;
+}
+
 /// Applies BALIGN_TRACE_INSTRS / BALIGN_PROGRAMS to the suite. Unknown
 /// names in BALIGN_PROGRAMS are a fatal error — a typo must not silently
 /// fall back to running the full suite.
 inline std::vector<ProgramSpec>
 tunedSuite(std::vector<ProgramSpec> suite)
 {
-    if (const char *env = std::getenv("BALIGN_TRACE_INSTRS")) {
-        const auto budget = std::strtoull(env, nullptr, 10);
-        if (budget > 0) {
-            for (auto &spec : suite)
-                spec.traceInstrs = budget;
-        }
-    }
+    for (auto &spec : suite)
+        spec.traceInstrs = traceInstrs(spec.traceInstrs);
     if (const char *env = std::getenv("BALIGN_PROGRAMS")) {
         const std::string list = env;
         const char *separators = ", \t";

@@ -270,20 +270,15 @@ diffPrepared(const PreparedProgram &prepared, const DiffOptions &options)
     for (const ObjectiveKind objective : objectives) {
         for (const AlignerKind kind : kinds) {
             for (const Arch arch : archs) {
-                // Mirror runConfigs: per-architecture cost model, and the
-                // BT/FNT chain-ordering override that makes even Greedy
-                // layouts architecture-specific under BT/FNT.
-                const CostModel model(arch);
+                // Aligned as runConfigs aligns (alignForArch), so under
+                // BT/FNT even Greedy layouts are architecture-specific.
                 AlignOptions arch_options = options.align;
                 arch_options.objective = objective;
                 // The differ wants layout bugs surfaced as divergences it
                 // can shrink, not as verifier panics.
                 arch_options.verify = false;
-                if (arch == Arch::BtFnt)
-                    arch_options.chainOrder =
-                        ChainOrderPolicy::BtFntPrecedence;
-                const ProgramLayout layout = alignProgram(
-                    prepared.program, kind, &model, arch_options);
+                const ProgramLayout layout = alignForArch(
+                    prepared.program, kind, arch, arch_options);
                 std::optional<Divergence> divergence =
                     diffLayout(prepared, layout, arch, kind);
                 if (divergence.has_value()) {

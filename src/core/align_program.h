@@ -9,6 +9,8 @@
 #ifndef BALIGN_CORE_ALIGN_PROGRAM_H
 #define BALIGN_CORE_ALIGN_PROGRAM_H
 
+#include <vector>
+
 #include "cfg/program.h"
 #include "core/aligner.h"
 #include "layout/layout_result.h"
@@ -27,12 +29,33 @@ ProgramLayout alignProgram(const Program &program, AlignerKind kind,
                            const AlignOptions &options = {});
 
 /**
- * Aligns @p program with an existing aligner instance (for custom
- * configurations / ablations).
+ * @p options as the paper aligns for @p arch (§6.1): BT/FNT replaces
+ * options.chainOrder with the Pettis–Hansen precedence ordering, every
+ * other architecture keeps it. The one statement of that rule.
  */
-ProgramLayout alignProgram(const Program &program, const Aligner &aligner,
-                           const CostModel *model,
-                           const AlignOptions &options = {});
+AlignOptions archAlignOptions(Arch arch, AlignOptions options);
+
+/**
+ * Aligns @p program for @p arch: alignProgram under CostModel(arch) with
+ * archAlignOptions(arch, options). Every experiment cell, tool and check
+ * that lays a program out for an architecture calls this, so they all
+ * agree on what that layout is.
+ */
+ProgramLayout alignForArch(const Program &program, AlignerKind kind,
+                           Arch arch, const AlignOptions &options = {});
+
+/**
+ * The per-procedure pipeline behind alignProgram and realignProgram. For
+ * each procedure of @p ids, in that order: the aligner's chains,
+ * orderChains, materializeProc; then, for an objective-guided aligner
+ * whose objective can be priced, the Greedy layout instead wherever the
+ * objective prices it strictly cheaper (DESIGN.md §9.4). The procedures
+ * are laid out back to back from address 0. Nothing is verified here.
+ */
+std::vector<ProcLayout> alignProcs(const Program &program,
+                                   const std::vector<ProcId> &ids,
+                                   AlignerKind kind, const CostModel *model,
+                                   const AlignOptions &options);
 
 }  // namespace balign
 

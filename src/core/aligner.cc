@@ -38,16 +38,6 @@ parseAlignerKind(std::string_view name)
     return std::nullopt;
 }
 
-const char *
-profileSourceName(ProfileSource source)
-{
-    switch (source) {
-      case ProfileSource::Measured: return "measured";
-      case ProfileSource::Estimated: return "estimated";
-    }
-    return "?";
-}
-
 double
 blockAlignCost(const Procedure &proc, const CostModel &model, BlockId id,
                BlockId next, const DirOracle &oracle, BlockId prev)

@@ -44,22 +44,6 @@ const char *alignerKindName(AlignerKind kind);
 /// for unknown names.
 std::optional<AlignerKind> parseAlignerKind(std::string_view name);
 
-/**
- * Which profile the aligners consume. Measured uses whatever edge
- * weights the program carries (the walker's true profile, or a degraded
- * one the driver prepared — degradation is a program transform, not an
- * alignment-time choice). Estimated discards the carried weights and
- * aligns against the static profile synthesized by estimate/estimate.h:
- * profile-free alignment, the `none` endpoint of the robustness axis.
- */
-enum class ProfileSource : std::uint8_t {
-    Measured,
-    Estimated,
-};
-
-/// Printable source name ("measured" / "estimated").
-const char *profileSourceName(ProfileSource source);
-
 /// Options shared by the aligners and the program driver.
 struct AlignOptions
 {
@@ -67,43 +51,14 @@ struct AlignOptions
     /// fallback splice price decisions under (objective/objective.h).
     ObjectiveKind objective = ObjectiveKind::TableCost;
 
-    /// Chain concatenation policy (paper §6.1; hot-first is the default
-    /// used for all simulations except the dedicated BT/FNT ordering).
+    /// Chain concatenation policy (paper §6.1; hot-first everywhere except
+    /// under BT/FNT, where archAlignOptions substitutes the precedence
+    /// ordering).
     ChainOrderPolicy chainOrder = ChainOrderPolicy::HotFirst;
 
     /// Group size for the TryN search (paper: 15; 10 is slightly worse but
     /// faster).
     std::size_t groupSize = 15;
-
-    /// TryN ignores edges executed fewer than this many times (paper §4:
-    /// "we only examined edges that were executed more than once").
-    Weight minEdgeWeight = 2;
-
-    /// TryN considers at most this cumulative weight fraction of the
-    /// considered edges (paper §4 suggests 99% as a further speedup; 1.0
-    /// disables the cut).
-    double coverageFraction = 1.0;
-
-    /// Safety valve for enormous procedures: maximum number of TryN groups
-    /// per procedure (0 = unlimited).
-    std::size_t maxGroups = 0;
-
-    /**
-     * Direction-refinement iterations for cost-aware aligners (>= 1).
-     * BT/FNT costs depend on branch direction, which is circular: it is
-     * only known after placement (paper §6). With more than one
-     * iteration, alignment is repeated using the previous iteration's
-     * layout positions as direction hints, which recovers rotations the
-     * id-based hints undervalue.
-     */
-    unsigned directionIterations = 1;
-
-    /**
-     * Profile the alignment consumes. Under Estimated the program driver
-     * re-profiles a copy of the program with the static estimator before
-     * aligning, so the caller's measured weights are never consulted.
-     */
-    ProfileSource profileSource = ProfileSource::Measured;
 
     /**
      * Prove every produced layout semantically equivalent to the source

@@ -5,7 +5,7 @@
 #include <utility>
 #include <vector>
 
-#include "layout/materialize.h"
+#include "core/align_program.h"
 #include "support/log.h"
 #include "verify/verify.h"
 
@@ -37,88 +37,6 @@ profileDivergence(const Procedure &old_proc, const Procedure &new_proc)
     return l1;
 }
 
-namespace {
-
-/**
- * Runs the alignProgram pipeline for a subset of procedures, each
- * materialized at base 0 (the caller re-bases). This mirrors
- * align_program.cc stage for stage — direction-refinement iterations,
- * chain ordering, cost-model materialization, and the per-procedure
- * greedy fallback under the active objective — because every one of
- * those stages is per-procedure and base-invariant, which is what makes
- * the incremental result byte-identical to the full one.
- */
-std::vector<ProcLayout>
-alignSelectedProcs(const Program &program, const std::vector<ProcId> &ids,
-                   AlignerKind kind, const CostModel *model,
-                   const AlignOptions &options)
-{
-    std::vector<ProcLayout> result(ids.size());
-    if (ids.empty())
-        return result;
-
-    if (kind == AlignerKind::Original) {
-        ProgramLayout original = originalLayout(program);
-        for (std::size_t i = 0; i < ids.size(); ++i)
-            result[i] = std::move(original.procs[ids[i]]);
-        return result;
-    }
-
-    const auto aligner = makeAligner(kind, model, options);
-    MaterializeOptions mat;
-    if (aligner->wantsCostModelMaterialization()) {
-        if (model == nullptr)
-            panic("realignProgram: aligner %s needs a cost model",
-                  aligner->name().c_str());
-        mat.costModel = model;
-    }
-    const unsigned iterations = aligner->wantsCostModelMaterialization()
-                                    ? std::max(1u, options.directionIterations)
-                                    : 1;
-    for (unsigned iter = 0; iter < iterations; ++iter) {
-        for (std::size_t i = 0; i < ids.size(); ++i) {
-            const Procedure &proc = program.proc(ids[i]);
-            std::vector<std::uint32_t> positions;
-            DirOracle oracle;
-            if (iter > 0) {
-                const ProcLayout &prev = result[i];
-                positions.resize(proc.numBlocks());
-                for (BlockId b = 0; b < proc.numBlocks(); ++b)
-                    positions[b] = prev.blocks[b].orderIndex;
-                oracle = DirOracle(&positions);
-            }
-            const ChainSet chains = aligner->alignProc(proc, oracle);
-            result[i] = materializeProc(
-                proc, orderChains(proc, chains, options.chainOrder), 0, mat);
-        }
-    }
-
-    // Per-procedure monotone fallback (align_program.cc): never worse
-    // than Greedy under the active objective. Objective prices are
-    // base-invariant, so comparing both candidates at base 0 decides
-    // exactly as cheaperPerProc does on the contiguous layouts.
-    const bool can_price =
-        !objectiveArchDependent(options.objective) || model != nullptr;
-    if (kind != AlignerKind::Greedy && aligner->objectiveGuided() &&
-        can_price) {
-        const auto objective = makeObjective(options.objective, model);
-        std::vector<ProcLayout> greedy = alignSelectedProcs(
-            program, ids, AlignerKind::Greedy, model, options);
-        for (std::size_t i = 0; i < ids.size(); ++i) {
-            const Procedure &proc = program.proc(ids[i]);
-            const double candidate_cost =
-                objective->layoutCost(proc, result[i]);
-            const double baseline_cost =
-                objective->layoutCost(proc, greedy[i]);
-            if (baseline_cost < candidate_cost)
-                result[i] = std::move(greedy[i]);
-        }
-    }
-    return result;
-}
-
-}  // namespace
-
 ProgramLayout
 realignProgram(const Program &old_program, const ProgramLayout &old_layout,
                const Program &new_program, AlignerKind kind,
@@ -144,8 +62,10 @@ realignProgram(const Program &old_program, const ProgramLayout &old_layout,
     }
     local.procsRealigned = moved.size();
 
+    // The moved procedures go through alignProgram's own per-procedure
+    // pipeline; the splice below re-bases them with the rest.
     std::vector<ProcLayout> fresh =
-        alignSelectedProcs(new_program, moved, kind, model, options);
+        alignProcs(new_program, moved, kind, model, options);
 
     ProgramLayout layout;
     layout.procs.resize(new_program.numProcs());

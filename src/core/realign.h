@@ -4,16 +4,13 @@
  * the procedures whose profile actually changed, and splice the fresh
  * procedure layouts into the existing program layout.
  *
- * Soundness rests on two properties the rest of the codebase already
- * relies on: every alignment stage is per-procedure (aligners chain one
- * procedure at a time, the materializer's realization decisions read only
- * intra-procedure order positions, and every AlignmentObjective prices
- * intra-procedurally), and procedure layouts are position-independent
- * modulo a uniform address shift (the same re-basing the fallback splice
- * in align_program.cc performs). So realigning a subset and re-basing the
- * rest contiguously reproduces, byte for byte, what a full alignProgram
- * would have produced for the realigned procedures — and every splice is
- * still discharged through the translation validator (verify/verify.h).
+ * The moved procedures run through alignProcs, the per-procedure
+ * pipeline alignProgram itself runs (core/align_program.h). Procedure
+ * layouts are position-independent modulo a uniform address shift, so
+ * re-basing the realigned subset and the kept procedures contiguously
+ * reproduces, byte for byte, what a full alignProgram would have produced
+ * for the realigned procedures — and every splice is still discharged
+ * through the translation validator (verify/verify.h).
  */
 
 #ifndef BALIGN_CORE_REALIGN_H

@@ -29,6 +29,10 @@ Try15Aligner::Try15Aligner(std::unique_ptr<AlignmentObjective> objective,
 
 namespace {
 
+/// TryN searches only edges executed at least this often (paper §4: "we
+/// only examined edges that were executed more than once").
+constexpr Weight kMinEdgeWeight = 2;
+
 /// One candidate edge in a search group.
 struct GroupEdge
 {
@@ -205,35 +209,20 @@ Try15Aligner::alignProc(const Procedure &proc,
     // survive any chain concatenation); the caller's hints cover the rest.
     const DirOracle oracle = base_oracle.withChains(&chains);
 
-    // Candidate edges: alignable, hot enough, within the coverage cut.
+    // Candidate edges: alignable and hot enough.
     std::vector<std::uint32_t> ordered = alignableEdgesByWeight(proc);
     std::vector<std::uint32_t> candidates;
     candidates.reserve(ordered.size());
-    Weight total = 0;
     for (std::uint32_t index : ordered) {
-        if (proc.edge(index).weight >= options_.minEdgeWeight) {
+        if (proc.edge(index).weight >= kMinEdgeWeight)
             candidates.push_back(index);
-            total += proc.edge(index).weight;
-        }
-    }
-    if (options_.coverageFraction < 1.0 && total > 0) {
-        const auto target = static_cast<Weight>(
-            static_cast<double>(total) * options_.coverageFraction);
-        Weight acc = 0;
-        std::size_t keep = 0;
-        while (keep < candidates.size() && acc < target)
-            acc += proc.edge(candidates[keep++]).weight;
-        candidates.resize(keep);
     }
 
     const std::size_t group_size = std::max<std::size_t>(
         1, std::min<std::size_t>(options_.groupSize, 20));
 
     std::size_t cursor = 0;
-    std::size_t groups = 0;
     while (cursor < candidates.size()) {
-        if (options_.maxGroups != 0 && groups >= options_.maxGroups)
-            break;
         // Form the next group from still-linkable edges.
         std::vector<GroupEdge> group;
         group.reserve(group_size);
@@ -246,7 +235,6 @@ Try15Aligner::alignProc(const Procedure &proc,
         }
         if (group.empty())
             break;
-        ++groups;
 
         GroupSearch search(proc, *objective_, chains, group, oracle);
         const std::uint32_t mask = search.bestMask();

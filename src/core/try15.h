@@ -12,10 +12,9 @@
  * taken jump; a conditional block may align either out-edge or neither
  * (branch plus inserted jump — the loop transformation).
  *
- * Edges executed fewer than minEdgeWeight times are ignored (paper §4), and
- * an optional cumulative-coverage cut (99% is suggested in the paper)
- * bounds the search on enormous procedures. A final greedy tidy pass links
- * the remaining cold edges when doing so cannot increase the modelled cost.
+ * Edges executed fewer than twice are ignored (paper §4). A final greedy
+ * tidy pass links the remaining cold edges when doing so cannot increase
+ * the modelled cost.
  *
  * The search backtracks over an undoable ChainSet with an incrementally
  * maintained cost sum, so each search node costs O(1) beyond the link
@@ -58,7 +57,6 @@ class Try15Aligner : public Aligner
     }
     bool objectiveGuided() const override { return true; }
 
-    const AlignOptions &options() const { return options_; }
     const AlignmentObjective &objective() const { return *objective_; }
 
   private:

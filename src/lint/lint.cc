@@ -53,19 +53,15 @@ lintProgram(const Program &program, const LintRunOptions &options)
     bool objective_priced = false;
 
     for (const Arch arch : archs) {
-        // Mirror runConfigs: per-architecture cost model and the BT/FNT
-        // chain-ordering override, so what gets linted is what the
-        // experiments evaluate.
-        const CostModel model(arch);
+        // alignForArch, as runConfigs aligns, so what gets linted is what
+        // the experiments evaluate.
         AlignOptions align = options.align;
         // Lint reports findings; a verifier panic would mask them.
         align.verify = false;
-        if (arch == Arch::BtFnt)
-            align.chainOrder = ChainOrderPolicy::BtFntPrecedence;
 
         std::map<AlignerKind, ProgramLayout> layouts;
         for (const AlignerKind kind : kinds) {
-            layouts[kind] = alignProgram(program, kind, &model, align);
+            layouts[kind] = alignForArch(program, kind, arch, align);
             lintLayout(program, layouts[kind], archName(arch),
                        alignerKindName(kind), options.lint,
                        report.diagnostics);
@@ -79,6 +75,7 @@ lintProgram(const Program &program, const LintRunOptions &options)
         const auto greedy = layouts.find(AlignerKind::Greedy);
         if (greedy == layouts.end())
             continue;
+        const CostModel model(arch);
         const auto objective = makeObjective(options.align.objective, &model);
         const std::string arch_context =
             objective->archDependent() ? archName(arch) : std::string();

@@ -17,6 +17,16 @@
 
 namespace balign {
 
+const char *
+profileSourceName(ProfileSource source)
+{
+    switch (source) {
+      case ProfileSource::Measured: return "measured";
+      case ProfileSource::Estimated: return "estimated";
+    }
+    return "?";
+}
+
 void
 ExperimentRun::buildCellIndex()
 {
@@ -212,23 +222,22 @@ runConfigs(const PreparedProgram &prepared,
                config.source == ProfileSource::Estimated;
     };
     // Every profile-free layout aligns against the same static estimate,
-    // so it is built once, before the pool, and shared read-only — the
-    // same copy-and-estimate alignProgram's Estimated branch performs.
+    // so it is built once, before the pool, and shared read-only. The
+    // copy's CFG is the program's, so its layouts are layouts of the
+    // program.
     std::optional<Program> estimated;
 
     std::vector<std::unique_ptr<ProgramLayout>> layouts(keys.size());
-    std::vector<std::unique_ptr<CostModel>> models(keys.size());
     auto align_one = [&](std::size_t i) {
         const ExperimentConfig &config = key_configs[i];
-        auto model = std::make_unique<CostModel>(config.arch);
-        AlignOptions arch_options = options;
-        arch_options.objective = config.objective;
-        if (config.arch == Arch::BtFnt)
-            arch_options.chainOrder = ChainOrderPolicy::BtFntPrecedence;
+        AlignOptions cell_options = options;
+        cell_options.objective = config.objective;
+        auto align = [&](const Program &source) {
+            return std::make_unique<ProgramLayout>(alignForArch(
+                source, config.kind, config.arch, cell_options));
+        };
         if (estimated_key(config)) {
-            arch_options.profileSource = ProfileSource::Measured;
-            layouts[i] = std::make_unique<ProgramLayout>(alignProgram(
-                *estimated, config.kind, model.get(), arch_options));
+            layouts[i] = align(*estimated);
         } else if (config.kind != AlignerKind::Original &&
                    !config.degrade.isNone()) {
             // Align on the degraded profile; evaluation below still
@@ -236,11 +245,9 @@ runConfigs(const PreparedProgram &prepared,
             // edge weights, so the layout maps onto the same CFG).
             Program degraded = program;
             degradeProfile(degraded, prepared.walk, config.degrade);
-            layouts[i] = std::make_unique<ProgramLayout>(alignProgram(
-                degraded, config.kind, model.get(), arch_options));
+            layouts[i] = align(degraded);
         } else {
-            layouts[i] = std::make_unique<ProgramLayout>(alignProgram(
-                program, config.kind, model.get(), arch_options));
+            layouts[i] = align(program);
         }
         // Non-default encoding: replay the relaxed byte placement. The
         // fixed-word default leaves the word-model layout untouched —
@@ -248,7 +255,6 @@ runConfigs(const PreparedProgram &prepared,
         if (config.encoding != EncodingModelKind::FixedWord)
             translateLayoutAddresses(program, *layouts[i],
                                      encodingModel(config.encoding));
-        models[i] = std::move(model);
     };
     {
         ScopedPhaseTimer timer(context.times, "align");

@@ -49,6 +49,22 @@ namespace balign {
 
 struct BatchTrace;
 
+/**
+ * Which profile an experiment cell's layout is aligned on. Measured uses
+ * whatever edge weights the program carries (the walker's true profile,
+ * or a degraded one — degradation is a program transform, not an
+ * alignment-time choice). Estimated discards the carried weights and
+ * aligns against the static profile synthesized by estimate/estimate.h:
+ * profile-free alignment, the `none` endpoint of the robustness axis.
+ */
+enum class ProfileSource : std::uint8_t {
+    Measured,
+    Estimated,
+};
+
+/// Printable source name ("measured" / "estimated").
+const char *profileSourceName(ProfileSource source);
+
 /// A (prediction architecture, alignment algorithm, alignment objective)
 /// triple to evaluate, plus an optional profile-degradation axis. The
 /// objective defaults to the paper's Table-1 cost and the degradation to

@@ -35,11 +35,8 @@ runExecTime(const ProgramSpec &spec, const PipelineParams &params,
     {
         ScopedPhaseTimer timer(times, "align");
         orig = originalLayout(program);
-        const CostModel btb_model(Arch::PhtDirect);
-        AlignOptions options;
-        greedy = alignProgram(program, AlignerKind::Greedy, nullptr, options);
-        try15 = alignProgram(program, AlignerKind::Try15, &btb_model,
-                             options);
+        greedy = alignProgram(program, AlignerKind::Greedy, nullptr);
+        try15 = alignForArch(program, AlignerKind::Try15, Arch::PhtDirect);
     }
 
     Alpha21064Model orig_model(program, orig, params);

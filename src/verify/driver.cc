@@ -47,16 +47,13 @@ verifyProgramLayouts(const Program &program, const VerifyRunOptions &options)
             if (!arch_dependent && !btfnt)
                 representative_done = true;
 
-            const CostModel model(arch);
             AlignOptions align = options.align;
             align.objective = objective;
             align.verify = false;  // this sweep IS the verification
-            if (btfnt)
-                align.chainOrder = ChainOrderPolicy::BtFntPrecedence;
 
             for (const AlignerKind kind : kinds) {
                 ProgramLayout layout =
-                    alignProgram(program, kind, &model, align);
+                    alignForArch(program, kind, arch, align);
                 if (options.mutate)
                     options.mutate(layout, arch, kind, objective);
 

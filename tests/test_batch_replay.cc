@@ -348,7 +348,6 @@ TEST(SharedEstimate, RunConfigsMatchesSeparateAlignments)
     auto options_for = [](const ExperimentConfig &config) {
         AlignOptions options;
         options.objective = config.objective;
-        options.profileSource = config.source;
         if (config.arch == Arch::BtFnt)
             options.chainOrder = ChainOrderPolicy::BtFntPrecedence;
         return options;
@@ -364,17 +363,19 @@ TEST(SharedEstimate, RunConfigsMatchesSeparateAlignments)
         ASSERT_EQ(run.cells.size(), configs.size());
 
         // Concurrent alignments reading one shared estimate must produce
-        // the layouts alignProgram's own copy-and-estimate branch does.
+        // the layouts each cell gets from estimating its own copy.
         Program estimated = prepared.program;
         estimateProfile(estimated);
         std::vector<ProgramLayout> separate(configs.size());
         std::vector<ProgramLayout> shared(configs.size());
         pool.parallelFor(configs.size(), [&](std::size_t i) {
             const CostModel model(configs[i].arch);
-            AlignOptions options = options_for(configs[i]);
-            separate[i] = alignProgram(prepared.program, configs[i].kind,
-                                       &model, options);
-            options.profileSource = ProfileSource::Measured;
+            const AlignOptions options = options_for(configs[i]);
+            Program own = prepared.program;
+            if (configs[i].source == ProfileSource::Estimated)
+                estimateProfile(own);
+            separate[i] =
+                alignProgram(own, configs[i].kind, &model, options);
             shared[i] = alignProgram(
                 configs[i].source == ProfileSource::Estimated
                     ? estimated

@@ -2,7 +2,8 @@
  * @file
  * Bench-harness environment-knob tests: a typo in BALIGN_PROGRAMS must be
  * a fatal error (never a silent fall-back to the full suite), with both
- * the comma and whitespace separators the parser accepts.
+ * the comma and whitespace separators the parser accepts, and so must a
+ * BALIGN_TRACE_INSTRS that is not a positive decimal count.
  */
 
 #include <gtest/gtest.h>
@@ -94,4 +95,58 @@ TEST(BenchEnv, TraceInstrsOverrideApplies)
     ASSERT_FALSE(suite.empty());
     for (const auto &spec : suite)
         EXPECT_EQ(spec.traceInstrs, 12345u);
+}
+
+TEST(BenchEnvDeathTest, TraceInstrsRejectsExponent)
+{
+    EXPECT_EXIT(
+        {
+            setenv("BALIGN_TRACE_INSTRS", "2e5", 1);
+            bench::tunedSuite(benchmarkSuite());
+        },
+        testing::ExitedWithCode(1), "'2e5' is not a positive instruction");
+}
+
+TEST(BenchEnvDeathTest, TraceInstrsRejectsSuffix)
+{
+    EXPECT_EXIT(
+        {
+            setenv("BALIGN_TRACE_INSTRS", "200k", 1);
+            bench::tunedSuite(benchmarkSuite());
+        },
+        testing::ExitedWithCode(1), "'200k' is not a positive instruction");
+}
+
+TEST(BenchEnvDeathTest, TraceInstrsRejectsNonNumber)
+{
+    EXPECT_EXIT(
+        {
+            setenv("BALIGN_TRACE_INSTRS", "abc", 1);
+            bench::tunedSuite(benchmarkSuite());
+        },
+        testing::ExitedWithCode(1), "'abc' is not a positive instruction");
+}
+
+TEST(BenchEnvDeathTest, TraceInstrsRejectsZero)
+{
+    EXPECT_EXIT(
+        {
+            setenv("BALIGN_TRACE_INSTRS", "0", 1);
+            bench::tunedSuite(benchmarkSuite());
+        },
+        testing::ExitedWithCode(1), "'0' is not a positive instruction");
+}
+
+TEST(BenchEnv, TraceInstrsAcceptsPlainCounts)
+{
+    const char *old = std::getenv("BALIGN_TRACE_INSTRS");
+    const std::string saved = old != nullptr ? old : "";
+    for (const char *value : {"200000", "100000"}) {
+        setenv("BALIGN_TRACE_INSTRS", value, 1);
+        EXPECT_EQ(bench::traceInstrs(7), std::strtoull(value, nullptr, 10));
+    }
+    if (old != nullptr)
+        setenv("BALIGN_TRACE_INSTRS", saved.c_str(), 1);
+    else
+        unsetenv("BALIGN_TRACE_INSTRS");
 }

@@ -336,8 +336,9 @@ TEST(Lint, DegenerateProfileFiresOnAllZeroWeights)
     const std::vector<Diagnostic> diags = profDiags(program);
     EXPECT_TRUE(hasRule(diags, "prof.degenerate"));
     for (const Diagnostic &diagnostic : diags) {
-        if (diagnostic.rule == "prof.degenerate")
+        if (diagnostic.rule == "prof.degenerate") {
             EXPECT_EQ(diagnostic.severity, Severity::Note);
+        }
     }
     // A single surviving activation is enough information to clear it.
     program.proc(0).edge(0).weight = 1;

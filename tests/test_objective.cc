@@ -439,30 +439,16 @@ alignProc(const Procedure &proc, const AlignmentObjective &objective,
 
     std::vector<std::uint32_t> ordered = alignableEdgesByWeight(proc);
     std::vector<std::uint32_t> candidates;
-    Weight total = 0;
     for (std::uint32_t index : ordered) {
-        if (proc.edge(index).weight >= options.minEdgeWeight) {
+        // Paper §4: only edges executed more than once are searched.
+        if (proc.edge(index).weight >= 2)
             candidates.push_back(index);
-            total += proc.edge(index).weight;
-        }
-    }
-    if (options.coverageFraction < 1.0 && total > 0) {
-        const auto target = static_cast<Weight>(
-            static_cast<double>(total) * options.coverageFraction);
-        Weight acc = 0;
-        std::size_t keep = 0;
-        while (keep < candidates.size() && acc < target)
-            acc += proc.edge(candidates[keep++]).weight;
-        candidates.resize(keep);
     }
 
     const std::size_t group_size = std::max<std::size_t>(
         1, std::min<std::size_t>(options.groupSize, 20));
     std::size_t cursor = 0;
-    std::size_t groups = 0;
     while (cursor < candidates.size()) {
-        if (options.maxGroups != 0 && groups >= options.maxGroups)
-            break;
         std::vector<GroupEdge> group;
         while (cursor < candidates.size() && group.size() < group_size) {
             const Edge &edge = proc.edge(candidates[cursor]);
@@ -473,7 +459,6 @@ alignProc(const Procedure &proc, const AlignmentObjective &objective,
         }
         if (group.empty())
             break;
-        ++groups;
         GroupSearch search(proc, objective, chains, group, oracle);
         const std::uint32_t mask = search.bestMask();
         for (std::size_t i = 0; i < group.size(); ++i) {

@@ -639,19 +639,16 @@ runVerify(const Options &opts, JsonOut &json)
 /**
  * Rebuilds the layout `emit` captures in an object — the identity layout
  * unless --algo is given, so `balign emit prog.balign -o prog.o`
- * round-trips the program as written — priced under --arch's cost model
- * with the BT/FNT chain-order override. Shared by emit and check-obj so
- * the validator reconstructs exactly what the emitter wrote.
+ * round-trips the program as written — aligned for --arch. Shared by emit
+ * and check-obj so the validator reconstructs exactly what the emitter
+ * wrote.
  */
 ProgramLayout
 emitLayout(const Options &opts, const Program &program, AlignerKind kind)
 {
-    const CostModel model(opts.arch);
     AlignOptions options;
     options.objective = opts.objective.value_or(ObjectiveKind::TableCost);
-    if (model.arch() == Arch::BtFnt)
-        options.chainOrder = ChainOrderPolicy::BtFntPrecedence;
-    return alignProgram(program, kind, &model, options);
+    return alignForArch(program, kind, opts.arch, options);
 }
 
 int

@@ -127,8 +127,8 @@ struct ProcLayout
 /**
  * Re-bases @p proc at @p base: every program-global address shifts by the
  * same delta (addresses within a procedure are contiguous, so a layout is
- * position-independent modulo this shift). Used by the per-procedure
- * fallback splice in align_program.cc and by incremental realignment.
+ * position-independent modulo this shift). Used by incremental
+ * realignment to splice procedure layouts.
  */
 void rebaseProcLayout(ProcLayout &proc, Addr base);
 

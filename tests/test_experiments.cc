@@ -7,6 +7,10 @@
  * and the qualitative claims of paper §6 must hold on the suite averages.
  */
 
+#include <bit>
+#include <cstdint>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "sim/cpi.h"
@@ -240,6 +244,56 @@ TEST(ExecTime, FpProgramsSeeNoBenefitIntProgramsDo)
     EXPECT_LT(integer.try15Relative, 0.99);
     EXPECT_GT(integer.try15Relative, 0.5);
     EXPECT_GT(fp.originalCycles, 0.0);
+}
+
+namespace {
+
+std::uint64_t
+fnv1a(std::uint64_t hash, std::uint64_t value)
+{
+    for (int i = 0; i < 8; ++i) {
+        hash ^= (value >> (8 * i)) & 0xFF;
+        hash *= 1099511628211ull;
+    }
+    return hash;
+}
+
+/// FNV-1a 64 over every field of @p r; doubles by their bit pattern.
+std::uint64_t
+hashExecTime(const ExecTimeResult &r)
+{
+    std::uint64_t hash = 14695981039346656037ull;
+    for (const char c : r.name)
+        hash = fnv1a(hash, static_cast<unsigned char>(c));
+    for (const double d : {r.originalCycles, r.greedyRelative,
+                           r.try15Relative, r.origCyclesTotal})
+        hash = fnv1a(hash, std::bit_cast<std::uint64_t>(d));
+    for (const std::uint64_t n :
+         {r.origMispredicts, r.greedyMispredicts, r.try15Mispredicts,
+          r.origICacheMisses, r.try15ICacheMisses, r.origMisfetches,
+          r.try15Misfetches, r.origInstrs})
+        hash = fnv1a(hash, n);
+    return hash;
+}
+
+}  // namespace
+
+// Pins Figure 4 exactly: the pipeline model's penalties, I-cache geometry
+// and return stack are constants, so any change to them (or to the
+// layouts it times) moves these digests.
+TEST(ExecTime, MatchesPinnedDigest)
+{
+    const std::pair<const char *, std::uint64_t> pinned[] = {
+        {"compress", 0xa72b860d3ce67932ull},
+        {"li", 0x875c3933361312afull},
+        {"alvinn", 0x5c461173444a3ba0ull},
+        {"ear", 0x57f280926e7c4bc6ull},
+    };
+    for (const auto &[name, digest] : pinned) {
+        const ExecTimeResult r = runExecTime(shortSpec(name, 200'000));
+        EXPECT_EQ(hashExecTime(r), digest)
+            << name << ": 0x" << std::hex << hashExecTime(r);
+    }
 }
 
 TEST(ExecTime, AlignedNeverMeaningfullySlower)

@@ -54,11 +54,11 @@ main()
         }
 
         const ProgramLayout by_id =
-            materializeProgram(program, orders, MaterializeOptions{});
+            materializeProgram(program, orders);
         const std::vector<ProcId> proc_order =
             orderProcsByCallGraph(program, calls);
         const ProgramLayout by_calls = materializeProgramOrdered(
-            program, orders, proc_order, MaterializeOptions{});
+            program, orders, proc_order);
 
         Alpha21064Model base_model(program, by_id);
         Alpha21064Model ordered_model(program, by_calls);

@@ -33,7 +33,7 @@ main()
     runner.times = &times;
     const std::vector<ProgramSpec> suite = bench::tunedSuite(figure4Suite());
     const std::vector<ExecTimeResult> results =
-        runExecTimeSuite(suite, {}, runner);
+        runExecTimeSuite(suite, runner);
 
     for (const ExecTimeResult &r : results) {
         table.row()

@@ -9,7 +9,6 @@
 #include <benchmark/benchmark.h>
 
 #include "bpred/cost_model.h"
-#include "check/differ.h"
 #include "core/align_program.h"
 #include "estimate/estimate.h"
 #include "layout/materialize.h"

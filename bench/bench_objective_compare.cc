@@ -30,7 +30,6 @@
 #include <sstream>
 
 #include "bench_util.h"
-#include "check/differ.h"
 #include "core/align_program.h"
 #include "objective/exttsp.h"
 #include "sim/runner.h"

@@ -48,7 +48,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "check/differ.h"
 #include "core/realign.h"
 #include "layout/layout_diff.h"
 #include "layout/materialize.h"

@@ -9,8 +9,7 @@
  * (BM_ReplayMultiLayout vs BM_ReplayPerLayout).
  *
  * Environment: BALIGN_THREADS, BALIGN_TRACE_INSTRS, BALIGN_PROGRAMS as
- * usual. Set BALIGN_WALLCLOCK_SKIP_SERIAL=1 to skip the serial baseline
- * (the summary line then reports the speedup as 0).
+ * usual.
  */
 
 #include <iostream>
@@ -72,10 +71,7 @@ main()
         bench::tunedSuite(benchmarkSuite());
     const unsigned threads = defaultThreads();
 
-    TimedRun serial;
-    const char *skip = std::getenv("BALIGN_WALLCLOCK_SKIP_SERIAL");
-    if (skip == nullptr || skip[0] == '\0' || skip[0] == '0')
-        serial = timedRun(suite, configs, 1, "wallclock_serial");
+    const TimedRun serial = timedRun(suite, configs, 1, "wallclock_serial");
     const TimedRun parallel =
         timedRun(suite, configs, threads, "wallclock_parallel");
 
@@ -84,7 +80,6 @@ main()
         "\"configs\":%zu,\"serial_s\":%.6f,\"parallel_s\":%.6f,"
         "\"speedup\":%.3f,\"replay_s\":%.6f}\n",
         threads, suite.size(), configs.size(), serial.wall, parallel.wall,
-        serial.wall > 0.0 ? serial.wall / parallel.wall : 0.0,
-        serial.replay);
+        serial.wall / parallel.wall, serial.replay);
     return 0;
 }

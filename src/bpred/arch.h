@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <optional>
 #include <string_view>
+#include <vector>
 
 namespace balign {
 
@@ -36,6 +37,9 @@ const char *archName(Arch arch);
 /// likely, pht, gshare, btb-small, btb-large (or btb); nullopt for
 /// anything else.
 std::optional<Arch> parseArch(std::string_view name);
+
+/// Every architecture the simulator knows.
+const std::vector<Arch> &allArchs();
 
 /// True for the table-based direction predictors.
 inline bool

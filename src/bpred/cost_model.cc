@@ -40,6 +40,17 @@ parseArch(std::string_view name)
     return std::nullopt;
 }
 
+const std::vector<Arch> &
+allArchs()
+{
+    static const std::vector<Arch> archs = {
+        Arch::Fallthrough, Arch::BtFnt,     Arch::Likely,
+        Arch::PhtDirect,   Arch::PhtCorrelated, Arch::PhtLocal,
+        Arch::BtbSmall,    Arch::BtbLarge,
+    };
+    return archs;
+}
+
 const char *
 condRealizationName(CondRealization realization)
 {

@@ -91,14 +91,12 @@ optimalBranchCost(const Procedure &proc, const CostModel &model,
     }
     std::sort(rest.begin(), rest.end());
 
-    MaterializeOptions options;
-    options.costModel = &model;
     double best = std::numeric_limits<double>::infinity();
     do {
         std::vector<BlockId> order{proc.entry()};
         order.insert(order.end(), rest.begin(), rest.end());
         const ProcLayout layout =
-            materializeProc(proc, std::move(order), 0, options);
+            materializeProc(proc, std::move(order), 0, &model);
         best = std::min(best, modeledBranchCost(proc, layout, model));
     } while (std::next_permutation(rest.begin(), rest.end()));
     return best;

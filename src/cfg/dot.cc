@@ -7,8 +7,16 @@
 
 namespace balign {
 
+namespace {
+
+/// Edges below this percentage of the procedure's transitions get no
+/// label (the paper's figures omit those under 1%).
+constexpr double kMinLabelPct = 1.0;
+
+}  // namespace
+
 void
-writeDot(const Procedure &proc, std::ostream &os, const DotOptions &options)
+writeDot(const Procedure &proc, std::ostream &os)
 {
     os << "digraph \"" << proc.name() << "\" {\n";
     os << "  node [shape=box, fontname=\"Helvetica\"];\n";
@@ -38,30 +46,22 @@ writeDot(const Procedure &proc, std::ostream &os, const DotOptions &options)
             os << "style=dotted";
             break;
         }
-        std::string label;
-        if (options.percentLabels && total > 0) {
+        if (total > 0) {
             const double percent =
                 pct(static_cast<double>(edge.weight), total);
-            if (percent >= options.minLabelPct)
-                label = fixed(percent, 0);
+            if (percent >= kMinLabelPct)
+                os << ", label=\"" << fixed(percent, 0) << "\"";
         }
-        if (options.rawWeights) {
-            if (!label.empty())
-                label += " / ";
-            label += withCommas(edge.weight);
-        }
-        if (!label.empty())
-            os << ", label=\"" << label << "\"";
         os << "];\n";
     }
     os << "}\n";
 }
 
 std::string
-toDot(const Procedure &proc, const DotOptions &options)
+toDot(const Procedure &proc)
 {
     std::ostringstream os;
-    writeDot(proc, os, options);
+    writeDot(proc, os);
     return os.str();
 }
 

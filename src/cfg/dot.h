@@ -16,23 +16,12 @@
 
 namespace balign {
 
-/// Options controlling dot output.
-struct DotOptions
-{
-    /// Label edges with percent-of-procedure-transitions (paper style).
-    bool percentLabels = true;
-    /// Suppress labels for edges below this percentage (paper: < 1%).
-    double minLabelPct = 1.0;
-    /// Include raw weights in edge labels.
-    bool rawWeights = false;
-};
-
-/// Writes @p proc as a dot digraph to @p os.
-void writeDot(const Procedure &proc, std::ostream &os,
-              const DotOptions &options = {});
+/// Writes @p proc as a dot digraph to @p os. Edges below 1% of the
+/// procedure's transitions stay unlabelled, as in the paper's figures.
+void writeDot(const Procedure &proc, std::ostream &os);
 
 /// Renders @p proc as a dot digraph string.
-std::string toDot(const Procedure &proc, const DotOptions &options = {});
+std::string toDot(const Procedure &proc);
 
 }  // namespace balign
 

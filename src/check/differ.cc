@@ -26,39 +26,6 @@ divergenceKindName(DivergenceKind kind)
     return "?";
 }
 
-const std::vector<Arch> &
-allArchs()
-{
-    static const std::vector<Arch> archs = {
-        Arch::Fallthrough, Arch::BtFnt,     Arch::Likely,
-        Arch::PhtDirect,   Arch::PhtCorrelated, Arch::PhtLocal,
-        Arch::BtbSmall,    Arch::BtbLarge,
-    };
-    return archs;
-}
-
-const std::vector<AlignerKind> &
-allAlignerKinds()
-{
-    static const std::vector<AlignerKind> kinds = {
-        AlignerKind::Original,
-        AlignerKind::Greedy,
-        AlignerKind::Cost,
-        AlignerKind::Try15,
-    };
-    return kinds;
-}
-
-const std::vector<AlignerKind> &
-allAlignerKindsExtended()
-{
-    static const std::vector<AlignerKind> kinds = {
-        AlignerKind::Original, AlignerKind::Greedy, AlignerKind::Cost,
-        AlignerKind::Try15,    AlignerKind::ExtTsp,
-    };
-    return kinds;
-}
-
 std::string
 formatDivergence(const Divergence &divergence)
 {

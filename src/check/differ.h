@@ -105,17 +105,6 @@ struct DiffOptions
     std::size_t maxDivergences = 1;
 };
 
-/// Every architecture the simulator knows.
-const std::vector<Arch> &allArchs();
-
-/// The aligners the paper studies (including the identity layout).
-const std::vector<AlignerKind> &allAlignerKinds();
-
-/// allAlignerKinds() plus the post-paper ExtTsp aligner — the sweep the
-/// fuzzer and corpus replay use. Kept separate so the paper-scoped suite
-/// goldens (lint reports, experiment tables) stay pinned to four kinds.
-const std::vector<AlignerKind> &allAlignerKindsExtended();
-
 /**
  * Compares two branch-sample streams. Returns an empty string when they
  * are identical, else a multi-line description of the first mismatch

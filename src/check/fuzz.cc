@@ -1,7 +1,6 @@
 #include "check/fuzz.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -1087,11 +1086,6 @@ runFuzz(const FuzzOptions &options)
         const std::uint64_t seed = options.firstSeed + i;
         const WalkOptions walk = walkForSeed(seed, options.walkInstrs);
         found[i] = check(programForSeed(seed), walk);
-        if (options.verbose && options.pool == nullptr) {
-            std::fprintf(stderr, "fuzz seed %llu: %s\n",
-                         static_cast<unsigned long long>(seed),
-                         found[i].has_value() ? "DIVERGED" : "ok");
-        }
     };
     if (options.pool != nullptr) {
         options.pool->parallelFor(options.seeds, run_seed);

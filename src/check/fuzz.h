@@ -78,8 +78,6 @@ struct FuzzOptions
     std::string corpusDir;
     /// Parallelize seeds across this pool (null = serial).
     ThreadPool *pool = nullptr;
-    /// Per-seed progress lines on stderr.
-    bool verbose = false;
     /// Test hook for the verify gate: corrupts each layout between
     /// alignment and verification (see verify/driver.h), proving the gate
     /// catches injected bugs end to end.

@@ -17,12 +17,12 @@ alignProcs(const Program &program, const std::vector<ProcId> &ids,
 {
     // Original has no aligner: the identity order, materialized classically.
     const auto aligner = makeAligner(kind, model, options);
-    MaterializeOptions mat;
+    const CostModel *mat = nullptr;
     if (aligner != nullptr && aligner->wantsCostModelMaterialization()) {
         if (model == nullptr)
             panic("alignProgram: aligner %s needs a cost model",
                   aligner->name().c_str());
-        mat.costModel = model;
+        mat = model;
     }
 
     // Objective-guided aligners place chains from incomplete information

@@ -38,6 +38,28 @@ parseAlignerKind(std::string_view name)
     return std::nullopt;
 }
 
+const std::vector<AlignerKind> &
+allAlignerKinds()
+{
+    static const std::vector<AlignerKind> kinds = {
+        AlignerKind::Original,
+        AlignerKind::Greedy,
+        AlignerKind::Cost,
+        AlignerKind::Try15,
+    };
+    return kinds;
+}
+
+const std::vector<AlignerKind> &
+allAlignerKindsExtended()
+{
+    static const std::vector<AlignerKind> kinds = {
+        AlignerKind::Original, AlignerKind::Greedy, AlignerKind::Cost,
+        AlignerKind::Try15,    AlignerKind::ExtTsp,
+    };
+    return kinds;
+}
+
 double
 blockAlignCost(const Procedure &proc, const CostModel &model, BlockId id,
                BlockId next, const DirOracle &oracle, BlockId prev)

@@ -18,6 +18,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "bpred/cost_model.h"
 #include "cfg/procedure.h"
@@ -43,6 +44,14 @@ const char *alignerKindName(AlignerKind kind);
 /// Inverse of alignerKindName, also accepting tryn and ext-tsp; nullopt
 /// for unknown names.
 std::optional<AlignerKind> parseAlignerKind(std::string_view name);
+
+/// The aligners the paper studies (including the identity layout).
+const std::vector<AlignerKind> &allAlignerKinds();
+
+/// allAlignerKinds() plus the post-paper ExtTsp aligner — the sweep the
+/// fuzzer and corpus replay use. Kept separate so the paper-scoped suite
+/// goldens (lint reports, experiment tables) stay pinned to four kinds.
+const std::vector<AlignerKind> &allAlignerKindsExtended();
 
 /// Options shared by the aligners and the program driver.
 struct AlignOptions

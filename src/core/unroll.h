@@ -40,9 +40,6 @@ struct UnrollOptions
 
     /// Skip loop blocks bigger than this (code-size guard).
     std::uint32_t maxBlockInstrs = 48;
-
-    /// Cap on unrolled loops per procedure (0 = unlimited).
-    std::size_t maxLoopsPerProc = 0;
 };
 
 /**

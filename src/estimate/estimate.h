@@ -57,42 +57,10 @@ inline constexpr int kEstimateSchemaVersion = 1;
 /// cannot overflow Weight or the sums downstream consumers form.
 inline constexpr Weight kEstimateWeightCeiling = Weight{1} << 44;
 
-/// Tunables. The defaults are used everywhere (benches, lint, fuzzing);
-/// they are exposed mainly so tests can probe edge behaviour.
-struct EstimateOptions
-{
-    /// Invocation count assigned to main (the profile's global scale).
-    /// Programs that can reach an inescapable cycle get a reduced count
-    /// so the stranded flow stays within strandBudget.
-    Weight entryCount = 1u << 16;
-
-    /// Trip-count prior: cyclic probability is capped at this value, so
-    /// a loop contributes at most 1 / (1 - cap) iterations per entry
-    /// (default cap 15/16 = 16 iterations, Wu-Larus use a similar
-    /// epsilon guard). The prior shapes the call-graph invocation counts
-    /// and the circulation of trap loops; the integer profile inside a
-    /// procedure follows the uncapped probabilities.
-    double maxCyclicProb = 1.0 - 1.0 / 16.0;
-
-    /// Tighter trip-count prior for nested loops (depth >= 2): inner
-    /// loops run fewer iterations per entry than their enclosing loop
-    /// runs in total (the classic profile observation), so their cyclic
-    /// probability is capped lower — about 2.5 iterations — to keep
-    /// deep nests from dwarfing every acyclic path in the estimate.
-    double nestedCyclicProb = 0.60;
-
-    /// Combined branch probabilities are clamped to
-    /// [probFloor, 1 - probFloor]: static evidence is never certainty.
-    double probFloor = 1.0 / 64.0;
-
-    /// Gauss-Seidel passes for the irreducible-region fallback.
-    unsigned irreduciblePasses = 16;
-
-    /// Program-wide budget for integer flow stranded in trap SCCs; kept
-    /// below LintOptions::flowSlack so estimated profiles always pass
-    /// prof.flow-conservation.
-    Weight strandBudget = 48;
-};
+/// Program-wide budget for integer flow stranded in trap SCCs; kept
+/// below LintOptions::flowSlack so estimated profiles always pass
+/// prof.flow-conservation.
+inline constexpr Weight kEstimateStrandBudget = 48;
 
 /// Registry entry for one branch heuristic.
 struct HeuristicInfo
@@ -155,7 +123,8 @@ struct EstimateReport
     /// distribution the est.prob rule validates and materialization
     /// follows).
     std::vector<std::vector<double>> edgeProbs;
-    /// Program-wide integer flow left in trap SCCs (<= strandBudget).
+    /// Program-wide integer flow left in trap SCCs
+    /// (<= kEstimateStrandBudget).
     Weight totalStranded = 0;
     /// Conditional branches seen.
     std::size_t conditionals = 0;
@@ -172,12 +141,11 @@ double combineEvidence(double a, double b);
 /**
  * Replaces @p program's edge weights with the synthesized static
  * profile and tags its provenance as Estimated. The CFG structure and
- * edge biases are untouched. Deterministic: same program, same options,
+ * edge biases are untouched. Deterministic: same program,
  * byte-identical weights — no RNG, no threads, no iteration-order
  * dependence on anything but the IR.
  */
-EstimateReport estimateProfile(Program &program,
-                               const EstimateOptions &options = {});
+EstimateReport estimateProfile(Program &program);
 
 /**
  * Renders the report as text: the per-heuristic hit table, per-procedure

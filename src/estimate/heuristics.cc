@@ -67,10 +67,14 @@ enum HeuristicIndex : std::size_t {
     kGuard,
 };
 
+/// Combined branch probabilities are clamped to
+/// [kProbFloor, 1 - kProbFloor]: static evidence is never certainty.
+constexpr double kProbFloor = 1.0 / 64.0;
+
 double
-clampProb(double p, double floor)
+clampProb(double p)
 {
-    return std::min(std::max(p, floor), 1.0 - floor);
+    return std::min(std::max(p, kProbFloor), 1.0 - kProbFloor);
 }
 
 /// One vote: the heuristic at @p index predicts @p taken's side.
@@ -91,7 +95,6 @@ vote(std::vector<HeuristicVote> &votes, std::vector<std::size_t> &hits,
 
 std::vector<double>
 branchProbabilities(const Procedure &proc, const ProcAnalysis &analysis,
-                    const EstimateOptions &options,
                     std::vector<BranchEstimate> &branches,
                     std::vector<std::size_t> &hits)
 {
@@ -223,7 +226,7 @@ branchProbabilities(const Procedure &proc, const ProcAnalysis &analysis,
             const double fraction =
                 static_cast<double>(std::popcount(mask)) /
                 static_cast<double>(len);
-            const double p = clampProb(fraction, options.probFloor);
+            const double p = clampProb(fraction);
             vote(estimate.votes, hits, kPattern, p >= 0.5, p >= 0.5 ? p
                                                                     : 1 - p);
         }
@@ -239,7 +242,7 @@ branchProbabilities(const Procedure &proc, const ProcAnalysis &analysis,
             double p = blockProb[block.correlatedWith];
             if (block.correlatedInvert)
                 p = 1.0 - p;
-            p = clampProb(p, options.probFloor);
+            p = clampProb(p);
             vote(estimate.votes, hits, kCorrelated, p >= 0.5,
                  p >= 0.5 ? p : 1 - p);
         }
@@ -259,7 +262,7 @@ branchProbabilities(const Procedure &proc, const ProcAnalysis &analysis,
         double combined = 0.5;
         for (const HeuristicVote &v : estimate.votes)
             combined = combineEvidence(combined, v.takenProb);
-        estimate.takenProb = clampProb(combined, options.probFloor);
+        estimate.takenProb = clampProb(combined);
         blockProb[block.id] = estimate.takenProb;
 
         edgeProb[static_cast<std::uint32_t>(taken_index)] =

@@ -27,7 +27,6 @@ namespace estimate_detail {
  */
 std::vector<double> branchProbabilities(const Procedure &proc,
                                         const ProcAnalysis &analysis,
-                                        const EstimateOptions &options,
                                         std::vector<BranchEstimate> &branches,
                                         std::vector<std::size_t> &hits);
 
@@ -83,8 +82,7 @@ struct ProcFreqs
  */
 ProcFreqs propagateFrequencies(const Procedure &proc,
                                const ProcAnalysis &analysis,
-                               const std::vector<double> &edgeProb,
-                               const EstimateOptions &options);
+                               const std::vector<double> &edgeProb);
 
 /**
  * One-pass integer materialization over the loop forest: splits

@@ -52,6 +52,24 @@ namespace {
 /// affecting well-behaved programs.
 constexpr double kFreqCeiling = 1e15;
 
+/// Trip-count prior: cyclic probability is capped at this value, so a
+/// loop contributes at most 1 / (1 - cap) iterations per entry (cap
+/// 15/16 = 16 iterations; Wu-Larus use a similar epsilon guard). The
+/// prior shapes the call-graph invocation counts and the circulation of
+/// trap loops; the integer profile inside a procedure follows the
+/// uncapped probabilities.
+constexpr double kMaxCyclicProb = 1.0 - 1.0 / 16.0;
+
+/// Tighter trip-count prior for nested loops (depth >= 2): inner loops
+/// run fewer iterations per entry than their enclosing loop runs in
+/// total (the classic profile observation), so their cyclic probability
+/// is capped lower — about 2.5 iterations — to keep deep nests from
+/// dwarfing every acyclic path in the estimate.
+constexpr double kNestedCyclicProb = 0.60;
+
+/// Gauss-Seidel passes for the irreducible-region fallback.
+constexpr unsigned kIrreduciblePasses = 16;
+
 /// Tarjan SCC over the valid out-edges of reachable blocks; returns the
 /// blocks that sit in an SCC with no edge leaving it (counting only
 /// cyclic SCCs: size > 1 or a self-loop). Iterative, deterministic.
@@ -396,8 +414,7 @@ class Materializer
 
 ProcFreqs
 propagateFrequencies(const Procedure &proc, const ProcAnalysis &analysis,
-                     const std::vector<double> &edgeProb,
-                     const EstimateOptions &options)
+                     const std::vector<double> &edgeProb)
 {
     ProcFreqs freqs;
     const std::size_t n = proc.numBlocks();
@@ -437,7 +454,7 @@ propagateFrequencies(const Procedure &proc, const ProcAnalysis &analysis,
         // reducible path.
         freqs.irreducibleFallback = true;
         std::vector<double> f(n, 0.0);
-        for (unsigned pass = 0; pass < options.irreduciblePasses; ++pass) {
+        for (unsigned pass = 0; pass < kIrreduciblePasses; ++pass) {
             for (const BlockId b : rpo.order) {
                 double in = b == proc.entry() ? 1.0 : 0.0;
                 for (const std::uint32_t e : proc.block(b).inEdges) {
@@ -529,9 +546,8 @@ propagateFrequencies(const Procedure &proc, const ProcAnalysis &analysis,
                 patterned_latch =
                     patterned_latch || proc.block(latch).patternLength > 0;
             const double cap = loop.depth >= 2 && !patterned_latch
-                                   ? std::min(options.maxCyclicProb,
-                                              options.nestedCyclicProb)
-                                   : options.maxCyclicProb;
+                                   ? kNestedCyclicProb
+                                   : kMaxCyclicProb;
             if (cyclic > cap) {
                 cyclic = cap;
                 ++freqs.tripCappedLoops;

@@ -174,7 +174,7 @@ orderDir(std::uint32_t target_pos, std::uint32_t branch_pos)
 
 ProcLayout
 materializeProc(const Procedure &proc, std::vector<BlockId> order, Addr base,
-                const MaterializeOptions &options)
+                const CostModel *costModel)
 {
     const std::size_t n = proc.numBlocks();
     if (order.size() != n)
@@ -231,9 +231,9 @@ materializeProc(const Procedure &proc, std::vector<BlockId> order, Addr base,
             const DirHint dir_fall = orderDir(position[fall.dst], i);
 
             CondRealization pick;
-            if (options.costModel != nullptr) {
+            if (costModel != nullptr) {
                 // Consider every legal realization and take the cheapest.
-                const CostModel &model = *options.costModel;
+                const CostModel &model = *costModel;
                 std::vector<CondRealization> candidates = {
                     CondRealization::NeitherJumpToFall,
                     CondRealization::NeitherJumpToTaken,
@@ -345,7 +345,7 @@ rebaseProcLayout(ProcLayout &proc, Addr base)
 ProgramLayout
 materializeProgram(const Program &program,
                    const std::vector<std::vector<BlockId>> &orders,
-                   const MaterializeOptions &options)
+                   const CostModel *costModel)
 {
     if (orders.size() != program.numProcs())
         panic("materializeProgram: %zu orders for %zu procedures",
@@ -355,7 +355,7 @@ materializeProgram(const Program &program,
     Addr base = 0;
     for (ProcId id = 0; id < program.numProcs(); ++id) {
         layout.procs.push_back(
-            materializeProc(program.proc(id), orders[id], base, options));
+            materializeProc(program.proc(id), orders[id], base, costModel));
         base += layout.procs.back().totalInstrs;
     }
     layout.totalInstrs = base;
@@ -373,7 +373,7 @@ originalLayout(const Program &program)
             order[b] = b;
         orders.push_back(std::move(order));
     }
-    return materializeProgram(program, orders, MaterializeOptions{});
+    return materializeProgram(program, orders);
 }
 
 }  // namespace balign

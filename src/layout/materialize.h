@@ -24,32 +24,29 @@
 
 namespace balign {
 
-struct MaterializeOptions
-{
-    /// Architecture cost model; null selects classic (cost-blind) behavior.
-    const CostModel *costModel = nullptr;
-};
-
 /**
  * Materializes one procedure.
  *
  * @param proc the procedure
  * @param order permutation of all block ids; order[0] must be the entry
  * @param base program-global address of the procedure's first instruction
+ * @param costModel architecture cost model; null selects classic
+ *        (cost-blind) behavior
  */
 ProcLayout materializeProc(const Procedure &proc,
                            std::vector<BlockId> order, Addr base,
-                           const MaterializeOptions &options = {});
+                           const CostModel *costModel = nullptr);
 
 /**
  * Materializes a whole program; procedures are placed contiguously in id
  * order (the paper does not reorder procedures).
  *
  * @param orders one block order per procedure
+ * @param costModel as for materializeProc
  */
 ProgramLayout materializeProgram(const Program &program,
                                  const std::vector<std::vector<BlockId>> &orders,
-                                 const MaterializeOptions &options = {});
+                                 const CostModel *costModel = nullptr);
 
 /**
  * The identity layout: blocks in id order, exactly reproducing the original

@@ -126,7 +126,7 @@ ProgramLayout
 materializeProgramOrdered(const Program &program,
                           const std::vector<std::vector<BlockId>> &orders,
                           const std::vector<ProcId> &proc_order,
-                          const MaterializeOptions &options)
+                          const CostModel *costModel)
 {
     if (orders.size() != program.numProcs() ||
         proc_order.size() != program.numProcs())
@@ -145,7 +145,7 @@ materializeProgramOrdered(const Program &program,
     Addr base = 0;
     for (ProcId p : proc_order) {
         layout.procs[p] =
-            materializeProc(program.proc(p), orders[p], base, options);
+            materializeProc(program.proc(p), orders[p], base, costModel);
         base += layout.procs[p].totalInstrs;
     }
     layout.totalInstrs = base;

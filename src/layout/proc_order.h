@@ -46,7 +46,7 @@ std::vector<ProcId> orderProcsByCallGraph(const Program &program,
 ProgramLayout materializeProgramOrdered(
     const Program &program, const std::vector<std::vector<BlockId>> &orders,
     const std::vector<ProcId> &proc_order,
-    const MaterializeOptions &options = {});
+    const CostModel *costModel = nullptr);
 
 }  // namespace balign
 

@@ -23,12 +23,20 @@
 
 namespace balign {
 
+namespace {
+
+/// Relative tolerance for cost.monotone comparisons (floating-point
+/// summation noise only; a real regression exceeds this by orders of
+/// magnitude).
+constexpr double kCostRelTolerance = 1e-9;
+
+}  // namespace
+
 void
 lintCostMonotone(const Program &program, const AlignmentObjective &objective,
                  const std::string &arch, const ProgramLayout &baseline,
                  const char *baselineName, const ProgramLayout &candidate,
-                 const char *candidateName, const LintOptions &options,
-                 std::vector<Diagnostic> &sink)
+                 const char *candidateName, std::vector<Diagnostic> &sink)
 {
     const double base_cost = objective.layoutCost(program, baseline);
     const double cand_cost = objective.layoutCost(program, candidate);
@@ -36,7 +44,7 @@ lintCostMonotone(const Program &program, const AlignmentObjective &objective,
     // near zero, so scale by magnitude.
     const double magnitude = base_cost < 0 ? -base_cost : base_cost;
     const double allowance =
-        magnitude * options.costRelTolerance + options.costRelTolerance;
+        magnitude * kCostRelTolerance + kCostRelTolerance;
     if (cand_cost <= base_cost + allowance)
         return;
 
@@ -59,11 +67,11 @@ void
 lintCostMonotone(const Program &program, const CostModel &model,
                  const ProgramLayout &baseline, const char *baselineName,
                  const ProgramLayout &candidate, const char *candidateName,
-                 const LintOptions &options, std::vector<Diagnostic> &sink)
+                 std::vector<Diagnostic> &sink)
 {
     const TableCostObjective objective(model);
     lintCostMonotone(program, objective, archName(model.arch()), baseline,
-                     baselineName, candidate, candidateName, options, sink);
+                     baselineName, candidate, candidateName, sink);
 }
 
 }  // namespace balign

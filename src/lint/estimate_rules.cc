@@ -28,6 +28,10 @@ using lint_detail::emit;
 
 constexpr double kDistributionTolerance = 1e-9;
 
+// The estimator's stranding budget must fit the default slack, or a
+// correct estimate of a trap-laden program would fail est.flow.
+static_assert(kEstimateStrandBudget < LintOptions{}.flowSlack);
+
 void
 checkProbabilities(const Program &program, const EstimateReport &report,
                    std::vector<Diagnostic> &sink)

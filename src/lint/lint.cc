@@ -4,7 +4,6 @@
 #include <ostream>
 #include <sstream>
 
-#include "check/differ.h"
 #include "layout/chain_order.h"
 #include "support/json.h"
 
@@ -32,7 +31,7 @@ lintProgram(const Program &program, const LintRunOptions &options)
     lintProfile(program, options.lint, report.diagnostics);
     // The est.* self-checks estimate a copy of the program, which is
     // only meaningful on a structurally sound CFG.
-    if (options.estimateRules && cfg_clean)
+    if (cfg_clean)
         lintEstimate(program, options.lint, report.diagnostics);
 
     // A structurally broken CFG makes alignment meaningless (and the
@@ -63,13 +62,10 @@ lintProgram(const Program &program, const LintRunOptions &options)
         for (const AlignerKind kind : kinds) {
             layouts[kind] = alignForArch(program, kind, arch, align);
             lintLayout(program, layouts[kind], archName(arch),
-                       alignerKindName(kind), options.lint,
-                       report.diagnostics);
+                       alignerKindName(kind), report.diagnostics);
             ++report.layoutsChecked;
         }
 
-        if (!options.costRules)
-            continue;
         if (!arch_dependent_objective && objective_priced)
             continue;  // same prices on every architecture: already done
         const auto greedy = layouts.find(AlignerKind::Greedy);
@@ -88,7 +84,7 @@ lintProgram(const Program &program, const LintRunOptions &options)
                              greedy->second,
                              alignerKindName(AlignerKind::Greedy),
                              found->second, alignerKindName(candidate),
-                             options.lint, report.diagnostics);
+                             report.diagnostics);
             ++report.costPairsChecked;
         }
         objective_priced = true;

@@ -65,15 +65,10 @@ struct LintRunOptions
     AlignOptions align;
     /// Rule tunables.
     LintOptions lint;
-    /// Build and check layouts (layout.* rules).
+    /// Build and check layouts (layout.* rules) and compare Cost, Try15
+    /// and ExtTsp against Greedy per architecture (cost.* rules; requires
+    /// Greedy and at least one candidate in `kinds`).
     bool layoutRules = true;
-    /// Run the static-estimator self-checks (est.* rules): estimate a
-    /// copy of the program and verify the synthesized probabilities and
-    /// integer flow. Skipped automatically when cfg.* found errors.
-    bool estimateRules = true;
-    /// Compare Cost/Try15 against Greedy per architecture (cost.*
-    /// rules; requires Greedy and at least one candidate in `kinds`).
-    bool costRules = true;
 };
 
 /**

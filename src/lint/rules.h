@@ -24,10 +24,10 @@
 
 #include "bpred/cost_model.h"
 #include "cfg/program.h"
-#include "emit/encoding.h"
 #include "layout/layout_result.h"
 #include "lint/diagnostic.h"
 #include "objective/objective.h"
+#include "trace/walker.h"
 
 namespace balign {
 
@@ -45,32 +45,17 @@ const std::vector<RuleInfo> &allLintRules();
 /// Looks up a rule by id; nullptr when unknown.
 const RuleInfo *findLintRule(std::string_view id);
 
-/// Tunables for the profile and cost rules.
+/// Tunables for the profile rules.
 struct LintOptions
 {
     /**
      * Allowed program-wide profile-flow excess (sum over interior blocks
      * of inflow - outflow). A truncated walk leaves one unfinished
      * activation per call-stack frame, so the bound defaults to the
-     * walker's depth cap plus the final block.
+     * walker's depth cap plus the final block. A profile merged from k
+     * walks needs k times that (profile/degrade.h).
      */
-    Weight flowSlack = 65;
-
-    /// Relative tolerance for cost.monotone comparisons (floating-point
-    /// summation noise only; a real regression exceeds this by orders of
-    /// magnitude).
-    double costRelTolerance = 1e-9;
-
-    /// layout.loop-split only considers natural loops whose total
-    /// back-edge weight reaches this threshold: splitting a loop the
-    /// program barely iterates costs nothing worth reporting.
-    Weight hotLoopWeight = 1024;
-
-    /// Encoding model layout.reach relaxes each layout under. The
-    /// default is the variable model — the one with a short form to
-    /// escape; under FixedWord nothing is relaxable and the rule passes
-    /// vacuously.
-    EncodingModelKind encoding = EncodingModelKind::Variable;
+    Weight flowSlack = kMaxCallDepth + 1;
 };
 
 // ---------------------------------------------------------------------
@@ -114,7 +99,7 @@ void lintEstimate(const Program &program, const LintOptions &options,
 /// Runs every layout.* rule over (@p program, @p layout).
 void lintLayout(const Program &program, const ProgramLayout &layout,
                 const std::string &arch, const std::string &aligner,
-                const LintOptions &options, std::vector<Diagnostic> &sink);
+                std::vector<Diagnostic> &sink);
 
 // ---------------------------------------------------------------------
 // obj.* — findings over a decoded object (disasm/disasm.h). Unlike the
@@ -145,7 +130,7 @@ void lintCostMonotone(const Program &program,
                       const std::string &arch, const ProgramLayout &baseline,
                       const char *baselineName,
                       const ProgramLayout &candidate,
-                      const char *candidateName, const LintOptions &options,
+                      const char *candidateName,
                       std::vector<Diagnostic> &sink);
 
 /// Table-1 convenience: prices under TableCostObjective(@p model) with the
@@ -154,7 +139,7 @@ void lintCostMonotone(const Program &program, const CostModel &model,
                       const ProgramLayout &baseline,
                       const char *baselineName,
                       const ProgramLayout &candidate,
-                      const char *candidateName, const LintOptions &options,
+                      const char *candidateName,
                       std::vector<Diagnostic> &sink);
 
 }  // namespace balign

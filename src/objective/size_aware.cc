@@ -1,7 +1,6 @@
 #include "objective/size_aware.h"
 
 #include "emit/relax.h"
-#include "support/log.h"
 
 namespace balign {
 
@@ -16,15 +15,6 @@ sizeModel()
 }
 
 }  // namespace
-
-SizeAwareObjective::SizeAwareObjective(const CostModel &model,
-                                       double bytesWeight)
-    : table_(model), bytesWeight_(bytesWeight)
-{
-    if (!(bytesWeight_ >= 0.0))
-        panic("SizeAwareObjective: bytes weight %g is negative",
-              bytesWeight_);
-}
 
 double
 SizeAwareObjective::blockCost(const Procedure &proc, BlockId id,
@@ -75,7 +65,7 @@ SizeAwareObjective::blockCost(const Procedure &proc, BlockId id,
       case Terminator::Return:
         break;
     }
-    return cycles + bytesWeight_ * bytes;
+    return cycles + bytes;
 }
 
 double
@@ -87,7 +77,7 @@ SizeAwareObjective::blockCostFloor(const Procedure &proc, BlockId id) const
         proc.block(id).term == Terminator::CondBranch
             ? sizeModel().instrBytes(InstrClass::CondBranch, BranchForm::Short)
             : 0;
-    return table_.blockCostFloor(proc, id) + bytesWeight_ * bytes;
+    return table_.blockCostFloor(proc, id) + bytes;
 }
 
 double
@@ -96,7 +86,7 @@ SizeAwareObjective::layoutCost(const Procedure &proc,
 {
     const double cycles = table_.layoutCost(proc, layout);
     const ProcRelaxation relaxed = relaxProc(proc, layout, sizeModel());
-    return cycles + bytesWeight_ * static_cast<double>(relaxed.byteSize);
+    return cycles + static_cast<double>(relaxed.byteSize);
 }
 
 }  // namespace balign

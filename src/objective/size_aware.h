@@ -9,8 +9,8 @@
  * encodes smaller, packing denser icache lines (the intuition behind
  * ExtTSP's distance decay, arXiv:1809.04676 §2).
  *
- * SizeAwareObjective wraps TableCostObjective and adds
- * bytesWeight * encoded-bytes to both prices:
+ * SizeAwareObjective wraps TableCostObjective and adds the encoded
+ * bytes, one cycle per byte, to both prices:
  *
  *  - blockCost adds the bytes the decision commits under the Variable
  *    model, branches optimistically priced at their short form (the
@@ -20,9 +20,8 @@
  *    (relaxation never crosses procedures), preserving the
  *    rebase-invariance the greedy-fallback splice needs.
  *
- * With the default bytesWeight of 1.0, cycle terms (profile-weighted,
- * typically 1e3..1e8) dominate and bytes break ties toward denser code;
- * larger weights trade cycles for size.
+ * Cycle terms (profile-weighted, typically 1e3..1e8) dominate, so bytes
+ * break ties toward denser code.
  */
 
 #ifndef BALIGN_OBJECTIVE_SIZE_AWARE_H
@@ -35,10 +34,7 @@ namespace balign {
 class SizeAwareObjective : public AlignmentObjective
 {
   public:
-    /// @p bytesWeight must be >= 0 (panics otherwise): the TryN bound
-    /// assumes fewer bytes never cost more.
-    explicit SizeAwareObjective(const CostModel &model,
-                                double bytesWeight = 1.0);
+    explicit SizeAwareObjective(const CostModel &model) : table_(model) {}
 
     std::string name() const override { return "size-aware"; }
     ObjectiveKind kind() const override { return ObjectiveKind::SizeAware; }
@@ -57,11 +53,8 @@ class SizeAwareObjective : public AlignmentObjective
                       const ProcLayout &layout) const override;
     using AlignmentObjective::layoutCost;
 
-    double bytesWeight() const { return bytesWeight_; }
-
   private:
     TableCostObjective table_;
-    double bytesWeight_;
 };
 
 }  // namespace balign

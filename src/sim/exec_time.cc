@@ -10,8 +10,7 @@
 namespace balign {
 
 ExecTimeResult
-runExecTime(const ProgramSpec &spec, const PipelineParams &params,
-            PhaseTimes *times)
+runExecTime(const ProgramSpec &spec, PhaseTimes *times)
 {
     Program generated;
     {
@@ -39,9 +38,9 @@ runExecTime(const ProgramSpec &spec, const PipelineParams &params,
         try15 = alignForArch(program, AlignerKind::Try15, Arch::PhtDirect);
     }
 
-    Alpha21064Model orig_model(program, orig, params);
-    Alpha21064Model greedy_model(program, greedy, params);
-    Alpha21064Model try15_model(program, try15, params);
+    Alpha21064Model orig_model(program, orig);
+    Alpha21064Model greedy_model(program, greedy);
+    Alpha21064Model try15_model(program, try15);
     {
         // One independent replay of the recorded trace per pipeline model.
         ScopedPhaseTimer timer(times, "replay");

@@ -43,7 +43,6 @@ struct ExecTimeResult
 /// replay the recorded profiling trace (one replay per layout); @p times,
 /// when given, accumulates generate/profile/align/replay wall time.
 ExecTimeResult runExecTime(const ProgramSpec &spec,
-                           const PipelineParams &params = {},
                            PhaseTimes *times = nullptr);
 
 }  // namespace balign

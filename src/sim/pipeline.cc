@@ -7,14 +7,11 @@
 namespace balign {
 
 Alpha21064Model::Alpha21064Model(const Program &program,
-                                 const ProgramLayout &layout,
-                                 const PipelineParams &params)
-    : params_(params),
-      adapter_(program, layout, *this),
-      icache_(params.icacheBytes, params.icacheLineBytes),
-      ras_(params.rasEntries),
-      slots_(params.icacheBytes / kInstrBytes, SlotState::Cold),
-      slotMask_(params.icacheBytes / kInstrBytes - 1)
+                                 const ProgramLayout &layout)
+    : adapter_(program, layout, *this),
+      icache_(kICacheBytes, kICacheLineBytes),
+      ras_(kRasEntries),
+      slots_(kICacheBytes / kInstrBytes, SlotState::Cold)
 {
 }
 
@@ -99,12 +96,11 @@ double
 Alpha21064Model::cycles() const
 {
     const double issue = std::ceil(static_cast<double>(instrs_) /
-                                   static_cast<double>(params_.issueWidth));
-    return issue +
-           static_cast<double>(mispredicts_) * params_.mispredictPenalty +
-           static_cast<double>(misfetches_) * params_.misfetchPenalty *
-               (1.0 - params_.misfetchSquashFraction) +
-           static_cast<double>(icache_.misses()) * params_.icacheMissPenalty;
+                                   static_cast<double>(kIssueWidth));
+    return issue + static_cast<double>(mispredicts_) * kMispredictPenalty +
+           static_cast<double>(misfetches_) * kMisfetchPenalty *
+               (1.0 - kMisfetchSquashFraction) +
+           static_cast<double>(icache_.misses()) * kICacheMissPenalty;
 }
 
 }  // namespace balign

@@ -37,24 +37,23 @@
 
 namespace balign {
 
-struct PipelineParams
-{
-    unsigned issueWidth = 2;
-    double misfetchPenalty = 1.0;
-    double mispredictPenalty = 5.0;  // ten instruction slots, dual issue
-    /// Fraction of misfetch bubbles hidden behind other stalls.
-    double misfetchSquashFraction = 0.30;
-    std::size_t icacheBytes = 8192;
-    std::size_t icacheLineBytes = 32;
-    double icacheMissPenalty = 5.0;
-    std::size_t rasEntries = 32;
-};
-
 class Alpha21064Model : public BranchEventHandler
 {
   public:
-    Alpha21064Model(const Program &program, const ProgramLayout &layout,
-                    const PipelineParams &params = {});
+    /// The machine of paper §6.1, fixed: dual issue, an 8 KB direct-mapped
+    /// I-cache of 32-byte lines and a 32-entry return stack.
+    static constexpr unsigned kIssueWidth = 2;
+    static constexpr double kMisfetchPenalty = 1.0;
+    /// Ten instruction slots at dual issue.
+    static constexpr double kMispredictPenalty = 5.0;
+    /// Fraction of misfetch bubbles hidden behind other stalls.
+    static constexpr double kMisfetchSquashFraction = 0.30;
+    static constexpr std::size_t kICacheBytes = 8192;
+    static constexpr std::size_t kICacheLineBytes = 32;
+    static constexpr double kICacheMissPenalty = 5.0;
+    static constexpr std::size_t kRasEntries = 32;
+
+    Alpha21064Model(const Program &program, const ProgramLayout &layout);
 
     /// The EventSink to drive with a walk.
     EventSink &sink() { return adapter_; }
@@ -77,14 +76,16 @@ class Alpha21064Model : public BranchEventHandler
     /// Per-cached-instruction-slot predictor state.
     enum class SlotState : std::uint8_t { Cold, NotTaken, Taken };
 
-    std::size_t slotIndex(Addr addr) const { return addr & slotMask_; }
+    static std::size_t
+    slotIndex(Addr addr)
+    {
+        return addr & (kICacheBytes / kInstrBytes - 1);
+    }
 
-    PipelineParams params_;
     BranchEventAdapter adapter_;
     ICache icache_;
     ReturnStack ras_;
     std::vector<SlotState> slots_;
-    std::size_t slotMask_;
 
     std::uint64_t instrs_ = 0;
     std::uint64_t misfetches_ = 0;

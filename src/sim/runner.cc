@@ -68,13 +68,13 @@ runSuite(const std::vector<ProgramSpec> &suite,
 
 std::vector<ExecTimeResult>
 runExecTimeSuite(const std::vector<ProgramSpec> &suite,
-                 const PipelineParams &params, const RunnerOptions &options)
+                 const RunnerOptions &options)
 {
     ThreadPool pool(options.threads != 0 ? options.threads
                                          : defaultThreads());
     std::vector<ExecTimeResult> results(suite.size());
     pool.parallelFor(suite.size(), [&](std::size_t i) {
-        results[i] = runExecTime(suite[i], params, options.times);
+        results[i] = runExecTime(suite[i], options.times);
     });
     return results;
 }

@@ -70,7 +70,6 @@ runSuite(const std::vector<ProgramSpec> &suite,
  */
 std::vector<ExecTimeResult>
 runExecTimeSuite(const std::vector<ProgramSpec> &suite,
-                 const PipelineParams &params = {},
                  const RunnerOptions &options = {});
 
 }  // namespace balign

@@ -52,6 +52,9 @@ class RecordedTrace
     /// The WalkResult of the recorded walk.
     const WalkResult &walkResult() const { return walkResult_; }
 
+    /// Same events, call sites and walk summary.
+    bool operator==(const RecordedTrace &other) const = default;
+
   private:
     friend class TraceRecorder;
 

@@ -59,7 +59,7 @@ walk(const Program &program, const WalkOptions &options, EventSink &sink)
         if (frame.callIndex < block.calls.size()) {
             const CallSite &site = block.calls[frame.callIndex];
             ++frame.callIndex;
-            if (stack.size() < options.maxCallDepth) {
+            if (stack.size() < kMaxCallDepth) {
                 sink.onCall(frame.proc, frame.block, site);
                 ++result.calls;
                 const Procedure &callee = program.proc(site.callee);

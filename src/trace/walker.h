@@ -27,6 +27,9 @@
 
 namespace balign {
 
+/// Maximum call depth; calls at the cap are skipped entirely.
+inline constexpr unsigned kMaxCallDepth = 64;
+
 struct WalkOptions
 {
     /// RNG seed; identical seeds yield identical event streams.
@@ -34,9 +37,6 @@ struct WalkOptions
 
     /// Stop once this many instructions have executed.
     std::uint64_t instrBudget = 1'000'000;
-
-    /// Maximum call depth; calls at the cap are skipped entirely.
-    unsigned maxCallDepth = 64;
 
     /// Restart from main when the root procedure returns.
     bool restartOnExit = true;
@@ -48,8 +48,10 @@ struct WalkResult
     std::uint64_t instrs = 0;    ///< instructions executed
     std::uint64_t blocks = 0;    ///< block activations
     std::uint64_t calls = 0;     ///< calls taken (not skipped)
-    std::uint64_t skippedCalls = 0;  ///< calls skipped at the depth cap
+    std::uint64_t skippedCalls = 0;  ///< calls skipped at kMaxCallDepth
     std::uint64_t runs = 0;      ///< completed root activations
+
+    bool operator==(const WalkResult &other) const = default;
 };
 
 /**

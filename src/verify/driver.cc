@@ -4,7 +4,7 @@
 #include <sstream>
 
 #include "bpred/arch.h"
-#include "check/differ.h"
+#include "core/aligner.h"
 #include "emit/relax.h"
 #include "layout/chain_order.h"
 #include "objective/objective.h"
@@ -71,10 +71,8 @@ verifyProgramLayouts(const Program &program, const VerifyRunOptions &options)
                 // proof holds: a corrupted layout has no meaningful byte
                 // rendition (relaxation assumes a walkable order).
                 if (certificate.result.verified()) {
-                    const std::vector<EncodingModelKind> &encodings =
-                        options.encodings.empty() ? allEncodingModelKinds()
-                                                  : options.encodings;
-                    for (const EncodingModelKind encoding : encodings) {
+                    for (const EncodingModelKind encoding :
+                         allEncodingModelKinds()) {
                         const EncodingModel &em = encodingModel(encoding);
                         const RelaxedLayout relaxed =
                             relaxLayout(program, layout, em);

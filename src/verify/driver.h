@@ -45,12 +45,6 @@ struct VerifyRunOptions
     std::vector<AlignerKind> kinds;
     /// Objectives to sweep (empty = just align.objective).
     std::vector<ObjectiveKind> objectives;
-    /// Encoding models whose relaxed byte layouts to prove on top of each
-    /// word-model layout (empty = all). Relaxed obligations are merged
-    /// into the same certificate; they are skipped entirely when the
-    /// word-model proof already failed (a corrupted layout has no
-    /// meaningful byte rendition).
-    std::vector<EncodingModelKind> encodings;
     /// Alignment options; the BT/FNT chain-order override is applied on
     /// top, exactly as the experiment runner does.
     AlignOptions align;
@@ -71,6 +65,8 @@ struct VerifyRunReport
 
 /// Aligns @p program under every configured (objective, architecture,
 /// aligner) combination and proves each layout semantically equivalent.
+/// A layout whose word-model proof holds also has its relaxed byte
+/// layout proven under every encoding model, in the same certificate.
 VerifyRunReport verifyProgramLayouts(const Program &program,
                                      const VerifyRunOptions &options = {});
 

@@ -46,9 +46,7 @@ TEST(Dot, StylesMatchPaperConventions)
 TEST(Dot, PercentLabelsRespectThreshold)
 {
     const Program program = figure3Loop();
-    DotOptions options;
-    options.minLabelPct = 1.0;
-    const std::string dot = toDot(program.proc(0), options);
+    const std::string dot = toDot(program.proc(0));
     // The three hot edges carry 9000 of 27002 transitions each = 33%.
     EXPECT_NE(dot.find("label=\"33\""), std::string::npos);
     // The weight-1 edges are below 1% and stay unlabelled: count EDGE
@@ -59,16 +57,6 @@ TEST(Dot, PercentLabelsRespectThreshold)
         pos += 8;
     }
     EXPECT_EQ(labels, 3u);
-}
-
-TEST(Dot, RawWeightsOption)
-{
-    const Program program = figure3Loop();
-    DotOptions options;
-    options.percentLabels = false;
-    options.rawWeights = true;
-    const std::string dot = toDot(program.proc(0), options);
-    EXPECT_NE(dot.find("9,000"), std::string::npos);
 }
 
 TEST(Dot, IndirectEdgesDotted)

@@ -117,7 +117,7 @@ checkMaterialized(Program &program)
         }
     }
     EXPECT_EQ(absorbed, report.totalStranded);
-    EXPECT_LE(report.totalStranded, EstimateOptions{}.strandBudget);
+    EXPECT_LE(report.totalStranded, kEstimateStrandBudget);
     EXPECT_LE(largest, kEstimateWeightCeiling);
     const LintReport lint = lintProgram(program, LintRunOptions{});
     EXPECT_EQ(lint.errors(), 0u) << formatLintReport(lint, "shape");

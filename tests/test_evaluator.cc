@@ -191,7 +191,7 @@ TEST(Evaluator, InsertedJumpCountsOnlyWhenExecuted)
     // away from the loop: entry, loop, exit stays — instead force the
     // "neither adjacent" case by putting exit before loop.
     const ProgramLayout layout = materializeProgram(
-        program, {{0, 2, 1}}, MaterializeOptions{});
+        program, {{0, 2, 1}});
     ASSERT_EQ(layout.procs[0].blocks[1].cond,
               CondRealization::NeitherJumpToFall);
     // The displaced entry block also needs a jump to reach the loop.
@@ -219,7 +219,7 @@ TEST(Evaluator, RemovedJumpReducesInstructionCount)
     EXPECT_EQ(before.misfetches, 1u);  // the jump
 
     const ProgramLayout moved = materializeProgram(
-        program, {{a, target, pad}}, MaterializeOptions{});
+        program, {{a, target, pad}});
     const EvalResult after = runOnce(program, moved, Arch::BtFnt);
     EXPECT_EQ(after.instrs, 3u);  // jump deleted
     EXPECT_EQ(after.misfetches, 0u);

@@ -97,8 +97,7 @@ std::vector<Diagnostic>
 layoutDiags(const Program &program, const ProgramLayout &layout)
 {
     std::vector<Diagnostic> sink;
-    lintLayout(program, layout, "test-arch", "test-algo", LintOptions{},
-               sink);
+    lintLayout(program, layout, "test-arch", "test-algo", sink);
     return sink;
 }
 
@@ -483,7 +482,7 @@ TEST(Lint, JumpNeededFiresOnKeptAdjacentJump)
 TEST(Lint, LoopSplitNotesHotLoopSpreadAcrossSlots)
 {
     // A hot two-block loop (header + latch, back-edge weight well past
-    // hotLoopWeight) whose latch is exiled to the end of the layout: the
+    // kHotLoopWeight) whose latch is exiled to the end of the layout: the
     // two hot blocks span three slots, costing a taken transfer per
     // iteration.
     Program program("loop-split");
@@ -556,14 +555,14 @@ TEST(Lint, CostMonotoneFiresOnRegression)
         alignProgram(program, AlignerKind::Greedy, &model, {});
     // A deliberately hostile order: the cold exit splits the hot loop.
     const ProgramLayout candidate = materializeProgram(
-        program, {{head, exit, body}}, MaterializeOptions{});
+        program, {{head, exit, body}});
     ASSERT_GT(modeledBranchCost(program, candidate, model),
               modeledBranchCost(program, baseline, model))
         << "fixture must actually regress for the rule to be provable";
 
     std::vector<Diagnostic> sink;
     lintCostMonotone(program, model, baseline, "greedy", candidate,
-                     "hostile", LintOptions{}, sink);
+                     "hostile", sink);
     EXPECT_TRUE(hasRule(sink, "cost.monotone"));
     ASSERT_FALSE(sink.empty());
     EXPECT_EQ(sink.front().aligner, "hostile");
@@ -577,7 +576,7 @@ TEST(Lint, CostMonotoneQuietOnIdenticalLayouts)
         alignProgram(program, AlignerKind::Greedy, &model, {});
     std::vector<Diagnostic> sink;
     lintCostMonotone(program, model, layout, "greedy", layout, "greedy",
-                     LintOptions{}, sink);
+                     sink);
     EXPECT_TRUE(sink.empty());
 }
 

@@ -150,7 +150,7 @@ TEST(Materialize, InvertsSenseWhenTakenTargetAdjacent)
     b.taken(head, hot, 90);
 
     const ProgramLayout layout = materializeProgram(
-        custom, {{head, hot, cold}}, MaterializeOptions{});
+        custom, {{head, hot, cold}});
     const ProcLayout &pl = layout.procs[0];
     EXPECT_EQ(pl.blocks[head].cond, CondRealization::TakenAdjacent);
     EXPECT_EQ(pl.sensesInverted, 1u);
@@ -172,7 +172,7 @@ TEST(Materialize, InsertsJumpWhenNeitherAdjacent)
 
     // Order: head, pad, a, c — neither successor adjacent.
     const ProgramLayout layout = materializeProgram(
-        custom, {{head, pad, a, c}}, MaterializeOptions{});
+        custom, {{head, pad, a, c}});
     const ProcLayout &pl = layout.procs[0];
     EXPECT_EQ(pl.blocks[head].cond, CondRealization::NeitherJumpToFall);
     EXPECT_EQ(pl.jumpsInserted, 1u);
@@ -191,11 +191,9 @@ TEST(Materialize, CostModelPicksLoopTransformationOnFallthrough)
     // transformation.
     const Program program = smallProgram();
     const CostModel model(Arch::Fallthrough);
-    MaterializeOptions options;
-    options.costModel = &model;
     std::vector<BlockId> order{0, 1, 2, 3, 4};
     const ProgramLayout layout =
-        materializeProgram(program, {order}, options);
+        materializeProgram(program, {order}, &model);
     EXPECT_EQ(layout.procs[0].blocks[1].cond,
               CondRealization::NeitherJumpToTaken);
     EXPECT_TRUE(layout.procs[0].blocks[1].jumpInserted);
@@ -205,11 +203,9 @@ TEST(Materialize, CostModelKeepsBackwardTakenOnBtFnt)
 {
     const Program program = smallProgram();
     const CostModel model(Arch::BtFnt);
-    MaterializeOptions options;
-    options.costModel = &model;
     std::vector<BlockId> order{0, 1, 2, 3, 4};
     const ProgramLayout layout =
-        materializeProgram(program, {order}, options);
+        materializeProgram(program, {order}, &model);
     // Backward taken loop branch is already ideal for BT/FNT.
     EXPECT_EQ(layout.procs[0].blocks[1].cond,
               CondRealization::FallAdjacent);
@@ -221,7 +217,7 @@ TEST(Materialize, RemovesUncondToAdjacentTarget)
     // Reorder so ret(4) directly follows tail(2): the unconditional
     // branch becomes redundant and is deleted.
     const ProgramLayout layout = materializeProgram(
-        program, {{0, 1, 2, 4, 3}}, MaterializeOptions{});
+        program, {{0, 1, 2, 4, 3}});
     EXPECT_TRUE(layout.procs[0].blocks[2].jumpRemoved);
     EXPECT_EQ(layout.procs[0].blocks[2].finalInstrs, 1u);
     EXPECT_EQ(layout.procs[0].jumpsRemoved, 1u);
@@ -233,7 +229,7 @@ TEST(Materialize, FallThroughBlockGetsJumpWhenDisplaced)
     const Program program = smallProgram();
     // Move the loop away from entry: order entry, tail, ret, pad, loop.
     const ProgramLayout layout = materializeProgram(
-        program, {{0, 2, 4, 3, 1}}, MaterializeOptions{});
+        program, {{0, 2, 4, 3, 1}});
     const ProcLayout &pl = layout.procs[0];
     EXPECT_TRUE(pl.blocks[0].jumpInserted);
     EXPECT_EQ(pl.blocks[0].finalInstrs, 3u);
@@ -245,11 +241,10 @@ TEST(MaterializeDeath, RejectsNonPermutation)
 {
     const Program program = smallProgram();
     EXPECT_DEATH(
-        materializeProgram(program, {{0, 1, 2, 3, 3}},
-                           MaterializeOptions{}),
+        materializeProgram(program, {{0, 1, 2, 3, 3}}),
         "appears twice");
     EXPECT_DEATH(
-        materializeProgram(program, {{0, 1, 2}}, MaterializeOptions{}),
+        materializeProgram(program, {{0, 1, 2}}),
         "order has");
 }
 
@@ -257,8 +252,7 @@ TEST(MaterializeDeath, RejectsNonEntryFirst)
 {
     const Program program = smallProgram();
     EXPECT_DEATH(
-        materializeProgram(program, {{1, 0, 2, 3, 4}},
-                           MaterializeOptions{}),
+        materializeProgram(program, {{1, 0, 2, 3, 4}}),
         "entry block");
 }
 

@@ -692,13 +692,6 @@ TEST(ObjectiveKindDeath, TableCostRequiresModel)
                  "needs a cost model");
 }
 
-TEST(ObjectiveKindDeath, SizeAwareRejectsNegativeBytesWeight)
-{
-    // The size-aware floor assumes fewer bytes never cost more.
-    const CostModel model(Arch::Fallthrough);
-    EXPECT_DEATH(SizeAwareObjective(model, -1.0), "negative");
-}
-
 TEST(ObjectiveKindTest, ExtTspNeedsNoModel)
 {
     const auto objective = makeObjective(ObjectiveKind::ExtTsp, nullptr);

@@ -111,7 +111,7 @@ TEST(ProcOrder, OrderedMaterializationMovesBases)
     const auto orders = identityOrders(program);
     const std::vector<ProcId> proc_order{2, 0, 1};
     const ProgramLayout layout = materializeProgramOrdered(
-        program, orders, proc_order, MaterializeOptions{});
+        program, orders, proc_order);
     EXPECT_EQ(layout.procs[2].base, 0u);
     EXPECT_EQ(layout.procs[0].base, 6u);
     EXPECT_EQ(layout.procs[1].base, 10u);
@@ -123,11 +123,9 @@ TEST(ProcOrderDeath, RejectsBadOrder)
 {
     const Program program = threeProcs();
     const auto orders = identityOrders(program);
-    EXPECT_DEATH(materializeProgramOrdered(program, orders, {0, 0, 1},
-                                           MaterializeOptions{}),
+    EXPECT_DEATH(materializeProgramOrdered(program, orders, {0, 0, 1}),
                  "bad procedure order");
-    EXPECT_DEATH(materializeProgramOrdered(program, orders, {0, 1},
-                                           MaterializeOptions{}),
+    EXPECT_DEATH(materializeProgramOrdered(program, orders, {0, 1}),
                  "size mismatch");
 }
 
@@ -142,9 +140,9 @@ TEST(ProcOrder, IdOrderEquivalentToPlainMaterialization)
         id_order[p] = p;
 
     const ProgramLayout plain =
-        materializeProgram(program, orders, MaterializeOptions{});
+        materializeProgram(program, orders);
     const ProgramLayout ordered = materializeProgramOrdered(
-        program, orders, id_order, MaterializeOptions{});
+        program, orders, id_order);
     ASSERT_EQ(plain.totalInstrs, ordered.totalInstrs);
     for (ProcId p = 0; p < program.numProcs(); ++p) {
         EXPECT_EQ(plain.procs[p].base, ordered.procs[p].base);

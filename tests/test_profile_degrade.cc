@@ -83,11 +83,11 @@ totalWeight(const Program &program)
 /// Profile-rules-only lint run (layout/cost rules are covered by their
 /// own labelled groups; here only the prof.* flow invariants matter).
 LintReport
-lintProfileOnly(const Program &program, Weight slack = 65)
+lintProfileOnly(const Program &program,
+                Weight slack = LintOptions{}.flowSlack)
 {
     LintRunOptions run;
     run.layoutRules = false;
-    run.costRules = false;
     run.lint.flowSlack = slack;
     return lintProgram(program, run);
 }
@@ -228,7 +228,6 @@ TEST(DegradeDegenerate, ZeroProfileTripsNoteAndAlignersTolerateIt)
 
     LintRunOptions run;
     run.layoutRules = false;
-    run.costRules = false;
     const LintReport report = lintProgram(program, run);
     bool found = false;
     for (const Diagnostic &diag : report.diagnostics) {

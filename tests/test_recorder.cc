@@ -112,6 +112,63 @@ TEST(Recorder, ReplayReproducesExactEventStream)
     }
 }
 
+TEST(Recorder, ReplayReproducesRecording)
+{
+    const Prepared prepared = profiledProgram("compress", 20'000);
+    const RecordedTrace original =
+        recordTrace(prepared.program, prepared.walk);
+
+    TraceRecorder recorder(prepared.program);
+    original.replay(prepared.program, recorder);
+    recorder.setWalkResult(original.walkResult());
+    EXPECT_TRUE(recorder.take() == original);
+}
+
+TEST(Recorder, ReplayedProfileEqualsLiveProfile)
+{
+    Prepared prepared = profiledProgram("compress", 20'000);
+    Program &program = prepared.program;
+    const RecordedTrace trace = recordTrace(program, prepared.walk);
+
+    auto weights = [&] {
+        std::vector<Weight> all;
+        for (const auto &proc : program.procs())
+            for (const auto &edge : proc.edges())
+                all.push_back(edge.weight);
+        return all;
+    };
+
+    // Live profile.
+    program.clearWeights();
+    Profiler live(program);
+    walk(program, prepared.walk, live);
+    const std::vector<Weight> live_weights = weights();
+    const ProgramStats live_stats = live.stats();
+
+    // Replayed profile.
+    program.clearWeights();
+    Profiler replayed(program);
+    trace.replay(program, replayed);
+
+    EXPECT_EQ(live_weights, weights());
+    EXPECT_EQ(live_stats.instrsTraced, replayed.stats().instrsTraced);
+    EXPECT_EQ(live_stats.condBranches, replayed.stats().condBranches);
+    EXPECT_EQ(live_stats.returns, replayed.stats().returns);
+}
+
+TEST(Recorder, MultiSinkFansOutIdentically)
+{
+    const Prepared prepared = profiledProgram("compress", 10'000);
+    TraceRecorder a(prepared.program), b(prepared.program);
+    MultiSink fanout;
+    fanout.add(&a);
+    fanout.add(&b);
+    walk(prepared.program, prepared.walk, fanout);
+    const RecordedTrace first = a.take();
+    EXPECT_TRUE(first == b.take());
+    EXPECT_GT(first.numEvents(), 0u);
+}
+
 TEST(Recorder, ReplayEvaluationBitIdenticalToDirectWalk)
 {
     for (const char *name : {"compress", "doduc"}) {

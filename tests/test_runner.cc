@@ -244,7 +244,7 @@ TEST(Runner, ExecTimeSuiteMatchesSerial)
     RunnerOptions options;
     options.threads = 4;
     const std::vector<ExecTimeResult> parallel =
-        runExecTimeSuite(suite, {}, options);
+        runExecTimeSuite(suite, options);
     ASSERT_EQ(parallel.size(), suite.size());
     for (std::size_t i = 0; i < suite.size(); ++i) {
         const ExecTimeResult serial = runExecTime(suite[i]);

@@ -59,7 +59,7 @@ TEST(LikelyBits, InvertedLayoutFlipsBit)
     // Put the hot block right after head: sense inverts, the realized
     // branch (to the cold block) now executes only 10 of 100 times.
     const ProgramLayout layout = materializeProgram(
-        program, {{0, 2, 1}}, MaterializeOptions{});
+        program, {{0, 2, 1}});
     ASSERT_EQ(layout.procs[0].blocks[0].cond,
               CondRealization::TakenAdjacent);
     const LikelyBits bits(program, layout);

@@ -187,33 +187,3 @@ TEST(Unroll, ImprovesFallthroughArchitecture)
               bep_of(plain, Arch::Fallthrough));
     EXPECT_LT(bep_of(unrolled, Arch::BtFnt), bep_of(plain, Arch::BtFnt));
 }
-
-TEST(Unroll, MaxLoopsPerProcCap)
-{
-    Program program("two");
-    Procedure &proc = program.proc(program.addProc("main"));
-    CfgBuilder b(proc);
-    const BlockId entry = b.block(2, Terminator::FallThrough);
-    const BlockId l1 = b.block(4, Terminator::CondBranch);
-    const BlockId mid = b.block(2, Terminator::FallThrough);
-    const BlockId l2 = b.block(4, Terminator::CondBranch);
-    const BlockId exit = b.block(1, Terminator::Return);
-    b.fallThrough(entry, l1, 0, 1.0);
-    b.taken(l1, l1, 10, 0.9);
-    b.fallThrough(l1, mid, 0, 0.1);
-    b.fallThrough(mid, l2, 0, 1.0);
-    b.taken(l2, l2, 100, 0.9);
-    b.fallThrough(l2, exit, 0, 0.1);
-
-    UnrollOptions options;
-    options.factor = 2;
-    options.maxLoopsPerProc = 1;
-    EXPECT_EQ(unrollSelfLoops(program.proc(0), options), 1u);
-    // The hotter loop (l2, weight 100) was chosen; it now has two copies.
-    EXPECT_EQ(program.proc(0).numBlocks(), 6u);
-    EXPECT_TRUE(validate(program).empty());
-    // l1 kept its self edge.
-    const Procedure &rebuilt = program.proc(0);
-    const auto taken = static_cast<std::uint32_t>(rebuilt.takenEdge(1));
-    EXPECT_EQ(rebuilt.edge(taken).dst, 1u);
-}

@@ -375,12 +375,11 @@ runAlign(const Options &opts, JsonOut &)
 {
     const Program program = loadInput(opts.inputs[0]).program;
     const AlignerKind kind = opts.algo.value_or(AlignerKind::Try15);
-    const CostModel model(opts.arch);
     AlignOptions options;
     options.groupSize = opts.groupSize;
     options.objective = opts.objective.value_or(ObjectiveKind::TableCost);
     const ProgramLayout layout =
-        alignProgram(program, kind, &model, options);
+        alignForArch(program, kind, opts.arch, options);
 
     std::printf("# %s alignment for %s (objective %s)\n",
                 alignerKindName(kind), archName(opts.arch),

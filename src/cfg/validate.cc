@@ -1,9 +1,10 @@
 /**
- * validate() is a thin severity filter over the lint engine's cfg.* rules
+ * validate() runs the lint engine's Error-severity cfg.* rules
  * (lint/cfg_rules.cc) — one implementation of the structural invariants
- * instead of two drifting copies. Errors become ValidationErrors; the
- * advisory findings (unreachable blocks, dead ends, irreducible regions)
- * are lint-only and never fail validation.
+ * instead of two drifting copies. Each diagnostic becomes a
+ * ValidationError; the advisory findings (unreachable blocks, dead ends,
+ * irreducible regions) are lint-only, never run here, and never fail
+ * validation.
  */
 
 #include "cfg/validate.h"
@@ -20,8 +21,6 @@ errorsFromDiagnostics(const std::vector<Diagnostic> &diagnostics)
 {
     std::vector<ValidationError> errors;
     for (const Diagnostic &diagnostic : diagnostics) {
-        if (diagnostic.severity != Severity::Error)
-            continue;
         errors.push_back(ValidationError{diagnostic.loc.proc,
                                          diagnostic.loc.block,
                                          diagnostic.message});
@@ -35,7 +34,7 @@ std::vector<ValidationError>
 validate(const Procedure &proc)
 {
     std::vector<Diagnostic> diagnostics;
-    lintCfgProc(proc, nullptr, diagnostics);
+    lintCfgProcErrors(proc, nullptr, diagnostics);
     return errorsFromDiagnostics(diagnostics);
 }
 
@@ -43,7 +42,7 @@ std::vector<ValidationError>
 validate(const Program &program)
 {
     std::vector<Diagnostic> diagnostics;
-    lintCfg(program, diagnostics);
+    lintCfgErrors(program, diagnostics);
     return errorsFromDiagnostics(diagnostics);
 }
 

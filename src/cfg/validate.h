@@ -2,10 +2,10 @@
  * @file
  * Structural validation for procedures and programs.
  *
- * A thin wrapper over the lint engine's cfg.* rules (lint/rules.h): the
- * Error-severity diagnostics become ValidationErrors, while advisory
- * findings (unreachable blocks, dead ends, irreducible loop regions) stay
- * lint-only. Invariants enforced (beyond the incremental checks in
+ * A thin wrapper over the lint engine's Error-severity cfg.* rules
+ * (lintCfgErrors in lint/rules.h): each diagnostic becomes a
+ * ValidationError, while advisory findings (unreachable blocks, dead
+ * ends, irreducible loop regions) stay lint-only. Invariants enforced (beyond the incremental checks in
  * CfgBuilder):
  *  - every block's out-edges match its terminator's arity and kinds;
  *  - edge endpoints are in range and the in/out index lists are consistent;

@@ -3,10 +3,11 @@
  * cfg.* rules: CFG well-formedness as diagnostics.
  *
  * This is the single implementation of the structural invariants:
- * cfg/validate.h is a severity filter over these rules (errors only), so
- * the production pipeline's panic-on-malformed-input and the linter's
+ * cfg/validate.h runs the Error-severity rules (lintCfgErrors), so the
+ * production pipeline's panic-on-malformed-input and the linter's
  * machine-readable findings can never drift apart. The advisory rules
- * (reachability, dead ends, irreducible regions) are lint-only.
+ * (reachability, dead ends, irreducible regions, which need dominators
+ * and loops) are lint-only and run only from lintCfg.
  */
 
 #include <algorithm>
@@ -301,8 +302,8 @@ lintIrreducible(const Procedure &proc, std::vector<Diagnostic> &sink)
 }  // namespace
 
 void
-lintCfgProc(const Procedure &proc, const Program *program,
-            std::vector<Diagnostic> &sink)
+lintCfgProcErrors(const Procedure &proc, const Program *program,
+                  std::vector<Diagnostic> &sink)
 {
     lintProcEntry(proc, sink);
     if (proc.numBlocks() == 0)
@@ -311,16 +312,27 @@ lintCfgProc(const Procedure &proc, const Program *program,
     lintTerminatorArity(proc, sink);
     lintCallSites(program, proc, sink);
     lintBlockSizes(proc, sink);
-    lintReachability(proc, sink);
-    lintIrreducible(proc, sink);
+}
+
+void
+lintCfgErrors(const Program &program, std::vector<Diagnostic> &sink)
+{
+    lintEntryRule(program, sink);
+    for (const Procedure &proc : program.procs())
+        lintCfgProcErrors(proc, &program, sink);
 }
 
 void
 lintCfg(const Program &program, std::vector<Diagnostic> &sink)
 {
     lintEntryRule(program, sink);
-    for (const Procedure &proc : program.procs())
-        lintCfgProc(proc, &program, sink);
+    for (const Procedure &proc : program.procs()) {
+        lintCfgProcErrors(proc, &program, sink);
+        if (proc.numBlocks() == 0)
+            continue;
+        lintReachability(proc, sink);
+        lintIrreducible(proc, sink);
+    }
 }
 
 }  // namespace balign

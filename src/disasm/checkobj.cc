@@ -1,9 +1,8 @@
 #include "disasm/checkobj.h"
 
 #include <algorithm>
-#include <map>
+#include <numeric>
 #include <ostream>
-#include <set>
 #include <sstream>
 
 #include "emit/elf.h"
@@ -33,12 +32,12 @@ msg(Args &&...args)
 }
 
 std::string
-renderSuccs(const std::vector<std::uint64_t> &succs)
+renderSuccs(const LiftedSuccs &succs)
 {
     std::ostringstream out;
     out << '{';
     for (std::size_t i = 0; i < succs.size(); ++i)
-        out << (i ? ", " : "") << succs[i];
+        out << (i ? ", " : "") << succs.addrs[i];
     out << '}';
     return out.str();
 }
@@ -49,6 +48,13 @@ renderSuccs(const std::vector<std::uint64_t> &succs)
  * instances it can still meaningfully evaluate, and per-procedure checks
  * that depend on a clean decode are skipped only for procedures whose
  * decode actually failed.
+ *
+ * After the whole-object decode-totality checks, the per-procedure
+ * obligations run one procedure at a time, so that procedure's decoded
+ * and relaxed instructions are read from cache by every check instead of
+ * once per obligation from memory. Failures are kept in one list per
+ * obligation and concatenated in obligation order at the end: the
+ * result lists them obligation by obligation, each in procedure order.
  */
 class ObjChecker
 {
@@ -62,13 +68,13 @@ class ObjChecker
     ObjCheckResult
     run()
     {
-        if (!parseAndDecode())
-            return std::move(result_);
-        checkDecodeTotality();
-        checkBranchTargets();
-        checkRelocations();
-        checkCfgIsomorphism();
-        checkSizeAccounting();
+        if (parseAndDecode()) {
+            checkDecodeTotality();
+            checkProcedures();
+        }
+        for (std::vector<ObjFailure> &failures : pending_)
+            for (ObjFailure &failure : failures)
+                result_.failures.push_back(std::move(failure));
         return std::move(result_);
     }
 
@@ -83,8 +89,9 @@ class ObjChecker
     fail(ObjObligation obligation, ProcId proc, std::uint64_t byteAddr,
          std::string detail)
     {
-        ++result_.obligations[static_cast<std::size_t>(obligation)].failures;
-        result_.failures.push_back(
+        const auto index = static_cast<std::size_t>(obligation);
+        ++result_.obligations[index].failures;
+        pending_[index].push_back(
             ObjFailure{obligation, proc, byteAddr, std::move(detail)});
     }
 
@@ -181,107 +188,155 @@ class ObjChecker
                      disasm.textBytes, " .text bytes (trailing garbage)"));
     }
 
+    /// The branch-target, reloc-correctness, cfg-isomorphism and
+    /// size-accounting obligations, procedure by procedure.
     void
-    checkBranchTargets()
+    checkProcedures()
     {
+        // Relocations sorted once by offset (ties in file order), and
+        // which of them a decoded call's displacement field claimed.
+        const std::vector<ElfRelocation> &relocs = elf_.relocations;
+        relocsByOffset_.resize(relocs.size());
+        std::iota(relocsByOffset_.begin(), relocsByOffset_.end(), 0u);
+        std::stable_sort(relocsByOffset_.begin(), relocsByOffset_.end(),
+                         [&](std::uint32_t a, std::uint32_t b) {
+                             return relocs[a].offset < relocs[b].offset;
+                         });
+        consumed_.assign(relocs.size(), false);
+
+        check(ObjObligation::SizeAccounting);
+        if (result_.disasm.textBytes != relaxed_.totalBytes)
+            fail(ObjObligation::SizeAccounting, kNoProc, kNoAddr,
+                 msg(".text holds ", result_.disasm.textBytes,
+                     " bytes, relaxation fixpoint accounts for ",
+                     relaxed_.totalBytes));
+
         for (std::size_t p = 0; p < result_.disasm.procs.size(); ++p) {
             const DecodedProc &proc = result_.disasm.procs[p];
-            if (!proc.ok)
-                continue;
             const auto id = static_cast<ProcId>(p);
-
-            std::set<std::uint64_t> boundaries;
-            for (const DecodedInstr &instr : proc.instrs)
-                boundaries.insert(instr.addr);
-
-            for (const DecodedInstr &instr : proc.instrs) {
-                if (!instr.hasTarget)
-                    continue;
-                check(ObjObligation::BranchTarget);
-                if (instr.target < proc.base ||
-                    instr.target >= proc.base + proc.size) {
-                    fail(ObjObligation::BranchTarget, id, instr.addr,
-                         msg(instrClassName(instr.cls), " displacement ",
-                             instr.disp, " targets byte ", instr.target,
-                             " outside the procedure range [", proc.base,
-                             ", ", proc.base + proc.size, ")"));
-                } else if (!boundaries.count(instr.target)) {
-                    fail(ObjObligation::BranchTarget, id, instr.addr,
-                         msg(instrClassName(instr.cls), " displacement ",
-                             instr.disp, " targets byte ", instr.target,
-                             ", which is not a decoded instruction "
-                             "boundary"));
-                }
+            const bool paired = p < pairedProcs();
+            if (proc.ok)
+                checkBranchTargets(id, proc);
+            if (paired && proc.ok) {
+                checkCalls(id, proc);
+                checkCfgIsomorphism(id, proc);
             }
-        }
-    }
-
-    void
-    checkRelocations()
-    {
-        // Source truth: which byte address carries a call to which callee.
-        std::map<std::uint64_t, ProcId> callees;
-        for (const RelaxedInstr &slot : relaxed_.instrs)
-            if (slot.cls == InstrClass::Call)
-                callees.emplace(slot.byteAddr, slot.callee);
-
-        std::map<std::uint64_t, std::vector<const ElfRelocation *>> byOffset;
-        for (const ElfRelocation &reloc : elf_.relocations)
-            byOffset[reloc.offset].push_back(&reloc);
-
-        std::set<std::uint64_t> consumed;
-        for (std::size_t p = 0; p < pairedProcs(); ++p) {
-            const DecodedProc &proc = result_.disasm.procs[p];
-            if (!proc.ok)
-                continue;
-            const auto id = static_cast<ProcId>(p);
-
-            for (const DecodedInstr &instr : proc.instrs) {
-                if (instr.cls != InstrClass::Call)
-                    continue;
-                check(ObjObligation::RelocCorrectness);
-                const std::uint64_t field = instr.addr + 1;
-                const auto it = byOffset.find(field);
-                if (it == byOffset.end()) {
-                    fail(ObjObligation::RelocCorrectness, id, instr.addr,
-                         msg("call has no relocation at its displacement "
-                             "field (byte ",
-                             field, ')'));
-                    continue;
-                }
-                consumed.insert(field);
-                if (it->second.size() != 1) {
-                    fail(ObjObligation::RelocCorrectness, id, instr.addr,
-                         msg(it->second.size(),
-                             " relocations at the call displacement field "
-                             "(byte ",
-                             field, "), expected exactly one"));
-                    continue;
-                }
-                const ElfRelocation &reloc = *it->second.front();
-                const std::string problem =
-                    relocProblem(instr, reloc, callees);
-                if (!problem.empty())
-                    fail(ObjObligation::RelocCorrectness, id, instr.addr,
-                         problem);
-            }
+            if (paired)
+                checkSizeAccounting(id, proc);
         }
 
-        for (const ElfRelocation &reloc : elf_.relocations) {
-            if (consumed.count(reloc.offset))
+        for (std::size_t r = 0; r < relocs.size(); ++r) {
+            if (consumed_[r])
                 continue;
             check(ObjObligation::RelocCorrectness);
-            fail(ObjObligation::RelocCorrectness, kNoProc, reloc.offset,
-                 msg("relocation at byte ", reloc.offset,
+            fail(ObjObligation::RelocCorrectness, kNoProc, relocs[r].offset,
+                 msg("relocation at byte ", relocs[r].offset,
                      " matches no decoded call displacement field"));
         }
     }
 
+    void
+    checkBranchTargets(ProcId id, const DecodedProc &proc)
+    {
+        bits_.reset(proc.base, proc.size);
+        for (const DecodedInstr &instr : proc.instrs)
+            bits_.set(instr.addr);
+
+        for (const DecodedInstr &instr : proc.instrs) {
+            if (!instr.hasTarget)
+                continue;
+            check(ObjObligation::BranchTarget);
+            if (instr.target < proc.base ||
+                instr.target >= proc.base + proc.size) {
+                fail(ObjObligation::BranchTarget, id, instr.addr,
+                     msg(instrClassName(instr.cls), " displacement ",
+                         instr.disp, " targets byte ", instr.target,
+                         " outside the procedure range [", proc.base, ", ",
+                         proc.base + proc.size, ")"));
+            } else if (!bits_.test(instr.target)) {
+                fail(ObjObligation::BranchTarget, id, instr.addr,
+                     msg(instrClassName(instr.cls), " displacement ",
+                         instr.disp, " targets byte ", instr.target,
+                         ", which is not a decoded instruction "
+                         "boundary"));
+            }
+        }
+    }
+
+    /// Each decoded call's relocation (reloc-correctness).
+    void
+    checkCalls(ProcId id, const DecodedProc &proc)
+    {
+        const std::vector<ElfRelocation> &relocs = elf_.relocations;
+        const std::size_t firstSlot = relaxed_.procs[id].firstInstr;
+        for (std::size_t i = 0; i < proc.instrs.size(); ++i) {
+            const DecodedInstr &instr = proc.instrs[i];
+            if (instr.cls != InstrClass::Call)
+                continue;
+            check(ObjObligation::RelocCorrectness);
+            const std::uint64_t field = instr.addr + 1;
+            const auto first = std::lower_bound(
+                relocsByOffset_.begin(), relocsByOffset_.end(), field,
+                [&](std::uint32_t r, std::uint64_t offset) {
+                    return relocs[r].offset < offset;
+                });
+            auto last = first;
+            for (; last != relocsByOffset_.end() &&
+                   relocs[*last].offset == field;
+                 ++last)
+                consumed_[*last] = true;
+            if (first == last) {
+                fail(ObjObligation::RelocCorrectness, id, instr.addr,
+                     msg("call has no relocation at its displacement "
+                         "field (byte ",
+                         field, ')'));
+                continue;
+            }
+            if (last - first != 1) {
+                fail(ObjObligation::RelocCorrectness, id, instr.addr,
+                     msg(last - first,
+                         " relocations at the call displacement field "
+                         "(byte ",
+                         field, "), expected exactly one"));
+                continue;
+            }
+            const std::string problem = relocProblem(
+                instr, relocs[*first], sourceCall(instr.addr, firstSlot + i));
+            if (!problem.empty())
+                fail(ObjObligation::RelocCorrectness, id, instr.addr,
+                     problem);
+        }
+    }
+
+    /**
+     * The source call slot at byte @p addr, or null. @p slot is the
+     * relaxed slot a decoded call sits in when the object matches its
+     * layout (the call's index within its procedure); once the decode
+     * drifts from the layout, the slot at @p addr is found by binary
+     * search, relaxed slots lying in strictly increasing byte order.
+     */
+    const RelaxedInstr *
+    sourceCall(std::uint64_t addr, std::size_t slot) const
+    {
+        const std::vector<RelaxedInstr> &slots = relaxed_.instrs;
+        if (slot >= slots.size() || slots[slot].byteAddr != addr) {
+            const auto it = std::lower_bound(
+                slots.begin(), slots.end(), addr,
+                [](const RelaxedInstr &candidate, std::uint64_t byte) {
+                    return candidate.byteAddr < byte;
+                });
+            if (it == slots.end() || it->byteAddr != addr)
+                return nullptr;
+            slot = static_cast<std::size_t>(it - slots.begin());
+        }
+        return slots[slot].cls == InstrClass::Call ? &slots[slot] : nullptr;
+    }
+
     /// Everything that must hold of one call's relocation; empty when it
-    /// all does.
+    /// all does. @p source is the source call slot at the call's address.
     std::string
     relocProblem(const DecodedInstr &call, const ElfRelocation &reloc,
-                 const std::map<std::uint64_t, ProcId> &callees) const
+                 const RelaxedInstr *source) const
     {
         if (reloc.type != kRelocPlt32)
             return msg("relocation type ", reloc.type,
@@ -293,10 +348,9 @@ class ObjChecker
             return msg("relocated call displacement field holds ", call.disp,
                        ", expected zero (the relocation carries the "
                        "target)");
-        const auto calleeIt = callees.find(call.addr);
-        if (calleeIt == callees.end())
+        if (source == nullptr)
             return msg("no source call slot at byte ", call.addr);
-        const ProcId callee = calleeIt->second;
+        const ProcId callee = source->callee;
         if (reloc.symbol != kFirstProcSymbol + callee)
             return msg("relocation names symbol ", reloc.symbol,
                        ", expected ", kFirstProcSymbol + callee,
@@ -311,124 +365,96 @@ class ObjChecker
     }
 
     void
-    checkCfgIsomorphism()
+    checkCfgIsomorphism(ProcId id, const DecodedProc &proc)
     {
-        for (std::size_t p = 0; p < pairedProcs(); ++p) {
-            const DecodedProc &proc = result_.disasm.procs[p];
-            if (!proc.ok)
-                continue;
-            const auto id = static_cast<ProcId>(p);
-            const RelaxedProc &rp = relaxed_.procs[p];
+        liftCfg(proc, bits_, decoded_);
+        liftCfg(relaxed_, id, bits_, source_);
+        const std::vector<LiftedBlock> &got = decoded_.blocks;
+        const std::vector<LiftedBlock> &want = source_.blocks;
 
-            const LiftedCfg decoded = liftCfg(cfgInstrsFromDecoded(proc),
-                                              proc.base, proc.size);
-            const LiftedCfg source =
-                liftCfg(cfgInstrsFromRelaxed(relaxed_, id), rp.byteBase,
-                        rp.byteSize);
+        check(ObjObligation::CfgIsomorphism);
+        if (!got.empty() && got.front().addr != proc.base)
+            fail(ObjObligation::CfgIsomorphism, id, proc.base,
+                 msg("decoded entry block starts at byte ",
+                     got.front().addr, ", expected the procedure base ",
+                     proc.base));
 
+        check(ObjObligation::CfgIsomorphism);
+        if (got.size() != want.size())
+            fail(ObjObligation::CfgIsomorphism, id, proc.base,
+                 msg("decoded graph has ", got.size(),
+                     " blocks, laid-out graph has ", want.size()));
+
+        const std::size_t blocks = std::min(got.size(), want.size());
+        for (std::size_t b = 0; b < blocks; ++b) {
             check(ObjObligation::CfgIsomorphism);
-            if (!decoded.blocks.empty() &&
-                decoded.blocks.front().addr != proc.base)
-                fail(ObjObligation::CfgIsomorphism, id, proc.base,
-                     msg("decoded entry block starts at byte ",
-                         decoded.blocks.front().addr,
-                         ", expected the procedure base ", proc.base));
-
-            check(ObjObligation::CfgIsomorphism);
-            if (decoded.blocks.size() != source.blocks.size()) {
-                fail(ObjObligation::CfgIsomorphism, id, proc.base,
-                     msg("decoded graph has ", decoded.blocks.size(),
-                         " blocks, laid-out graph has ",
-                         source.blocks.size()));
-            }
-
-            const std::size_t blocks =
-                std::min(decoded.blocks.size(), source.blocks.size());
-            for (std::size_t b = 0; b < blocks; ++b) {
-                const LiftedBlock &got = decoded.blocks[b];
-                const LiftedBlock &want = source.blocks[b];
-                check(ObjObligation::CfgIsomorphism);
-                if (got.addr != want.addr) {
-                    fail(ObjObligation::CfgIsomorphism, id, got.addr,
-                         msg("block ", b, " starts at byte ", got.addr,
-                             ", laid-out graph expects byte ", want.addr));
-                } else if (got.numInstrs != want.numInstrs) {
-                    fail(ObjObligation::CfgIsomorphism, id, got.addr,
-                         msg("block ", b, " decodes to ", got.numInstrs,
-                             " instructions, laid-out graph expects ",
-                             want.numInstrs));
-                } else if (got.terminator != want.terminator) {
-                    fail(ObjObligation::CfgIsomorphism, id, got.addr,
-                         msg("block ", b, " terminates in ",
-                             instrClassName(got.terminator),
-                             ", laid-out graph expects ",
-                             instrClassName(want.terminator)));
-                } else if (got.succs != want.succs) {
-                    fail(ObjObligation::CfgIsomorphism, id, got.addr,
-                         msg("block ", b, " successors ",
-                             renderSuccs(got.succs),
-                             " differ from the laid-out graph's ",
-                             renderSuccs(want.succs)));
-                }
+            if (got[b].addr != want[b].addr) {
+                fail(ObjObligation::CfgIsomorphism, id, got[b].addr,
+                     msg("block ", b, " starts at byte ", got[b].addr,
+                         ", laid-out graph expects byte ", want[b].addr));
+            } else if (got[b].numInstrs != want[b].numInstrs) {
+                fail(ObjObligation::CfgIsomorphism, id, got[b].addr,
+                     msg("block ", b, " decodes to ", got[b].numInstrs,
+                         " instructions, laid-out graph expects ",
+                         want[b].numInstrs));
+            } else if (got[b].terminator != want[b].terminator) {
+                fail(ObjObligation::CfgIsomorphism, id, got[b].addr,
+                     msg("block ", b, " terminates in ",
+                         instrClassName(got[b].terminator),
+                         ", laid-out graph expects ",
+                         instrClassName(want[b].terminator)));
+            } else if (got[b].succs != want[b].succs) {
+                fail(ObjObligation::CfgIsomorphism, id, got[b].addr,
+                     msg("block ", b, " successors ",
+                         renderSuccs(got[b].succs),
+                         " differ from the laid-out graph's ",
+                         renderSuccs(want[b].succs)));
             }
         }
     }
 
     void
-    checkSizeAccounting()
+    checkSizeAccounting(ProcId id, const DecodedProc &proc)
     {
+        const RelaxedProc &rp = relaxed_.procs[id];
+
         check(ObjObligation::SizeAccounting);
-        if (result_.disasm.textBytes != relaxed_.totalBytes)
-            fail(ObjObligation::SizeAccounting, kNoProc, kNoAddr,
-                 msg(".text holds ", result_.disasm.textBytes,
-                     " bytes, relaxation fixpoint accounts for ",
-                     relaxed_.totalBytes));
+        if (proc.base != rp.byteBase)
+            fail(ObjObligation::SizeAccounting, id, proc.base,
+                 msg("symbol value ", proc.base, ", relaxed byte base ",
+                     rp.byteBase));
 
-        for (std::size_t p = 0; p < pairedProcs(); ++p) {
-            const DecodedProc &proc = result_.disasm.procs[p];
-            const auto id = static_cast<ProcId>(p);
-            const RelaxedProc &rp = relaxed_.procs[p];
+        check(ObjObligation::SizeAccounting);
+        if (proc.size != rp.byteSize)
+            fail(ObjObligation::SizeAccounting, id, proc.base,
+                 msg("symbol size ", proc.size, ", relaxed byte size ",
+                     rp.byteSize));
 
+        if (!proc.ok)
+            return;
+
+        check(ObjObligation::SizeAccounting);
+        if (proc.instrs.size() != rp.numInstrs)
+            fail(ObjObligation::SizeAccounting, id, proc.base,
+                 msg("procedure decodes to ", proc.instrs.size(),
+                     " instructions, relaxation placed ", rp.numInstrs));
+
+        const std::size_t slots = std::min(
+            proc.instrs.size(), static_cast<std::size_t>(rp.numInstrs));
+        for (std::size_t i = 0; i < slots; ++i) {
+            const DecodedInstr &got = proc.instrs[i];
+            const RelaxedInstr &want = relaxed_.instrs[rp.firstInstr + i];
             check(ObjObligation::SizeAccounting);
-            if (proc.base != rp.byteBase)
-                fail(ObjObligation::SizeAccounting, id, proc.base,
-                     msg("symbol value ", proc.base,
-                         ", relaxed byte base ", rp.byteBase));
-
-            check(ObjObligation::SizeAccounting);
-            if (proc.size != rp.byteSize)
-                fail(ObjObligation::SizeAccounting, id, proc.base,
-                     msg("symbol size ", proc.size, ", relaxed byte size ",
-                         rp.byteSize));
-
-            if (!proc.ok)
-                continue;
-
-            check(ObjObligation::SizeAccounting);
-            if (proc.instrs.size() != rp.numInstrs)
-                fail(ObjObligation::SizeAccounting, id, proc.base,
-                     msg("procedure decodes to ", proc.instrs.size(),
-                         " instructions, relaxation placed ", rp.numInstrs));
-
-            const std::size_t slots = std::min(
-                proc.instrs.size(), static_cast<std::size_t>(rp.numInstrs));
-            for (std::size_t i = 0; i < slots; ++i) {
-                const DecodedInstr &got = proc.instrs[i];
-                const RelaxedInstr &want =
-                    relaxed_.instrs[rp.firstInstr + i];
-                check(ObjObligation::SizeAccounting);
-                if (got.addr != want.byteAddr) {
-                    fail(ObjObligation::SizeAccounting, id, got.addr,
-                         msg("instruction ", i, " decodes at byte ",
-                             got.addr, ", relaxation placed it at byte ",
-                             want.byteAddr));
-                } else if (got.size != want.size) {
-                    fail(ObjObligation::SizeAccounting, id, got.addr,
-                         msg("instruction ", i, " decodes to ",
-                             unsigned{got.size},
-                             " bytes, relaxation sized it at ",
-                             unsigned{want.size}));
-                }
+            if (got.addr != want.byteAddr) {
+                fail(ObjObligation::SizeAccounting, id, got.addr,
+                     msg("instruction ", i, " decodes at byte ", got.addr,
+                         ", relaxation placed it at byte ", want.byteAddr));
+            } else if (got.size != want.size) {
+                fail(ObjObligation::SizeAccounting, id, got.addr,
+                     msg("instruction ", i, " decodes to ",
+                         unsigned{got.size},
+                         " bytes, relaxation sized it at ",
+                         unsigned{want.size}));
             }
         }
     }
@@ -438,6 +464,18 @@ class ObjChecker
     const std::vector<std::uint8_t> &objectBytes_;
     ParsedElf elf_;
     ObjCheckResult result_;
+
+    /// Failures per obligation, in discovery order.
+    std::array<std::vector<ObjFailure>, kNumObjObligations> pending_;
+
+    // Scratch allocated once per object: relocation indices by offset and
+    // their claimed bits, the boundary and leader bitmap, and both sides'
+    // lifted graphs.
+    std::vector<std::uint32_t> relocsByOffset_;
+    std::vector<bool> consumed_;
+    ByteBitmap bits_;
+    LiftedCfg decoded_;
+    LiftedCfg source_;
 };
 
 }  // namespace

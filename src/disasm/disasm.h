@@ -41,12 +41,15 @@
  * sides of the isomorphism check are built by the same rules: leaders
  * are the procedure base, every intra-procedure branch target, and the
  * address following any control transfer; successors follow from each
- * block's final instruction (target + optional fall-through).
+ * block's final instruction (target + optional fall-through). Leaders
+ * live in a per-byte bitmap and successors in a two-slot array, so a
+ * whole object lifts in linear time with no per-block allocation.
  */
 
 #ifndef BALIGN_DISASM_DISASM_H
 #define BALIGN_DISASM_DISASM_H
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -60,26 +63,28 @@ namespace balign {
 /// One decoded instruction.
 struct DecodedInstr
 {
-    InstrClass cls = InstrClass::Body;
-
-    /// Short/Near for the variable model's relaxable classes; None for
-    /// everything else (including every fixed-word instruction).
-    BranchForm form = BranchForm::None;
-
     /// Byte address within .text (program-global).
     std::uint64_t addr = 0;
-
-    /// Encoded size in bytes.
-    std::uint8_t size = 0;
 
     /// Decoded displacement field, measured from the end of the
     /// instruction (zero for classes without one). For calls this is the
     /// raw rel32 field, which the writer leaves zero.
     std::int64_t disp = 0;
 
-    /// True for CondBranch/Jump: `target` is addr + size + disp.
-    bool hasTarget = false;
+    /// Meaningful when hasTarget: addr + size + disp.
     std::uint64_t target = 0;
+
+    InstrClass cls = InstrClass::Body;
+
+    /// Short/Near for the variable model's relaxable classes; None for
+    /// everything else (including every fixed-word instruction).
+    BranchForm form = BranchForm::None;
+
+    /// Encoded size in bytes.
+    std::uint8_t size = 0;
+
+    /// True for CondBranch/Jump.
+    bool hasTarget = false;
 };
 
 /// One procedure's decode: the symbol that named it plus its instructions.
@@ -131,14 +136,61 @@ Disassembly disassembleObject(const ParsedElf &elf, EncodingModelKind model);
 // ---------------------------------------------------------------------
 // CFG recovery (shared by the decoded and source-side streams).
 
-/// The per-instruction view the lifter consumes: address, class and the
-/// resolved intra-procedure branch target (when any).
-struct CfgInstr
+/**
+ * One bit per byte address of a procedure's range [base, base + size):
+ * its instruction boundaries or its block leaders. The checker keeps one
+ * for a whole object and reset() reuses its storage, so the per-procedure
+ * sets cost no allocation past the largest procedure.
+ */
+class ByteBitmap
 {
-    std::uint64_t addr = 0;
-    InstrClass cls = InstrClass::Body;
-    bool hasTarget = false;
-    std::uint64_t target = 0;
+  public:
+    /// Clears every bit and covers [@p base, @p base + @p size).
+    void reset(std::uint64_t base, std::uint64_t size);
+
+    /// Sets @p addr's bit; addresses outside the range are ignored.
+    void
+    set(std::uint64_t addr)
+    {
+        const std::uint64_t offset = addr - base_;
+        if (addr >= base_ && offset < size_)
+            words_[offset >> 6] |= std::uint64_t{1} << (offset & 63);
+    }
+
+    /// False for addresses outside the range.
+    bool
+    test(std::uint64_t addr) const
+    {
+        const std::uint64_t offset = addr - base_;
+        return addr >= base_ && offset < size_ &&
+               ((words_[offset >> 6] >> (offset & 63)) & 1) != 0;
+    }
+
+  private:
+    std::uint64_t base_ = 0;
+    std::uint64_t size_ = 0;
+    std::vector<std::uint64_t> words_;
+};
+
+/**
+ * A block's successor leader addresses, sorted ascending without
+ * duplicates. A block has at most two (a conditional branch's target and
+ * its fall-through); unused slots hold zero, so == compares sets.
+ */
+struct LiftedSuccs
+{
+    std::array<std::uint64_t, 2> addrs{};
+    std::uint8_t count = 0;
+
+    /// Inserts @p addr in order; a duplicate is dropped.
+    void add(std::uint64_t addr);
+
+    const std::uint64_t *begin() const { return addrs.data(); }
+    const std::uint64_t *end() const { return addrs.data() + count; }
+    std::size_t size() const { return count; }
+    bool empty() const { return count == 0; }
+
+    bool operator==(const LiftedSuccs &other) const = default;
 };
 
 /// One recovered basic block.
@@ -153,8 +205,7 @@ struct LiftedBlock
     /// simply runs into the next leader.
     InstrClass terminator = InstrClass::Body;
 
-    /// Successor block leader addresses, sorted ascending.
-    std::vector<std::uint64_t> succs;
+    LiftedSuccs succs;
 };
 
 /// One procedure's recovered graph; blocks in address order (so the
@@ -165,25 +216,25 @@ struct LiftedCfg
 };
 
 /**
- * Leader analysis over @p instrs (address order, covering
- * [@p base, @p base + @p size)): splits the stream into basic blocks and
- * derives each block's successors. Branch targets outside the procedure
- * range still become successors (the checker flags them); they just
- * cannot start a block here.
+ * Leader analysis over one cleanly decoded procedure (instructions in
+ * strictly increasing address order covering [base, base + size)),
+ * read in place: splits the stream into basic blocks and derives each
+ * block's successors into @p out, which is cleared first. Leaders are
+ * the procedure base, every in-range branch target and the address after
+ * any control transfer; @p leaders holds them, one bit per byte, so
+ * lifting is linear in the instructions plus size / 64 words. Branch
+ * targets outside the procedure range still become successors (the
+ * checker flags them); they just cannot start a block here.
  */
-LiftedCfg liftCfg(const std::vector<CfgInstr> &instrs, std::uint64_t base,
-                  std::uint64_t size);
-
-/// Adapts one decoded procedure to the lifter's instruction view.
-std::vector<CfgInstr> cfgInstrsFromDecoded(const DecodedProc &proc);
+void liftCfg(const DecodedProc &proc, ByteBitmap &leaders, LiftedCfg &out);
 
 /**
- * Adapts one procedure's slice of a RelaxedLayout to the lifter's view:
+ * The same rules over procedure @p proc's slice of a RelaxedLayout:
  * branch targets resolve through the relaxed block placements, i.e. this
  * is the graph the bytes are SUPPOSED to encode.
  */
-std::vector<CfgInstr> cfgInstrsFromRelaxed(const RelaxedLayout &relaxed,
-                                           ProcId proc);
+void liftCfg(const RelaxedLayout &relaxed, ProcId proc, ByteBitmap &leaders,
+             LiftedCfg &out);
 
 }  // namespace balign
 

@@ -12,8 +12,8 @@
  * lint finding.
  */
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
 #include <sstream>
 #include <vector>
 
@@ -28,13 +28,21 @@ namespace {
 using lint_detail::emit;
 
 /// Forward reachability from the entry block over decoded successor
-/// edges (addresses), depth-first.
+/// edges (addresses), depth-first. Blocks are in address order, so a
+/// successor's block is found by binary search.
 std::vector<bool>
 reachableBlocks(const LiftedCfg &cfg)
 {
-    std::map<std::uint64_t, std::size_t> byAddr;
-    for (std::size_t b = 0; b < cfg.blocks.size(); ++b)
-        byAddr.emplace(cfg.blocks[b].addr, b);
+    const auto blockAt = [&](std::uint64_t addr) {
+        const auto it = std::lower_bound(
+            cfg.blocks.begin(), cfg.blocks.end(), addr,
+            [](const LiftedBlock &block, std::uint64_t a) {
+                return block.addr < a;
+            });
+        return it != cfg.blocks.end() && it->addr == addr
+                   ? static_cast<std::size_t>(it - cfg.blocks.begin())
+                   : cfg.blocks.size();
+    };
 
     std::vector<bool> reached(cfg.blocks.size(), false);
     std::vector<std::size_t> stack;
@@ -46,11 +54,11 @@ reachableBlocks(const LiftedCfg &cfg)
         const std::size_t b = stack.back();
         stack.pop_back();
         for (const std::uint64_t succ : cfg.blocks[b].succs) {
-            const auto it = byAddr.find(succ);
-            if (it == byAddr.end() || reached[it->second])
+            const std::size_t next = blockAt(succ);
+            if (next == cfg.blocks.size() || reached[next])
                 continue;
-            reached[it->second] = true;
-            stack.push_back(it->second);
+            reached[next] = true;
+            stack.push_back(next);
         }
     }
     return reached;
@@ -63,6 +71,8 @@ lintObject(const Program &program, const Disassembly &disasm,
            const std::string &encoding, std::vector<Diagnostic> &sink)
 {
     const std::size_t first = sink.size();
+    ByteBitmap leaders;
+    LiftedCfg cfg;
     for (std::size_t p = 0; p < disasm.procs.size(); ++p) {
         const DecodedProc &proc = disasm.procs[p];
         if (!proc.ok)
@@ -71,8 +81,7 @@ lintObject(const Program &program, const Disassembly &disasm,
                                ? static_cast<ProcId>(p)
                                : kNoProc;
 
-        const LiftedCfg cfg =
-            liftCfg(cfgInstrsFromDecoded(proc), proc.base, proc.size);
+        liftCfg(proc, leaders, cfg);
         const std::vector<bool> reached = reachableBlocks(cfg);
         for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
             if (reached[b])

@@ -505,31 +505,47 @@ TEST(Disasm, UnknownMachineIsStructural)
 TEST(Disasm, LiftCfgRecoversLeadersAndSuccessors)
 {
     // 0: body; 4: cond -> 16; 6: body; 10: jump -> 0; 12: body; 16: ret.
-    std::vector<CfgInstr> instrs(6);
-    instrs[0] = {0, InstrClass::Body, false, 0};
-    instrs[1] = {4, InstrClass::CondBranch, true, 16};
-    instrs[2] = {6, InstrClass::Body, false, 0};
-    instrs[3] = {10, InstrClass::Jump, true, 0};
-    instrs[4] = {12, InstrClass::Body, false, 0};
-    instrs[5] = {16, InstrClass::Return, false, 0};
+    DecodedProc proc;
+    proc.base = 0;
+    proc.size = 17;
+    const auto add = [&](std::uint64_t addr, InstrClass cls, bool hasTarget,
+                         std::uint64_t target) {
+        DecodedInstr &instr = proc.instrs.emplace_back();
+        instr.addr = addr;
+        instr.cls = cls;
+        instr.hasTarget = hasTarget;
+        instr.target = target;
+    };
+    add(0, InstrClass::Body, false, 0);
+    add(4, InstrClass::CondBranch, true, 16);
+    add(6, InstrClass::Body, false, 0);
+    add(10, InstrClass::Jump, true, 0);
+    add(12, InstrClass::Body, false, 0);
+    add(16, InstrClass::Return, false, 0);
 
-    const LiftedCfg cfg = liftCfg(instrs, 0, 17);
+    ByteBitmap leaders;
+    LiftedCfg cfg;
+    liftCfg(proc, leaders, cfg);
     ASSERT_EQ(cfg.blocks.size(), 4u);
+    const auto succs = [&](std::size_t b) {
+        return std::vector<std::uint64_t>(cfg.blocks[b].succs.begin(),
+                                          cfg.blocks[b].succs.end());
+    };
 
     EXPECT_EQ(cfg.blocks[0].addr, 0u);
     EXPECT_EQ(cfg.blocks[0].numInstrs, 2u);
     EXPECT_EQ(cfg.blocks[0].terminator, InstrClass::CondBranch);
-    EXPECT_EQ(cfg.blocks[0].succs, (std::vector<std::uint64_t>{6, 16}));
+    EXPECT_EQ(succs(0), (std::vector<std::uint64_t>{6, 16}));
 
     EXPECT_EQ(cfg.blocks[1].addr, 6u);
     EXPECT_EQ(cfg.blocks[1].numInstrs, 2u);
     EXPECT_EQ(cfg.blocks[1].terminator, InstrClass::Jump);
-    EXPECT_EQ(cfg.blocks[1].succs, (std::vector<std::uint64_t>{0}));
+    EXPECT_EQ(succs(1), (std::vector<std::uint64_t>{0}));
 
     // A body-terminated block simply runs into the next leader.
     EXPECT_EQ(cfg.blocks[2].addr, 12u);
     EXPECT_EQ(cfg.blocks[2].terminator, InstrClass::Body);
-    EXPECT_EQ(cfg.blocks[2].succs, (std::vector<std::uint64_t>{16}));
+    EXPECT_EQ(succs(2), (std::vector<std::uint64_t>{16}));
 
     EXPECT_EQ(cfg.blocks[3].addr, 16u);
     EXPECT_EQ(cfg.blocks[3].terminator, InstrClass::Return);

@@ -283,12 +283,13 @@ main(int argc, char **argv)
         std::cout << "\nweighted static-prediction accuracy vs true "
                      "profile: "
                   << overall.rate() * 100.0 << "%\n";
-        std::cout << "estimator throughput: " << total_blocks
+        std::cout << "estimate beats fall-through baseline: "
+                  << (beats_baseline ? "yes" : "NO") << "\n";
+        // A wall-clock figure: on stderr, so stdout repeats run to run.
+        std::cerr << "estimator throughput: " << total_blocks
                   << " blocks in " << total_seconds << " s ("
                   << blocks_per_s(total_blocks, total_seconds)
                   << " blocks/s)\n";
-        std::cout << "estimate beats fall-through baseline: "
-                  << (beats_baseline ? "yes" : "NO") << "\n";
     }
 
     std::cerr << bench::timingJson("estimate", defaultThreads(),

@@ -19,7 +19,6 @@
 
 #include "lint/emit.h"
 #include "lint/rules.h"
-#include "objective/table_cost.h"
 
 namespace balign {
 
@@ -61,17 +60,6 @@ lintCostMonotone(const Program &program, const AlignmentObjective &objective,
     diagnostic.arch = arch;
     diagnostic.aligner = candidateName;
     diagnostic.objective = objective.name();
-}
-
-void
-lintCostMonotone(const Program &program, const CostModel &model,
-                 const ProgramLayout &baseline, const char *baselineName,
-                 const ProgramLayout &candidate, const char *candidateName,
-                 std::vector<Diagnostic> &sink)
-{
-    const TableCostObjective objective(model);
-    lintCostMonotone(program, objective, archName(model.arch()), baseline,
-                     baselineName, candidate, candidateName, sink);
 }
 
 }  // namespace balign

@@ -22,6 +22,7 @@
 #include "core/align_program.h"
 #include "layout/materialize.h"
 #include "lint/lint.h"
+#include "objective/table_cost.h"
 #include "trace/profiler.h"
 #include "trace/walker.h"
 
@@ -560,9 +561,10 @@ TEST(Lint, CostMonotoneFiresOnRegression)
               modeledBranchCost(program, baseline, model))
         << "fixture must actually regress for the rule to be provable";
 
+    const TableCostObjective objective(model);
     std::vector<Diagnostic> sink;
-    lintCostMonotone(program, model, baseline, "greedy", candidate,
-                     "hostile", sink);
+    lintCostMonotone(program, objective, archName(model.arch()), baseline,
+                     "greedy", candidate, "hostile", sink);
     EXPECT_TRUE(hasRule(sink, "cost.monotone"));
     ASSERT_FALSE(sink.empty());
     EXPECT_EQ(sink.front().aligner, "hostile");
@@ -574,9 +576,10 @@ TEST(Lint, CostMonotoneQuietOnIdenticalLayouts)
     const CostModel model(Arch::BtFnt);
     const ProgramLayout layout =
         alignProgram(program, AlignerKind::Greedy, &model, {});
+    const TableCostObjective objective(model);
     std::vector<Diagnostic> sink;
-    lintCostMonotone(program, model, layout, "greedy", layout, "greedy",
-                     sink);
+    lintCostMonotone(program, objective, archName(model.arch()), layout,
+                     "greedy", layout, "greedy", sink);
     EXPECT_TRUE(sink.empty());
 }
 

@@ -227,3 +227,72 @@ TEST(Serialize, TrulyEmptyProcedureRejected)
     EXPECT_FALSE(parsed.ok());
     EXPECT_FALSE(parsed.error.empty());
 }
+
+TEST(Serialize, SignOnUnsignedFieldRejected)
+{
+    // A leading sign used to be read the way strtoul reads it: "-1" as
+    // the type's maximum. Unsigned fields now take digits only.
+    const std::string head = "balign-program v1\nprogram x\nmain 0\n"
+                             "proc 0 main entry 0\n";
+    const struct
+    {
+        std::string text;
+        const char *error;
+        std::size_t line;
+    } rows[] = {
+        {"balign-program v1\nmain -1\n", "bad main line", 2},
+        {"balign-program v1\nmain +0\n", "bad main line", 2},
+        {"balign-program v1\nproc -0 main entry 0\n", "bad proc line", 2},
+        {head + "block 0 +2 return\n", "bad block line", 5},
+        {head + "block 0 2 cond pattern 3 -5\n", "bad pattern attribute", 5},
+        {head + "block 0 2 return\ncall 0 -1 0\n", "bad call line", 6},
+        {head + "block 0 2 return\nedge 0 0 fall -1 0.5\n", "bad edge line",
+         6},
+    };
+    for (const auto &row : rows) {
+        SCOPED_TRACE(row.text);
+        const ParseResult parsed = programFromString(row.text);
+        EXPECT_FALSE(parsed.ok());
+        EXPECT_EQ(parsed.error, row.error);
+        EXPECT_EQ(parsed.errorLine, row.line);
+    }
+
+    // corr's invert flag is a signed int and keeps its sign; biases are
+    // doubles and keep theirs.
+    const ParseResult signedOk = programFromString(
+        head + "block 0 2 cond corr 0 -1\nblock 1 1 return\n"
+               "edge 0 1 taken 1 -0.0\nedge 0 1 fall 1 +1\nendproc\n");
+    ASSERT_TRUE(signedOk.ok()) << signedOk.error;
+    EXPECT_TRUE(signedOk.program->proc(0).block(0).correlatedInvert);
+}
+
+TEST(Serialize, TotalEdgeWeightCeiling)
+{
+    const auto text = [](Weight taken, Weight fall) {
+        return "balign-program v1\nprogram x\nmain 0\nproc 0 main entry 0\n"
+               "block 0 2 cond\nblock 1 1 return\nedge 0 1 taken " +
+               std::to_string(taken) + " 0.5\nedge 0 1 fall " +
+               std::to_string(fall) + " 0.5\nendproc\n";
+    };
+    const Weight half = kMaxProfileWeight / 2;
+
+    // A total of exactly the ceiling is accepted and round-trips.
+    const ParseResult atCeiling = programFromString(text(half, half));
+    ASSERT_TRUE(atCeiling.ok()) << atCeiling.error;
+    EXPECT_EQ(atCeiling.program->proc(0).totalEdgeWeight(),
+              kMaxProfileWeight);
+
+    // One more is rejected on the edge that crosses it.
+    const ParseResult past = programFromString(text(half, half + 1));
+    EXPECT_FALSE(past.ok());
+    EXPECT_EQ(past.errorLine, 8u);
+    EXPECT_EQ(past.error, "edge weight " + std::to_string(half + 1) +
+                              " lifts the program's total edge weight "
+                              "past the 2^60 profile ceiling");
+
+    // Two edges of 2^64 - 1: the first is already past the ceiling.
+    const Weight max = std::numeric_limits<Weight>::max();
+    const ParseResult wrapped = programFromString(text(max, max));
+    EXPECT_FALSE(wrapped.ok());
+    EXPECT_EQ(wrapped.errorLine, 7u);
+}

@@ -93,7 +93,9 @@ struct ObjCheckResult
     /// Indexed by ObjObligation.
     std::array<ObjObligationRecord, kNumObjObligations> obligations{};
 
-    /// Every failed obligation instance, in discovery order.
+    /// Every failed obligation instance, grouped by obligation in
+    /// ObjObligation order; within a group, in the order its checks ran
+    /// (procedure by procedure).
     std::vector<ObjFailure> failures;
 
     /// The decode the checks ran against (kept for lint and the CLI's

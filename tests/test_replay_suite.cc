@@ -15,6 +15,11 @@
  * the pipeline also pins the batched engine. New engine divergences found
  * by the fuzzer land here automatically as DivergenceKind::Batch repro
  * files.
+ *
+ * ReplaySetup pins prepareProgram's output itself: one FNV-1a digest per
+ * program over every BatchTrace array and aggregate, every edge weight,
+ * the ProgramStats, the WalkResult and the event count, so a rewrite of
+ * the profiling walk must reproduce its products bit for bit.
  */
 
 #include <gtest/gtest.h>
@@ -27,6 +32,7 @@
 #include "check/differ.h"
 #include "check/fuzz.h"
 #include "check/oracle.h"
+#include "sim/batch_replay.h"
 #include "sim/cpi.h"
 #include "workload/generator.h"
 #include "workload/suite.h"
@@ -158,5 +164,142 @@ TEST(ReplayCorpus, EnginesByteIdenticalOnEveryRepro)
             prepareProgram(repro->program, repro->walk);
         expectMatchesOracle(
             prepared, std::filesystem::path(path).stem().string());
+    }
+}
+
+namespace {
+
+constexpr std::uint64_t kSetupBudget = 200'000;
+
+std::uint64_t
+fnv1a(std::uint64_t hash, std::uint64_t value)
+{
+    for (int i = 0; i < 8; ++i) {
+        hash ^= (value >> (8 * i)) & 0xFF;
+        hash *= 1099511628211ull;
+    }
+    return hash;
+}
+
+/// FNV-1a 64 over everything prepareProgram produces: the batched
+/// trace, the profile, the statistics and the walk summary.
+std::uint64_t
+hashPrepared(const PreparedProgram &prepared)
+{
+    std::uint64_t hash = 14695981039346656037ull;
+    auto fold = [&hash](const auto &values) {
+        hash = fnv1a(hash, values.size());
+        for (const auto value : values)
+            hash = fnv1a(hash, static_cast<std::uint64_t>(value));
+    };
+    const BatchTrace &batch = *prepared.batch;
+    fold(batch.blockBase);
+    fold(batch.term);
+    fold(batch.takenDst);
+    fold(batch.fallDst);
+    fold(batch.ops);
+    fold(batch.opA);
+    fold(batch.opB);
+    fold(batch.opC);
+    fold(batch.rasOps);
+    fold(batch.rasBlock);
+    fold(batch.rasOffset);
+    fold(batch.activations);
+    fold(batch.takenCount);
+    fold(batch.fallCount);
+    for (const std::uint64_t n :
+         {std::uint64_t{batch.totalBlocks}, batch.condExec, batch.callExec,
+          batch.returnExec, batch.exitReturns, batch.indirectExec})
+        hash = fnv1a(hash, n);
+
+    for (const Procedure &proc : prepared.program.procs())
+        for (const Edge &edge : proc.edges())
+            hash = fnv1a(hash, edge.weight);
+
+    const ProgramStats &s = prepared.stats;
+    for (const std::uint64_t n :
+         {s.instrsTraced, s.condBranches, s.takenCondBranches,
+          s.uncondBranches, s.indirectJumps, s.calls, s.returns,
+          std::uint64_t{s.q50}, std::uint64_t{s.q90}, std::uint64_t{s.q99},
+          std::uint64_t{s.q100}, std::uint64_t{s.staticCondSites}})
+        hash = fnv1a(hash, n);
+
+    const WalkResult &w = prepared.trace->walkResult();
+    for (const std::uint64_t n :
+         {w.instrs, w.blocks, w.calls, w.skippedCalls, w.runs})
+        hash = fnv1a(hash, n);
+    return fnv1a(hash, prepared.trace->numEvents());
+}
+
+}  // namespace
+
+// Pins prepareProgram for every suite program at a 200k-instruction
+// budget: the batched trace, the measured profile and the walk summary
+// must come out of the profiling walk exactly as pinned here.
+TEST(ReplaySetup, SuiteMatchesPinnedDigest)
+{
+    const std::pair<const char *, std::uint64_t> pinned[] = {
+        {"alvinn", 0xb73c7b7fb32e08fcull},
+        {"doduc", 0xa5fecc923c1a2c57ull},
+        {"ear", 0xa1dc542859168751ull},
+        {"fpppp", 0xf575dca2388b98beull},
+        {"hydro2d", 0xf4fc91be209f02b3ull},
+        {"mdljsp2", 0xdfdcced8c2643650ull},
+        {"nasa7", 0xe775e6b15f4d34c0ull},
+        {"ora", 0xd9efa1d6bbaf7421ull},
+        {"spice", 0x6916019718b54273ull},
+        {"su2cor", 0x8539d0a5b46cfb5aull},
+        {"swm256", 0xab9b4de804975a2full},
+        {"tomcatv", 0xd557d826e999c956ull},
+        {"wave5", 0xcd043386ca98751full},
+        {"compress", 0x7954f4451cbd5546ull},
+        {"eqntott", 0xaf6a443681422bull},
+        {"espresso", 0x326ec6fe48e24405ull},
+        {"gcc", 0x83085a29172d9c65ull},
+        {"li", 0x665ab9869846b9e5ull},
+        {"sc", 0x41bdd2835794f391ull},
+        {"cfront", 0xd20a294313b5400full},
+        {"db++", 0x4a119aa8dda0350full},
+        {"groff", 0xa877ce1098431a44ull},
+        {"idl", 0xe074fc8b87f3b0d1ull},
+        {"tex", 0x9c14667bb2c623d3ull},
+    };
+    ASSERT_EQ(std::size(pinned), benchmarkSuite().size());
+    for (const auto &[name, digest] : pinned) {
+        ProgramSpec spec = suiteSpec(name);
+        spec.traceInstrs = kSetupBudget;
+        const std::uint64_t actual = hashPrepared(prepareProgram(spec));
+        EXPECT_EQ(actual, digest)
+            << name << ": 0x" << std::hex << actual << "ull";
+    }
+}
+
+// The same digest over every corpus repro, prepared with its own walk.
+TEST(ReplaySetup, CorpusMatchesPinnedDigest)
+{
+    const std::pair<const char *, std::uint64_t> pinned[] = {
+        {"call-ladder", 0x8dd19cc2db382942ull},
+        {"dead-end", 0xcb3e0dfde2227db3ull},
+        {"est-irreducible", 0xf64d1098dc92d5bdull},
+        {"est-tie", 0xdd89051d50ad1b54ull},
+        {"exttsp-window", 0x3b63cd8022da40d6ull},
+        {"indirect-hub", 0x9d187450cd95d16dull},
+        {"jump-chain", 0x4f54654c61b26f3full},
+        {"realign-split", 0x8e8e74470acee970ull},
+        {"relax-chain", 0xc57cbae9b7bf9602ull},
+        {"tight-loop", 0xa15eb25034b10a59ull},
+    };
+    const std::vector<std::string> files = corpusFiles();
+    ASSERT_EQ(files.size(), std::size(pinned));
+    for (std::size_t i = 0; i < files.size(); ++i) {
+        const std::string stem =
+            std::filesystem::path(files[i]).stem().string();
+        ASSERT_EQ(stem, pinned[i].first);
+        const std::optional<Repro> repro = loadRepro(files[i]);
+        ASSERT_TRUE(repro.has_value()) << files[i];
+        const std::uint64_t actual =
+            hashPrepared(prepareProgram(repro->program, repro->walk));
+        EXPECT_EQ(actual, pinned[i].second)
+            << stem << ": 0x" << std::hex << actual << "ull";
     }
 }

@@ -156,8 +156,13 @@ shapeDeepCalls(std::uint64_t seed)
     // calls are skipped, exercising the cap and wrapping the return stack.
     Program program("degen-deep-calls");
     const unsigned depth = 70;
-    for (unsigned i = 0; i < depth; ++i)
-        program.addProc("f" + std::to_string(i));
+    for (unsigned i = 0; i < depth; ++i) {
+        // Appended, not `"f" + std::to_string(i)`: g++ 12 at -O3 misreads
+        // that inlined insert as an overlapping memcpy (-Wrestrict).
+        std::string name = "f";
+        name += std::to_string(i);
+        program.addProc(name);
+    }
     for (unsigned i = 0; i < depth; ++i) {
         Procedure &proc = program.proc(i);
         const BlockId body =

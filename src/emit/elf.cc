@@ -110,8 +110,12 @@ template <typename T>
 void
 appendStruct(std::vector<std::uint8_t> &out, const T &value)
 {
-    const auto *raw = reinterpret_cast<const std::uint8_t *>(&value);
-    out.insert(out.end(), raw, raw + sizeof(T));
+    // resize + memcpy rather than insert of a byte range: g++ 12 at -O3
+    // misreads the insert into a freshly reserved vector as an overflow
+    // (-Wstringop-overflow).
+    const std::size_t at = out.size();
+    out.resize(at + sizeof(T));
+    std::memcpy(out.data() + at, &value, sizeof(T));
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <tuple>
 
+#include "cfg/serialize.h"
 #include "support/log.h"
 #include "support/rng.h"
 #include "trace/profiler.h"
@@ -357,12 +358,15 @@ perturbProfile(Program &program, double eps, std::uint64_t seed)
         return;
     const double lo = std::max(0.0, 1.0 - eps);
     const double hi = 1.0 + eps;
+    // 2^60 is exact in a double, so the clamped product rounds to at
+    // most the ceiling and always fits the cast.
+    const double ceiling = static_cast<double>(kMaxProfileWeight);
     Rng rng(deriveSeed(0xc3b2a1908f7e6d5aull, seed, 0));
     for (Procedure &proc : program.procs()) {
         for (Edge &edge : proc.edges()) {
             const double factor = lo + rng.nextDouble() * (hi - lo);
-            edge.weight = static_cast<Weight>(std::llround(
-                static_cast<double>(edge.weight) * factor));
+            edge.weight = static_cast<Weight>(std::llround(std::min(
+                static_cast<double>(edge.weight) * factor, ceiling)));
         }
     }
 }

@@ -108,8 +108,10 @@ void staleProfile(Program &program, const WalkOptions &walk,
 
 /**
  * Multiplicative noise: each edge weight w becomes round(w * f) with f
- * drawn uniformly from [max(0, 1-eps), 1+eps], independently per edge.
- * Deliberately violates flow conservation (that is the scenario).
+ * drawn uniformly from [max(0, 1-eps), 1+eps], independently per edge,
+ * clamped to kMaxProfileWeight (cfg/serialize.h) so a huge eps cannot
+ * wrap a weight. Deliberately violates flow conservation (that is the
+ * scenario).
  */
 void perturbProfile(Program &program, double eps, std::uint64_t seed);
 

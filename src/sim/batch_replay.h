@@ -5,14 +5,16 @@
  * local two-level, BTB) and of the return stack's use in penalty
  * accounting.
  *
- * Replaying the recorded trace once per (architecture, aligner,
+ * Replaying the profiling walk once per (architecture, aligner,
  * objective) cell would cost one virtual EventSink call per event per
  * cell, plus a full BranchEventAdapter state machine and
  * Program/ProgramLayout pointer chasing inside every replay. This engine
  * restructures that work so one sweep drives every predictor:
  *
- *  1. BatchTrace — built once per prepared program — canonicalizes the
- *     RecordedTrace into flat branch-op arrays. Block activations
+ *  1. BatchTrace — built once per prepared program, by a
+ *     BatchTraceBuilder that prepareProgram feeds from its profiling
+ *     walk — canonicalizes the walk into flat branch-op arrays; no event
+ *     buffer is kept in between. Block activations
  *     collapse into per-block counts, call-site indices and the
  *     pending-return state machine are resolved once, and every operand
  *     is a dense program-global block index. What remains per layout is
@@ -48,7 +50,8 @@
  * shrinks batched-engine divergences like any other finding.
  *
  * A hand-built program is replayed with
- * `BatchTrace(program, recordTrace(program, walk))`. The engine panics on
+ * `BatchTrace(program, recordTrace(program, walk))`, which re-walks it
+ * into a BatchTraceBuilder. The engine panics on
  * predictor geometry it cannot simulate (a table or BTB set count that is
  * not a power of two, a history length of 0 bits or more than 63 for
  * gshare and 24 for the local predictor).
@@ -63,6 +66,7 @@
 #include "bpred/evaluator.h"
 #include "cfg/program.h"
 #include "layout/layout_result.h"
+#include "trace/event.h"
 #include "trace/recorder.h"
 
 namespace balign {
@@ -87,7 +91,9 @@ struct BatchTrace
         RetExit,   ///< a=returning block; program exit (RAS pops, no event)
     };
 
-    /// Builds the canonical form by replaying @p trace once.
+    /// Builds the canonical form by replaying @p trace once (a re-walk
+    /// of @p program); prepareProgram instead feeds a BatchTraceBuilder
+    /// from its profiling walk.
     BatchTrace(const Program &program, const RecordedTrace &trace);
 
     // --- flattened program indexing -------------------------------------
@@ -122,6 +128,51 @@ struct BatchTrace
 
     /// Approximate heap footprint of the buffers, in bytes.
     std::size_t sizeBytes() const;
+
+  private:
+    friend class BatchTraceBuilder;
+    BatchTrace() = default;
+};
+
+/**
+ * EventSink that canonicalizes the walk it observes into a BatchTrace.
+ * Mirrors the BranchEventAdapter state machine (trace/branch_events.cc),
+ * minus everything layout-dependent. Drive it with walk() directly or
+ * through a MultiSink beside the Profiler, then take() the trace.
+ */
+class BatchTraceBuilder final : public EventSink
+{
+  public:
+    /// Sizes the per-block tables for @p program, the program walked.
+    explicit BatchTraceBuilder(const Program &program);
+
+    void onBlock(ProcId proc, BlockId block) override;
+    void onCall(ProcId proc, BlockId block, const CallSite &site) override;
+    void onReturn(ProcId proc, BlockId block, const CallSite &site) override;
+    void onEdge(ProcId proc, std::uint32_t edge_index) override;
+    void onExit() override;
+
+    /// Moves the built trace out; the builder is spent afterwards.
+    BatchTrace take();
+
+  private:
+    std::uint32_t
+    global(ProcId proc, BlockId block) const
+    {
+        return out_.blockBase[proc] + block;
+    }
+
+    /// Like BranchEventAdapter::resolvePendingReturn: the block being
+    /// left emits a Return event only when it actually ends in one.
+    bool pendingReturn() const;
+
+    void push(BatchTrace::Op op, std::uint32_t a, std::uint32_t b,
+              std::uint32_t c);
+    void pushRas(std::uint8_t op, std::uint32_t block, std::uint32_t offset);
+
+    const Program &program_;
+    BatchTrace out_;
+    std::uint32_t cur_;  ///< executing global block, or none
 };
 
 /// One layout and the architecture lanes to evaluate against it.

@@ -57,22 +57,19 @@ prepareProgram(Program program, const WalkOptions &walk,
     if (!name.empty())
         prepared.program.setName(name);
 
-    // One walk both profiles the program and records the event stream;
-    // every evaluation replays the recording instead of walking again.
+    // One walk both profiles the program and builds the batched trace;
+    // the recorded trace keeps only the walk's identity, and the readers
+    // that need single events re-walk it.
     prepared.program.clearWeights();
     Profiler profiler(prepared.program);
-    TraceRecorder recorder(prepared.program);
+    BatchTraceBuilder builder(prepared.program);
     MultiSink fanout;
     fanout.add(&profiler);
-    fanout.add(&recorder);
-    recorder.setWalkResult(balign::walk(prepared.program, walk, fanout));
+    fanout.add(&builder);
+    const WalkResult result = balign::walk(prepared.program, walk, fanout);
     prepared.stats = profiler.stats();
-    prepared.trace =
-        std::make_shared<const RecordedTrace>(recorder.take());
-    // Canonical batched form: one extra pass now, paid back every time
-    // runConfigs replays a lane block (sim/batch_replay.h).
-    prepared.batch = std::make_shared<const BatchTrace>(prepared.program,
-                                                        *prepared.trace);
+    prepared.trace = std::make_shared<const RecordedTrace>(walk, result);
+    prepared.batch = std::make_shared<const BatchTrace>(builder.take());
     return prepared;
 }
 

@@ -6,9 +6,10 @@
  * paper's methodology ("for each architecture, we use the same input to
  * align the program and to measure the improvement").
  *
- * The profiling walk is captured once into a RecordedTrace
- * (trace/recorder.h) and canonicalized into a BatchTrace
- * (sim/batch_replay.h). Every configuration is a lane of its layout,
+ * The one profiling walk feeds the Profiler and, as it runs, a
+ * BatchTraceBuilder (sim/batch_replay.h); no event stream is stored.
+ * The RecordedTrace (trace/recorder.h) keeps the walk's identity, which
+ * readers of single events re-walk. Every configuration is a lane of its layout,
  * and ONE pass over the op stream drives the predictors of every lane
  * of every layout in a lane block; the `ctest -L replay` suite pins
  * every cell to an independent OracleEvaluator replay (check/oracle.h).
@@ -132,18 +133,19 @@ struct ExperimentRun
 
 /**
  * A profiled program ready for evaluation: the CFG with measured edge
- * weights, the walk configuration that produced the trace, and the
- * recorded event stream itself (captured during the profiling walk).
+ * weights, the walk configuration that produced the trace, the recorded
+ * walk and the batched trace built during it.
  */
 struct PreparedProgram
 {
     Program program;
     WalkOptions walk;
     ProgramStats stats;
-    /// The profiling walk's event stream; evaluation replays this buffer.
+    /// The profiling walk: its options and summary. replay() re-walks
+    /// `program` for the readers that need single events.
     std::shared_ptr<const RecordedTrace> trace;
-    /// The trace in canonical batched form (sim/batch_replay.h), built
-    /// alongside it by prepareProgram. runConfigs and diffLayout panic
+    /// The walk in canonical batched form (sim/batch_replay.h), built
+    /// during it by prepareProgram. runConfigs and diffLayout panic
     /// without it, so build PreparedPrograms with prepareProgram.
     std::shared_ptr<const BatchTrace> batch;
 };

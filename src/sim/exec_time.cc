@@ -42,7 +42,8 @@ runExecTime(const ProgramSpec &spec, PhaseTimes *times)
     Alpha21064Model greedy_model(program, greedy);
     Alpha21064Model try15_model(program, try15);
     {
-        // One independent replay of the recorded trace per pipeline model.
+        // One independent replay (a re-walk) of the profiling walk per
+        // pipeline model.
         ScopedPhaseTimer timer(times, "replay");
         prepared.trace->replay(program, orig_model.sink());
         prepared.trace->replay(program, greedy_model.sink());

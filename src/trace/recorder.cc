@@ -7,101 +7,17 @@ namespace balign {
 void
 RecordedTrace::replay(const Program &program, EventSink &sink) const
 {
-    const std::size_t n = ops_.size();
-    std::size_t site_cursor = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const auto proc = procs_[i];
-        const auto arg = args_[i];
-        switch (static_cast<Op>(ops_[i])) {
-          case Op::Block:
-            sink.onBlock(proc, arg);
-            break;
-          case Op::Call:
-            sink.onCall(proc, arg,
-                        program.proc(proc).block(arg)
-                            .calls[sites_[site_cursor++]]);
-            break;
-          case Op::Return:
-            sink.onReturn(proc, arg,
-                          program.proc(proc).block(arg)
-                              .calls[sites_[site_cursor++]]);
-            break;
-          case Op::Edge:
-            sink.onEdge(proc, arg);
-            break;
-          case Op::Exit:
-            sink.onExit();
-            break;
-        }
-    }
-}
-
-std::size_t
-RecordedTrace::sizeBytes() const
-{
-    return ops_.capacity() * sizeof(ops_[0]) +
-           procs_.capacity() * sizeof(procs_[0]) +
-           args_.capacity() * sizeof(args_[0]) +
-           sites_.capacity() * sizeof(sites_[0]);
-}
-
-void
-TraceRecorder::push(RecordedTrace::Op op, std::uint32_t proc,
-                    std::uint32_t arg)
-{
-    trace_.ops_.push_back(static_cast<std::uint8_t>(op));
-    trace_.procs_.push_back(proc);
-    trace_.args_.push_back(arg);
-}
-
-void
-TraceRecorder::onBlock(ProcId proc, BlockId block)
-{
-    push(RecordedTrace::Op::Block, proc, block);
-}
-
-void
-TraceRecorder::onCall(ProcId proc, BlockId block, const CallSite &site)
-{
-    const auto &calls = program_.proc(proc).block(block).calls;
-    if (calls.empty() || &site < calls.data() ||
-        &site >= calls.data() + calls.size())
-        panic("TraceRecorder: call site not owned by the event's block");
-    push(RecordedTrace::Op::Call, proc, block);
-    trace_.sites_.push_back(
-        static_cast<std::uint32_t>(&site - calls.data()));
-}
-
-void
-TraceRecorder::onReturn(ProcId proc, BlockId block, const CallSite &site)
-{
-    const auto &calls = program_.proc(proc).block(block).calls;
-    if (calls.empty() || &site < calls.data() ||
-        &site >= calls.data() + calls.size())
-        panic("TraceRecorder: return site not owned by the event's block");
-    push(RecordedTrace::Op::Return, proc, block);
-    trace_.sites_.push_back(
-        static_cast<std::uint32_t>(&site - calls.data()));
-}
-
-void
-TraceRecorder::onEdge(ProcId proc, std::uint32_t edge_index)
-{
-    push(RecordedTrace::Op::Edge, proc, edge_index);
-}
-
-void
-TraceRecorder::onExit()
-{
-    push(RecordedTrace::Op::Exit, 0, 0);
+    if (walk(program, options_, sink) != result_)
+        panic("RecordedTrace::replay(%s): the re-walk does not reproduce "
+              "the recorded walk; replay the walked program",
+              program.name().c_str());
 }
 
 RecordedTrace
 recordTrace(const Program &program, const WalkOptions &options)
 {
-    TraceRecorder recorder(program);
-    recorder.setWalkResult(walk(program, options, recorder));
-    return recorder.take();
+    NullSink sink;
+    return RecordedTrace(options, walk(program, options, sink));
 }
 
 }  // namespace balign

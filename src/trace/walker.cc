@@ -159,14 +159,19 @@ walk(const Program &program, const WalkOptions &options, EventSink &sink)
             // The call we are returning to is the one just consumed.
             const CallSite &site = caller_block.calls[caller.callIndex - 1];
             sink.onReturn(caller.proc, caller.block, site);
+            ++result.events;
             continue;
         }
 
         sink.onEdge(frame.proc, static_cast<std::uint32_t>(chosen));
+        ++result.events;
         frame.block = proc.edge(static_cast<std::uint32_t>(chosen)).dst;
         frame.entered = false;
     }
 
+    // Returns and edges were counted as they fired; each block, call and
+    // run emitted exactly one onBlock, onCall or onExit.
+    result.events += result.blocks + result.calls + result.runs;
     return result;
 }
 

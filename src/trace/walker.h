@@ -50,6 +50,7 @@ struct WalkResult
     std::uint64_t calls = 0;     ///< calls taken (not skipped)
     std::uint64_t skippedCalls = 0;  ///< calls skipped at kMaxCallDepth
     std::uint64_t runs = 0;      ///< completed root activations
+    std::uint64_t events = 0;    ///< events emitted to the sink
 
     bool operator==(const WalkResult &other) const = default;
 };

@@ -91,8 +91,9 @@ TEST(FillStaticStats, SpansProcedures)
 {
     Program program("p");
     for (int i = 0; i < 2; ++i) {
-        Procedure &proc =
-            program.proc(program.addProc("p" + std::to_string(i)));
+        std::string name = "p";
+        name += std::to_string(i);
+        Procedure &proc = program.proc(program.addProc(name));
         CfgBuilder b(proc);
         const BlockId c = b.block(2, Terminator::CondBranch);
         const BlockId s1 = b.block(1, Terminator::Return);

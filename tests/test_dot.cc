@@ -17,8 +17,10 @@ TEST(Dot, ContainsAllNodesAndEdges)
     const std::string dot = toDot(program.proc(0));
     EXPECT_NE(dot.find("digraph"), std::string::npos);
     for (BlockId id = 0; id < program.proc(0).numBlocks(); ++id) {
-        EXPECT_NE(dot.find("n" + std::to_string(id) + " ["),
-                  std::string::npos)
+        std::string node = "n";
+        node += std::to_string(id);
+        node += " [";
+        EXPECT_NE(dot.find(node), std::string::npos)
             << "node " << id;
     }
     // One arrow per edge.

@@ -119,8 +119,9 @@ TEST(Materialize, ProgramLevelBasesAreContiguous)
 {
     Program program("two");
     for (int i = 0; i < 2; ++i) {
-        Procedure &proc =
-            program.proc(program.addProc("p" + std::to_string(i)));
+        std::string name = "p";
+        name += std::to_string(i);
+        Procedure &proc = program.proc(program.addProc(name));
         CfgBuilder b(proc);
         b.block(5, Terminator::Return);
     }

@@ -560,8 +560,11 @@ callChain(unsigned depth)
 {
     Program program("chain");
     std::vector<ProcId> procs = {program.addProc("main")};
-    for (unsigned i = 1; i <= depth; ++i)
-        procs.push_back(program.addProc("p" + std::to_string(i)));
+    for (unsigned i = 1; i <= depth; ++i) {
+        std::string name = "p";
+        name += std::to_string(i);
+        procs.push_back(program.addProc(name));
+    }
     for (unsigned i = 0; i <= depth; ++i) {
         CfgBuilder b(program.proc(procs[i]));
         const BlockId body = b.block(3, Terminator::Return);

@@ -22,8 +22,9 @@ threeProcs()
 {
     Program program("three");
     for (int i = 0; i < 3; ++i) {
-        Procedure &proc =
-            program.proc(program.addProc("p" + std::to_string(i)));
+        std::string name = "p";
+        name += std::to_string(i);
+        Procedure &proc = program.proc(program.addProc(name));
         CfgBuilder b(proc);
         b.block(4 + i, Terminator::Return);
     }

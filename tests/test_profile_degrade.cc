@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "cfg/serialize.h"
 #include "check/differ.h"
 #include "core/align_program.h"
 #include "lint/lint.h"
@@ -219,6 +220,20 @@ TEST(DegradeFlow, DriftPreservesEveryBlockOutflow)
         EXPECT_EQ(outflows(program), before) << name;
         EXPECT_EQ(totalWeight(program), total) << name;
     }
+}
+
+TEST(DegradeDegenerate, HugePerturbClampsAtTheProfileCeiling)
+{
+    // eps = 1e30 scales every executed edge far past 2^63; each weight
+    // must stop at the profile ceiling instead of wrapping in the cast.
+    Program program = profiledProgram("compress");
+    perturbProfile(program, 1e30, 7);
+    std::size_t clamped = 0;
+    for (const Weight weight : allWeights(program)) {
+        EXPECT_LE(weight, kMaxProfileWeight);
+        clamped += weight == kMaxProfileWeight ? 1 : 0;
+    }
+    EXPECT_GT(clamped, 0u);
 }
 
 TEST(DegradeDegenerate, ZeroProfileTripsNoteAndAlignersTolerateIt)

@@ -70,8 +70,9 @@ TEST(LikelyBits, MultipleProceduresIndexedIndependently)
 {
     Program program("multi");
     for (int i = 0; i < 2; ++i) {
-        Procedure &proc =
-            program.proc(program.addProc("p" + std::to_string(i)));
+        std::string name = "p";
+        name += std::to_string(i);
+        Procedure &proc = program.proc(program.addProc(name));
         CfgBuilder b(proc);
         const BlockId head = b.block(2, Terminator::CondBranch);
         const BlockId cold = b.block(1, Terminator::Return);

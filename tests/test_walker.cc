@@ -11,8 +11,8 @@
 #include <gtest/gtest.h>
 
 #include "cfg/builder.h"
+#include "event_log.h"
 #include "trace/profiler.h"
-#include "trace/recorder.h"
 #include "trace/walker.h"
 
 using namespace balign;
@@ -63,9 +63,10 @@ TEST(Walker, DeterministicForSeed)
     options.seed = 99;
     options.instrBudget = 10'000;
 
-    const RecordedTrace a = recordTrace(program, options);
-    const RecordedTrace b = recordTrace(program, options);
-    ASSERT_EQ(a.numEvents(), b.numEvents());
+    const std::vector<LogSink::Entry> a = walkLog(program, options);
+    const std::vector<LogSink::Entry> b = walkLog(program, options);
+    ASSERT_FALSE(a.empty());
+    ASSERT_EQ(a.size(), b.size());
     EXPECT_TRUE(a == b);
 }
 
@@ -75,9 +76,10 @@ TEST(Walker, DifferentSeedsDiffer)
     WalkOptions options;
     options.instrBudget = 10'000;
     options.seed = 1;
-    const RecordedTrace a = recordTrace(program, options);
+    const std::vector<LogSink::Entry> a = walkLog(program, options);
     options.seed = 2;
-    const RecordedTrace b = recordTrace(program, options);
+    const std::vector<LogSink::Entry> b = walkLog(program, options);
+    ASSERT_FALSE(a.empty());
     EXPECT_FALSE(a == b);
 }
 

@@ -481,9 +481,21 @@ runDegrade(const Options &opts, JsonOut &)
 
     const Weight before = total_weight();
     degradeProfile(program, repro.walk, spec);
+    // The parser rejects a program whose weights total more than the
+    // profile ceiling, so degrade must not write one.
+    Weight total = 0;
+    for (const Procedure &proc : program.procs()) {
+        for (const Edge &edge : proc.edges()) {
+            if (edge.weight > kMaxProfileWeight - total)
+                usageError("degrade %s: the degraded edge weights total "
+                           "more than the 2^60 profile ceiling",
+                           degradeSpecLabel(spec).c_str());
+            total += edge.weight;
+        }
+    }
     inform("degrade %s: total edge weight %s -> %s",
            degradeSpecLabel(spec).c_str(), withCommas(before).c_str(),
-           withCommas(total_weight()).c_str());
+           withCommas(total).c_str());
     writeOutput(program, opts.output);
     return 0;
 }

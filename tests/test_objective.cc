@@ -17,6 +17,11 @@
  * (regenerate with BALIGN_REGEN_TRY15_GOLDEN=1 after an intentional
  * change). A faster search must not move a single block.
  *
+ * ExtTspSuite.MatchesPinnedDigest and ExtTspLargeShapes.MatchesPinnedDigest
+ * do the same for the ExtTSP merge loop: one digest per suite program, and
+ * one per hand-built ladder, switch hub and loop nest of 1k-4k blocks, over
+ * the aligner's own chains and the layout under the ExtTSP objective.
+ *
  * Try15Reference checks the same property from the other side: a
  * test-only copy of the unpruned group search (every consistent subset,
  * no bound) must return the identical ChainSet as Try15Aligner on fuzzed
@@ -62,6 +67,7 @@
 #include "trace/profiler.h"
 #include "trace/walker.h"
 #include "workload/generator.h"
+#include "workload/shapes.h"
 #include "workload/suite.h"
 
 namespace balign {
@@ -343,6 +349,116 @@ TEST(Try15Suite, MatchesPinnedDigest)
     golden << in.rdbuf();
     EXPECT_EQ(actual.str(), golden.str())
         << "Try15 layouts drifted from the pinned digests";
+}
+
+/// Trace budget of the ExtTSP digest programs.
+constexpr std::uint64_t kExtTspDigestInstrs = 400'000;
+
+/// FNV-1a over the ExtTSP aligner's own chains for every procedure of
+/// @p program (before the driver's per-procedure fallback can replace
+/// them) and over the program layout under the ExtTSP objective.
+std::uint64_t
+extTspDigest(const Program &program)
+{
+    std::uint64_t hash = 14695981039346656037ull;
+    const ExtTspAligner aligner;
+    for (const Procedure &proc : program.procs()) {
+        const ChainSet chains = aligner.alignProc(proc);
+        for (BlockId b = 0; b < proc.numBlocks(); ++b)
+            hash = fnv1a(hash, chains.next(b));
+    }
+    AlignOptions options;
+    options.objective = ObjectiveKind::ExtTsp;
+    return fnv1a(hash, hashLayout(alignProgram(program, AlignerKind::ExtTsp,
+                                               nullptr, options)));
+}
+
+struct DigestRow
+{
+    const char *name;
+    std::uint64_t hash;
+};
+
+// Captured before the ExtTSP merge loop moved from a full rescan per merge
+// to a gain heap; a faster merge loop must not move a single block.
+const DigestRow kExtTspSuiteDigests[] = {
+    {"alvinn", 0x4339060ead907886ull},
+    {"doduc", 0x7a300d3f33d89e47ull},
+    {"ear", 0x153029b6b06eca93ull},
+    {"fpppp", 0x137eea6a04979106ull},
+    {"hydro2d", 0xa7913266701bfd4aull},
+    {"mdljsp2", 0xc790282f825dffb4ull},
+    {"nasa7", 0x310d11e90d74845full},
+    {"ora", 0xe1eba22828213eb3ull},
+    {"spice", 0x0efbd02ec98bda4dull},
+    {"su2cor", 0x44f1cb265925d036ull},
+    {"swm256", 0xd5dbf46df583c30cull},
+    {"tomcatv", 0xd01f218cbeaf54ceull},
+    {"wave5", 0x241083b3e781e500ull},
+    {"compress", 0xfe83fccb9d25ceb2ull},
+    {"eqntott", 0xc55222e9e831a93aull},
+    {"espresso", 0xad3b486d9b89ae4dull},
+    {"gcc", 0x92bf31a049ea2a0eull},
+    {"li", 0x3381de727a83f9afull},
+    {"sc", 0xd86670e2df6f56cfull},
+    {"cfront", 0x186099630c99ed16ull},
+    {"db++", 0x55fdd3b5f2650c52ull},
+    {"groff", 0x7890f2eb9b4ee7d1ull},
+    {"idl", 0x0abd4ac506bae0deull},
+    {"tex", 0x08b5434615bfb740ull},
+};
+
+TEST(ExtTspSuite, MatchesPinnedDigest)
+{
+    std::size_t checked = 0;
+    for (const ProgramSpec &spec : benchmarkSuite()) {
+        const Program program = profiledProgram(spec, kExtTspDigestInstrs);
+        const std::uint64_t hash = extTspDigest(program);
+        bool found = false;
+        for (const DigestRow &row : kExtTspSuiteDigests) {
+            if (spec.name != row.name)
+                continue;
+            found = true;
+            ++checked;
+            EXPECT_EQ(hash, row.hash)
+                << spec.name << ": 0x" << std::hex << hash << "ull";
+        }
+        EXPECT_TRUE(found) << "no pinned digest for " << spec.name << ": 0x"
+                           << std::hex << hash << "ull";
+    }
+    EXPECT_EQ(checked, std::size(kExtTspSuiteDigests));
+}
+
+struct ShapeDigestRow
+{
+    LargeShape shape;
+    std::size_t blocks;
+    std::uint64_t seed;
+    std::uint64_t hash;
+};
+
+// Large single procedures with near-tie weights, so that both of the merge
+// loop's tie-breaks (gain, then weight rank) and its sibling rule decide
+// many merges. Captured with the suite digests above.
+const ShapeDigestRow kExtTspShapeDigests[] = {
+    {LargeShape::Ladder, 1000, 1, 0x7c376f5f644924e4ull},
+    {LargeShape::Ladder, 4000, 2, 0x5eba5170ba85f240ull},
+    {LargeShape::SwitchHub, 1000, 3, 0x613f715df961ff57ull},
+    {LargeShape::SwitchHub, 4000, 4, 0xf9d47910b911d220ull},
+    {LargeShape::LoopNest, 1000, 5, 0xbf0e54ed9dcf23bdull},
+    {LargeShape::LoopNest, 4000, 6, 0x835ba3448d1997d7ull},
+};
+
+TEST(ExtTspLargeShapes, MatchesPinnedDigest)
+{
+    for (const ShapeDigestRow &row : kExtTspShapeDigests) {
+        const Program program =
+            largeShapeProgram(row.shape, row.blocks, row.seed);
+        const std::uint64_t hash = extTspDigest(program);
+        EXPECT_EQ(hash, row.hash)
+            << largeShapeName(row.shape) << ' ' << row.blocks << ": 0x"
+            << std::hex << hash << "ull";
+    }
 }
 
 /**

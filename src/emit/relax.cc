@@ -159,6 +159,7 @@ relaxLayout(const Program &program, const ProgramLayout &layout,
     RelaxedLayout result;
     result.model = model.kind();
     result.procs.resize(program.numProcs());
+    result.instrs.reserve(layout.totalInstrs);
 
     std::uint64_t base = 0;
     for (const auto &proc : program.procs()) {

@@ -81,46 +81,50 @@ enumerateProcInstrs(const Procedure &proc, const ProcLayout &layout)
         const BasicBlock &block = proc.block(id);
         const BlockLayout &bl = layout.blocks[id];
 
-        // Call slots by original instruction offset; the terminator slot
-        // (numInstrs - 1) takes precedence when the terminator is a
-        // branch, so a malformed overlapping call offset never hides it.
-        std::vector<ProcId> callee_at(bl.baseInstrs, kNoProc);
-        for (const CallSite &call : block.calls) {
-            if (call.offset < callee_at.size())
-                callee_at[call.offset] = call.callee;
-        }
-
         const bool has_term_slot = block.hasBranchInstr() && !bl.jumpRemoved;
+        const std::size_t first = instrs.size();
         for (std::uint32_t slot = 0; slot < bl.baseInstrs; ++slot) {
             LayoutInstr instr;
             instr.wordAddr = bl.addr + slot;
             instr.proc = proc.id();
             instr.block = id;
-            if (has_term_slot && slot == bl.baseInstrs - 1) {
-                switch (block.term) {
-                  case Terminator::CondBranch:
-                    instr.cls = InstrClass::CondBranch;
-                    instr.targetBlock =
-                        edgeDst(proc, id, branchTargetKind(bl.cond));
-                    break;
-                  case Terminator::UncondBranch:
-                    instr.cls = InstrClass::Jump;
-                    instr.targetBlock = edgeDst(proc, id, EdgeKind::Taken);
-                    break;
-                  case Terminator::IndirectJump:
-                    instr.cls = InstrClass::IndirectJump;
-                    break;
-                  case Terminator::Return:
-                    instr.cls = InstrClass::Return;
-                    break;
-                  case Terminator::FallThrough:
-                    break;  // unreachable: hasBranchInstr() is false
-                }
-            } else if (callee_at[slot] != kNoProc) {
-                instr.cls = InstrClass::Call;
-                instr.callee = callee_at[slot];
-            }
             instrs.push_back(instr);
+        }
+        // Call slots by original instruction offset, the last call at an
+        // offset winning; the terminator slot (numInstrs - 1) takes
+        // precedence when the terminator is a branch, so a malformed
+        // overlapping call offset never hides it.
+        const std::uint32_t term_slot =
+            has_term_slot ? bl.baseInstrs - 1 : bl.baseInstrs;
+        for (const CallSite &call : block.calls) {
+            if (call.offset >= bl.baseInstrs || call.offset == term_slot)
+                continue;
+            LayoutInstr &instr = instrs[first + call.offset];
+            instr.cls = call.callee != kNoProc ? InstrClass::Call
+                                               : InstrClass::Body;
+            instr.callee = call.callee;
+        }
+        if (has_term_slot && bl.baseInstrs > 0) {
+            LayoutInstr &instr = instrs[first + term_slot];
+            switch (block.term) {
+              case Terminator::CondBranch:
+                instr.cls = InstrClass::CondBranch;
+                instr.targetBlock =
+                    edgeDst(proc, id, branchTargetKind(bl.cond));
+                break;
+              case Terminator::UncondBranch:
+                instr.cls = InstrClass::Jump;
+                instr.targetBlock = edgeDst(proc, id, EdgeKind::Taken);
+                break;
+              case Terminator::IndirectJump:
+                instr.cls = InstrClass::IndirectJump;
+                break;
+              case Terminator::Return:
+                instr.cls = InstrClass::Return;
+                break;
+              case Terminator::FallThrough:
+                break;  // unreachable: hasBranchInstr() is false
+            }
         }
 
         if (bl.jumpInserted) {

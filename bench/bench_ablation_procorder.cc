@@ -42,8 +42,12 @@ main()
         walk_options.instrBudget = spec.traceInstrs;
 
         Profiler profiler(program);
-        walk(program, walk_options, profiler);
-        const CallGraph calls = profiler.callCounts();
+        CallGraphSink call_graph;
+        MultiSink profile_sinks;
+        profile_sinks.add(&profiler);
+        profile_sinks.add(&call_graph);
+        walk(program, walk_options, profile_sinks);
+        const CallGraph &calls = call_graph.calls();
 
         // Block orders from the Greedy aligner (shared by both layouts).
         GreedyAligner aligner;

@@ -19,11 +19,29 @@
 
 #include "cfg/program.h"
 #include "layout/materialize.h"
+#include "trace/event.h"
 
 namespace balign {
 
 /// A weighted call-graph edge set: (caller, callee) -> dynamic count.
 using CallGraph = std::map<std::pair<ProcId, ProcId>, Weight>;
+
+/// Walk sink that counts the dynamic call graph. The profiling walk does
+/// not keep one; attach this beside it when procedure ordering needs it.
+class CallGraphSink : public NullSink
+{
+  public:
+    void
+    onCall(ProcId proc, BlockId, const CallSite &site) override
+    {
+        ++calls_[{proc, site.callee}];
+    }
+
+    const CallGraph &calls() const { return calls_; }
+
+  private:
+    CallGraph calls_;
+};
 
 /**
  * Pettis–Hansen procedure positioning: call-graph edges are visited in

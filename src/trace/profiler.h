@@ -8,8 +8,6 @@
 #ifndef BALIGN_TRACE_PROFILER_H
 #define BALIGN_TRACE_PROFILER_H
 
-#include <map>
-
 #include "cfg/cfg_stats.h"
 #include "cfg/program.h"
 #include "trace/event.h"
@@ -41,23 +39,12 @@ class Profiler : public EventSink
      */
     ProgramStats stats() const;
 
-    /**
-     * Dynamic call counts per (caller, callee) pair — the weighted call
-     * graph used by procedure-ordering extensions.
-     */
-    const std::map<std::pair<ProcId, ProcId>, Weight> &
-    callCounts() const
-    {
-        return callCounts_;
-    }
-
   private:
     /// Counts a return if the currently executing block ends in Return.
     void noteReturn();
 
     Program &program_;
     ProgramStats partial_;
-    std::map<std::pair<ProcId, ProcId>, Weight> callCounts_;
 
     ProcId curProc_ = kNoProc;
     BlockId curBlock_ = kNoBlock;

@@ -82,13 +82,16 @@ TEST(ProcOrder, PermutationForRealCallGraph)
     spec.traceInstrs = 100'000;
     Program program = generateProgram(spec);
     Profiler profiler(program);
+    CallGraphSink calls;
+    MultiSink sinks;
+    sinks.add(&profiler);
+    sinks.add(&calls);
     WalkOptions options;
     options.seed = traceSeed(spec);
     options.instrBudget = spec.traceInstrs;
-    walk(program, options, profiler);
+    walk(program, options, sinks);
 
-    const auto order =
-        orderProcsByCallGraph(program, profiler.callCounts());
+    const auto order = orderProcsByCallGraph(program, calls.calls());
     ASSERT_EQ(order.size(), program.numProcs());
     std::vector<bool> seen(program.numProcs(), false);
     for (ProcId p : order) {

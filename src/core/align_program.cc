@@ -10,6 +10,21 @@
 
 namespace balign {
 
+namespace {
+
+/// Whether @p a and @p b link every block to the same successor.
+bool
+sameLinks(const ChainSet &a, const ChainSet &b)
+{
+    for (BlockId block = 0; block < a.numBlocks(); ++block) {
+        if (a.next(block) != b.next(block))
+            return false;
+    }
+    return true;
+}
+
+}  // namespace
+
 std::vector<ProcLayout>
 alignProcs(const Program &program, const std::vector<ProcId> &ids,
            AlignerKind kind, const CostModel *model,
@@ -45,22 +60,27 @@ alignProcs(const Program &program, const std::vector<ProcId> &ids,
     for (const ProcId id : ids) {
         const Procedure &proc = program.proc(id);
         std::vector<BlockId> order;
+        ChainSet chains(0);
         if (aligner == nullptr) {
             order.resize(proc.numBlocks());
             std::iota(order.begin(), order.end(), BlockId{0});
         } else {
-            order = orderChains(proc, aligner->alignProc(proc),
-                                options.chainOrder);
+            chains = aligner->alignProc(proc);
+            order = orderChains(proc, chains, options.chainOrder);
         }
         ProcLayout layout = materializeProc(proc, std::move(order), base, mat);
         if (objective != nullptr) {
-            ProcLayout fallback = materializeProc(
-                proc,
-                orderChains(proc, greedy.alignProc(proc), options.chainOrder),
-                base);
-            if (objective->layoutCost(proc, fallback) <
-                objective->layoutCost(proc, layout))
-                layout = std::move(fallback);
+            const ChainSet greedy_chains = greedy.alignProc(proc);
+            // Greedy's own chains, materialized the same classic way, give
+            // this very layout: nothing to compare.
+            if (mat != nullptr || !sameLinks(chains, greedy_chains)) {
+                ProcLayout fallback = materializeProc(
+                    proc, orderChains(proc, greedy_chains, options.chainOrder),
+                    base);
+                if (objective->layoutCost(proc, fallback) <
+                    objective->layoutCost(proc, layout))
+                    layout = std::move(fallback);
+            }
         }
         base += layout.totalInstrs;
         layouts.push_back(std::move(layout));

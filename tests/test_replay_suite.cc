@@ -303,3 +303,16 @@ TEST(ReplaySetup, CorpusMatchesPinnedDigest)
             << stem << ": 0x" << std::hex << actual << "ull";
     }
 }
+
+// The same digest for the gcc model scaled to 4,000 procedures (the
+// compile-large program) at a 1M-instruction budget: deep call stacks,
+// skipped calls and thousands of procedures pin the walk at scale.
+TEST(ReplaySetup, LargeMatchesPinnedDigest)
+{
+    constexpr std::uint64_t kPinned = 0xa75f34eac7e7ed05ull;
+    ProgramSpec spec = suiteSpec("gcc");
+    spec.numProcs = 4000;
+    spec.traceInstrs = 1'000'000;
+    const std::uint64_t actual = hashPrepared(prepareProgram(spec));
+    EXPECT_EQ(actual, kPinned) << "0x" << std::hex << actual << "ull";
+}

@@ -20,7 +20,6 @@
 #include "sim/cpi.h"
 #include "support/log.h"
 #include "support/table.h"
-#include "trace/profiler.h"
 #include "trace/walker.h"
 #include "workload/generator.h"
 
@@ -50,19 +49,13 @@ main()
 
         // Train on the TRAINING input.
         Program program = generateProgram(spec);
-        {
-            Profiler profiler(program);
-            walk(program, train_walk, profiler);
-        }
+        profileProgram(program, train_walk);
         const ProgramLayout cross_layout =
             alignProgram(program, AlignerKind::Try15, &model);
 
         // Train on the TEST input (self-trained reference).
         program.clearWeights();
-        {
-            Profiler profiler(program);
-            walk(program, test_walk, profiler);
-        }
+        profileProgram(program, test_walk);
         const ProgramLayout self_layout =
             alignProgram(program, AlignerKind::Try15, &model);
         const ProgramLayout orig = originalLayout(program);

@@ -14,10 +14,10 @@
 #include "core/align_program.h"
 #include "core/greedy.h"
 #include "layout/proc_order.h"
+#include "sim/batch_replay.h"
 #include "sim/pipeline.h"
 #include "support/log.h"
 #include "support/table.h"
-#include "trace/profiler.h"
 #include "trace/walker.h"
 #include "workload/generator.h"
 
@@ -41,12 +41,13 @@ main()
         walk_options.seed = traceSeed(spec);
         walk_options.instrBudget = spec.traceInstrs;
 
-        Profiler profiler(program);
+        BatchTraceBuilder builder(program);
         CallGraphSink call_graph;
         MultiSink profile_sinks;
-        profile_sinks.add(&profiler);
+        profile_sinks.add(&builder);
         profile_sinks.add(&call_graph);
         walk(program, walk_options, profile_sinks);
+        applyTraceProfile(program, builder.take());
         const CallGraph &calls = call_graph.calls();
 
         // Block orders from the Greedy aligner (shared by both layouts).

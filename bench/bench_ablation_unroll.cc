@@ -16,8 +16,8 @@
 #include "bench_util.h"
 #include "core/unroll.h"
 #include "layout/materialize.h"
+#include "sim/batch_replay.h"
 #include "sim/cpi.h"
-#include "trace/profiler.h"
 #include "support/log.h"
 #include "support/table.h"
 #include "workload/generator.h"
@@ -44,11 +44,10 @@ main()
         // re-profile, align.
         Program transformed = generateProgram(spec);
         {
-            Profiler profiler(transformed);
             WalkOptions options;
             options.seed = traceSeed(spec);
             options.instrBudget = spec.traceInstrs;
-            walk(transformed, options, profiler);
+            profileProgram(transformed, options);
         }
         UnrollOptions unroll;
         unroll.factor = 4;

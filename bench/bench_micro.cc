@@ -9,6 +9,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <optional>
+
 #include "bpred/cost_model.h"
 #include "core/align_program.h"
 #include "core/exttsp_align.h"
@@ -51,6 +53,39 @@ BM_WalkTrace(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations()) * 200'000);
 }
 BENCHMARK(BM_WalkTrace);
+
+// The whole set-up of a program: the profiling walk into the batched
+// trace, and the profile derived from its counts. The program copy each
+// iteration consumes is made, and the previous result freed, with the
+// timer paused.
+void
+BM_PrepareProgram(benchmark::State &state, const char *name,
+                  unsigned num_procs, std::uint64_t budget)
+{
+    ProgramSpec spec = suiteSpec(name);
+    if (num_procs != 0)
+        spec.numProcs = num_procs;
+    const Program program = generateProgram(spec);
+    WalkOptions options;
+    options.seed = traceSeed(spec);
+    options.instrBudget = budget;
+    std::optional<PreparedProgram> prepared;
+    for (auto _ : state) {
+        state.PauseTiming();
+        prepared.reset();
+        Program copy = program;
+        state.ResumeTiming();
+        prepared.emplace(prepareProgram(std::move(copy), options));
+        benchmark::DoNotOptimize(prepared->stats.instrsTraced);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(budget));
+}
+BENCHMARK_CAPTURE(BM_PrepareProgram, espresso_200k, "espresso", 0u,
+                  200'000)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_PrepareProgram, gcc4000_2M, "gcc", 4000u, 2'000'000)
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_AlignGreedy(benchmark::State &state)

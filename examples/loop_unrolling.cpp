@@ -13,7 +13,6 @@
 #include "core/unroll.h"
 #include "layout/materialize.h"
 #include "sim/batch_replay.h"
-#include "trace/profiler.h"
 #include "trace/walker.h"
 #include "workload/paper_figures.h"
 
@@ -31,8 +30,7 @@ bepPerKiloInstr(Program &program, Arch arch, std::uint64_t seed)
     options.instrBudget = 500'000;
 
     program.clearWeights();
-    Profiler profiler(program);
-    walk(program, options, profiler);
+    profileProgram(program, options);
 
     const CostModel model(arch);
     const ProgramLayout layout =

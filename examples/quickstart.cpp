@@ -5,8 +5,8 @@
  * on the FALLTHROUGH architecture.
  *
  * This walks through the full public API surface:
- *   CfgBuilder -> prepareProgram (walk/Profiler) -> runConfigs
- *   (alignProgram + the batched replay engine).
+ *   CfgBuilder -> prepareProgram (walk -> batched trace -> profile)
+ *   -> runConfigs (alignProgram + the batched replay engine).
  */
 
 #include <cstdio>
@@ -15,7 +15,6 @@
 #include "cfg/dot.h"
 #include "core/align_program.h"
 #include "sim/cpi.h"
-#include "trace/profiler.h"
 #include "trace/walker.h"
 
 using namespace balign;

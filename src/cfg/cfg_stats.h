@@ -3,7 +3,8 @@
  * Table-2-style program attributes, computed from a CFG plus the dynamic
  * statistics collected during tracing.
  *
- * The dynamic fields are filled by trace::Profiler / the evaluator; this
+ * The dynamic fields are filled by applyTraceProfile (sim/batch_replay.h)
+ * / the evaluator; this
  * header defines the record and the static-side computation (conditional
  * branch-site counts, Q-coverage of executed conditional branches).
  */
@@ -71,7 +72,8 @@ struct ProgramStats
  * conditional block).
  *
  * The purely dynamic fields (instrsTraced, break counts) must have been
- * filled by the profiler already; this only adds the CFG-derived ones.
+ * filled from the walk's counts already; this only adds the CFG-derived
+ * ones.
  */
 void fillStaticStats(const Program &program, ProgramStats &stats);
 

@@ -16,11 +16,11 @@ namespace balign {
 
 /**
  * Where a Program's edge weights came from. Measured profiles are
- * recorded by the trace walker (trace/profiler.h), degraded ones passed
- * through profile/degrade.h afterwards, estimated ones synthesized from
- * the CFG alone by estimate/estimate.h. Serialized alongside the profile
- * and surfaced in `balign lint` so goldens and certificates record which
- * profile kind produced a layout.
+ * recorded by a trace walk (profileProgram, sim/batch_replay.h),
+ * degraded ones passed through profile/degrade.h afterwards, estimated
+ * ones synthesized from the CFG alone by estimate/estimate.h. Serialized
+ * alongside the profile and surfaced in `balign lint` so goldens and
+ * certificates record which profile kind produced a layout.
  */
 enum class ProfileProvenance : std::uint8_t {
     Measured,
@@ -71,7 +71,7 @@ class Program
     void clearWeights();
 
     /// Provenance of the current edge weights (Measured by default; the
-    /// profiler, degrader and estimator re-tag as they run).
+    /// profile derivation, degrader and estimator re-tag as they run).
     ProfileProvenance profileProvenance() const { return provenance_; }
     void setProfileProvenance(ProfileProvenance provenance)
     {

@@ -2,7 +2,7 @@
  * @file
  * prof.* rules: consistency of the edge profile recorded into a Program.
  *
- * The walker traverses edges and the profiler increments their weights, so
+ * The walker traverses edges and the profile counts each traversal, so
  * a well-formed profile conserves flow: every activation of an interior
  * block arrived over exactly one in-edge and left over exactly one
  * out-edge. The permitted exceptions mirror the walker exactly:

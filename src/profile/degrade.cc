@@ -6,9 +6,9 @@
 #include <tuple>
 
 #include "cfg/serialize.h"
+#include "sim/batch_replay.h"
 #include "support/log.h"
 #include "support/rng.h"
-#include "trace/profiler.h"
 
 namespace balign {
 
@@ -347,8 +347,7 @@ staleProfile(Program &program, const WalkOptions &walk, std::uint64_t seed)
     WalkOptions alt = walk;
     alt.seed = deriveSeed(walk.seed, seed, 0);
     program.clearWeights();
-    Profiler profiler(program);
-    balign::walk(program, alt, profiler);
+    profileProgram(program, alt);
 }
 
 void
@@ -375,14 +374,13 @@ void
 mergeProfiles(Program &program, const WalkOptions &walk,
               std::uint32_t extra_inputs, std::uint64_t seed)
 {
-    // The profiler increments weights in place, so each extra walk's
+    // profileProgram adds onto the weights, so each extra walk's
     // profile sums onto the existing one. No division: integer weights
     // stay flow-conserving and every consumer is scale-invariant.
     for (std::uint32_t i = 0; i < extra_inputs; ++i) {
         WalkOptions alt = walk;
         alt.seed = deriveSeed(walk.seed, seed, i + 1);
-        Profiler profiler(program);
-        balign::walk(program, alt, profiler);
+        profileProgram(program, alt);
     }
 }
 

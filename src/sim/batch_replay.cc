@@ -35,7 +35,7 @@ constexpr bool kOutJump[4][2] = {
 }  // namespace
 
 BatchTraceBuilder::BatchTraceBuilder(const Program &program)
-    : program_(program), cur_(kNoIndex)
+    : cur_(kNoIndex)
 {
     BatchTrace &t = out_;
     t.blockBase.resize(program.numProcs());
@@ -52,11 +52,22 @@ BatchTraceBuilder::BatchTraceBuilder(const Program &program)
     t.activations.assign(total, 0);
     t.takenCount.assign(total, 0);
     t.fallCount.assign(total, 0);
+    edgeBase_.resize(program.numProcs());
+    std::uint32_t indirect_slots = 0;
     for (ProcId p = 0; p < program.numProcs(); ++p) {
         const Procedure &proc = program.proc(p);
+        edgeBase_[p] = static_cast<std::uint32_t>(edges_.size());
+        for (const Edge &edge : proc.edges())
+            edges_.push_back(EdgeRow{t.blockBase[p] + edge.src,
+                                     t.blockBase[p] + edge.dst,
+                                     edge.kind == EdgeKind::Taken ? 1u : 0u});
         for (const BasicBlock &block : proc.blocks()) {
             const std::uint32_t g = t.blockBase[p] + block.id;
             t.term[g] = static_cast<std::uint8_t>(block.term);
+            if (block.term == Terminator::IndirectJump) {
+                for (const std::uint32_t index : block.outEdges)
+                    edges_[edgeBase_[p] + index].aux = indirect_slots++;
+            }
             if (block.term != Terminator::CondBranch)
                 continue;
             t.takenDst[g] =
@@ -71,6 +82,7 @@ BatchTraceBuilder::BatchTraceBuilder(const Program &program)
                     .dst;
         }
     }
+    t.indirectCount.assign(indirect_slots, 0);
 }
 
 void
@@ -116,13 +128,12 @@ BatchTraceBuilder::onExit()
 void
 BatchTraceBuilder::onEdge(ProcId proc, std::uint32_t edge_index)
 {
-    const Procedure &procedure = program_.proc(proc);
-    const Edge &edge = procedure.edge(edge_index);
-    const std::uint32_t src = global(proc, edge.src);
-    const std::uint32_t dst = global(proc, edge.dst);
-    switch (procedure.block(edge.src).term) {
+    const EdgeRow &edge = edges_[edgeBase_[proc] + edge_index];
+    const std::uint32_t src = edge.src;
+    const std::uint32_t dst = edge.dst;
+    switch (static_cast<Terminator>(out_.term[src])) {
       case Terminator::CondBranch: {
-        const bool via_taken = edge.kind == EdgeKind::Taken;
+        const bool via_taken = edge.aux != 0;
         push(BatchTrace::Op::Cond, src, dst, via_taken ? 1 : 0);
         ++out_.condExec;
         ++(via_taken ? out_.takenCount : out_.fallCount)[src];
@@ -136,10 +147,12 @@ BatchTraceBuilder::onEdge(ProcId proc, std::uint32_t edge_index)
         push(BatchTrace::Op::FallJump, src, dst, 0);
         ++out_.fallCount[src];
         break;
-      case Terminator::IndirectJump:
+      case Terminator::IndirectJump: {
         push(BatchTrace::Op::Indirect, src, dst, 0);
         ++out_.indirectExec;
+        ++out_.indirectCount[edge.aux];
         break;
+      }
       case Terminator::Return:
         panic("BatchTraceBuilder: edge out of a return block");
     }
@@ -184,6 +197,78 @@ BatchTrace::BatchTrace(const Program &program, const RecordedTrace &trace)
     *this = builder.take();
 }
 
+BatchTrace
+walkBatchTrace(const Program &program, const WalkOptions &options,
+               WalkResult &result)
+{
+    BatchTraceBuilder builder(program);
+    result = walkInto(program, options, builder);
+    return builder.take();
+}
+
+namespace {
+
+void
+addWeight(Procedure &proc, std::int64_t edge, std::uint64_t count)
+{
+    // An edge the walk never traversed may be absent (a dead end).
+    if (count != 0)
+        proc.edge(static_cast<std::uint32_t>(edge)).weight += count;
+}
+
+}  // namespace
+
+ProgramStats
+applyTraceProfile(Program &program, const BatchTrace &trace)
+{
+    program.setProfileProvenance(ProfileProvenance::Measured);
+    ProgramStats stats;
+    std::size_t slot = 0;
+    for (ProcId p = 0; p < program.numProcs(); ++p) {
+        Procedure &proc = program.proc(p);
+        for (const BasicBlock &block : proc.blocks()) {
+            const std::uint32_t g = trace.blockBase[p] + block.id;
+            const std::uint64_t taken = trace.takenCount[g];
+            const std::uint64_t fall = trace.fallCount[g];
+            stats.instrsTraced += trace.activations[g] * block.numInstrs;
+            switch (block.term) {
+              case Terminator::CondBranch:
+                addWeight(proc, proc.takenEdge(block.id), taken);
+                addWeight(proc, proc.fallThroughEdge(block.id), fall);
+                stats.takenCondBranches += taken;
+                break;
+              case Terminator::UncondBranch:
+                addWeight(proc, proc.takenEdge(block.id), taken);
+                stats.uncondBranches += taken;
+                break;
+              case Terminator::FallThrough:
+                addWeight(proc, proc.fallThroughEdge(block.id), fall);
+                break;
+              case Terminator::IndirectJump:
+                for (const std::uint32_t index : block.outEdges)
+                    proc.edge(index).weight += trace.indirectCount[slot++];
+                break;
+              case Terminator::Return:
+                break;
+            }
+        }
+    }
+    stats.condBranches = trace.condExec;
+    stats.indirectJumps = trace.indirectExec;
+    stats.calls = trace.callExec;
+    stats.returns = trace.returnExec;
+    fillStaticStats(program, stats);
+    return stats;
+}
+
+ProgramStats
+profileProgram(Program &program, const WalkOptions &options)
+{
+    WalkResult result;
+    return applyTraceProfile(program,
+                             walkBatchTrace(program, options, result));
+}
+
 std::size_t
 BatchTrace::sizeBytes() const
 {
@@ -191,7 +276,7 @@ BatchTrace::sizeBytes() const
            opC.capacity() * 4 + rasOps.capacity() +
            rasBlock.capacity() * 4 + rasOffset.capacity() * 4 +
            (activations.capacity() + takenCount.capacity() +
-            fallCount.capacity()) *
+            fallCount.capacity() + indirectCount.capacity()) *
                8 +
            term.capacity() + takenDst.capacity() * 4 +
            fallDst.capacity() * 4 + blockBase.capacity() * 4;

@@ -64,10 +64,12 @@
 #include <vector>
 
 #include "bpred/evaluator.h"
+#include "cfg/cfg_stats.h"
 #include "cfg/program.h"
 #include "layout/layout_result.h"
 #include "trace/event.h"
 #include "trace/recorder.h"
+#include "trace/walker.h"
 
 namespace balign {
 
@@ -120,6 +122,9 @@ struct BatchTrace
     std::vector<std::uint64_t> activations;  ///< block entries
     std::vector<std::uint64_t> takenCount;   ///< Taken-edge traversals
     std::vector<std::uint64_t> fallCount;    ///< FallThrough traversals
+    /// Traversals of each out-edge of each IndirectJump block, in global
+    /// block order and then the block's outEdges order.
+    std::vector<std::uint64_t> indirectCount;
     std::uint64_t condExec = 0;
     std::uint64_t callExec = 0;
     std::uint64_t returnExec = 0;  ///< includes exit returns
@@ -137,8 +142,9 @@ struct BatchTrace
 /**
  * EventSink that canonicalizes the walk it observes into a BatchTrace.
  * Mirrors the BranchEventAdapter state machine (trace/branch_events.cc),
- * minus everything layout-dependent. Drive it with walk() directly or
- * through a MultiSink beside the Profiler, then take() the trace.
+ * minus everything layout-dependent. walkBatchTrace() drives it with a
+ * statically dispatched walk; any walk() or MultiSink can drive it too,
+ * then take() the trace.
  */
 class BatchTraceBuilder final : public EventSink
 {
@@ -170,10 +176,49 @@ class BatchTraceBuilder final : public EventSink
               std::uint32_t c);
     void pushRas(std::uint8_t op, std::uint32_t block, std::uint32_t offset);
 
-    const Program &program_;
+    /// One intra-procedure edge with its blocks made global, so that
+    /// onEdge reads one row and never touches the Program.
+    struct EdgeRow
+    {
+        std::uint32_t src;
+        std::uint32_t dst;
+        /// CondBranch source: 1 for the Taken edge. IndirectJump source:
+        /// the edge's slot in BatchTrace::indirectCount.
+        std::uint32_t aux;
+    };
+
     BatchTrace out_;
     std::uint32_t cur_;  ///< executing global block, or none
+    std::vector<std::uint32_t> edgeBase_;  ///< per proc: first EdgeRow
+    std::vector<EdgeRow> edges_;
 };
+
+/**
+ * Walks @p program once with @p options straight into a
+ * BatchTraceBuilder, with every event call statically dispatched, and
+ * returns the built trace. @p result receives the walk's summary.
+ */
+BatchTrace walkBatchTrace(const Program &program, const WalkOptions &options,
+                          WalkResult &result);
+
+/**
+ * The one profile derivation: adds the traversal counts of @p trace, a
+ * walk of @p program, onto its edge weights, tags the profile Measured
+ * and returns the walk's ProgramStats (its dynamic counters, plus the
+ * static fields of fillStaticStats over the resulting weights).
+ * Conditional, unconditional and fall-through edges take the Taken and
+ * FallThrough histograms; indirect-jump edges take indirectCount.
+ * Weights are added, not assigned, so profiles of several walks sum:
+ * clearWeights() first for a fresh profile.
+ */
+ProgramStats applyTraceProfile(Program &program, const BatchTrace &trace);
+
+/**
+ * Profiles @p program with one walk: walkBatchTrace() then
+ * applyTraceProfile(). Adds onto the existing weights like
+ * applyTraceProfile(); clearWeights() first for a fresh profile.
+ */
+ProgramStats profileProgram(Program &program, const WalkOptions &options);
 
 /// One layout and the architecture lanes to evaluate against it.
 struct LayoutLanes

@@ -12,7 +12,6 @@
 #include "layout/materialize.h"
 #include "sim/batch_replay.h"
 #include "support/log.h"
-#include "trace/profiler.h"
 #include "workload/generator.h"
 
 namespace balign {
@@ -57,19 +56,16 @@ prepareProgram(Program program, const WalkOptions &walk,
     if (!name.empty())
         prepared.program.setName(name);
 
-    // One walk both profiles the program and builds the batched trace;
+    // One walk builds the batched trace, and its counts are the profile;
     // the recorded trace keeps only the walk's identity, and the readers
     // that need single events re-walk it.
     prepared.program.clearWeights();
-    Profiler profiler(prepared.program);
-    BatchTraceBuilder builder(prepared.program);
-    MultiSink fanout;
-    fanout.add(&profiler);
-    fanout.add(&builder);
-    const WalkResult result = balign::walk(prepared.program, walk, fanout);
-    prepared.stats = profiler.stats();
+    WalkResult result;
+    auto batch = std::make_shared<const BatchTrace>(
+        walkBatchTrace(prepared.program, walk, result));
+    prepared.stats = applyTraceProfile(prepared.program, *batch);
     prepared.trace = std::make_shared<const RecordedTrace>(walk, result);
-    prepared.batch = std::make_shared<const BatchTrace>(builder.take());
+    prepared.batch = std::move(batch);
     return prepared;
 }
 

@@ -6,8 +6,9 @@
  * paper's methodology ("for each architecture, we use the same input to
  * align the program and to measure the improvement").
  *
- * The one profiling walk feeds the Profiler and, as it runs, a
- * BatchTraceBuilder (sim/batch_replay.h); no event stream is stored.
+ * The one profiling walk feeds a BatchTraceBuilder (sim/batch_replay.h)
+ * directly, and the built trace's counts are the profile
+ * (applyTraceProfile); no event stream is stored.
  * The RecordedTrace (trace/recorder.h) keeps the walk's identity, which
  * readers of single events re-walk. Every configuration is a lane of its layout,
  * and ONE pass over the op stream drives the predictors of every lane

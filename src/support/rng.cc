@@ -14,35 +14,11 @@ SplitMix64::next()
     return z ^ (z >> 31);
 }
 
-namespace {
-
-inline std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
-
 Rng::Rng(std::uint64_t seed)
 {
     SplitMix64 sm(seed);
     for (auto &word : s_)
         word = sm.next();
-}
-
-std::uint64_t
-Rng::nextU64()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
 }
 
 std::uint64_t
@@ -62,22 +38,6 @@ Rng::nextBounded(std::uint64_t bound)
         }
     }
     return static_cast<std::uint64_t>(m >> 64);
-}
-
-double
-Rng::nextDouble()
-{
-    return static_cast<double>(nextU64() >> 11) * 0x1.0p-53;
-}
-
-bool
-Rng::nextBool(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return nextDouble() < p;
 }
 
 std::int64_t

@@ -11,6 +11,7 @@
 #ifndef BALIGN_SUPPORT_RNG_H
 #define BALIGN_SUPPORT_RNG_H
 
+#include <cstddef>
 #include <cstdint>
 
 namespace balign {
@@ -43,16 +44,40 @@ class Rng
     explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ull);
 
     /// Uniform 64-bit value.
-    std::uint64_t nextU64();
+    std::uint64_t
+    nextU64()
+    {
+        const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+        return result;
+    }
 
     /// Uniform value in [0, bound) using Lemire's unbiased method.
     std::uint64_t nextBounded(std::uint64_t bound);
 
     /// Uniform double in [0, 1) with 53 bits of precision.
-    double nextDouble();
+    double
+    nextDouble()
+    {
+        return static_cast<double>(nextU64() >> 11) * 0x1.0p-53;
+    }
 
     /// Bernoulli draw: true with probability @p p (clamped to [0,1]).
-    bool nextBool(double p);
+    bool
+    nextBool(double p)
+    {
+        if (p <= 0.0)
+            return false;
+        if (p >= 1.0)
+            return true;
+        return nextDouble() < p;
+    }
 
     /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
     std::int64_t nextRange(std::int64_t lo, std::int64_t hi);
@@ -76,6 +101,12 @@ class Rng
     Rng split();
 
   private:
+    static std::uint64_t
+    rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::uint64_t s_[4];
 };
 

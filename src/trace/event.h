@@ -3,8 +3,9 @@
  * Event-sink interface for trace-driven simulation.
  *
  * The Walker (trace/walker.h) replays a program's control flow and emits a
- * stream of events. Consumers (the profiler, the branch-architecture
- * evaluators, the pipeline timing model) implement EventSink. Because a walk
+ * stream of events. Consumers (the batched-trace builder, the
+ * branch-architecture evaluators, the pipeline timing model) implement
+ * EventSink. Because a walk
  * is deterministic for a given seed, the same dynamic behaviour can be
  * replayed for every configuration; MultiSink fans a single walk out to many
  * consumers so each program is walked only once per experiment.

@@ -8,10 +8,10 @@
  * RecordedTrace therefore stores those options and the walk's summary
  * (WalkResult, event count included) and holds no event buffer: replay()
  * walks the program again and delivers the identical event stream. The
- * profiling walk in prepareProgram (sim/cpi.h) feeds the Profiler and the
- * batched trace (sim/batch_replay.h) directly; only the readers that need
- * individual events (the pipeline timing model, the differ's event stage
- * and the tests) re-walk.
+ * profiling walk in prepareProgram (sim/cpi.h) builds the batched trace
+ * (sim/batch_replay.h), whose counts are the profile; only the readers
+ * that need individual events (the pipeline timing model, the differ's
+ * event stage and the tests) re-walk.
  *
  * Edge weights never steer the walk, so a program may be replayed after
  * it has been profiled, degraded or moved. replay() panics when the

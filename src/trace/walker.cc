@@ -1,178 +1,108 @@
 #include "trace/walker.h"
 
-#include <vector>
+#include <algorithm>
 
 #include "support/log.h"
-#include "support/rng.h"
 
 namespace balign {
 
-namespace {
+namespace walker_detail {
 
-struct Frame
+FlatProgram::FlatProgram(const Program &program)
 {
-    ProcId proc;
-    BlockId block;
-    std::uint32_t callIndex = 0;
-    bool entered = false;
-};
+    if (program.numProcs() == 0)
+        panic("walk: empty program");
 
-}  // namespace
+    blockBase.resize(program.numProcs());
+    entry.resize(program.numProcs());
+    std::uint32_t total = 0;
+    for (ProcId p = 0; p < program.numProcs(); ++p) {
+        blockBase[p] = total;
+        entry[p] = total + program.proc(p).entry();
+        total += static_cast<std::uint32_t>(program.proc(p).numBlocks());
+    }
+    blocks.resize(total);
+
+    for (ProcId p = 0; p < program.numProcs(); ++p) {
+        const Procedure &proc = program.proc(p);
+        const std::uint32_t base = blockBase[p];
+        auto successor = [&](FlatBlock &row, int slot, std::int64_t edge) {
+            if (edge < 0)
+                return;
+            const auto index = static_cast<std::uint32_t>(edge);
+            row.succEdge[slot] = index;
+            row.succDst[slot] = base + proc.edge(index).dst;
+        };
+        for (const BasicBlock &block : proc.blocks()) {
+            FlatBlock &row = blocks[base + block.id];
+            row.numInstrs = block.numInstrs;
+            row.firstCall = static_cast<std::uint32_t>(sites.size());
+            row.numCalls = static_cast<std::uint32_t>(block.calls.size());
+            sites.insert(sites.end(), block.calls.begin(), block.calls.end());
+            row.term = block.term;
+            switch (block.term) {
+              case Terminator::FallThrough:
+                successor(row, 1, proc.fallThroughEdge(block.id));
+                break;
+              case Terminator::UncondBranch:
+                successor(row, 0, proc.takenEdge(block.id));
+                break;
+              case Terminator::CondBranch: {
+                successor(row, 0, proc.takenEdge(block.id));
+                successor(row, 1, proc.fallThroughEdge(block.id));
+                if (row.succEdge[0] == kNone || row.succEdge[1] == kNone)
+                    panic("walk: %s block %u of %s lacks a taken or "
+                          "fall-through edge",
+                          terminatorName(block.term), block.id,
+                          proc.name().c_str());
+                const double bias_taken = proc.edge(row.succEdge[0]).bias;
+                const double bias_fall = proc.edge(row.succEdge[1]).bias;
+                const double sum = bias_taken + bias_fall;
+                row.pTaken = sum > 0.0 ? bias_taken / sum : 0.5;
+                row.patternLength = block.patternLength;
+                row.patternMask = block.patternMask;
+                if (block.correlatedWith != kNoBlock) {
+                    if (block.correlatedWith >= proc.numBlocks())
+                        panic("walk: block %u of %s correlates with "
+                              "missing block %u",
+                              block.id, proc.name().c_str(),
+                              block.correlatedWith);
+                    row.correlated = base + block.correlatedWith;
+                }
+                row.correlatedInvert = block.correlatedInvert;
+                break;
+              }
+              case Terminator::IndirectJump: {
+                row.succEdge[0] =
+                    static_cast<std::uint32_t>(targetEdge.size());
+                row.succEdge[1] =
+                    static_cast<std::uint32_t>(block.outEdges.size());
+                bool any = false;
+                for (const std::uint32_t index : block.outEdges) {
+                    const Edge &edge = proc.edge(index);
+                    targetEdge.push_back(index);
+                    targetDst.push_back(base + edge.dst);
+                    targetWeight.push_back(edge.bias);
+                    any = any || edge.bias > 0.0;
+                }
+                if (!any)
+                    std::fill(targetWeight.end() - block.outEdges.size(),
+                              targetWeight.end(), 1.0);
+                break;
+              }
+              case Terminator::Return:
+                break;
+            }
+        }
+    }
+}
+
+}  // namespace walker_detail
 
 WalkResult
 walk(const Program &program, const WalkOptions &options, EventSink &sink)
 {
-    WalkResult result;
-    Rng rng(options.seed);
-
-    if (program.numProcs() == 0)
-        panic("walk: empty program");
-
-    std::vector<Frame> stack;
-    // Scratch weight buffer for indirect jumps, reused across events so the
-    // hot loop performs no per-event heap allocation.
-    std::vector<double> weights;
-    // Per-branch pattern positions (allocated lazily per procedure).
-    std::vector<std::vector<std::uint8_t>> pattern_pos(program.numProcs());
-    // Per-branch last outcomes: 0 = not taken, 1 = taken, 2 = none yet.
-    std::vector<std::vector<std::uint8_t>> last_outcome(program.numProcs());
-    const ProcId main = program.mainProc();
-    stack.push_back(
-        Frame{main, program.proc(main).entry(), 0, false});
-
-    while (!stack.empty()) {
-        Frame &frame = stack.back();
-        const Procedure &proc = program.proc(frame.proc);
-        const BasicBlock &block = proc.block(frame.block);
-
-        if (!frame.entered) {
-            if (result.instrs >= options.instrBudget)
-                break;
-            sink.onBlock(frame.proc, frame.block);
-            result.instrs += block.numInstrs;
-            ++result.blocks;
-            frame.entered = true;
-            frame.callIndex = 0;
-        }
-
-        // Fire any remaining call sites, in offset order.
-        if (frame.callIndex < block.calls.size()) {
-            const CallSite &site = block.calls[frame.callIndex];
-            ++frame.callIndex;
-            if (stack.size() < kMaxCallDepth) {
-                sink.onCall(frame.proc, frame.block, site);
-                ++result.calls;
-                const Procedure &callee = program.proc(site.callee);
-                stack.push_back(
-                    Frame{site.callee, callee.entry(), 0, false});
-            } else {
-                ++result.skippedCalls;
-            }
-            continue;
-        }
-
-        // Block finished: act on the terminator.
-        std::int64_t chosen = -1;
-        bool unwind = false;
-        switch (block.term) {
-          case Terminator::FallThrough:
-            chosen = proc.fallThroughEdge(frame.block);
-            if (chosen < 0)
-                unwind = true;  // dead end: treat as procedure exit
-            break;
-          case Terminator::UncondBranch:
-            chosen = proc.takenEdge(frame.block);
-            if (chosen < 0)
-                unwind = true;
-            break;
-          case Terminator::CondBranch: {
-            const std::int64_t taken = proc.takenEdge(frame.block);
-            const std::int64_t fall = proc.fallThroughEdge(frame.block);
-            auto &outcomes = last_outcome[frame.proc];
-            if (outcomes.empty())
-                outcomes.assign(proc.numBlocks(), 2);
-            bool take;
-            if (block.correlatedWith != kNoBlock &&
-                outcomes[block.correlatedWith] != 2) {
-                take = (outcomes[block.correlatedWith] != 0) !=
-                       block.correlatedInvert;
-            } else if (block.patternLength > 0) {
-                auto &positions = pattern_pos[frame.proc];
-                if (positions.empty())
-                    positions.assign(proc.numBlocks(), 0);
-                std::uint8_t &pos = positions[frame.block];
-                take = (block.patternMask >> pos) & 1u;
-                pos = static_cast<std::uint8_t>((pos + 1) %
-                                                block.patternLength);
-            } else {
-                const double bias_taken = proc.edge(taken).bias;
-                const double bias_fall = proc.edge(fall).bias;
-                const double total = bias_taken + bias_fall;
-                const double p_taken =
-                    total > 0.0 ? bias_taken / total : 0.5;
-                take = rng.nextBool(p_taken);
-            }
-            outcomes[frame.block] = take ? 1 : 0;
-            chosen = take ? taken : fall;
-            break;
-          }
-          case Terminator::IndirectJump: {
-            weights.clear();
-            weights.reserve(block.outEdges.size());
-            bool any = false;
-            for (auto index : block.outEdges) {
-                const double bias = proc.edge(index).bias;
-                weights.push_back(bias);
-                any = any || bias > 0.0;
-            }
-            if (weights.empty()) {
-                unwind = true;
-                break;
-            }
-            if (!any)
-                std::fill(weights.begin(), weights.end(), 1.0);
-            const std::size_t pick =
-                rng.nextWeighted(weights.data(), weights.size());
-            chosen = block.outEdges[pick];
-            break;
-          }
-          case Terminator::Return:
-            unwind = true;
-            break;
-        }
-
-        if (unwind) {
-            stack.pop_back();
-            if (stack.empty()) {
-                ++result.runs;
-                sink.onExit();
-                if (options.restartOnExit &&
-                    result.instrs < options.instrBudget) {
-                    stack.push_back(
-                        Frame{main, program.proc(main).entry(), 0, false});
-                }
-                continue;
-            }
-            Frame &caller = stack.back();
-            const Procedure &caller_proc = program.proc(caller.proc);
-            const BasicBlock &caller_block = caller_proc.block(caller.block);
-            // The call we are returning to is the one just consumed.
-            const CallSite &site = caller_block.calls[caller.callIndex - 1];
-            sink.onReturn(caller.proc, caller.block, site);
-            ++result.events;
-            continue;
-        }
-
-        sink.onEdge(frame.proc, static_cast<std::uint32_t>(chosen));
-        ++result.events;
-        frame.block = proc.edge(static_cast<std::uint32_t>(chosen)).dst;
-        frame.entered = false;
-    }
-
-    // Returns and edges were counted as they fired; each block, call and
-    // run emitted exactly one onBlock, onCall or onExit.
-    result.events += result.blocks + result.calls + result.runs;
-    return result;
+    return walkInto(program, options, sink);
 }
 
 }  // namespace balign

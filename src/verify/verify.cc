@@ -593,25 +593,42 @@ verifyRelaxedLayout(const Program &program, const ProgramLayout &layout,
         return std::move(checker.result);
 
     // The word-model instruction enumeration is the specification the
-    // byte layout must refine slot for slot.
-    const std::vector<LayoutInstr> spec =
-        enumerateProgramInstrs(program, layout);
+    // byte layout must refine slot for slot. It is enumerated one
+    // procedure at a time into one buffer; each block contributes its
+    // base slots plus an inserted jump, which sizes the whole up front.
+    std::size_t spec_size = 0;
+    for (ProcId p = 0; p < program.numProcs(); ++p) {
+        const ProcLayout &pl = layout.procs[p];
+        for (const BlockId id : pl.order)
+            spec_size += pl.blocks[id].baseInstrs +
+                         (pl.blocks[id].jumpInserted ? 1 : 0);
+    }
     if (!checker.check(Obligation::RelaxContiguity,
-                       relaxed.instrs.size() == spec.size(), kNoProc,
+                       relaxed.instrs.size() == spec_size, kNoProc,
                        kNoBlock, [&] {
                            std::ostringstream out;
                            out << "relaxed layout has "
                                << relaxed.instrs.size() << " slots but the "
                                << "materialized layout enumerates "
-                               << spec.size();
+                               << spec_size;
                            return str(out);
                        }))
         return std::move(checker.result);
 
+    std::vector<LayoutInstr> spec;
+    std::size_t spec_first = 0;  // global slot of spec[0]
+    ProcId spec_proc = 0;        // next procedure to enumerate
     std::uint64_t cursor = 0;
     for (std::size_t i = 0; i < relaxed.instrs.size(); ++i) {
+        while (i - spec_first >= spec.size()) {
+            spec_first += spec.size();
+            spec.clear();
+            appendProcInstrs(program.proc(spec_proc),
+                             layout.procs[spec_proc], spec);
+            ++spec_proc;
+        }
         const RelaxedInstr &instr = relaxed.instrs[i];
-        const LayoutInstr &want = spec[i];
+        const LayoutInstr &want = spec[i - spec_first];
 
         checker.check(Obligation::RelaxContiguity,
                       instr.cls == want.cls &&

@@ -37,8 +37,8 @@
 #include "disasm/checkobj.h"
 #include "emit/elf.h"
 #include "emit/relax.h"
+#include "sim/batch_replay.h"
 #include "support/rng.h"
-#include "trace/profiler.h"
 #include "trace/walker.h"
 
 using namespace balign;
@@ -439,8 +439,7 @@ objectContext(const std::filesystem::path &dir)
         return std::nullopt;
     Program program = std::move(repro->program);
     program.clearWeights();
-    Profiler profiler(program);
-    walk(program, repro->walk, profiler);
+    profileProgram(program, repro->walk);
     const CostModel model(Arch::Fallthrough);
     const ProgramLayout layout =
         alignProgram(program, AlignerKind::Original, &model);

@@ -38,7 +38,7 @@
 #include "emit/elf.h"
 #include "emit/relax.h"
 #include "lint/rules.h"
-#include "trace/profiler.h"
+#include "sim/batch_replay.h"
 #include "trace/walker.h"
 #include "verify/verify.h"
 
@@ -52,11 +52,10 @@ void
 profileWith(Program &program, std::uint64_t seed, std::uint64_t budget)
 {
     program.clearWeights();
-    Profiler profiler(program);
     WalkOptions options;
     options.seed = seed;
     options.instrBudget = budget;
-    walk(program, options, profiler);
+    profileProgram(program, options);
 }
 
 /// Two procedures exercising every instruction class; identical shape to

@@ -17,7 +17,7 @@
 #include "disasm/checkobj.h"
 #include "emit/elf.h"
 #include "emit/relax.h"
-#include "trace/profiler.h"
+#include "sim/batch_replay.h"
 #include "trace/walker.h"
 #include "workload/generator.h"
 #include "workload/suite.h"
@@ -32,11 +32,10 @@ void
 profileWith(Program &program, std::uint64_t seed, std::uint64_t budget)
 {
     program.clearWeights();
-    Profiler profiler(program);
     WalkOptions options;
     options.seed = seed;
     options.instrBudget = budget;
-    walk(program, options, profiler);
+    profileProgram(program, options);
 }
 
 class DisasmSuite : public testing::TestWithParam<std::string>

@@ -28,8 +28,8 @@
 #include "objective/objective.h"
 #include "objective/size_aware.h"
 #include "objective/table_cost.h"
+#include "sim/batch_replay.h"
 #include "support/thread_pool.h"
-#include "trace/profiler.h"
 #include "trace/walker.h"
 #include "verify/verify.h"
 
@@ -41,11 +41,10 @@ void
 profileWith(Program &program, std::uint64_t seed, std::uint64_t budget)
 {
     program.clearWeights();
-    Profiler profiler(program);
     WalkOptions options;
     options.seed = seed;
     options.instrBudget = budget;
-    walk(program, options, profiler);
+    profileProgram(program, options);
 }
 
 Program

@@ -19,7 +19,7 @@
 #include "core/align_program.h"
 #include "emit/elf.h"
 #include "emit/relax.h"
-#include "trace/profiler.h"
+#include "sim/batch_replay.h"
 #include "trace/walker.h"
 #include "verify/verify.h"
 #include "workload/generator.h"
@@ -35,11 +35,10 @@ void
 profileWith(Program &program, std::uint64_t seed, std::uint64_t budget)
 {
     program.clearWeights();
-    Profiler profiler(program);
     WalkOptions options;
     options.seed = seed;
     options.instrBudget = budget;
-    walk(program, options, profiler);
+    profileProgram(program, options);
 }
 
 bool

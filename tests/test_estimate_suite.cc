@@ -39,7 +39,7 @@
 #include "core/align_program.h"
 #include "estimate/estimate.h"
 #include "lint/lint.h"
-#include "trace/profiler.h"
+#include "sim/batch_replay.h"
 #include "trace/walker.h"
 #include "verify/verify.h"
 #include "workload/generator.h"
@@ -60,11 +60,10 @@ Program
 specProgram(const ProgramSpec &spec)
 {
     Program program = generateProgram(spec);
-    Profiler profiler(program);
     WalkOptions options;
     options.seed = 1;
     options.instrBudget = kSuiteBudget;
-    walk(program, options, profiler);
+    profileProgram(program, options);
     return program;
 }
 

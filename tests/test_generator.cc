@@ -11,7 +11,7 @@
 
 #include "cfg/validate.h"
 #include "layout/materialize.h"
-#include "trace/profiler.h"
+#include "sim/batch_replay.h"
 #include "trace/walker.h"
 #include "workload/generator.h"
 #include "workload/suite.h"
@@ -249,12 +249,10 @@ TEST(Suite, FpProgramsAreLessBranchyThanInt)
         ProgramSpec spec = suiteSpec(name);
         spec.traceInstrs = 200'000;
         Program program = generateProgram(spec);
-        Profiler profiler(program);
         WalkOptions options;
         options.seed = traceSeed(spec);
         options.instrBudget = spec.traceInstrs;
-        walk(program, options, profiler);
-        return profiler.stats().pctBreaks();
+        return profileProgram(program, options).pctBreaks();
     };
     EXPECT_LT(measure("swm256"), measure("gcc"));
     EXPECT_LT(measure("fpppp"), measure("li"));

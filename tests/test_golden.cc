@@ -13,8 +13,8 @@
 #include <gtest/gtest.h>
 
 #include "core/align_program.h"
+#include "sim/batch_replay.h"
 #include "sim/cpi.h"
-#include "trace/profiler.h"
 #include "trace/walker.h"
 #include "workload/generator.h"
 #include "workload/suite.h"
@@ -107,10 +107,9 @@ TEST(Golden, CombinedProfilesAreAdditive)
     WalkOptions second = first;
     second.seed = 2;
 
-    Profiler profiler(program);
-    walk(program, first, profiler);
+    profileProgram(program, first);
     const Weight after_first = program.proc(0).totalEdgeWeight();
-    walk(program, second, profiler);
+    profileProgram(program, second);
     const Weight after_both = program.proc(0).totalEdgeWeight();
     EXPECT_GT(after_first, 0u);
     EXPECT_GT(after_both, after_first);

@@ -12,7 +12,6 @@
 
 #include "layout/materialize.h"
 #include "sim/batch_replay.h"
-#include "trace/profiler.h"
 #include "trace/walker.h"
 #include "workload/generator.h"
 #include "workload/suite.h"
@@ -37,8 +36,7 @@ gccModel()
         Prepared p{generateProgram(spec), WalkOptions{}, nullptr};
         p.walk.seed = traceSeed(spec);
         p.walk.instrBudget = spec.traceInstrs;
-        Profiler profiler(p.program);
-        walk(p.program, p.walk, profiler);
+        profileProgram(p.program, p.walk);
         p.trace = std::make_unique<BatchTrace>(
             p.program, recordTrace(p.program, p.walk));
         return p;

@@ -9,9 +9,9 @@
 #include "cfg/builder.h"
 #include "core/align_program.h"
 #include "layout/materialize.h"
+#include "sim/batch_replay.h"
 #include "sim/icache.h"
 #include "sim/pipeline.h"
-#include "trace/profiler.h"
 #include "trace/walker.h"
 
 using namespace balign;
@@ -182,10 +182,7 @@ TEST(Alpha21064, AlignmentNeverIncreasesCyclesOnSkewedDiamond)
     options.instrBudget = 50'000;
 
     // Profile, then align.
-    {
-        Profiler profiler(program);
-        walk(program, options, profiler);
-    }
+    profileProgram(program, options);
     const CostModel model(Arch::PhtDirect);
     const ProgramLayout orig = originalLayout(program);
     const ProgramLayout aligned =

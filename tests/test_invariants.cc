@@ -19,7 +19,7 @@
 #include "core/align_program.h"
 #include "layout/materialize.h"
 #include "replay_util.h"
-#include "trace/profiler.h"
+#include "sim/batch_replay.h"
 #include "trace/walker.h"
 #include "workload/generator.h"
 #include "workload/suite.h"
@@ -43,8 +43,7 @@ prepareSuiteProgram(const char *name, std::uint64_t instrs)
     prepared.walk.seed = traceSeed(spec);
     prepared.walk.instrBudget = instrs;
     // Profile in place.
-    Profiler profiler(prepared.program);
-    walk(prepared.program, prepared.walk, profiler);
+    profileProgram(prepared.program, prepared.walk);
     return prepared;
 }
 

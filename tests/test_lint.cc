@@ -23,7 +23,7 @@
 #include "layout/materialize.h"
 #include "lint/lint.h"
 #include "objective/table_cost.h"
-#include "trace/profiler.h"
+#include "sim/batch_replay.h"
 #include "trace/walker.h"
 
 using namespace balign;
@@ -70,11 +70,10 @@ Program
 profiledBase()
 {
     Program program = baseProgram();
-    Profiler profiler(program);
     WalkOptions options;
     options.seed = 7;
     options.instrBudget = 2'000;
-    walk(program, options, profiler);
+    profileProgram(program, options);
     return program;
 }
 

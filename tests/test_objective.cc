@@ -63,8 +63,8 @@
 #include "objective/objective.h"
 #include "objective/size_aware.h"
 #include "objective/table_cost.h"
+#include "sim/batch_replay.h"
 #include "support/rng.h"
-#include "trace/profiler.h"
 #include "trace/walker.h"
 #include "workload/generator.h"
 #include "workload/shapes.h"
@@ -116,11 +116,10 @@ profiledProgram(ProgramSpec spec, std::uint64_t trace_instrs = 50'000)
     spec.traceInstrs = trace_instrs;
     Program program = generateProgram(spec);
     program.clearWeights();
-    Profiler profiler(program);
     WalkOptions walk_options;
     walk_options.seed = traceSeed(spec);
     walk_options.instrBudget = spec.traceInstrs;
-    walk(program, walk_options, profiler);
+    profileProgram(program, walk_options);
     return program;
 }
 
@@ -608,8 +607,7 @@ referenceProgram(std::uint64_t seed)
 {
     Program program = fuzzProgram(seed);
     program.clearWeights();
-    Profiler profiler(program);
-    walk(program, walkForSeed(seed, 20'000), profiler);
+    profileProgram(program, walkForSeed(seed, 20'000));
     if (seed % 2 == 0) {
         Rng rng(seed);
         for (auto &proc : program.procs()) {

@@ -8,7 +8,7 @@
 
 #include "cfg/builder.h"
 #include "layout/proc_order.h"
-#include "trace/profiler.h"
+#include "sim/batch_replay.h"
 #include "trace/walker.h"
 #include "workload/generator.h"
 #include "workload/suite.h"
@@ -81,15 +81,16 @@ TEST(ProcOrder, PermutationForRealCallGraph)
     ProgramSpec spec = suiteSpec("li");
     spec.traceInstrs = 100'000;
     Program program = generateProgram(spec);
-    Profiler profiler(program);
+    BatchTraceBuilder builder(program);
     CallGraphSink calls;
     MultiSink sinks;
-    sinks.add(&profiler);
+    sinks.add(&builder);
     sinks.add(&calls);
     WalkOptions options;
     options.seed = traceSeed(spec);
     options.instrBudget = spec.traceInstrs;
     walk(program, options, sinks);
+    applyTraceProfile(program, builder.take());
 
     const auto order = orderProcsByCallGraph(program, calls.calls());
     ASSERT_EQ(order.size(), program.numProcs());

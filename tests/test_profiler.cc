@@ -1,13 +1,17 @@
 /**
  * @file
- * Tests for the Profiler: edge weights, break-type counters and the
- * Table-2 statistics record, checked against hand-computable CFGs.
+ * Tests for profiling (profileProgram, sim/batch_replay.h): edge weights,
+ * break-type counters and the Table-2 statistics record, checked against
+ * hand-computable CFGs.
  */
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cfg/builder.h"
-#include "trace/profiler.h"
+#include "event_log.h"
+#include "sim/batch_replay.h"
 #include "trace/walker.h"
 
 using namespace balign;
@@ -46,10 +50,9 @@ mixedProgram()
 TEST(Profiler, WeightsAreFlowConserving)
 {
     Program program = mixedProgram();
-    Profiler profiler(program);
     WalkOptions options;
     options.instrBudget = 100'000;
-    walk(program, options, profiler);
+    profileProgram(program, options);
 
     const Procedure &proc = program.proc(0);
     // Flow into the loop block equals flow out of it (self edge counted on
@@ -64,12 +67,10 @@ TEST(Profiler, WeightsAreFlowConserving)
 TEST(Profiler, CountsBreakTypes)
 {
     Program program = mixedProgram();
-    Profiler profiler(program);
     WalkOptions options;
     options.instrBudget = 50'000;
     options.restartOnExit = true;
-    walk(program, options, profiler);
-    const ProgramStats stats = profiler.stats();
+    const ProgramStats stats = profileProgram(program, options);
 
     EXPECT_GT(stats.condBranches, 0u);
     EXPECT_GT(stats.takenCondBranches, 0u);
@@ -87,32 +88,29 @@ TEST(Profiler, CountsBreakTypes)
 TEST(Profiler, InstrsTracedMatchesWalkResult)
 {
     Program program = mixedProgram();
-    Profiler profiler(program);
     WalkOptions options;
     options.instrBudget = 30'000;
-    const WalkResult result = walk(program, options, profiler);
-    EXPECT_EQ(profiler.stats().instrsTraced, result.instrs);
+    WalkResult result;
+    const ProgramStats stats =
+        applyTraceProfile(program, walkBatchTrace(program, options, result));
+    EXPECT_EQ(stats.instrsTraced, result.instrs);
 }
 
 TEST(Profiler, TakenFractionMatchesBias)
 {
     Program program = mixedProgram();
-    Profiler profiler(program);
     WalkOptions options;
     options.instrBudget = 400'000;
-    walk(program, options, profiler);
-    const ProgramStats stats = profiler.stats();
+    const ProgramStats stats = profileProgram(program, options);
     EXPECT_NEAR(stats.pctTaken(), 80.0, 2.0);
 }
 
 TEST(Profiler, StaticStatsFilled)
 {
     Program program = mixedProgram();
-    Profiler profiler(program);
     WalkOptions options;
     options.instrBudget = 50'000;
-    walk(program, options, profiler);
-    const ProgramStats stats = profiler.stats();
+    const ProgramStats stats = profileProgram(program, options);
 
     EXPECT_EQ(stats.staticCondSites, 1u);
     EXPECT_EQ(stats.q50, 1u);
@@ -122,11 +120,9 @@ TEST(Profiler, StaticStatsFilled)
 TEST(Profiler, PercentagesSumSensibly)
 {
     Program program = mixedProgram();
-    Profiler profiler(program);
     WalkOptions options;
     options.instrBudget = 50'000;
-    walk(program, options, profiler);
-    const ProgramStats stats = profiler.stats();
+    const ProgramStats stats = profileProgram(program, options);
 
     const double total = stats.pctCondOfBreaks() +
                          stats.pctIndirectOfBreaks() +
@@ -143,18 +139,73 @@ TEST(Profiler, ReprofilingAfterClearMatches)
     WalkOptions options;
     options.instrBudget = 20'000;
 
-    Profiler first(program);
-    walk(program, options, first);
+    profileProgram(program, options);
     std::vector<Weight> weights_a;
     for (const auto &edge : program.proc(0).edges())
         weights_a.push_back(edge.weight);
 
     program.clearWeights();
-    Profiler second(program);
-    walk(program, options, second);
+    profileProgram(program, options);
     std::vector<Weight> weights_b;
     for (const auto &edge : program.proc(0).edges())
         weights_b.push_back(edge.weight);
 
     EXPECT_EQ(weights_a, weights_b);
+}
+
+TEST(Profiler, ProfilesAddOntoExistingWeights)
+{
+    Program program = mixedProgram();
+    WalkOptions options;
+    options.instrBudget = 20'000;
+
+    profileProgram(program, options);
+    std::vector<Weight> once;
+    for (const auto &edge : program.proc(0).edges())
+        once.push_back(edge.weight);
+
+    // The same walk again sums onto the first profile.
+    profileProgram(program, options);
+    std::vector<Weight> twice;
+    for (const auto &edge : program.proc(0).edges())
+        twice.push_back(edge.weight);
+
+    ASSERT_EQ(once.size(), twice.size());
+    for (std::size_t i = 0; i < once.size(); ++i)
+        EXPECT_EQ(twice[i], 2 * once[i]) << i;
+}
+
+TEST(Profiler, IndirectEdgesTakeTheirOwnCounts)
+{
+    Program program("switch");
+    Procedure &proc = program.proc(program.addProc("main"));
+    CfgBuilder b(proc);
+    const BlockId sw = b.block(2, Terminator::IndirectJump);
+    const BlockId c0 = b.block(1, Terminator::Return);
+    const BlockId c1 = b.block(1, Terminator::Return);
+    const BlockId c2 = b.block(1, Terminator::Return);
+    b.other(sw, c0, 0, 3.0);
+    b.other(sw, c1, 0, 1.0);
+    b.other(sw, c2, 0, 0.0);
+
+    WalkOptions options;
+    options.instrBudget = 10'000;
+    LogSink log;
+    walk(program, options, log);
+    std::vector<Weight> traversals(proc.numEdges(), 0);
+    for (const auto &[op, p, index, offset] : log.log)
+        if (op == 3)
+            ++traversals[index];
+
+    const ProgramStats stats = profileProgram(program, options);
+    Weight total = 0;
+    for (std::uint32_t e = 0; e < proc.numEdges(); ++e) {
+        EXPECT_EQ(proc.edge(e).weight, traversals[e]) << e;
+        total += proc.edge(e).weight;
+    }
+    const auto &targets = proc.block(sw).outEdges;
+    EXPECT_GT(traversals[targets[0]], traversals[targets[1]]);
+    EXPECT_GT(traversals[targets[1]], 0u);
+    EXPECT_EQ(traversals[targets[2]], 0u);
+    EXPECT_EQ(stats.indirectJumps, total);
 }

@@ -14,8 +14,8 @@
 #include "event_log.h"
 #include "layout/materialize.h"
 #include "replay_util.h"
+#include "sim/batch_replay.h"
 #include "sim/cpi.h"
-#include "trace/profiler.h"
 #include "trace/recorder.h"
 #include "trace/walker.h"
 #include "workload/generator.h"
@@ -39,8 +39,7 @@ profiledProgram(const char *name, std::uint64_t instrs)
     Prepared prepared{generateProgram(spec), WalkOptions{}};
     prepared.walk.seed = traceSeed(spec);
     prepared.walk.instrBudget = instrs;
-    Profiler profiler(prepared.program);
-    walk(prepared.program, prepared.walk, profiler);
+    profileProgram(prepared.program, prepared.walk);
     return prepared;
 }
 
@@ -112,20 +111,20 @@ TEST(Recorder, ReplayedProfileEqualsLiveProfile)
 
     // Live profile.
     program.clearWeights();
-    Profiler live(program);
-    walk(program, prepared.walk, live);
+    const ProgramStats live_stats = profileProgram(program, prepared.walk);
     const std::vector<Weight> live_weights = weights();
-    const ProgramStats live_stats = live.stats();
 
     // Replayed profile.
     program.clearWeights();
-    Profiler replayed(program);
-    trace.replay(program, replayed);
+    BatchTraceBuilder builder(program);
+    trace.replay(program, builder);
+    const ProgramStats replayed_stats =
+        applyTraceProfile(program, builder.take());
 
     EXPECT_EQ(live_weights, weights());
-    EXPECT_EQ(live_stats.instrsTraced, replayed.stats().instrsTraced);
-    EXPECT_EQ(live_stats.condBranches, replayed.stats().condBranches);
-    EXPECT_EQ(live_stats.returns, replayed.stats().returns);
+    EXPECT_EQ(live_stats.instrsTraced, replayed_stats.instrsTraced);
+    EXPECT_EQ(live_stats.condBranches, replayed_stats.condBranches);
+    EXPECT_EQ(live_stats.returns, replayed_stats.returns);
 }
 
 TEST(Recorder, MultiSinkFansOutIdentically)

@@ -13,7 +13,7 @@
 #include "core/unroll.h"
 #include "layout/materialize.h"
 #include "replay_util.h"
-#include "trace/profiler.h"
+#include "sim/batch_replay.h"
 #include "trace/walker.h"
 #include "workload/paper_figures.h"
 
@@ -99,10 +99,9 @@ TEST(Unroll, RespectsMinWeight)
     EXPECT_EQ(unrollSelfLoops(program.proc(0), options), 0u);
 
     // After profiling, the hot loop qualifies.
-    Profiler profiler(program);
     WalkOptions walk_options;
     walk_options.instrBudget = 50'000;
-    walk(program, walk_options, profiler);
+    profileProgram(program, walk_options);
     EXPECT_EQ(unrollSelfLoops(program.proc(0), options), 1u);
 }
 
@@ -117,10 +116,8 @@ TEST(Unroll, IterationCountPreserved)
     WalkOptions options;
     options.seed = 9;
     options.instrBudget = 400'000;
-    Profiler prof_before(before);
-    walk(before, options, prof_before);
-    Profiler prof_after(after);
-    walk(after, options, prof_after);
+    profileProgram(before, options);
+    profileProgram(after, options);
 
     // Loop-body activations: block weight of the single loop block vs the
     // sum over the four copies.
@@ -147,9 +144,7 @@ TEST(Unroll, ReducesTakenBranchFraction)
 
     auto eval = [&](Program &program) {
         program.clearWeights();
-        Profiler profiler(program);
-        walk(program, options, profiler);
-        return profiler.stats();
+        return profileProgram(program, options);
     };
     const ProgramStats before = eval(plain);
     const ProgramStats after = eval(unrolled);
@@ -172,8 +167,7 @@ TEST(Unroll, ImprovesFallthroughArchitecture)
 
     auto bep_of = [&](Program &program, Arch arch) {
         program.clearWeights();
-        Profiler profiler(program);
-        walk(program, options, profiler);
+        profileProgram(program, options);
         const CostModel model(arch);
         const ProgramLayout layout =
             alignProgram(program, AlignerKind::Try15, &model);

@@ -25,7 +25,7 @@
 #include "core/align_program.h"
 #include "emit/relax.h"
 #include "objective/objective.h"
-#include "trace/profiler.h"
+#include "sim/batch_replay.h"
 #include "trace/walker.h"
 #include "verify/driver.h"
 #include "verify/verify.h"
@@ -76,11 +76,10 @@ verifyBase()
     }
     validateOrDie(program);
 
-    Profiler profiler(program);
     WalkOptions options;
     options.seed = 11;
     options.instrBudget = 5'000;
-    walk(program, options, profiler);
+    profileProgram(program, options);
     return program;
 }
 

@@ -24,7 +24,7 @@
 
 #include "check/fuzz.h"
 #include "objective/objective.h"
-#include "trace/profiler.h"
+#include "sim/batch_replay.h"
 #include "trace/walker.h"
 #include "verify/driver.h"
 #include "workload/generator.h"
@@ -40,11 +40,10 @@ void
 profileWith(Program &program, std::uint64_t seed, std::uint64_t budget)
 {
     program.clearWeights();
-    Profiler profiler(program);
     WalkOptions options;
     options.seed = seed;
     options.instrBudget = budget;
-    walk(program, options, profiler);
+    profileProgram(program, options);
 }
 
 VerifyRunOptions

@@ -12,8 +12,10 @@
 
 #include "cfg/builder.h"
 #include "event_log.h"
-#include "trace/profiler.h"
+#include "sim/batch_replay.h"
 #include "trace/walker.h"
+#include "workload/generator.h"
+#include "workload/suite.h"
 
 using namespace balign;
 
@@ -100,8 +102,7 @@ TEST(Walker, BiasControlsEdgeFrequencies)
     Program program = loopProgram(0.8);
     WalkOptions options;
     options.instrBudget = 400'000;
-    Profiler profiler(program);
-    walk(program, options, profiler);
+    profileProgram(program, options);
 
     const Procedure &proc = program.proc(0);
     const Weight taken =
@@ -199,8 +200,7 @@ TEST(Walker, PatternedBranchFollowsMask)
 
     WalkOptions options;
     options.instrBudget = 100'000;
-    Profiler profiler(program);
-    walk(program, options, profiler);
+    profileProgram(program, options);
 
     const Procedure &proc = program.proc(0);
     const Weight taken =
@@ -264,6 +264,26 @@ TEST(Walker, CorrelatedBranchTracksController)
     EXPECT_EQ(sink.agree, sink.total);  // perfect correlation
 }
 
+// walk() is walkInto's EventSink instantiation; a concrete sink type gets
+// an instantiation of its own, which must emit the same stream.
+TEST(Walker, StaticDispatchEmitsTheSameStream)
+{
+    for (const char *name : {"gcc", "li", "espresso"}) {
+        const ProgramSpec spec = suiteSpec(name);
+        const Program program = generateProgram(spec);
+        WalkOptions options;
+        options.seed = traceSeed(spec);
+        options.instrBudget = 50'000;
+        LogSink direct;
+        const WalkResult static_result = walkInto(program, options, direct);
+        LogSink dynamic;
+        const WalkResult dynamic_result =
+            walk(program, options, static_cast<EventSink &>(dynamic));
+        EXPECT_EQ(static_result, dynamic_result) << name;
+        EXPECT_TRUE(direct.log == dynamic.log) << name;
+    }
+}
+
 TEST(Walker, IndirectJumpFollowsBiases)
 {
     Program program("switch");
@@ -275,10 +295,9 @@ TEST(Walker, IndirectJumpFollowsBiases)
     b.other(sw, c0, 0, 3.0);
     b.other(sw, c1, 0, 1.0);
 
-    Profiler profiler(program);
     WalkOptions options;
     options.instrBudget = 40'000;
-    walk(program, options, profiler);
+    profileProgram(program, options);
     const Weight w0 = proc.edge(proc.block(sw).outEdges[0]).weight;
     const Weight w1 = proc.edge(proc.block(sw).outEdges[1]).weight;
     EXPECT_NEAR(static_cast<double>(w0) / static_cast<double>(w0 + w1),

@@ -45,12 +45,12 @@
 #include "lint/lint.h"
 #include "lint/rules.h"
 #include "profile/degrade.h"
+#include "sim/batch_replay.h"
 #include "sim/runner.h"
 #include "support/json.h"
 #include "support/log.h"
 #include "support/table.h"
 #include "support/thread_pool.h"
-#include "trace/profiler.h"
 #include "trace/walker.h"
 #include "verify/driver.h"
 #include "workload/generator.h"
@@ -229,16 +229,6 @@ walkOptions(const Options &opts)
     return walk;
 }
 
-/// Re-records @p program's edge weights from one walk.
-ProgramStats
-profileInPlace(Program &program, const WalkOptions &walkOpts)
-{
-    program.clearWeights();
-    Profiler profiler(program);
-    walk(program, walkOpts, profiler);
-    return profiler.stats();
-}
-
 /// Reads a program, with the walk parameters a fuzz repro embeds (the
 /// walker's defaults for any other file).
 Repro
@@ -268,8 +258,10 @@ loadPrograms(const Options &opts, std::span<const std::string> paths,
     if (opts.suite) {
         for (const ProgramSpec &spec : benchmarkSuite()) {
             Program program = generateProgram(spec);
-            if (profile)
-                profileInPlace(program, walkOptions(opts));
+            if (profile) {
+                program.clearWeights();
+                profileProgram(program, walkOptions(opts));
+            }
             inputs.emplace_back(program.name(), std::move(program));
         }
         return inputs;
@@ -282,8 +274,11 @@ loadPrograms(const Options &opts, std::span<const std::string> paths,
         // `profile <tag>` line) are read as-is: re-walking would clobber
         // the very weights under test and re-tag them Measured.
         if (profile &&
-            repro.program.profileProvenance() == ProfileProvenance::Measured)
-            profileInPlace(repro.program, repro.walk);
+            repro.program.profileProvenance() ==
+                ProfileProvenance::Measured) {
+            repro.program.clearWeights();
+            profileProgram(repro.program, repro.walk);
+        }
         inputs.emplace_back(path, std::move(repro.program));
     }
     return inputs;
@@ -343,7 +338,8 @@ int
 runProfile(const Options &opts, JsonOut &)
 {
     Program program = loadInput(opts.inputs[0]).program;
-    profileInPlace(program, walkOptions(opts));
+    program.clearWeights();
+    profileProgram(program, walkOptions(opts));
     writeOutput(program, opts.output);
     return 0;
 }
@@ -352,7 +348,8 @@ int
 runStats(const Options &opts, JsonOut &)
 {
     Program program = loadInput(opts.inputs[0]).program;
-    const ProgramStats s = profileInPlace(program, walkOptions(opts));
+    program.clearWeights();
+    const ProgramStats s = profileProgram(program, walkOptions(opts));
 
     std::printf("program: %s\n", program.name().c_str());
     std::printf("instructions traced: %s\n",
@@ -471,7 +468,7 @@ runDegrade(const Options &opts, JsonOut &)
     // from `balign generate`) are profiled first with the walk parameters
     // above so the subcommand composes without a separate `profile` step.
     if (total_weight() == 0)
-        profileInPlace(program, repro.walk);
+        profileProgram(program, repro.walk);
 
     DegradeSpec spec;
     spec.kind = *opts.kind;

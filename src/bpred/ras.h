@@ -26,7 +26,8 @@ class ReturnStack
     push(Addr return_addr)
     {
         stack_[top_] = return_addr;
-        top_ = (top_ + 1) % stack_.size();
+        if (++top_ == stack_.size())
+            top_ = 0;
         if (depth_ < stack_.size())
             ++depth_;
     }
@@ -40,7 +41,7 @@ class ReturnStack
     {
         if (depth_ == 0)
             return kNoAddr;
-        top_ = (top_ + stack_.size() - 1) % stack_.size();
+        top_ = (top_ == 0 ? stack_.size() : top_) - 1;
         --depth_;
         return stack_[top_];
     }

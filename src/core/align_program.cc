@@ -61,16 +61,20 @@ alignProcs(const Program &program, const std::vector<ProcId> &ids,
         const Procedure &proc = program.proc(id);
         std::vector<BlockId> order;
         ChainSet chains(0);
+        // Sorted once: the aligner and the greedy fallback both walk it.
+        std::vector<std::uint32_t> by_weight;
         if (aligner == nullptr) {
             order.resize(proc.numBlocks());
             std::iota(order.begin(), order.end(), BlockId{0});
         } else {
-            chains = aligner->alignProc(proc);
+            by_weight = alignableEdgesByWeight(proc);
+            chains = aligner->alignProc(proc, DirOracle(), by_weight);
             order = orderChains(proc, chains, options.chainOrder);
         }
         ProcLayout layout = materializeProc(proc, std::move(order), base, mat);
         if (objective != nullptr) {
-            const ChainSet greedy_chains = greedy.alignProc(proc);
+            const ChainSet greedy_chains =
+                greedy.alignProc(proc, DirOracle(), by_weight);
             // Greedy's own chains, materialized the same classic way, give
             // this very layout: nothing to compare.
             if (mat != nullptr || !sameLinks(chains, greedy_chains)) {

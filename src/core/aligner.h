@@ -91,6 +91,13 @@ double blockAlignCost(const Procedure &proc, const CostModel &model,
                       const DirOracle &oracle = DirOracle(),
                       BlockId prev = kNoBlock);
 
+/**
+ * The shared edge ordering: alignable (Taken / FallThrough) edges sorted by
+ * decreasing weight, ties broken by ascending edge index for determinism.
+ * Returns edge indices.
+ */
+std::vector<std::uint32_t> alignableEdgesByWeight(const Procedure &proc);
+
 /// Alignment algorithm interface: produces the chain structure of one
 /// procedure.
 class Aligner
@@ -102,9 +109,19 @@ class Aligner
     virtual std::string name() const = 0;
 
     /// Builds chains for @p proc from its edge profile, with direction
-    /// hints from @p oracle (cost-aware aligners only).
-    virtual ChainSet alignProc(const Procedure &proc,
-                               const DirOracle &oracle) const = 0;
+    /// hints from @p oracle (cost-aware aligners only). @p by_weight is
+    /// alignableEdgesByWeight(proc); a caller that runs several aligners
+    /// on one procedure sorts its edges once and passes the order to each.
+    virtual ChainSet
+    alignProc(const Procedure &proc, const DirOracle &oracle,
+              const std::vector<std::uint32_t> &by_weight) const = 0;
+
+    /// Convenience: sorts the edges itself.
+    ChainSet
+    alignProc(const Procedure &proc, const DirOracle &oracle) const
+    {
+        return alignProc(proc, oracle, alignableEdgesByWeight(proc));
+    }
 
     /// Convenience: id-based direction hints.
     ChainSet

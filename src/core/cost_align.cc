@@ -22,8 +22,8 @@ CostAligner::CostAligner(std::unique_ptr<AlignmentObjective> objective)
 }
 
 ChainSet
-CostAligner::alignProc(const Procedure &proc,
-                       const DirOracle &base_oracle) const
+CostAligner::alignProc(const Procedure &proc, const DirOracle &base_oracle,
+                       const std::vector<std::uint32_t> &by_weight) const
 {
     ChainSet chains(proc.numBlocks(), proc.entry());
     const AlignmentObjective &objective = *objective_;
@@ -32,7 +32,7 @@ CostAligner::alignProc(const Procedure &proc,
     // only for blocks not yet chained together.
     const DirOracle oracle = base_oracle.withChains(&chains);
 
-    for (std::uint32_t index : alignableEdgesByWeight(proc)) {
+    for (std::uint32_t index : by_weight) {
         const Edge &edge = proc.edge(index);
         const BlockId src = edge.src;
         const BlockId dst = edge.dst;

@@ -34,8 +34,9 @@ class CostAligner : public Aligner
 
     std::string name() const override { return "cost"; }
     using Aligner::alignProc;
-    ChainSet alignProc(const Procedure &proc,
-                       const DirOracle &oracle) const override;
+    ChainSet alignProc(const Procedure &proc, const DirOracle &oracle,
+                       const std::vector<std::uint32_t> &by_weight)
+        const override;
     bool
     wantsCostModelMaterialization() const override
     {

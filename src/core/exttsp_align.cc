@@ -28,11 +28,12 @@ constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
 class MergeLoop
 {
   public:
-    MergeLoop(const Procedure &proc, const ExtTspParams &params)
+    MergeLoop(const Procedure &proc, const ExtTspParams &params,
+              const std::vector<std::uint32_t> &by_weight)
         : proc_(proc),
           params_(params),
           chains_(proc.numBlocks(), proc.entry()),
-          candidates_(alignableEdgesByWeight(proc)),
+          candidates_(by_weight),
           edges_(proc.numEdges()),
           members_(proc.numBlocks()),
           chainInfo_(proc.numBlocks()),
@@ -392,7 +393,7 @@ class MergeLoop
     const Procedure &proc_;
     const ExtTspParams &params_;
     ChainSet chains_;
-    const std::vector<std::uint32_t> candidates_;
+    const std::vector<std::uint32_t> &candidates_;
     std::vector<EdgeInfo> edges_;
     std::vector<Member> members_;
     std::vector<ChainInfo> chainInfo_;
@@ -408,10 +409,11 @@ class MergeLoop
 }  // namespace
 
 ChainSet
-ExtTspAligner::alignProc(const Procedure &proc, const DirOracle &oracle) const
+ExtTspAligner::alignProc(const Procedure &proc, const DirOracle &oracle,
+                         const std::vector<std::uint32_t> &by_weight) const
 {
     (void)oracle;  // ExtTSP has no direction dependence
-    return MergeLoop(proc, params_).run();
+    return MergeLoop(proc, params_, by_weight).run();
 }
 
 }  // namespace balign

@@ -37,8 +37,9 @@ class ExtTspAligner : public Aligner
 
     std::string name() const override { return "exttsp"; }
     using Aligner::alignProc;
-    ChainSet alignProc(const Procedure &proc,
-                       const DirOracle &oracle) const override;
+    ChainSet alignProc(const Procedure &proc, const DirOracle &oracle,
+                       const std::vector<std::uint32_t> &by_weight)
+        const override;
     /// Classic (cost-blind) materialization, like Greedy: ExtTSP knows
     /// nothing about Table-1 realization costs.
     bool wantsCostModelMaterialization() const override { return false; }

@@ -22,10 +22,11 @@ alignableEdgesByWeight(const Procedure &proc)
 }
 
 ChainSet
-GreedyAligner::alignProc(const Procedure &proc, const DirOracle &) const
+GreedyAligner::alignProc(const Procedure &proc, const DirOracle &,
+                         const std::vector<std::uint32_t> &by_weight) const
 {
     ChainSet chains(proc.numBlocks(), proc.entry());
-    for (std::uint32_t index : alignableEdgesByWeight(proc)) {
+    for (std::uint32_t index : by_weight) {
         const Edge &edge = proc.edge(index);
         chains.link(edge.src, edge.dst);  // no-op when not linkable
     }

@@ -23,17 +23,11 @@ class GreedyAligner : public Aligner
   public:
     std::string name() const override { return "greedy"; }
     using Aligner::alignProc;
-    ChainSet alignProc(const Procedure &proc,
-                       const DirOracle &oracle) const override;
+    ChainSet alignProc(const Procedure &proc, const DirOracle &oracle,
+                       const std::vector<std::uint32_t> &by_weight)
+        const override;
     bool wantsCostModelMaterialization() const override { return false; }
 };
-
-/**
- * The shared edge ordering: alignable (Taken / FallThrough) edges sorted by
- * decreasing weight, ties broken by ascending edge index for determinism.
- * Returns edge indices.
- */
-std::vector<std::uint32_t> alignableEdgesByWeight(const Procedure &proc);
 
 }  // namespace balign
 

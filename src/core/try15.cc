@@ -201,8 +201,8 @@ class GroupSearch
 }  // namespace
 
 ChainSet
-Try15Aligner::alignProc(const Procedure &proc,
-                        const DirOracle &base_oracle) const
+Try15Aligner::alignProc(const Procedure &proc, const DirOracle &base_oracle,
+                        const std::vector<std::uint32_t> &by_weight) const
 {
     ChainSet chains(proc.numBlocks(), proc.entry());
     // Same-chain placements are definitive direction evidence (they
@@ -210,10 +210,9 @@ Try15Aligner::alignProc(const Procedure &proc,
     const DirOracle oracle = base_oracle.withChains(&chains);
 
     // Candidate edges: alignable and hot enough.
-    std::vector<std::uint32_t> ordered = alignableEdgesByWeight(proc);
     std::vector<std::uint32_t> candidates;
-    candidates.reserve(ordered.size());
-    for (std::uint32_t index : ordered) {
+    candidates.reserve(by_weight.size());
+    for (std::uint32_t index : by_weight) {
         if (proc.edge(index).weight >= kMinEdgeWeight)
             candidates.push_back(index);
     }
@@ -248,7 +247,7 @@ Try15Aligner::alignProc(const Procedure &proc,
 
     // Tidy pass: link remaining (mostly cold) edges when that cannot make
     // the modelled cost worse, to avoid needless jumps in cold code.
-    for (std::uint32_t index : ordered) {
+    for (std::uint32_t index : by_weight) {
         const Edge &edge = proc.edge(index);
         if (!chains.canLink(edge.src, edge.dst))
             continue;

@@ -48,8 +48,9 @@ class Try15Aligner : public Aligner
     }
 
     using Aligner::alignProc;
-    ChainSet alignProc(const Procedure &proc,
-                       const DirOracle &oracle) const override;
+    ChainSet alignProc(const Procedure &proc, const DirOracle &oracle,
+                       const std::vector<std::uint32_t> &by_weight)
+        const override;
     bool
     wantsCostModelMaterialization() const override
     {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <optional>
 
 #include "bpred/arch.h"
 #include "bpred/ras.h"
@@ -561,63 +562,106 @@ class PhtLane
     std::vector<std::uint8_t> table_;
 };
 
-/// The branch target buffer (paper §3): full-tag set-associative, LRU by
-/// update tick. Only taken branches are inserted, each entry holding its
-/// target and a saturating counter reset to weakly taken; a hit trains
-/// the counter, and a taken hit also retrains the target. A set's ways
-/// are adjacent, so a lookup touches one or two cache lines. One extra
-/// slot past the last entry stands for a miss: it is never valid, never
-/// written, and its counter predicts not-taken, so a lookup's outcome can
-/// be read without first branching on whether it hit.
-class BtbLanes
+/// Site ids of every call site in the program, one per distinct
+/// (block, offset): two calls at one offset share an address, so they
+/// share an id. Call sites are program facts, so one table serves every
+/// layout of a replay. Ids follow the 2 * totalBlocks block-branch and
+/// inserted-jump ids (BtbLane).
+struct CallSiteIds
+{
+    std::vector<std::uint32_t> slotBase;  ///< per global block: first slot
+    std::vector<std::uint32_t> id;        ///< per (block, offset) slot
+    std::uint32_t sites = 0;              ///< every site id, calls included
+
+    CallSiteIds(const Program &program, const BatchTrace &trace)
+        : slotBase(trace.totalBlocks, 0), sites(2 * trace.totalBlocks)
+    {
+        for (ProcId p = 0; p < program.numProcs(); ++p) {
+            for (const BasicBlock &block : program.proc(p).blocks()) {
+                if (block.calls.empty())
+                    continue;
+                const auto base = static_cast<std::uint32_t>(id.size());
+                slotBase[trace.blockBase[p] + block.id] = base;
+                std::uint32_t slots = 0;
+                for (const CallSite &site : block.calls)
+                    slots = std::max(slots, site.offset + 1);
+                id.resize(base + slots, kNoIndex);
+                for (const CallSite &site : block.calls) {
+                    std::uint32_t &slot = id[base + site.offset];
+                    if (slot == kNoIndex)
+                        slot = sites++;
+                }
+            }
+        }
+    }
+
+    std::uint32_t
+    of(std::uint32_t block, std::uint32_t offset) const
+    {
+        return id[slotBase[block] + offset];
+    }
+};
+
+/// The branch target buffer (paper §3): set-associative, LRU by update
+/// tick. Only taken branches are inserted, each entry holding its target
+/// and a saturating counter reset to weakly taken; a hit trains the
+/// counter, and a taken hit also retrains the target.
+///
+/// A lookup names its branch by a site id as well as its address: a dense
+/// index fixed per layout, distinct for distinct addresses (BtbLane). So
+/// no tag is compared. A byte map holds, per site, the way the site lives
+/// in, or `ways` when it is absent, and each set has one slot past its
+/// ways that is never filled and whose counter predicts not-taken: entry
+/// `set * (ways + 1) + way[sid]` is the hit or the set's miss slot, read
+/// without a branch. An entry keeps its site id in place of a tag. A
+/// taken miss evicts the set's first least-recently-used way (unused ways
+/// hold tick 0, so they go first, lowest way first) and marks the
+/// evicted site absent.
+class Btb
 {
   public:
-    BtbLanes(std::size_t entries, std::size_t ways, unsigned counter_bits)
-        : ways_(ways), setMask_(entries / ways - 1), miss_(entries),
+    /// Where a site is: its entry, or its set's miss slot.
+    struct Lookup
+    {
+        std::size_t index;
+        bool hit;
+    };
+
+    /// A BTB of @p entries in @p ways for site ids below @p sites.
+    Btb(std::size_t entries, std::size_t ways, unsigned counter_bits,
+        std::uint32_t sites)
+        : ways_(checkedWays(entries, ways)), stride_(ways + 1),
+          setMask_(entries / ways - 1),
           max_(static_cast<std::uint8_t>((1u << counter_bits) - 1)),
-          entries_(entries + 1)
+          // Unused entries name the spare site past the last real one, so
+          // an eviction can mark its victim absent without a branch.
+          entries_(entries / ways * stride_, Entry{0, 0, sites, 0}),
+          way_(std::size_t{sites} + 1, static_cast<std::uint8_t>(ways))
     {
-        if (entries == 0 || ways == 0 || entries % ways != 0)
-            panic("batch replay: bad BTB geometry %zux%zu", entries, ways);
-        const std::size_t sets = entries / ways;
-        if ((sets & (sets - 1)) != 0)
-            panic("batch replay: BTB sets must be a power of two");
     }
 
-    /// Index of the hitting entry, or the miss slot. Only a miss inserts,
-    /// so a tag is valid in at most one way of its set and every way can
-    /// be tested without an early exit.
-    std::size_t
-    find(Addr site) const
+    Lookup
+    find(std::uint32_t sid, Addr site) const
     {
-        const std::size_t set = (site & setMask_) * ways_;
-        std::size_t hit = miss_;
-        for (std::size_t w = 0; w < ways_; ++w) {
-            const Entry &entry = entries_[set + w];
-            const std::size_t match =
-                static_cast<std::size_t>(entry.valid != 0) &
-                static_cast<std::size_t>(entry.tag == site);
-            hit ^= (hit ^ (set + w)) & (std::size_t{0} - match);
-        }
-        return hit;
+        const std::uint8_t way = way_[sid];
+        return {(site & setMask_) * stride_ + way, way != ways_};
     }
 
-    bool hit(std::size_t e) const { return e != miss_; }
-    bool counterTaken(std::size_t e) const
+    bool counterTaken(const Lookup &at) const
     {
-        return saturatingTaken(entries_[e].counter, max_);
+        return saturatingTaken(entries_[at.index].counter, max_);
     }
-    Addr target(std::size_t e) const { return entries_[e].target; }
+    Addr target(const Lookup &at) const { return entries_[at.index].target; }
 
-    /// Trains the BTB on @p site, whose entry find(site) just returned as
-    /// @p e: nothing touches the BTB between the lookup and the update,
-    /// so the update reuses it instead of searching the set again.
+    /// Trains the BTB on site @p sid, whose lookup find() just returned
+    /// as @p at: nothing touches the BTB between the lookup and the
+    /// update, so the update reuses it.
     void
-    updateAt(std::size_t e, Addr site, bool taken, Addr target)
+    updateAt(const Lookup &at, std::uint32_t sid, bool taken, Addr target)
     {
         ++tick_;
-        if (e != miss_) {
-            Entry &entry = entries_[e];
+        if (at.hit) {
+            Entry &entry = entries_[at.index];
             entry.counter = saturatingUpdate(entry.counter, max_, taken);
             entry.target = taken ? target : entry.target;
             entry.lastUse = tick_;
@@ -625,20 +669,16 @@ class BtbLanes
         }
         if (!taken)
             return;  // only taken branches are inserted
-        const std::size_t set = (site & setMask_) * ways_;
+        const std::size_t set = at.index - ways_;
         std::size_t victim = set;
-        for (std::size_t w = 0; w < ways_; ++w) {
-            const std::size_t candidate = set + w;
-            if (entries_[candidate].valid == 0) {
-                victim = candidate;
-                break;
-            }
-            if (entries_[candidate].lastUse < entries_[victim].lastUse)
-                victim = candidate;
+        for (std::size_t w = 1; w < ways_; ++w) {
+            if (entries_[set + w].lastUse < entries_[victim].lastUse)
+                victim = set + w;
         }
         Entry &entry = entries_[victim];
-        entry.valid = 1;
-        entry.tag = site;
+        way_[entry.sid] = static_cast<std::uint8_t>(ways_);
+        way_[sid] = static_cast<std::uint8_t>(victim - set);
+        entry.sid = sid;
         entry.target = target;
         entry.counter =
             static_cast<std::uint8_t>(max_ / 2 + 1);  // resetWeak(true)
@@ -648,19 +688,36 @@ class BtbLanes
   private:
     struct Entry
     {
-        Addr tag = 0;
-        Addr target = 0;
-        std::uint64_t lastUse = 0;
-        std::uint8_t counter = 0;
-        std::uint8_t valid = 0;
+        Addr target;
+        std::uint64_t lastUse;
+        std::uint32_t sid;
+        std::uint8_t counter;
     };
 
+    /// @p ways, once the geometry is one the engine can simulate: a
+    /// power-of-two set count, and at most 255 ways so that a way and the
+    /// absent marker fit the byte map.
+    static std::size_t
+    checkedWays(std::size_t entries, std::size_t ways)
+    {
+        if (entries == 0 || ways == 0 || entries % ways != 0)
+            panic("batch replay: bad BTB geometry %zux%zu", entries, ways);
+        const std::size_t sets = entries / ways;
+        if ((sets & (sets - 1)) != 0)
+            panic("batch replay: BTB sets must be a power of two");
+        if (ways > 255)
+            panic("batch replay: BTB ways %zu exceed the way map's 255",
+                  ways);
+        return ways;
+    }
+
     std::size_t ways_;
+    std::size_t stride_;  ///< ways plus the miss slot
     std::size_t setMask_;
-    std::size_t miss_;
     std::uint8_t max_;
     std::uint64_t tick_ = 0;
     std::vector<Entry> entries_;
+    std::vector<std::uint8_t> way_;  ///< per site id, plus one spare
 };
 
 /// One BTB lane: its BTB, its own return stack (interleaved with the
@@ -668,14 +725,22 @@ class BtbLanes
 /// counters come from SharedCounters. Each op method reads its layout's
 /// tables and tallies penalties arithmetically from the lookup, by the
 /// paper's penalty rules (bpred/evaluator.h).
+///
+/// Site ids: block g's terminator branch is g, its inserted jump is
+/// totalBlocks + g, and its calls take CallSiteIds' ids. Within one
+/// layout distinct sites have distinct addresses (DESIGN §11.2), so an id
+/// stands for its address exactly.
 class BtbLane
 {
   public:
     BtbLane(const EvalParams &params, const LayoutTables &tables,
+            const CallSiteIds &calls, std::uint32_t total_blocks,
             EvalResult &result)
         : out(&result), block_(tables.block.data()),
-          entryAddr_(tables.entryAddr.data()),
-          btb_(params.btbEntries, params.btbWays, params.counterBits),
+          entryAddr_(tables.entryAddr.data()), calls_(&calls),
+          jumpSid_(total_blocks),
+          btb_(params.btbEntries, params.btbWays, params.counterBits,
+               calls.sites),
           ras_(params.rasEntries)
     {
     }
@@ -685,10 +750,9 @@ class BtbLane
     {
         const BlockRow &src = block_[a];
         const bool taken = kOutTaken[src.cond][via];
-        const Addr site = src.branchAddr;
         const Addr target = src.condTarget;
-        const std::size_t e = btb_.find(site);
-        btbHits += btb_.hit(e);
+        const Btb::Lookup e = btb_.find(a, src.branchAddr);
+        btbHits += e.hit;
         // A predicted-taken conditional with the wrong stored target
         // also mispredicts. Fixed conditional targets make that
         // partial-tag aliasing path unreachable; the oracle assesses it
@@ -697,9 +761,9 @@ class BtbLane
         const bool wrong = (predicted != taken) |
                            (predicted & taken & (btb_.target(e) != target));
         condMispredicts += wrong;
-        btb_.updateAt(e, site, taken, target);
+        btb_.updateAt(e, a, taken, target);
         if (kOutJump[src.cond][via])
-            uncondBreak(src.jumpAddr, block_[b].addr);
+            uncondBreak(jumpSid_ + a, src.jumpAddr, block_[b].addr);
     }
 
     void
@@ -707,7 +771,7 @@ class BtbLane
     {
         const BlockRow &src = block_[a];
         if (src.jumpRemoved == 0)
-            uncondBreak(src.branchAddr, block_[b].addr);
+            uncondBreak(a, src.branchAddr, block_[b].addr);
     }
 
     void
@@ -715,19 +779,18 @@ class BtbLane
     {
         const BlockRow &src = block_[a];
         if (src.jumpInserted != 0)
-            uncondBreak(src.jumpAddr, block_[b].addr);
+            uncondBreak(jumpSid_ + a, src.jumpAddr, block_[b].addr);
     }
 
     void
     indirect(std::uint32_t a, std::uint32_t b)
     {
-        const Addr site = block_[a].branchAddr;
         const Addr target = block_[b].addr;
-        const std::size_t e = btb_.find(site);
-        btbHits += btb_.hit(e);
+        const Btb::Lookup e = btb_.find(a, block_[a].branchAddr);
+        btbHits += e.hit;
         indirectMispredicts +=
             !(btb_.counterTaken(e) & (btb_.target(e) == target));
-        btb_.updateAt(e, site, true, target);
+        btb_.updateAt(e, a, true, target);
     }
 
     void
@@ -735,7 +798,7 @@ class BtbLane
     {
         const Addr site = block_[a].addr + offset;
         ras_.push(site + 1);
-        uncondBreak(site, entryAddr_[callee]);
+        uncondBreak(calls_->of(a, offset), site, entryAddr_[callee]);
     }
 
     /// A wrong return-stack prediction mispredicts whether or not the
@@ -743,15 +806,13 @@ class BtbLane
     void
     ret(std::uint32_t a, std::uint32_t resume, std::uint32_t offset)
     {
-        const Addr site = block_[a].branchAddr;
         const Addr target = block_[resume].addr + offset + 1;
         const bool ras_correct = ras_.pop() == target;
-        const std::size_t e = btb_.find(site);
-        const bool hit = btb_.hit(e);
-        btbHits += hit;
+        const Btb::Lookup e = btb_.find(a, block_[a].branchAddr);
+        btbHits += e.hit;
         returnMispredicts += !ras_correct;
-        misfetches += !hit & ras_correct;
-        btb_.updateAt(e, site, true, target);
+        misfetches += !e.hit & ras_correct;
+        btb_.updateAt(e, a, true, target);
     }
 
     /// Exit returns pop the stack but assess no penalty and make no BTB
@@ -770,17 +831,19 @@ class BtbLane
     /// hit predicting taken with the right target is free, everything
     /// else redirects after decode.
     void
-    uncondBreak(Addr site, Addr target)
+    uncondBreak(std::uint32_t sid, Addr site, Addr target)
     {
-        const std::size_t e = btb_.find(site);
-        btbHits += btb_.hit(e);
+        const Btb::Lookup e = btb_.find(sid, site);
+        btbHits += e.hit;
         misfetches += !(btb_.counterTaken(e) & (btb_.target(e) == target));
-        btb_.updateAt(e, site, true, target);
+        btb_.updateAt(e, sid, true, target);
     }
 
     const BlockRow *block_;
     const Addr *entryAddr_;
-    BtbLanes btb_;
+    const CallSiteIds *calls_;
+    std::uint32_t jumpSid_;  ///< site id of block 0's inserted jump
+    Btb btb_;
     ReturnStack ras_;
 };
 
@@ -901,6 +964,7 @@ runBatchReplay(const Program &program,
     std::vector<std::vector<EvalResult>> results(layouts.size());
     // The lanes point into their layout's tables, so this never resizes.
     std::vector<LayoutTables> tables(layouts.size());
+    std::optional<CallSiteIds> calls;  // built for the first BTB lane
     DynamicLanes dynamic;
 
     for (std::size_t k = 0; k < layouts.size(); ++k) {
@@ -961,7 +1025,10 @@ runBatchReplay(const Program &program,
 
             if (isBtb(params.arch)) {
                 r.btbLookups = shared.btbLookups;
-                dynamic.btb.emplace_back(params, t, r);
+                if (!calls)
+                    calls.emplace(program, trace);
+                dynamic.btb.emplace_back(params, t, *calls, trace.totalBlocks,
+                                         r);
                 needs_pass = true;
                 continue;
             }

@@ -32,7 +32,11 @@
  *     PHT-family lanes on Cond ops only, with branchless
  *     saturating-counter updates (support/saturating_counter.h). Site and
  *     direction come from the layout's tables, so the lanes are K
- *     independent dependence chains over one shared stream.
+ *     independent dependence chains over one shared stream. A BTB lookup
+ *     also carries a site id, a dense index that stands for one branch
+ *     address of the layout (block g's branch is g, its inserted jump
+ *     totalBlocks + g, each distinct call site one id after those), so a
+ *     per-lane byte map finds the site's way in O(1) with no tag compare.
  *
  *  3. runConfigs (sim/cpi.h) splits a program's lanes into as many lane
  *     blocks as its pool has threads (at most one per layout with
@@ -53,8 +57,8 @@
  * `BatchTrace(program, recordTrace(program, walk))`, which re-walks it
  * into a BatchTraceBuilder. The engine panics on
  * predictor geometry it cannot simulate (a table or BTB set count that is
- * not a power of two, a history length of 0 bits or more than 63 for
- * gshare and 24 for the local predictor).
+ * not a power of two, more than 255 BTB ways, a history length of 0 bits
+ * or more than 63 for gshare and 24 for the local predictor).
  */
 
 #ifndef BALIGN_SIM_BATCH_REPLAY_H

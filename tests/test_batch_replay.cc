@@ -27,6 +27,8 @@
 #include <vector>
 
 #include "bpred/cost_model.h"
+#include "cfg/builder.h"
+#include "cfg/validate.h"
 #include "check/differ.h"
 #include "check/fuzz.h"
 #include "check/oracle.h"
@@ -270,6 +272,39 @@ TEST(BatchReplay, SingleLaneRunMatchesEvaluatorDirectly)
         EXPECT_EQ(counters(lanes[0]),
                   counters(oracleReplay(prepared, layout, params)))
             << archName(arch);
+    }
+}
+
+TEST(BatchReplay, TwoCallsAtOneOffsetShareABtbEntry)
+{
+    // main's block makes two calls at offset 1, one address, so they are
+    // one BTB site. Per run: call, callee return, call, callee return,
+    // then main's exit return (a stack pop, no lookup). Run 1's first
+    // call and first return miss with correct return-stack predictions
+    // (two misfetches); every later lookup hits, the second call
+    // included. Were the calls two sites, run 1's second call would miss
+    // too.
+    Program program("twin-calls");
+    const ProcId main_id = program.addProc("main");
+    const ProcId callee_id = program.addProc("callee");
+    CfgBuilder(program.proc(callee_id)).block(1, Terminator::Return);
+    CfgBuilder main(program.proc(main_id));
+    const BlockId body = main.block(3, Terminator::Return);
+    main.call(body, callee_id, 1).call(body, callee_id, 1);
+    validateOrDie(program);
+    constexpr unsigned kRuns = 10;
+    WalkOptions walk;
+    walk.instrBudget = 5 * kRuns;  // 3 in main, 1 per callee activation
+
+    for (const Arch arch : {Arch::BtbSmall, Arch::BtbLarge}) {
+        const EvalResult r = replayBoth(program, originalLayout(program),
+                                        walk, EvalParams::forArch(arch));
+        EXPECT_EQ(r.callExec, 2 * kRuns) << archName(arch);
+        EXPECT_EQ(r.returnExec, 3 * kRuns) << archName(arch);
+        EXPECT_EQ(r.btbLookups, 4 * kRuns) << archName(arch);
+        EXPECT_EQ(r.btbHits, 4 * kRuns - 2) << archName(arch);
+        EXPECT_EQ(r.misfetches, 2u) << archName(arch);
+        EXPECT_EQ(r.mispredicts, 0u) << archName(arch);
     }
 }
 

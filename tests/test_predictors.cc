@@ -498,10 +498,62 @@ TEST(Btb, Geometry)
     EXPECT_EQ(replayScript(strided(32, 8), btb(256, 4)).btbHits, 8u);
 }
 
+TEST(Btb, EvictedSiteMissesAndRefillsAnotherWay)
+{
+    // 4 entries, 2 ways => 2 sets; sites 0, 2, 4 share set 0.
+    // Run 1: 0 fills way 0, 2 way 1; 4 evicts 0 from way 0. All miss.
+    // Run 2: 0 must miss (its way now holds 4) and evicts the LRU, 2,
+    // refilling way 1. 2 misses not-taken (correct, not inserted). 4 hits
+    // predicting taken but falls through (a mispredict).
+    // Run 3: 0 hits in way 1, taken with the right target (free); 2
+    // misses not-taken again; 4 hits, its counter now predicting
+    // not-taken (correct).
+    const EvalResult r = replayScript(
+        branchScript({{0, "T"}, {2, "TNN"}, {4, "TNN"}}, 3), btb(4, 2));
+    EXPECT_EQ(r.btbLookups, 9u);
+    EXPECT_EQ(r.btbHits, 3u);
+    EXPECT_EQ(r.mispredicts, 5u);
+    EXPECT_EQ(r.misfetches, 0u);
+}
+
+TEST(Btb, FullyAssociative)
+{
+    // 8 entries in 8 ways: one set that every site shares. Eight taken
+    // sites fit, so the second run hits on all of them; a ninth makes
+    // LRU evict each site just before it comes back.
+    auto strided = [](unsigned count) {
+        std::vector<Step> steps;
+        for (unsigned i = 0; i < count; ++i)
+            steps.push_back({Addr{2} * i, "T"});
+        return branchScript(steps, 2);
+    };
+    const EvalResult fits = replayScript(strided(8), btb(8, 8));
+    EXPECT_EQ(fits.btbLookups, 16u);
+    EXPECT_EQ(fits.btbHits, 8u);
+    EXPECT_EQ(fits.mispredicts, 8u);
+    const EvalResult thrashes = replayScript(strided(9), btb(8, 8));
+    EXPECT_EQ(thrashes.btbHits, 0u);
+    EXPECT_EQ(thrashes.mispredicts, 18u);
+}
+
+TEST(Btb, DirectMapped)
+{
+    // 16 entries in 1 way: 16 sets of one entry. Sites 0 and 16 share
+    // set 0 and evict each other; site 3 has set 3 to itself and hits in
+    // the second run.
+    const EvalResult r = replayScript(
+        branchScript({{0, "T"}, {3, "T"}, {16, "T"}}, 2), btb(16, 1));
+    EXPECT_EQ(r.btbLookups, 6u);
+    EXPECT_EQ(r.btbHits, 1u);
+    EXPECT_EQ(r.mispredicts, 5u);
+}
+
 TEST(BtbDeath, RejectsBadGeometry)
 {
     EXPECT_DEATH(replayBadGeometry(btb(0, 1)), "bad BTB geometry");
     EXPECT_DEATH(replayBadGeometry(btb(12, 4)), "power of two");
+    // A way and the absent marker must fit the one-byte way map.
+    EXPECT_DEATH(replayBadGeometry(btb(512, 256)), "way map");
 }
 
 // ---- Return stack -------------------------------------------------------------

@@ -222,6 +222,31 @@ BM_ReplayBatched(benchmark::State &state)
 }
 BENCHMARK(BM_ReplayBatched);
 
+// One dynamic lane per call, one lane kind per benchmark, on the Greedy
+// layout: items_processed counts trace ops, so the items/s ratio of a
+// BTB lane to a PHT-family lane is the per-op cost ratio of the two.
+void
+BM_ReplayLane(benchmark::State &state, Arch arch)
+{
+    const PreparedProgram prepared = prepareProgram(mediumSpec());
+    const ProgramLayout layout =
+        alignProgram(prepared.program, AlignerKind::Greedy, nullptr);
+    const std::vector<EvalParams> lanes = {EvalParams::forArch(arch)};
+    for (auto _ : state) {
+        const std::vector<EvalResult> results = runBatchReplay(
+            prepared.program, layout, *prepared.batch, lanes);
+        benchmark::DoNotOptimize(results[0].mispredicts);
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()) *
+        static_cast<std::int64_t>(prepared.batch->ops.size()));
+}
+BENCHMARK_CAPTURE(BM_ReplayLane, pht, Arch::PhtDirect);
+BENCHMARK_CAPTURE(BM_ReplayLane, gshare, Arch::PhtCorrelated);
+BENCHMARK_CAPTURE(BM_ReplayLane, local, Arch::PhtLocal);
+BENCHMARK_CAPTURE(BM_ReplayLane, btb_small, Arch::BtbSmall);
+BENCHMARK_CAPTURE(BM_ReplayLane, btb_large, Arch::BtbLarge);
+
 /// The 18 layouts the paper matrix (7 architectures x {Original, Greedy,
 /// Cost, Try15}) aligns for one program, each with the lanes runConfigs
 /// gives it: Original and Greedy carry every architecture but BT/FNT,

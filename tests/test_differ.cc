@@ -148,12 +148,12 @@ TEST(Differ, DetectsCorruptedBatchTrace)
                      .has_value());
 
     auto corrupted = std::make_shared<BatchTrace>(*prepared.batch);
-    const auto first_cond =
-        std::find(corrupted->ops.begin(), corrupted->ops.end(),
-                  static_cast<std::uint8_t>(BatchTrace::Op::Cond));
-    ASSERT_NE(first_cond, corrupted->ops.end());
-    corrupted->opC[static_cast<std::size_t>(
-        first_cond - corrupted->ops.begin())] ^= 1;
+    std::size_t first_cond = 0;
+    while (first_cond < corrupted->ops.size() &&
+           corrupted->decode(first_cond).op != BatchTrace::Op::Cond)
+        ++first_cond;
+    ASSERT_LT(first_cond, corrupted->ops.size());
+    corrupted->flipCondEdge(first_cond);
     prepared.batch = corrupted;
 
     const auto divergence =

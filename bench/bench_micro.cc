@@ -9,6 +9,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <optional>
 
 #include "bpred/cost_model.h"
@@ -36,6 +37,17 @@ mediumSpec()
     ProgramSpec spec = suiteSpec("espresso");
     spec.traceInstrs = 200'000;
     return spec;
+}
+
+/// Heap bytes the batched trace's op stream holds per op, the
+/// `trace_bytes_per_op` counter of the set-up and replay benchmarks: 8
+/// while an op record is 8 bytes and the stream is sized exactly.
+double
+traceBytesPerOp(const BatchTrace &trace)
+{
+    return static_cast<double>(trace.ops.capacity() *
+                               sizeof(BatchTrace::PackedOp)) /
+           static_cast<double>(std::max<std::size_t>(trace.ops.size(), 1));
 }
 
 void
@@ -80,6 +92,7 @@ BM_PrepareProgram(benchmark::State &state, const char *name,
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(budget));
+    state.counters["trace_bytes_per_op"] = traceBytesPerOp(*prepared->batch);
 }
 BENCHMARK_CAPTURE(BM_PrepareProgram, espresso_200k, "espresso", 0u,
                   200'000)
@@ -240,6 +253,7 @@ BM_ReplayLane(benchmark::State &state, Arch arch)
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()) *
         static_cast<std::int64_t>(prepared.batch->ops.size()));
+    state.counters["trace_bytes_per_op"] = traceBytesPerOp(*prepared.batch);
 }
 BENCHMARK_CAPTURE(BM_ReplayLane, pht, Arch::PhtDirect);
 BENCHMARK_CAPTURE(BM_ReplayLane, gshare, Arch::PhtCorrelated);

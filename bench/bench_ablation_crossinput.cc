@@ -53,15 +53,15 @@ main()
         const ProgramLayout cross_layout =
             alignProgram(program, AlignerKind::Try15, &model);
 
-        // Train on the TEST input (self-trained reference).
+        // Train on the TEST input (self-trained reference); its walk is
+        // also the one every layout is evaluated on.
         program.clearWeights();
-        profileProgram(program, test_walk);
+        const BatchTrace test_trace = walkBatchTrace(program, test_walk);
+        applyTraceProfile(program, test_trace);
         const ProgramLayout self_layout =
             alignProgram(program, AlignerKind::Try15, &model);
         const ProgramLayout orig = originalLayout(program);
 
-        // All evaluated on the TEST input.
-        const BatchTrace test_trace(program, recordTrace(program, test_walk));
         const std::vector<EvalParams> lanes = {EvalParams::forArch(arch)};
         const std::vector<std::vector<EvalResult>> results = runBatchReplay(
             program,

@@ -14,12 +14,11 @@
 #include "core/align_program.h"
 #include "core/greedy.h"
 #include "layout/proc_order.h"
-#include "sim/batch_replay.h"
+#include "sim/cpi.h"
 #include "sim/pipeline.h"
 #include "support/log.h"
 #include "support/table.h"
-#include "trace/walker.h"
-#include "workload/generator.h"
+#include "workload/suite.h"
 
 using namespace balign;
 
@@ -35,20 +34,8 @@ main()
     for (const char *name : names) {
         ProgramSpec spec = suiteSpec(name);
         spec.traceInstrs = bench::traceInstrs(spec.traceInstrs);
-        Program program = generateProgram(spec);
-
-        WalkOptions walk_options;
-        walk_options.seed = traceSeed(spec);
-        walk_options.instrBudget = spec.traceInstrs;
-
-        BatchTraceBuilder builder(program);
-        CallGraphSink call_graph;
-        MultiSink profile_sinks;
-        profile_sinks.add(&builder);
-        profile_sinks.add(&call_graph);
-        walk(program, walk_options, profile_sinks);
-        applyTraceProfile(program, builder.take());
-        const CallGraph &calls = call_graph.calls();
+        const PreparedProgram prepared = prepareProgram(spec);
+        const Program &program = prepared.program;
 
         // Block orders from the Greedy aligner (shared by both layouts).
         GreedyAligner aligner;
@@ -61,7 +48,7 @@ main()
         const ProgramLayout by_id =
             materializeProgram(program, orders);
         const std::vector<ProcId> proc_order =
-            orderProcsByCallGraph(program, calls);
+            orderProcsByCallGraph(program, traceCallGraph(*prepared.batch));
         const ProgramLayout by_calls = materializeProgramOrdered(
             program, orders, proc_order);
 
@@ -70,7 +57,7 @@ main()
         MultiSink fanout;
         fanout.add(&base_model.sink());
         fanout.add(&ordered_model.sink());
-        walk(program, walk_options, fanout);
+        prepared.trace->replay(program, fanout);
 
         table.row()
             .cell(name)

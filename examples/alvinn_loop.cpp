@@ -47,7 +47,7 @@ main()
     options.seed = 7;
     options.instrBudget = 1'000'000;
 
-    const BatchTrace trace(program, recordTrace(program, options));
+    const BatchTrace trace = walkBatchTrace(program, options);
     const std::vector<EvalParams> ft = {
         EvalParams::forArch(Arch::Fallthrough)};
     const std::vector<std::vector<EvalResult>> ft_results = runBatchReplay(

@@ -74,7 +74,7 @@ main()
     WalkOptions walk_options;
     walk_options.seed = 1994;
     walk_options.instrBudget = 500'000;
-    const BatchTrace trace(program, recordTrace(program, walk_options));
+    const BatchTrace trace = walkBatchTrace(program, walk_options);
 
     std::printf("\n%-12s %14s %14s %12s %12s\n", "architecture",
                 "orig mispred", "orig misfetch", "try15 mis", "try15 mf");

@@ -30,14 +30,14 @@ bepPerKiloInstr(Program &program, Arch arch, std::uint64_t seed)
     options.instrBudget = 500'000;
 
     program.clearWeights();
-    profileProgram(program, options);
+    const BatchTrace trace = walkBatchTrace(program, options);
+    applyTraceProfile(program, trace);
 
     const CostModel model(arch);
     const ProgramLayout layout =
         alignProgram(program, AlignerKind::Try15, &model);
     const EvalResult result = runBatchReplay(
-        program, layout, BatchTrace(program, recordTrace(program, options)),
-        {EvalParams::forArch(arch)})[0];
+        program, layout, trace, {EvalParams::forArch(arch)})[0];
     return 1000.0 * result.bep() / static_cast<double>(result.instrs);
 }
 

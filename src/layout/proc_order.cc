@@ -3,9 +3,36 @@
 #include <algorithm>
 #include <numeric>
 
+#include "sim/batch_replay.h"
 #include "support/log.h"
 
 namespace balign {
+
+CallGraph
+traceCallGraph(const BatchTrace &trace)
+{
+    // Every call pushes its call site on the return-stack sub-stream.
+    std::vector<Weight> site_calls(trace.callSites.size(), 0);
+    for (const std::uint32_t word : trace.rasOps) {
+        if ((word & 3) == 0)
+            ++site_calls[word >> 2];
+    }
+    // Call sites come in proc and block order, so the calling procedure
+    // only moves forward: the last one whose first block is at or before
+    // the site's block.
+    CallGraph calls;
+    ProcId proc = 0;
+    for (std::size_t k = 0; k < site_calls.size(); ++k) {
+        if (site_calls[k] == 0)
+            continue;
+        const BatchTrace::CallSiteRow &site = trace.callSites[k];
+        while (proc + 1 < trace.blockBase.size() &&
+               trace.blockBase[proc + 1] <= site.block)
+            ++proc;
+        calls[{proc, site.callee}] += site_calls[k];
+    }
+    return calls;
+}
 
 namespace {
 

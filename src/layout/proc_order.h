@@ -8,6 +8,8 @@
  * instruction-cache conflicts. This module implements that classic greedy
  * algorithm over the dynamic call graph as an optional extension, and the
  * materializer overload below lays procedures out in the chosen order.
+ * The call graph is read from the profiling walk's batched trace
+ * (traceCallGraph), so ordering needs no walk of its own.
  */
 
 #ifndef BALIGN_LAYOUT_PROC_ORDER_H
@@ -19,29 +21,22 @@
 
 #include "cfg/program.h"
 #include "layout/materialize.h"
-#include "trace/event.h"
 
 namespace balign {
+
+struct BatchTrace;
 
 /// A weighted call-graph edge set: (caller, callee) -> dynamic count.
 using CallGraph = std::map<std::pair<ProcId, ProcId>, Weight>;
 
-/// Walk sink that counts the dynamic call graph. The profiling walk does
-/// not keep one; attach this beside it when procedure ordering needs it.
-class CallGraphSink : public NullSink
-{
-  public:
-    void
-    onCall(ProcId proc, BlockId, const CallSite &site) override
-    {
-        ++calls_[{proc, site.callee}];
-    }
-
-    const CallGraph &calls() const { return calls_; }
-
-  private:
-    CallGraph calls_;
-};
+/**
+ * The dynamic call graph of the walk @p trace holds (sim/batch_replay.h):
+ * every call the walk made, counted by caller and callee procedure. A
+ * call pushes its call site, whose row names the calling block and the
+ * callee; the caller is the procedure that block belongs to. Pairs that
+ * were never called are absent.
+ */
+CallGraph traceCallGraph(const BatchTrace &trace);
 
 /**
  * Pettis–Hansen procedure positioning: call-graph edges are visited in

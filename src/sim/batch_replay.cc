@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <memory>
 #include <optional>
 
 #include "bpred/arch.h"
@@ -10,7 +11,6 @@
 #include "layout/materialize.h"
 #include "support/log.h"
 #include "support/saturating_counter.h"
-#include "trace/event.h"
 
 namespace balign {
 
@@ -33,6 +33,270 @@ constexpr bool kOutJump[4][2] = {
     {false, true},   // NeitherJumpToTaken
 };
 
+/**
+ * Canonicalizes the walk that walkInto drives it through into a
+ * BatchTrace. Mirrors the BranchEventAdapter state machine
+ * (trace/branch_events.cc), minus everything layout-dependent. It has
+ * the walker's sink methods but is no EventSink: walkBatchTrace is its
+ * only driver, so every event call is a direct call.
+ */
+class BatchTraceBuilder
+{
+  public:
+    /// Sizes the per-block tables of @p out for @p program, the program
+    /// walked; fatal() when its blocks or call sites exceed
+    /// kTraceIndexCap.
+    BatchTraceBuilder(const Program &program, BatchTrace &out)
+        : out_(out), cur_(kNoIndex)
+    {
+        BatchTrace &t = out_;
+        t.blockBase.resize(program.numProcs());
+        edgeBase_.resize(program.numProcs());
+        std::size_t total = 0;
+        std::size_t edges = 0;
+        for (ProcId p = 0; p < program.numProcs(); ++p) {
+            t.blockBase[p] = static_cast<std::uint32_t>(total);
+            edgeBase_[p] = static_cast<std::uint32_t>(edges);
+            total += program.proc(p).numBlocks();
+            edges += program.proc(p).numEdges();
+            checkTraceIndexCount(total, "blocks");
+        }
+        t.totalBlocks = static_cast<std::uint32_t>(total);
+
+        t.term.resize(total);
+        t.takenDst.assign(total, kNoIndex);
+        t.fallDst.assign(total, kNoIndex);
+        t.activations.assign(total, 0);
+        t.takenCount.assign(total, 0);
+        t.fallCount.assign(total, 0);
+        edges_.reserve(edges);
+        callBase_.reserve(total + 1);
+        std::uint32_t indirect_slots = 0;
+        for (ProcId p = 0; p < program.numProcs(); ++p) {
+            const Procedure &proc = program.proc(p);
+            const std::uint32_t base = t.blockBase[p];
+            for (const Edge &edge : proc.edges()) {
+                const std::uint32_t src = base + edge.src;
+                const std::uint32_t dst = base + edge.dst;
+                edges_.push_back(
+                    EdgeRow{src, dst, edge.kind == EdgeKind::Taken ? 1u : 0u});
+                // The first edge of its kind, as Procedure::findOutEdge finds
+                // it; the terminator contract allows no second one.
+                if (edge.kind == EdgeKind::Taken &&
+                    t.takenDst[src] == kNoIndex)
+                    t.takenDst[src] = dst;
+                if (edge.kind == EdgeKind::FallThrough &&
+                    t.fallDst[src] == kNoIndex)
+                    t.fallDst[src] = dst;
+            }
+            for (const BasicBlock &block : proc.blocks()) {
+                const std::uint32_t g = base + block.id;
+                t.term[g] = static_cast<std::uint8_t>(block.term);
+                callBase_.push_back(
+                    static_cast<std::uint32_t>(t.callSites.size()));
+                for (const CallSite &site : block.calls)
+                    t.callSites.push_back({g, site.offset, site.callee});
+                if (block.term == Terminator::IndirectJump) {
+                    for (const std::uint32_t index : block.outEdges)
+                        edges_[edgeBase_[p] + index].aux = indirect_slots++;
+                }
+            }
+        }
+        checkTraceIndexCount(t.callSites.size(), "call sites");
+        t.callSites.shrink_to_fit();
+        callBase_.push_back(static_cast<std::uint32_t>(t.callSites.size()));
+        t.indirectCount.assign(indirect_slots, 0);
+    }
+
+    void
+    onBlock(ProcId proc, BlockId block)
+    {
+        cur_ = global(proc, block);
+        ++out_.activations[cur_];
+    }
+
+    void
+    onCall(ProcId proc, BlockId block, const CallSite &site)
+    {
+        const std::uint32_t g = global(proc, block);
+        const std::uint32_t k = siteIndex(g, site);
+        push(g, BatchTrace::kCall, k);
+        rasOps_.push(0 | k << 2);
+        ++out_.callExec;
+    }
+
+    void
+    onReturn(ProcId proc, BlockId block, const CallSite &site)
+    {
+        const std::uint32_t g = global(proc, block);
+        if (pendingReturn()) {
+            const std::uint32_t k = siteIndex(g, site);
+            push(cur_, BatchTrace::kRet, k);
+            rasOps_.push(1 | k << 2);
+            ++out_.returnExec;
+        }
+        cur_ = g;
+    }
+
+    void
+    onEdge(ProcId proc, std::uint32_t edge_index)
+    {
+        // An Uncond or FallJump op stores no destination: such a block has
+        // one out-edge (cfg.terminator-arity), whose dst is takenDst/fallDst.
+        const EdgeRow &edge = edges_[edgeBase_[proc] + edge_index];
+        const std::uint32_t src = edge.src;
+        switch (static_cast<Terminator>(out_.term[src])) {
+          case Terminator::CondBranch: {
+            const bool via_taken = edge.aux != 0;
+            push(src,
+                 via_taken ? BatchTrace::kCondTaken : BatchTrace::kCondFall);
+            ++out_.condExec;
+            ++(via_taken ? out_.takenCount : out_.fallCount)[src];
+            break;
+          }
+          case Terminator::UncondBranch:
+            push(src, BatchTrace::kUncond);
+            ++out_.takenCount[src];
+            break;
+          case Terminator::FallThrough:
+            push(src, BatchTrace::kFallJump);
+            ++out_.fallCount[src];
+            break;
+          case Terminator::IndirectJump: {
+            push(src, BatchTrace::kIndirect, edge.dst);
+            ++out_.indirectExec;
+            ++out_.indirectCount[edge.aux];
+            break;
+          }
+          case Terminator::Return:
+            panic("BatchTraceBuilder: edge out of a return block");
+        }
+    }
+
+    void
+    onExit()
+    {
+        if (pendingReturn()) {
+            push(cur_, BatchTrace::kRetExit);
+            rasOps_.push(2);
+            ++out_.returnExec;
+            ++out_.exitReturns;
+        }
+        cur_ = kNoIndex;
+    }
+
+    /// Copies the staged streams once into the trace's vectors, at their
+    /// exact size; the builder is spent afterwards.
+    void
+    finish()
+    {
+        out_.ops = ops_.take();
+        out_.rasOps = rasOps_.take();
+    }
+
+  private:
+    /**
+     * An append-only stream staged in fixed-size segments: an append
+     * never moves what is already there, and take() allocates the
+     * trace's vector once at its exact size, freeing each segment as it
+     * is copied.
+     */
+    template <typename T>
+    class Staged
+    {
+      public:
+        static constexpr std::size_t kSegment = std::size_t{1} << 16;
+
+        void
+        push(const T &value)
+        {
+            if (fill_ == kSegment) {
+                segments_.emplace_back(new T[kSegment]);
+                fill_ = 0;
+            }
+            segments_.back()[fill_++] = value;
+        }
+
+        std::vector<T>
+        take()
+        {
+            std::vector<T> out;
+            if (segments_.empty())
+                return out;
+            out.reserve((segments_.size() - 1) * kSegment + fill_);
+            for (std::size_t s = 0; s < segments_.size(); ++s) {
+                const std::size_t n =
+                    s + 1 < segments_.size() ? kSegment : fill_;
+                out.insert(out.end(), segments_[s].get(),
+                           segments_[s].get() + n);
+                segments_[s].reset();
+            }
+            segments_.clear();
+            fill_ = kSegment;
+            return out;
+        }
+
+      private:
+        std::vector<std::unique_ptr<T[]>> segments_;
+        std::size_t fill_ = kSegment;  ///< used slots of the last segment
+    };
+
+    std::uint32_t
+    global(ProcId proc, BlockId block) const
+    {
+        return out_.blockBase[proc] + block;
+    }
+
+    /// Like BranchEventAdapter::resolvePendingReturn: the block being
+    /// left emits a Return event only when it actually ends in one.
+    bool
+    pendingReturn() const
+    {
+        return cur_ != kNoIndex &&
+               static_cast<Terminator>(out_.term[cur_]) == Terminator::Return;
+    }
+
+    /// Index in BatchTrace::callSites of @p site, a call of block @p g.
+    std::uint32_t
+    siteIndex(std::uint32_t g, const CallSite &site) const
+    {
+        for (std::uint32_t k = callBase_[g]; k < callBase_[g + 1]; ++k) {
+            const BatchTrace::CallSiteRow &row = out_.callSites[k];
+            if (row.offset == site.offset && row.callee == site.callee)
+                return k;
+        }
+        panic("BatchTraceBuilder: call at offset %u is not a call site of its "
+              "block",
+              site.offset);
+    }
+
+    void
+    push(std::uint32_t block, std::uint32_t tag, std::uint32_t operand = 0)
+    {
+        ops_.push({block, tag | operand << BatchTrace::kTagBits});
+    }
+
+    /// One intra-procedure edge with its blocks made global, so that
+    /// onEdge reads one row and never touches the Program.
+    struct EdgeRow
+    {
+        std::uint32_t src;
+        std::uint32_t dst;
+        /// CondBranch source: 1 for the Taken edge. IndirectJump source:
+        /// the edge's slot in BatchTrace::indirectCount.
+        std::uint32_t aux;
+    };
+
+    BatchTrace &out_;
+    std::uint32_t cur_;  ///< executing global block, or none
+    std::vector<std::uint32_t> edgeBase_;  ///< per proc: first EdgeRow
+    std::vector<EdgeRow> edges_;
+    /// Per global block, plus one: first index in out_.callSites.
+    std::vector<std::uint32_t> callBase_;
+    Staged<BatchTrace::PackedOp> ops_;
+    Staged<std::uint32_t> rasOps_;
+};
+
 }  // namespace
 
 void
@@ -44,203 +308,17 @@ checkTraceIndexCount(std::size_t count, const char *what)
               count, what, kTraceIndexCap);
 }
 
-template <typename T>
-std::vector<T>
-BatchTraceBuilder::Staged<T>::take()
-{
-    std::vector<T> out;
-    if (segments_.empty())
-        return out;
-    out.reserve((segments_.size() - 1) * kSegment + fill_);
-    for (std::size_t s = 0; s < segments_.size(); ++s) {
-        const std::size_t n = s + 1 < segments_.size() ? kSegment : fill_;
-        out.insert(out.end(), segments_[s].get(), segments_[s].get() + n);
-        segments_[s].reset();
-    }
-    segments_.clear();
-    fill_ = kSegment;
-    return out;
-}
-
-BatchTraceBuilder::BatchTraceBuilder(const Program &program)
-    : cur_(kNoIndex)
-{
-    BatchTrace &t = out_;
-    t.blockBase.resize(program.numProcs());
-    edgeBase_.resize(program.numProcs());
-    std::size_t total = 0;
-    std::size_t edges = 0;
-    for (ProcId p = 0; p < program.numProcs(); ++p) {
-        t.blockBase[p] = static_cast<std::uint32_t>(total);
-        edgeBase_[p] = static_cast<std::uint32_t>(edges);
-        total += program.proc(p).numBlocks();
-        edges += program.proc(p).numEdges();
-        checkTraceIndexCount(total, "blocks");
-    }
-    t.totalBlocks = static_cast<std::uint32_t>(total);
-
-    t.term.resize(total);
-    t.takenDst.assign(total, kNoIndex);
-    t.fallDst.assign(total, kNoIndex);
-    t.activations.assign(total, 0);
-    t.takenCount.assign(total, 0);
-    t.fallCount.assign(total, 0);
-    edges_.reserve(edges);
-    callBase_.reserve(total + 1);
-    std::uint32_t indirect_slots = 0;
-    for (ProcId p = 0; p < program.numProcs(); ++p) {
-        const Procedure &proc = program.proc(p);
-        const std::uint32_t base = t.blockBase[p];
-        for (const Edge &edge : proc.edges()) {
-            const std::uint32_t src = base + edge.src;
-            const std::uint32_t dst = base + edge.dst;
-            edges_.push_back(
-                EdgeRow{src, dst, edge.kind == EdgeKind::Taken ? 1u : 0u});
-            // The first edge of its kind, as Procedure::findOutEdge finds
-            // it; the terminator contract allows no second one.
-            if (edge.kind == EdgeKind::Taken && t.takenDst[src] == kNoIndex)
-                t.takenDst[src] = dst;
-            if (edge.kind == EdgeKind::FallThrough &&
-                t.fallDst[src] == kNoIndex)
-                t.fallDst[src] = dst;
-        }
-        for (const BasicBlock &block : proc.blocks()) {
-            const std::uint32_t g = base + block.id;
-            t.term[g] = static_cast<std::uint8_t>(block.term);
-            callBase_.push_back(
-                static_cast<std::uint32_t>(t.callSites.size()));
-            for (const CallSite &site : block.calls)
-                t.callSites.push_back({g, site.offset, site.callee});
-            if (block.term == Terminator::IndirectJump) {
-                for (const std::uint32_t index : block.outEdges)
-                    edges_[edgeBase_[p] + index].aux = indirect_slots++;
-            }
-        }
-    }
-    checkTraceIndexCount(t.callSites.size(), "call sites");
-    t.callSites.shrink_to_fit();
-    callBase_.push_back(static_cast<std::uint32_t>(t.callSites.size()));
-    t.indirectCount.assign(indirect_slots, 0);
-}
-
-std::uint32_t
-BatchTraceBuilder::siteIndex(std::uint32_t g, const CallSite &site) const
-{
-    for (std::uint32_t k = callBase_[g]; k < callBase_[g + 1]; ++k) {
-        const BatchTrace::CallSiteRow &row = out_.callSites[k];
-        if (row.offset == site.offset && row.callee == site.callee)
-            return k;
-    }
-    panic("BatchTraceBuilder: call at offset %u is not a call site of its "
-          "block",
-          site.offset);
-}
-
-void
-BatchTraceBuilder::onBlock(ProcId proc, BlockId block)
-{
-    cur_ = global(proc, block);
-    ++out_.activations[cur_];
-}
-
-void
-BatchTraceBuilder::onCall(ProcId proc, BlockId block, const CallSite &site)
-{
-    const std::uint32_t g = global(proc, block);
-    const std::uint32_t k = siteIndex(g, site);
-    push(g, BatchTrace::kCall, k);
-    rasOps_.push(0 | k << 2);
-    ++out_.callExec;
-}
-
-void
-BatchTraceBuilder::onReturn(ProcId proc, BlockId block, const CallSite &site)
-{
-    const std::uint32_t g = global(proc, block);
-    if (pendingReturn()) {
-        const std::uint32_t k = siteIndex(g, site);
-        push(cur_, BatchTrace::kRet, k);
-        rasOps_.push(1 | k << 2);
-        ++out_.returnExec;
-    }
-    cur_ = g;
-}
-
-void
-BatchTraceBuilder::onExit()
-{
-    if (pendingReturn()) {
-        push(cur_, BatchTrace::kRetExit);
-        rasOps_.push(2);
-        ++out_.returnExec;
-        ++out_.exitReturns;
-    }
-    cur_ = kNoIndex;
-}
-
-void
-BatchTraceBuilder::onEdge(ProcId proc, std::uint32_t edge_index)
-{
-    // An Uncond or FallJump op stores no destination: such a block has
-    // one out-edge (cfg.terminator-arity), whose dst is takenDst/fallDst.
-    const EdgeRow &edge = edges_[edgeBase_[proc] + edge_index];
-    const std::uint32_t src = edge.src;
-    switch (static_cast<Terminator>(out_.term[src])) {
-      case Terminator::CondBranch: {
-        const bool via_taken = edge.aux != 0;
-        push(src, via_taken ? BatchTrace::kCondTaken : BatchTrace::kCondFall);
-        ++out_.condExec;
-        ++(via_taken ? out_.takenCount : out_.fallCount)[src];
-        break;
-      }
-      case Terminator::UncondBranch:
-        push(src, BatchTrace::kUncond);
-        ++out_.takenCount[src];
-        break;
-      case Terminator::FallThrough:
-        push(src, BatchTrace::kFallJump);
-        ++out_.fallCount[src];
-        break;
-      case Terminator::IndirectJump: {
-        push(src, BatchTrace::kIndirect, edge.dst);
-        ++out_.indirectExec;
-        ++out_.indirectCount[edge.aux];
-        break;
-      }
-      case Terminator::Return:
-        panic("BatchTraceBuilder: edge out of a return block");
-    }
-}
-
-bool
-BatchTraceBuilder::pendingReturn() const
-{
-    return cur_ != kNoIndex &&
-           static_cast<Terminator>(out_.term[cur_]) == Terminator::Return;
-}
-
-BatchTrace
-BatchTraceBuilder::take()
-{
-    out_.ops = ops_.take();
-    out_.rasOps = rasOps_.take();
-    return std::move(out_);
-}
-
-BatchTrace::BatchTrace(const Program &program, const RecordedTrace &trace)
-{
-    BatchTraceBuilder builder(program);
-    trace.replay(program, builder);
-    *this = builder.take();
-}
-
 BatchTrace
 walkBatchTrace(const Program &program, const WalkOptions &options,
-               WalkResult &result)
+               WalkResult *result)
 {
-    BatchTraceBuilder builder(program);
-    result = walkInto(program, options, builder);
-    return builder.take();
+    BatchTrace trace;
+    BatchTraceBuilder builder(program, trace);
+    const WalkResult walked = walkInto(program, options, builder);
+    builder.finish();
+    if (result != nullptr)
+        *result = walked;
+    return trace;
 }
 
 namespace {
@@ -301,9 +379,7 @@ applyTraceProfile(Program &program, const BatchTrace &trace)
 ProgramStats
 profileProgram(Program &program, const WalkOptions &options)
 {
-    WalkResult result;
-    return applyTraceProfile(program,
-                             walkBatchTrace(program, options, result));
+    return applyTraceProfile(program, walkBatchTrace(program, options));
 }
 
 BatchTrace::DecodedOp
@@ -375,7 +451,6 @@ struct BlockRow
     Addr addr = 0;
     Addr branchAddr = 0;
     Addr jumpAddr = 0;
-    Addr condTarget = kNoAddr;  ///< realized branch target (Cond only)
     std::uint32_t baseInstrs = 0;
     std::uint8_t cond = 0;  ///< CondRealization
     std::uint8_t jumpInserted = 0;
@@ -436,20 +511,7 @@ flattenLayout(const BatchTrace &trace, const ProgramLayout &layout)
             cond.taken[1] = kOutTaken[row.cond][1] ? 1 : 0;
         }
     }
-    // Second pass: realized conditional-branch targets and call sites
-    // need final block addresses.
-    for (std::uint32_t g = 0; g < trace.totalBlocks; ++g) {
-        if (static_cast<Terminator>(trace.term[g]) !=
-            Terminator::CondBranch)
-            continue;
-        BlockRow &row = t.block[g];
-        const bool targets_taken =
-            branchTargetKind(static_cast<CondRealization>(row.cond)) ==
-            EdgeKind::Taken;
-        row.condTarget =
-            t.block[targets_taken ? trace.takenDst[g] : trace.fallDst[g]]
-                .addr;
-    }
+    // Call sites need final block addresses.
     t.call.reserve(trace.callSites.size());
     for (const BatchTrace::CallSiteRow &site : trace.callSites)
         t.call.push_back(
@@ -753,9 +815,11 @@ class Btb
 
     /// Trains the BTB on site @p sid, whose lookup find() just returned
     /// as @p at: nothing touches the BTB between the lookup and the
-    /// update, so the update reuses it.
+    /// update, so the update reuses it. A site with one target per
+    /// layout passes none: its entry's target is never read (BtbLane).
     void
-    updateAt(const Lookup &at, std::uint32_t sid, bool taken, Addr target)
+    updateAt(const Lookup &at, std::uint32_t sid, bool taken,
+             Addr target = 0)
     {
         ++tick_;
         if (at.hit) {
@@ -828,6 +892,13 @@ class Btb
 /// totalBlocks + g, and call site k takes CallSiteIds::id[k]. Within one
 /// layout distinct sites have distinct addresses (DESIGN §11.2), so an id
 /// stands for its address exactly.
+///
+/// A conditional branch, a kept unconditional branch and an inserted jump
+/// have one target per site id, so an entry of theirs always holds the
+/// target a lookup would compare it with: their lookups neither read nor
+/// store one. Calls, indirect jumps and returns do compare, since one id
+/// can have several targets: two calls at one offset to different
+/// callees share an id.
 class BtbLane
 {
   public:
@@ -836,7 +907,6 @@ class BtbLane
             EvalResult &result)
         : out(&result), block_(tables.block.data()),
           call_(tables.call.data()), callSid_(calls.id.data()),
-          takenDst_(trace.takenDst.data()), fallDst_(trace.fallDst.data()),
           jumpSid_(trace.totalBlocks),
           btb_(params.btbEntries, params.btbWays, params.counterBits,
                calls.sites),
@@ -849,21 +919,14 @@ class BtbLane
     {
         const BlockRow &src = block_[a];
         const bool taken = kOutTaken[src.cond][via];
-        const Addr target = src.condTarget;
         const Btb::Lookup e = btb_.find(a, src.branchAddr);
         btbHits += e.hit;
-        // A predicted-taken conditional with the wrong stored target
-        // also mispredicts. Fixed conditional targets make that
-        // partial-tag aliasing path unreachable; the oracle assesses it
-        // too, so the two engines cannot drift.
-        const bool predicted = btb_.counterTaken(e);
-        const bool wrong = (predicted != taken) |
-                           (predicted & taken & (btb_.target(e) != target));
-        condMispredicts += wrong;
-        btb_.updateAt(e, a, taken, target);
+        // The oracle also mispredicts a predicted-taken conditional whose
+        // stored target is wrong; a fixed target makes that unreachable.
+        condMispredicts += btb_.counterTaken(e) != taken;
+        btb_.updateAt(e, a, taken);
         if (kOutJump[src.cond][via])
-            uncondBreak(jumpSid_ + a, src.jumpAddr,
-                        block_[(via != 0 ? takenDst_ : fallDst_)[a]].addr);
+            fixedBreak(jumpSid_ + a, src.jumpAddr);
     }
 
     void
@@ -871,7 +934,7 @@ class BtbLane
     {
         const BlockRow &src = block_[a];
         if (src.jumpRemoved == 0)
-            uncondBreak(a, src.branchAddr, block_[takenDst_[a]].addr);
+            fixedBreak(a, src.branchAddr);
     }
 
     void
@@ -879,7 +942,7 @@ class BtbLane
     {
         const BlockRow &src = block_[a];
         if (src.jumpInserted != 0)
-            uncondBreak(jumpSid_ + a, src.jumpAddr, block_[fallDst_[a]].addr);
+            fixedBreak(jumpSid_ + a, src.jumpAddr);
     }
 
     void
@@ -893,12 +956,18 @@ class BtbLane
         btb_.updateAt(e, a, true, target);
     }
 
+    /// An always-taken break with a decode-time target, like
+    /// fixedBreak, but its id may have several targets.
     void
     call(std::uint32_t site)
     {
         const CallRow &c = call_[site];
+        const std::uint32_t sid = callSid_[site];
         ras_.push(c.addr + 1);
-        uncondBreak(callSid_[site], c.addr, c.target);
+        const Btb::Lookup e = btb_.find(sid, c.addr);
+        btbHits += e.hit;
+        misfetches += !(btb_.counterTaken(e) & (btb_.target(e) == c.target));
+        btb_.updateAt(e, sid, true, c.target);
     }
 
     /// A wrong return-stack prediction mispredicts whether or not the
@@ -928,22 +997,20 @@ class BtbLane
 
   private:
     /// An always-taken break with a decode-time target under a BTB: a
-    /// hit predicting taken with the right target is free, everything
-    /// else redirects after decode.
+    /// hit predicting taken (with the right target, which a fixed target
+    /// always is) is free, everything else redirects after decode.
     void
-    uncondBreak(std::uint32_t sid, Addr site, Addr target)
+    fixedBreak(std::uint32_t sid, Addr site)
     {
         const Btb::Lookup e = btb_.find(sid, site);
         btbHits += e.hit;
-        misfetches += !(btb_.counterTaken(e) & (btb_.target(e) == target));
-        btb_.updateAt(e, sid, true, target);
+        misfetches += !btb_.counterTaken(e);
+        btb_.updateAt(e, sid, true);
     }
 
     const BlockRow *block_;
     const CallRow *call_;
     const std::uint32_t *callSid_;
-    const std::uint32_t *takenDst_;  ///< the trace's, per global block
-    const std::uint32_t *fallDst_;
     std::uint32_t jumpSid_;  ///< site id of block 0's inserted jump
     Btb btb_;
     ReturnStack ras_;
@@ -1145,14 +1212,23 @@ runBatchReplay(const Program &program,
                 cond_misp = shared.condTaken;
                 break;
               case Arch::BtFnt: {
+                // Backward taken: compare the branch with its realized
+                // target, the dst of the edge it branches over.
                 std::vector<std::uint8_t> predict(trace.totalBlocks, 0);
                 for (std::uint32_t g = 0; g < trace.totalBlocks; ++g) {
-                    if (static_cast<Terminator>(trace.term[g]) ==
+                    if (static_cast<Terminator>(trace.term[g]) !=
                         Terminator::CondBranch)
-                        predict[g] = btFntPredictsTaken(t.block[g].branchAddr,
-                                                        t.block[g].condTarget)
-                                         ? 1
-                                         : 0;
+                        continue;
+                    const BlockRow &row = t.block[g];
+                    const std::uint32_t dst =
+                        branchTargetKind(static_cast<CondRealization>(
+                            row.cond)) == EdgeKind::Taken
+                            ? trace.takenDst[g]
+                            : trace.fallDst[g];
+                    predict[g] =
+                        btFntPredictsTaken(row.branchAddr, t.block[dst].addr)
+                            ? 1
+                            : 0;
                 }
                 tallyStaticCond(trace, t, predict, cond_misp, cond_misf);
                 break;

@@ -11,10 +11,10 @@
  * Program/ProgramLayout pointer chasing inside every replay. This engine
  * restructures that work so one sweep drives every predictor:
  *
- *  1. BatchTrace — built once per prepared program, by a
- *     BatchTraceBuilder that prepareProgram feeds from its profiling
- *     walk — canonicalizes the walk into one packed op stream of 8 bytes
- *     per op; no event buffer is kept in between. Block activations
+ *  1. BatchTrace — built once per prepared program by walkBatchTrace,
+ *     during the profiling walk itself — canonicalizes the walk into one
+ *     packed op stream of 8 bytes per op; no event buffer is kept in
+ *     between. Block activations
  *     collapse into per-block counts, the pending-return state machine
  *     is resolved once, and every operand is a dense index: a
  *     program-global block, or a call site of the trace's flat call-site
@@ -47,8 +47,8 @@
  *     so any partition gives byte-identical counters.
  *
  * Contract: each lane's EvalResult is byte-identical to what the naive
- * OracleEvaluator (check/oracle.h) accumulates from RecordedTrace::replay
- * for the same (layout, EvalParams). Every EvalResult outside the oracle
+ * OracleEvaluator (check/oracle.h) accumulates from the same walk for the
+ * same (layout, EvalParams). Every EvalResult outside the oracle
  * comes from this engine. The `ctest -L replay` suite pins every
  * runConfigs cell to an oracle replay across the whole benchmark suite
  * and the fuzz corpus; hand-built programs in the unit tests pin both
@@ -56,9 +56,10 @@
  * lane against the oracle on every differential run so the fuzzer
  * shrinks batched-engine divergences like any other finding.
  *
- * A hand-built program is replayed with
- * `BatchTrace(program, recordTrace(program, walk))`, which re-walks it
- * into a BatchTraceBuilder. The engine panics on
+ * walkBatchTrace is the only way to build a BatchTrace: prepareProgram
+ * calls it for its one profiling walk, and a hand-built program is
+ * replayed with `runBatchReplay(program, layout, walkBatchTrace(program,
+ * walk), lanes)`. The engine panics on
  * predictor geometry it cannot simulate (a table or BTB set count that is
  * not a power of two, more than 255 BTB ways, a history length of 0 bits
  * or more than 63 for gshare and 24 for the local predictor). A program
@@ -70,15 +71,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "bpred/evaluator.h"
 #include "cfg/cfg_stats.h"
 #include "cfg/program.h"
 #include "layout/layout_result.h"
-#include "trace/event.h"
-#include "trace/recorder.h"
 #include "trace/walker.h"
 
 namespace balign {
@@ -89,7 +87,7 @@ inline constexpr std::uint32_t kTraceIndexCap = 1u << 29;
 
 /**
  * fatal() unless @p count, the number of @p what (blocks, call sites) of
- * a program, fits kTraceIndexCap. BatchTraceBuilder checks both counts,
+ * a program, fits kTraceIndexCap. walkBatchTrace checks both counts,
  * so a program too large for the packed stream ends in an error naming
  * the cap instead of in silently truncated indices.
  */
@@ -139,9 +137,10 @@ struct BatchTrace
      * Call, the returning block of a Ret or RetExit); @c word is the Tag
      * plus, above it, the Indirect destination or the Call/Ret call-site
      * index. The destinations decode() reports for Cond, Uncond and
-     * FallJump are the block's takenDst/fallDst; a BTB lane reads them
-     * there only for a break it makes: an unconditional branch or an
-     * inserted jump.
+     * FallJump are the block's takenDst/fallDst. A replay never needs
+     * them per op: such a break has one target per layout, so a BTB
+     * lane compares none, and BT/FNT reads the conditional's target
+     * once per block.
      */
     struct PackedOp
     {
@@ -157,11 +156,6 @@ struct BatchTrace
         std::uint32_t offset;
         std::uint32_t callee;
     };
-
-    /// Builds the canonical form by replaying @p trace once (a re-walk
-    /// of @p program); prepareProgram instead feeds a BatchTraceBuilder
-    /// from its profiling walk.
-    BatchTrace(const Program &program, const RecordedTrace &trace);
 
     // --- flattened program indexing -------------------------------------
     std::vector<std::uint32_t> blockBase;  ///< per proc: first global index
@@ -235,111 +229,20 @@ struct BatchTrace
     std::size_t sizeBytes() const;
 
   private:
-    friend class BatchTraceBuilder;
+    friend BatchTrace walkBatchTrace(const Program &program,
+                                     const WalkOptions &options,
+                                     WalkResult *result);
     BatchTrace() = default;
 };
 
 /**
- * EventSink that canonicalizes the walk it observes into a BatchTrace.
- * Mirrors the BranchEventAdapter state machine (trace/branch_events.cc),
- * minus everything layout-dependent. walkBatchTrace() drives it with a
- * statically dispatched walk; any walk() or MultiSink can drive it too,
- * then take() the trace.
- */
-class BatchTraceBuilder final : public EventSink
-{
-  public:
-    /// Sizes the per-block tables for @p program, the program walked;
-    /// fatal() when its blocks or call sites exceed kTraceIndexCap.
-    explicit BatchTraceBuilder(const Program &program);
-
-    void onBlock(ProcId proc, BlockId block) override;
-    void onCall(ProcId proc, BlockId block, const CallSite &site) override;
-    void onReturn(ProcId proc, BlockId block, const CallSite &site) override;
-    void onEdge(ProcId proc, std::uint32_t edge_index) override;
-    void onExit() override;
-
-    /// Moves the built trace out, its streams copied once into vectors
-    /// of their exact size; the builder is spent afterwards.
-    BatchTrace take();
-
-  private:
-    /**
-     * An append-only stream staged in fixed-size segments: an append
-     * never moves what is already there, and take() allocates the
-     * trace's vector once at its exact size, freeing each segment as it
-     * is copied.
-     */
-    template <typename T>
-    class Staged
-    {
-      public:
-        static constexpr std::size_t kSegment = std::size_t{1} << 16;
-
-        void
-        push(const T &value)
-        {
-            if (fill_ == kSegment) {
-                segments_.emplace_back(new T[kSegment]);
-                fill_ = 0;
-            }
-            segments_.back()[fill_++] = value;
-        }
-
-        std::vector<T> take();
-
-      private:
-        std::vector<std::unique_ptr<T[]>> segments_;
-        std::size_t fill_ = kSegment;  ///< used slots of the last segment
-    };
-
-    std::uint32_t
-    global(ProcId proc, BlockId block) const
-    {
-        return out_.blockBase[proc] + block;
-    }
-
-    /// Like BranchEventAdapter::resolvePendingReturn: the block being
-    /// left emits a Return event only when it actually ends in one.
-    bool pendingReturn() const;
-
-    /// Index in BatchTrace::callSites of @p site, a call of block @p g.
-    std::uint32_t siteIndex(std::uint32_t g, const CallSite &site) const;
-
-    void
-    push(std::uint32_t block, std::uint32_t tag, std::uint32_t operand = 0)
-    {
-        ops_.push({block, tag | operand << BatchTrace::kTagBits});
-    }
-
-    /// One intra-procedure edge with its blocks made global, so that
-    /// onEdge reads one row and never touches the Program.
-    struct EdgeRow
-    {
-        std::uint32_t src;
-        std::uint32_t dst;
-        /// CondBranch source: 1 for the Taken edge. IndirectJump source:
-        /// the edge's slot in BatchTrace::indirectCount.
-        std::uint32_t aux;
-    };
-
-    BatchTrace out_;
-    std::uint32_t cur_;  ///< executing global block, or none
-    std::vector<std::uint32_t> edgeBase_;  ///< per proc: first EdgeRow
-    std::vector<EdgeRow> edges_;
-    /// Per global block, plus one: first index in out_.callSites.
-    std::vector<std::uint32_t> callBase_;
-    Staged<BatchTrace::PackedOp> ops_;
-    Staged<std::uint32_t> rasOps_;
-};
-
-/**
- * Walks @p program once with @p options straight into a
- * BatchTraceBuilder, with every event call statically dispatched, and
- * returns the built trace. @p result receives the walk's summary.
+ * Walks @p program once with @p options and returns the walk in
+ * canonical form, built as the walk runs: walkInto (trace/walker.h)
+ * drives the builder with every event call statically dispatched.
+ * @p result, when given, receives the walk's summary.
  */
 BatchTrace walkBatchTrace(const Program &program, const WalkOptions &options,
-                          WalkResult &result);
+                          WalkResult *result = nullptr);
 
 /**
  * The one profile derivation: adds the traversal counts of @p trace, a

@@ -62,7 +62,7 @@ prepareProgram(Program program, const WalkOptions &walk,
     prepared.program.clearWeights();
     WalkResult result;
     auto batch = std::make_shared<const BatchTrace>(
-        walkBatchTrace(prepared.program, walk, result));
+        walkBatchTrace(prepared.program, walk, &result));
     prepared.stats = applyTraceProfile(prepared.program, *batch);
     prepared.trace = std::make_shared<const RecordedTrace>(walk, result);
     prepared.batch = std::move(batch);

@@ -6,20 +6,21 @@
  * paper's methodology ("for each architecture, we use the same input to
  * align the program and to measure the improvement").
  *
- * The one profiling walk feeds a BatchTraceBuilder (sim/batch_replay.h)
- * directly, and the built trace's counts are the profile
- * (applyTraceProfile); no event stream is stored.
- * The RecordedTrace (trace/recorder.h) keeps the walk's identity, which
- * readers of single events re-walk. Every configuration is a lane of its layout,
- * and ONE pass over the op stream drives the predictors of every lane
- * of every layout in a lane block; the `ctest -L replay` suite pins
- * every cell to an independent OracleEvaluator replay (check/oracle.h).
- * Lanes are independent, so when a ThreadPool is supplied runConfigs
- * deals the layouts into one block for the calling thread plus one per
- * idle pool worker (at most one per layout with dynamic lanes) and runs
- * the blocks' passes across the pool (see sim/runner.h for the
- * suite-level parallel runner). Results are bit-identical regardless of
- * thread count and partition.
+ * The one profiling walk is walkBatchTrace (sim/batch_replay.h), which
+ * builds the batched trace as it walks, and the trace's counts are the
+ * profile (applyTraceProfile); no event stream is stored. The
+ * RecordedTrace (trace/recorder.h) keeps the walk's identity, which
+ * readers of single events re-walk, and the dynamic call graph is read
+ * from the trace (traceCallGraph, layout/proc_order.h). Every
+ * configuration is a lane of its layout, and ONE pass over the op
+ * stream drives the predictors of every lane of every layout in a lane
+ * block; the `ctest -L replay` suite pins every cell to an independent
+ * OracleEvaluator replay (check/oracle.h). Lanes are independent, so
+ * when a ThreadPool is supplied runConfigs deals the layouts into one
+ * block for the calling thread plus one per idle pool worker (at most
+ * one per layout with dynamic lanes) and runs the blocks' passes across
+ * the pool (see sim/runner.h for the suite-level parallel runner).
+ * Results are bit-identical regardless of thread count and partition.
  *
  * Layouts are shared where the paper shares them: Original and Greedy are
  * architecture-independent; Cost and TryN are re-run per architecture with

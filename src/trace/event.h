@@ -3,9 +3,10 @@
  * Event-sink interface for trace-driven simulation.
  *
  * The Walker (trace/walker.h) replays a program's control flow and emits a
- * stream of events. Consumers (the batched-trace builder, the
- * branch-architecture evaluators, the pipeline timing model) implement
- * EventSink. Because a walk
+ * stream of events. Consumers (the reference evaluator, the pipeline
+ * timing model, the tests' event logs) implement EventSink; the
+ * batched-trace builder takes the same calls without the virtual
+ * dispatch (walkInto). Because a walk
  * is deterministic for a given seed, the same dynamic behaviour can be
  * replayed for every configuration; MultiSink fans a single walk out to many
  * consumers so each program is walked only once per experiment.

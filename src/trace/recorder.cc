@@ -13,11 +13,4 @@ RecordedTrace::replay(const Program &program, EventSink &sink) const
               program.name().c_str());
 }
 
-RecordedTrace
-recordTrace(const Program &program, const WalkOptions &options)
-{
-    NullSink sink;
-    return RecordedTrace(options, walk(program, options, sink));
-}
-
 }  // namespace balign

@@ -7,11 +7,14 @@
  * walk is fully determined by the program's CFG and its WalkOptions. A
  * RecordedTrace therefore stores those options and the walk's summary
  * (WalkResult, event count included) and holds no event buffer: replay()
- * walks the program again and delivers the identical event stream. The
- * profiling walk in prepareProgram (sim/cpi.h) builds the batched trace
- * (sim/batch_replay.h), whose counts are the profile; only the readers
+ * walks the program again and delivers the identical event stream.
+ *
+ * prepareProgram (sim/cpi.h) is the one place that makes one: its
+ * profiling walk builds the batched trace (walkBatchTrace,
+ * sim/batch_replay.h), whose counts are the profile, and the walk's
+ * options and summary become PreparedProgram::trace. Only the readers
  * that need individual events (the pipeline timing model, the differ's
- * event stage and the tests) re-walk.
+ * event stage and the tests) re-walk through replay().
  *
  * Edge weights never steer the walk, so a program may be replayed after
  * it has been profiled, degraded or moved. replay() panics when the
@@ -56,9 +59,6 @@ class RecordedTrace
     WalkOptions options_;
     WalkResult result_;
 };
-
-/// Walks @p program once with @p options and returns its record.
-RecordedTrace recordTrace(const Program &program, const WalkOptions &options);
 
 }  // namespace balign
 

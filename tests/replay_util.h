@@ -16,7 +16,6 @@
 #include "check/oracle.h"
 #include "sim/batch_replay.h"
 #include "sim/cpi.h"
-#include "trace/recorder.h"
 #include "trace/walker.h"
 
 namespace balign {
@@ -32,14 +31,14 @@ counters(const EvalResult &r)
             r.btbHits,    r.btbLookups};
 }
 
-/// The batched engine's lanes for @p walk_options recorded on @p program.
+/// The batched engine's lanes for the walk @p walk_options of @p program.
 inline std::vector<EvalResult>
 batchReplay(const Program &program, const ProgramLayout &layout,
             const WalkOptions &walk_options,
             const std::vector<EvalParams> &lanes)
 {
-    const BatchTrace trace(program, recordTrace(program, walk_options));
-    return runBatchReplay(program, layout, trace, lanes);
+    return runBatchReplay(program, layout,
+                          walkBatchTrace(program, walk_options), lanes);
 }
 
 /// The oracle's result for the same walk, driven straight by the walker.

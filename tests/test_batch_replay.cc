@@ -36,6 +36,7 @@
 #include "estimate/estimate.h"
 #include "layout/layout_diff.h"
 #include "layout/materialize.h"
+#include "layout/proc_order.h"
 #include "replay_util.h"
 #include "sim/batch_replay.h"
 #include "sim/cpi.h"
@@ -338,8 +339,7 @@ TEST(BatchTrace, DecodesHandBuiltOps)
     const Program program = twinCallProgram();
     WalkOptions walk;
     walk.instrBudget = 5 * 2;
-    WalkResult result;
-    const BatchTrace trace = walkBatchTrace(program, walk, result);
+    const BatchTrace trace = walkBatchTrace(program, walk);
     using Op = BatchTrace::Op;
     const std::vector<std::vector<std::uint32_t>> run = {
         {static_cast<std::uint32_t>(Op::Call), 0, 1, 1},
@@ -369,6 +369,18 @@ TEST(BatchTrace, DecodesHandBuiltOps)
     EXPECT_EQ(trace.callSites[1].offset, 1u);
 }
 
+TEST(BatchTrace, CallGraphCountsHandBuiltCalls)
+{
+    // Per run, main (proc 0) calls the callee (proc 1) twice, from one
+    // offset of one block; nothing else calls.
+    const Program program = twinCallProgram();
+    constexpr unsigned kRuns = 7;
+    WalkOptions walk;
+    walk.instrBudget = 5 * kRuns;
+    const CallGraph calls = traceCallGraph(walkBatchTrace(program, walk));
+    EXPECT_EQ(calls, (CallGraph{{{0, 1}, 2 * kRuns}}));
+}
+
 TEST(BatchTrace, SizeBytesMatchesHeldStreams)
 {
     // Hand-built: 2 procs, 2 blocks, 2 call sites, 10 runs of 5 ops and
@@ -376,8 +388,7 @@ TEST(BatchTrace, SizeBytesMatchesHeldStreams)
     const Program program = twinCallProgram();
     WalkOptions walk;
     walk.instrBudget = 5 * 10;
-    WalkResult result;
-    const BatchTrace hand = walkBatchTrace(program, walk, result);
+    const BatchTrace hand = walkBatchTrace(program, walk);
     EXPECT_EQ(hand.ops.size(), 50u);
     EXPECT_EQ(hand.sizeBytes(), 698u);
     EXPECT_EQ(hand.sizeBytes(), heldBytes(hand));

@@ -8,38 +8,22 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "layout/materialize.h"
 #include "sim/batch_replay.h"
-#include "trace/walker.h"
-#include "workload/generator.h"
+#include "sim/cpi.h"
 #include "workload/suite.h"
 
 using namespace balign;
 
 namespace {
 
-struct Prepared
-{
-    Program program;
-    WalkOptions walk;
-    std::unique_ptr<BatchTrace> trace;
-};
-
-const Prepared &
+const PreparedProgram &
 gccModel()
 {
-    static const Prepared prepared = [] {
+    static const PreparedProgram prepared = [] {
         ProgramSpec spec = suiteSpec("gcc");
         spec.traceInstrs = 200'000;
-        Prepared p{generateProgram(spec), WalkOptions{}, nullptr};
-        p.walk.seed = traceSeed(spec);
-        p.walk.instrBudget = spec.traceInstrs;
-        profileProgram(p.program, p.walk);
-        p.trace = std::make_unique<BatchTrace>(
-            p.program, recordTrace(p.program, p.walk));
-        return p;
+        return prepareProgram(spec);
     }();
     return prepared;
 }
@@ -47,9 +31,9 @@ gccModel()
 EvalResult
 evalWith(const EvalParams &params)
 {
-    const Prepared &prepared = gccModel();
+    const PreparedProgram &prepared = gccModel();
     const ProgramLayout layout = originalLayout(prepared.program);
-    return runBatchReplay(prepared.program, layout, *prepared.trace,
+    return runBatchReplay(prepared.program, layout, *prepared.batch,
                           {params})[0];
 }
 

@@ -114,8 +114,7 @@ TEST_P(LayoutInvariantSweep, ExecutedInstructionAccounting)
         EvalParams::forArch(Arch::Fallthrough)};
     const std::vector<std::vector<EvalResult>> results = runBatchReplay(
         prepared.program, {{&orig, lanes}, {&aligned, lanes}},
-        BatchTrace(prepared.program,
-                   recordTrace(prepared.program, prepared.walk)));
+        walkBatchTrace(prepared.program, prepared.walk));
 
     const EvalResult &a = results[0][0];
     const EvalResult &b = results[1][0];
@@ -154,8 +153,7 @@ TEST_P(LayoutInvariantSweep, FanoutMatchesSoloEvaluation)
     const Prepared prepared = prepareSuiteProgram(GetParam(), 40'000);
     const ProgramLayout orig = originalLayout(prepared.program);
 
-    const BatchTrace trace(prepared.program,
-                           recordTrace(prepared.program, prepared.walk));
+    const BatchTrace trace = walkBatchTrace(prepared.program, prepared.walk);
 
     const EvalResult solo =
         runBatchReplay(prepared.program, orig, trace,

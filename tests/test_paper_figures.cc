@@ -96,7 +96,7 @@ TEST(Figure1, AlignmentReducesBepOnEveryStaticArch)
         const std::vector<EvalParams> lanes = {EvalParams::forArch(arch)};
         const std::vector<std::vector<EvalResult>> results = runBatchReplay(
             program, {{&orig, lanes}, {&aligned, lanes}},
-            BatchTrace(program, recordTrace(program, options)));
+            walkBatchTrace(program, options));
 
         EXPECT_LT(results[1][0].bep(), results[0][0].bep())
             << archName(arch);
@@ -172,6 +172,6 @@ TEST(Figure3, CostAlignerAlsoBeatsGreedyHere)
         EvalParams::forArch(Arch::Likely)};
     const std::vector<std::vector<EvalResult>> results = runBatchReplay(
         program, {{&greedy_layout, lanes}, {&cost_layout, lanes}},
-        BatchTrace(program, recordTrace(program, options)));
+        walkBatchTrace(program, options));
     EXPECT_LE(results[1][0].bep(), results[0][0].bep() * 1.001);
 }

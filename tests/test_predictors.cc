@@ -162,10 +162,8 @@ void
 replayBadGeometry(const EvalParams &params)
 {
     const Script script = branchScript({{0, "T"}}, 1);
-    const BatchTrace trace(script.program,
-                           recordTrace(script.program, script.walk));
-    runBatchReplay(script.program, originalLayout(script.program), trace,
-                   {params});
+    runBatchReplay(script.program, originalLayout(script.program),
+                   walkBatchTrace(script.program, script.walk), {params});
 }
 
 }  // namespace

@@ -9,7 +9,7 @@
 #include "cfg/builder.h"
 #include "layout/proc_order.h"
 #include "sim/batch_replay.h"
-#include "trace/walker.h"
+#include "sim/cpi.h"
 #include "workload/generator.h"
 #include "workload/suite.h"
 
@@ -80,19 +80,11 @@ TEST(ProcOrder, PermutationForRealCallGraph)
 {
     ProgramSpec spec = suiteSpec("li");
     spec.traceInstrs = 100'000;
-    Program program = generateProgram(spec);
-    BatchTraceBuilder builder(program);
-    CallGraphSink calls;
-    MultiSink sinks;
-    sinks.add(&builder);
-    sinks.add(&calls);
-    WalkOptions options;
-    options.seed = traceSeed(spec);
-    options.instrBudget = spec.traceInstrs;
-    walk(program, options, sinks);
-    applyTraceProfile(program, builder.take());
+    const PreparedProgram prepared = prepareProgram(spec);
+    const Program &program = prepared.program;
 
-    const auto order = orderProcsByCallGraph(program, calls.calls());
+    const auto order =
+        orderProcsByCallGraph(program, traceCallGraph(*prepared.batch));
     ASSERT_EQ(order.size(), program.numProcs());
     std::vector<bool> seen(program.numProcs(), false);
     for (ProcId p : order) {
@@ -100,6 +92,35 @@ TEST(ProcOrder, PermutationForRealCallGraph)
         EXPECT_FALSE(seen[p]);
         seen[p] = true;
     }
+}
+
+TEST(ProcOrder, TraceCallGraphMatchesPinnedDigest)
+{
+    // The graph the walk's own call events counted (a sink that added one
+    // per onCall, keyed by the calling procedure) for li at 100k
+    // instructions: 31 pairs, 298 calls.
+    ProgramSpec spec = suiteSpec("li");
+    spec.traceInstrs = 100'000;
+    const CallGraph calls = traceCallGraph(*prepareProgram(spec).batch);
+
+    std::uint64_t hash = 0xcbf29ce484222325ull;  // FNV-1a 64
+    auto fold = [&hash](std::uint64_t value) {
+        for (int byte = 0; byte < 8; ++byte) {
+            hash ^= (value >> (8 * byte)) & 0xff;
+            hash *= 0x100000001b3ull;
+        }
+    };
+    Weight total = 0;
+    for (const auto &[pair, count] : calls) {
+        fold(pair.first);
+        fold(pair.second);
+        fold(count);
+        total += count;
+    }
+    EXPECT_EQ(calls.size(), 31u);
+    EXPECT_EQ(total, 298u);
+    EXPECT_EQ(hash, 0x5a823f59052012c6ull)
+        << "0x" << std::hex << hash << "ull";
 }
 
 TEST(ProcOrder, EmptyCallGraphKeepsAllProcs)

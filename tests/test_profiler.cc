@@ -92,7 +92,7 @@ TEST(Profiler, InstrsTracedMatchesWalkResult)
     options.instrBudget = 30'000;
     WalkResult result;
     const ProgramStats stats =
-        applyTraceProfile(program, walkBatchTrace(program, options, result));
+        applyTraceProfile(program, walkBatchTrace(program, options, &result));
     EXPECT_EQ(stats.instrsTraced, result.instrs);
 }
 

@@ -1,9 +1,9 @@
 /**
  * @file
- * Golden-equivalence tests for recorded walks: replaying a RecordedTrace
- * must deliver the exact event stream the walker produced, and every
- * evaluation driven from a replay must be bit-identical to one driven by
- * a direct walk.
+ * Golden-equivalence tests for recorded walks: replaying the RecordedTrace
+ * prepareProgram keeps must deliver the exact event stream the walker
+ * produced, and every evaluation driven from a replay must be
+ * bit-identical to one driven by a direct walk.
  */
 
 #include <gtest/gtest.h>
@@ -18,29 +18,18 @@
 #include "sim/cpi.h"
 #include "trace/recorder.h"
 #include "trace/walker.h"
-#include "workload/generator.h"
 #include "workload/suite.h"
 
 using namespace balign;
 
 namespace {
 
-struct Prepared
-{
-    Program program;
-    WalkOptions walk;
-};
-
-Prepared
+PreparedProgram
 profiledProgram(const char *name, std::uint64_t instrs)
 {
     ProgramSpec spec = suiteSpec(name);
     spec.traceInstrs = instrs;
-    Prepared prepared{generateProgram(spec), WalkOptions{}};
-    prepared.walk.seed = traceSeed(spec);
-    prepared.walk.instrBudget = instrs;
-    profileProgram(prepared.program, prepared.walk);
-    return prepared;
+    return prepareProgram(spec);
 }
 
 }  // namespace
@@ -48,14 +37,13 @@ profiledProgram(const char *name, std::uint64_t instrs)
 TEST(Recorder, ReplayReproducesExactEventStream)
 {
     for (const char *name : {"compress", "li", "alvinn", "tex"}) {
-        const Prepared prepared = profiledProgram(name, 60'000);
+        const PreparedProgram prepared = profiledProgram(name, 60'000);
 
         LogSink direct;
         const WalkResult walked =
             walk(prepared.program, prepared.walk, direct);
 
-        const RecordedTrace trace =
-            recordTrace(prepared.program, prepared.walk);
+        const RecordedTrace &trace = *prepared.trace;
         LogSink replayed;
         trace.replay(prepared.program, replayed);
 
@@ -76,9 +64,8 @@ TEST(Recorder, ReplayReproducesRecording)
 {
     // A replay is a re-walk: two replays, and a second recording of the
     // same walk, reproduce the first event for event.
-    const Prepared prepared = profiledProgram("compress", 20'000);
-    const RecordedTrace original =
-        recordTrace(prepared.program, prepared.walk);
+    const PreparedProgram prepared = profiledProgram("compress", 20'000);
+    const RecordedTrace &original = *prepared.trace;
 
     LogSink first, second;
     original.replay(prepared.program, first);
@@ -87,49 +74,16 @@ TEST(Recorder, ReplayReproducesRecording)
     EXPECT_TRUE(first.log == second.log);
     EXPECT_EQ(first.log.size(), original.numEvents());
 
-    const RecordedTrace again =
-        recordTrace(prepared.program, prepared.walk);
-    EXPECT_TRUE(again.walkResult() == original.walkResult());
+    const PreparedProgram again = profiledProgram("compress", 20'000);
+    EXPECT_TRUE(again.trace->walkResult() == original.walkResult());
     LogSink rerecorded;
-    again.replay(prepared.program, rerecorded);
+    again.trace->replay(prepared.program, rerecorded);
     EXPECT_TRUE(rerecorded.log == first.log);
-}
-
-TEST(Recorder, ReplayedProfileEqualsLiveProfile)
-{
-    Prepared prepared = profiledProgram("compress", 20'000);
-    Program &program = prepared.program;
-    const RecordedTrace trace = recordTrace(program, prepared.walk);
-
-    auto weights = [&] {
-        std::vector<Weight> all;
-        for (const auto &proc : program.procs())
-            for (const auto &edge : proc.edges())
-                all.push_back(edge.weight);
-        return all;
-    };
-
-    // Live profile.
-    program.clearWeights();
-    const ProgramStats live_stats = profileProgram(program, prepared.walk);
-    const std::vector<Weight> live_weights = weights();
-
-    // Replayed profile.
-    program.clearWeights();
-    BatchTraceBuilder builder(program);
-    trace.replay(program, builder);
-    const ProgramStats replayed_stats =
-        applyTraceProfile(program, builder.take());
-
-    EXPECT_EQ(live_weights, weights());
-    EXPECT_EQ(live_stats.instrsTraced, replayed_stats.instrsTraced);
-    EXPECT_EQ(live_stats.condBranches, replayed_stats.condBranches);
-    EXPECT_EQ(live_stats.returns, replayed_stats.returns);
 }
 
 TEST(Recorder, MultiSinkFansOutIdentically)
 {
-    const Prepared prepared = profiledProgram("compress", 10'000);
+    const PreparedProgram prepared = profiledProgram("compress", 10'000);
     LogSink a, b;
     MultiSink fanout;
     fanout.add(&a);
@@ -143,10 +97,9 @@ TEST(Recorder, MultiSinkFansOutIdentically)
 TEST(Recorder, ReplayEvaluationBitIdenticalToDirectWalk)
 {
     for (const char *name : {"compress", "doduc"}) {
-        const Prepared prepared = profiledProgram(name, 80'000);
-        const RecordedTrace trace =
-            recordTrace(prepared.program, prepared.walk);
-        const BatchTrace batch(prepared.program, trace);
+        const PreparedProgram prepared = profiledProgram(name, 80'000);
+        const RecordedTrace &trace = *prepared.trace;
+        const BatchTrace &batch = *prepared.batch;
 
         const CostModel model(Arch::BtFnt);
         const std::vector<ProgramLayout> layouts = {
@@ -160,8 +113,8 @@ TEST(Recorder, ReplayEvaluationBitIdenticalToDirectWalk)
             for (Arch arch : archs) {
                 const EvalParams params = EvalParams::forArch(arch);
                 // The oracle consumes the walker directly and the
-                // recorded trace alike; the batched engine consumes only
-                // the recording.
+                // recorded trace alike; the batched engine consumes the
+                // trace the profiling walk built.
                 OracleEvaluator replayed(prepared.program, layout, params);
                 trace.replay(prepared.program, replayed);
                 const EvalResult walked = oracleReplay(
@@ -199,11 +152,10 @@ TEST(Recorder, PreparedProgramCarriesReplayableTrace)
 
 TEST(RecorderDeathTest, ReplayOfAnotherProgramPanics)
 {
-    const Prepared prepared = profiledProgram("compress", 10'000);
-    const RecordedTrace trace = recordTrace(prepared.program, prepared.walk);
-    const Prepared other = profiledProgram("li", 10'000);
+    const PreparedProgram prepared = profiledProgram("compress", 10'000);
+    const PreparedProgram other = profiledProgram("li", 10'000);
     NullSink sink;
-    EXPECT_DEATH(trace.replay(other.program, sink),
+    EXPECT_DEATH(prepared.trace->replay(other.program, sink),
                  "does not reproduce the recorded walk");
 }
 
@@ -212,15 +164,13 @@ TEST(Recorder, TraceSurvivesProgramMove)
     // A recorded trace holds no pointers into the program, so it must
     // stay valid when the Program it came from is moved — exactly what
     // happens when a PreparedProgram travels by value.
-    Prepared prepared = profiledProgram("espresso", 60'000);
-    const RecordedTrace trace =
-        recordTrace(prepared.program, prepared.walk);
+    PreparedProgram prepared = profiledProgram("espresso", 60'000);
+    const RecordedTrace &trace = *prepared.trace;
 
     const ProgramLayout layout = originalLayout(prepared.program);
     const EvalParams params = EvalParams::forArch(Arch::BtbSmall);
-    const EvalResult before =
-        runBatchReplay(prepared.program, layout,
-                       BatchTrace(prepared.program, trace), {params})[0];
+    const EvalResult before = runBatchReplay(prepared.program, layout,
+                                             *prepared.batch, {params})[0];
 
     const Program moved = std::move(prepared.program);
 
@@ -228,7 +178,11 @@ TEST(Recorder, TraceSurvivesProgramMove)
     trace.replay(moved, replayed);
     EXPECT_EQ(replayed.log.size(), trace.numEvents());
 
-    const EvalResult after = runBatchReplay(
-        moved, layout, BatchTrace(moved, trace), {params})[0];
+    WalkResult rewalked;
+    const EvalResult after =
+        runBatchReplay(moved, layout,
+                       walkBatchTrace(moved, prepared.walk, &rewalked),
+                       {params})[0];
+    EXPECT_TRUE(rewalked == trace.walkResult());
     EXPECT_EQ(counters(before), counters(after)) << "after move";
 }

@@ -40,13 +40,13 @@ mediumSpec()
 }
 
 /// Heap bytes the batched trace's op stream holds per op, the
-/// `trace_bytes_per_op` counter of the set-up and replay benchmarks: 8
-/// while an op record is 8 bytes and the stream is sized exactly.
+/// `trace_bytes_per_op` counter of the set-up and replay benchmarks: 4
+/// while an op is one 32-bit word and the stream is sized exactly.
 double
 traceBytesPerOp(const BatchTrace &trace)
 {
     return static_cast<double>(trace.ops.capacity() *
-                               sizeof(BatchTrace::PackedOp)) /
+                               sizeof(trace.ops[0])) /
            static_cast<double>(std::max<std::size_t>(trace.ops.size(), 1));
 }
 

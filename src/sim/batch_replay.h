@@ -13,14 +13,15 @@
  *
  *  1. BatchTrace — built once per prepared program by walkBatchTrace,
  *     during the profiling walk itself — canonicalizes the walk into one
- *     packed op stream of 8 bytes per op; no event buffer is kept in
- *     between. Block activations
+ *     op stream of one 32-bit word per op: a 3-bit tag and one 29-bit
+ *     index. No event buffer is kept in between. Block activations
  *     collapse into per-block counts, the pending-return state machine
- *     is resolved once, and every operand is a dense index: a
- *     program-global block, or a call site of the trace's flat call-site
- *     table. Both streams are allocated once, at their exact size. What
- *     remains per layout is pure integer dispatch: no virtual calls, no
- *     CFG lookups.
+ *     is resolved once, and every index is dense: a program-global
+ *     block, a call site of the trace's flat call-site table, an
+ *     indirect-jump edge, or a row of the small table of distinct
+ *     (returning block, call site) pairs. Both streams are allocated
+ *     once, at their exact size. What remains per layout is pure integer
+ *     dispatch: no virtual calls, no CFG lookups.
  *
  *  2. runBatchReplay() evaluates every lane of every layout it is given
  *     in ONE pass over the op stream. Per-block layout facts are
@@ -63,7 +64,8 @@
  * predictor geometry it cannot simulate (a table or BTB set count that is
  * not a power of two, more than 255 BTB ways, a history length of 0 bits
  * or more than 63 for gshare and 24 for the local predictor). A program
- * with more blocks or call sites than kTraceIndexCap is a fatal() error.
+ * with more blocks, call sites or indirect-jump edges than kTraceIndexCap,
+ * or a walk with more distinct returns, is a fatal() error.
  */
 
 #ifndef BALIGN_SIM_BATCH_REPLAY_H
@@ -81,21 +83,23 @@
 
 namespace balign {
 
-/// Block and call-site counts a BatchTrace can index: a packed op keeps
-/// a block or call-site index in the 29 bits of its word above the tag.
+/// Row counts a BatchTrace can index: an op word keeps a block,
+/// call-site, indirect-edge or return-row index in the 29 bits above its
+/// tag.
 inline constexpr std::uint32_t kTraceIndexCap = 1u << 29;
 
 /**
- * fatal() unless @p count, the number of @p what (blocks, call sites) of
- * a program, fits kTraceIndexCap. walkBatchTrace checks both counts,
- * so a program too large for the packed stream ends in an error naming
- * the cap instead of in silently truncated indices.
+ * fatal() unless @p count, the number of @p what (blocks, call sites,
+ * indirect edges, return rows) of a program or its walk, fits
+ * kTraceIndexCap. walkBatchTrace checks all four counts, so a program too
+ * large for the op stream ends in an error naming the cap instead of in
+ * silently truncated indices.
  */
 void checkTraceIndexCount(std::size_t count, const char *what);
 
 /**
- * The canonical, layout-independent form of a recorded walk: one packed
- * op stream plus the activation / edge-traversal histograms the
+ * The canonical, layout-independent form of a recorded walk: one op
+ * stream of 32-bit words plus the activation / edge-traversal histograms the
  * O(blocks) per-layout accounting needs. Blocks are identified by a
  * program-global index (proc-major, block-id-minor); a BatchTrace holds
  * no pointers and stays valid across Program moves. Every stream is
@@ -104,7 +108,7 @@ void checkTraceIndexCount(std::size_t count, const char *what);
 struct BatchTrace
 {
     /// Branch-op kinds of the canonical stream, in the meaning decode()
-    /// gives them (a, b, c). Op records store less: see PackedOp.
+    /// gives them (a, b, c). Op words store less: see Tag.
     enum class Op : std::uint8_t {
         Cond,      ///< a=src block, b=traversed-edge dst, c=1 if Taken edge
         Uncond,    ///< a=src block, b=dst; no event if the jump was removed
@@ -115,38 +119,27 @@ struct BatchTrace
         RetExit,   ///< a=returning block; program exit (RAS pops, no event)
     };
 
-    /// Tag of a packed op, the low kTagBits of PackedOp::word. A Cond op
-    /// is one of two tags by the edge it traversed, so the tag alone
-    /// tells a lane the direction, and `word < 2` picks out every Cond.
+    /**
+     * Tag of an op word, its low kTagBits; the 29 bits above it are one
+     * index, named per tag below. A Cond op is one of two tags by the
+     * edge it traversed, so the tag alone tells a lane the direction.
+     * The destinations decode() reports for Cond, Uncond and FallJump
+     * are the block's takenDst/fallDst. A replay never needs them per
+     * op: such a break has one target per layout, so a BTB lane compares
+     * none, and BT/FNT reads the conditional's target once per block.
+     */
     enum Tag : std::uint32_t {
-        kCondFall,   ///< Cond over the FallThrough edge
-        kCondTaken,  ///< Cond over the Taken edge
-        kUncond,
-        kFallJump,
-        kIndirect,   ///< operand: the destination block
-        kCall,       ///< operand: the call-site index
-        kRet,        ///< operand: the call-site index returned to
-        kRetExit,
+        kCondFall,   ///< Cond over the FallThrough edge; index: the block
+        kCondTaken,  ///< Cond over the Taken edge; index: the block
+        kUncond,     ///< index: the block
+        kFallJump,   ///< index: the block
+        kIndirect,   ///< index: the edge's row of indirectEdges
+        kCall,       ///< index: the call site (callSites)
+        kRet,        ///< index: the row of returnRows
+        kRetExit,    ///< index: the returning block
     };
     static constexpr unsigned kTagBits = 3;
     static constexpr std::uint32_t kTagMask = (1u << kTagBits) - 1;
-
-    /**
-     * One op of the stream: 8 bytes. @c block is the op's own block (the
-     * source of a Cond, Uncond, FallJump or Indirect, the caller of a
-     * Call, the returning block of a Ret or RetExit); @c word is the Tag
-     * plus, above it, the Indirect destination or the Call/Ret call-site
-     * index. The destinations decode() reports for Cond, Uncond and
-     * FallJump are the block's takenDst/fallDst. A replay never needs
-     * them per op: such a break has one target per layout, so a BTB
-     * lane compares none, and BT/FNT reads the conditional's target
-     * once per block.
-     */
-    struct PackedOp
-    {
-        std::uint32_t block;
-        std::uint32_t word;
-    };
 
     /// One call site of the program: the calling block (global), the
     /// call's offset in it and the callee procedure.
@@ -170,11 +163,36 @@ struct BatchTrace
     /// CondBranch and FallThrough blocks have one.
     std::vector<std::uint32_t> fallDst;
     /// Every call site of the program, in proc, block and offset order;
-    /// Call and Ret ops and return-stack entries index it.
+    /// Call ops, return rows and return-stack entries index it.
     std::vector<CallSiteRow> callSites;
 
+    /// One out-edge of an IndirectJump block, global source and
+    /// destination.
+    struct IndirectRow
+    {
+        std::uint32_t src;
+        std::uint32_t dst;
+    };
+    /// Every out-edge of every IndirectJump block, indexed like
+    /// indirectCount; Indirect ops index it.
+    std::vector<IndirectRow> indirectEdges;
+
+    /// One distinct return of the walk: the returning block and the call
+    /// site (callSites) it returns to.
+    struct ReturnRow
+    {
+        std::uint32_t block;
+        std::uint32_t site;
+    };
+    /// Every distinct (returning block, call site) pair of the walk, in
+    /// first-return order; Ret ops index it. A return leaves a Return
+    /// block of the callee of the site it resumes, so the table is
+    /// bounded by the program, not by the walk's length.
+    std::vector<ReturnRow> returnRows;
+
     // --- canonical full branch-op stream (every dynamic lane) -----------
-    std::vector<PackedOp> ops;
+    /// One word per op: its Tag plus, above it, the Tag's index.
+    std::vector<std::uint32_t> ops;
 
     // --- dense sub-stream -----------------------------------------------
     /// Call/return executions only (return-stack accounting), one word

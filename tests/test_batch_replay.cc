@@ -300,7 +300,8 @@ heldBytes(const BatchTrace &trace)
 {
     return 4 * trace.blockBase.size() +
            (1 + 4 + 4 + 3 * 8) * std::size_t{trace.totalBlocks} +
-           12 * trace.callSites.size() + 8 * trace.ops.size() +
+           12 * trace.callSites.size() + 8 * trace.indirectEdges.size() +
+           8 * trace.returnRows.size() + 4 * trace.ops.size() +
            4 * trace.rasOps.size() + 8 * trace.indirectCount.size();
 }
 
@@ -364,9 +365,64 @@ TEST(BatchTrace, DecodesHandBuiltOps)
                   ras[i % ras.size()])
             << "return-stack entry " << i;
     }
-    // One call site table row per call line, both at offset 1.
+    // One call site table row per call line, both at offset 1. The two
+    // calls are alike, so both index the first row, and one return row
+    // holds every return: the callee's block back to that site.
     ASSERT_EQ(trace.callSites.size(), 2u);
     EXPECT_EQ(trace.callSites[1].offset, 1u);
+    ASSERT_EQ(trace.returnRows.size(), 1u);
+    EXPECT_EQ(trace.returnRows[0].block, 1u);
+    EXPECT_EQ(trace.returnRows[0].site, 0u);
+}
+
+TEST(BatchTrace, DecodesHandBuiltIndirectOps)
+{
+    // main only. Block 0 (2 instructions) jumps indirectly to block 1 or
+    // block 2; block 2 (1 instruction) jumps indirectly to block 1 or
+    // block 3. The walk draws a target by bias, so the zero-bias edges are
+    // never taken: per run 0 -> 2 -> 1, then main's exit return. Indirect
+    // edge rows follow block order and then outEdges order: 0 -> 1, 0 -> 2,
+    // 2 -> 1, 2 -> 3.
+    Program program("indirect-jumps");
+    CfgBuilder main(program.proc(program.addProc("main")));
+    const BlockId head = main.block(2, Terminator::IndirectJump);
+    const BlockId exit = main.block(1, Terminator::Return);
+    const BlockId hop = main.block(1, Terminator::IndirectJump);
+    const BlockId spare = main.block(1, Terminator::Return);
+    main.other(head, exit, 0, 0.0).other(head, hop, 0, 1.0);
+    main.other(hop, exit, 0, 1.0).other(hop, spare, 0, 0.0);
+    validateOrDie(program);
+    constexpr unsigned kRuns = 3;
+    WalkOptions walk;
+    walk.instrBudget = 4 * kRuns;
+    const BatchTrace trace = walkBatchTrace(program, walk);
+
+    using Op = BatchTrace::Op;
+    const std::vector<std::vector<std::uint32_t>> run = {
+        {static_cast<std::uint32_t>(Op::Indirect), head, hop, 0},
+        {static_cast<std::uint32_t>(Op::Indirect), hop, exit, 0},
+        {static_cast<std::uint32_t>(Op::RetExit), exit, 0, 0},
+    };
+    ASSERT_EQ(trace.ops.size(), kRuns * run.size());
+    for (std::size_t i = 0; i < trace.ops.size(); ++i) {
+        const BatchTrace::DecodedOp op = trace.decode(i);
+        EXPECT_EQ((std::vector<std::uint32_t>{static_cast<std::uint32_t>(op.op),
+                                              op.a, op.b, op.c}),
+                  run[i % run.size()])
+            << "op " << i;
+    }
+    ASSERT_EQ(trace.indirectEdges.size(), 4u);
+    const std::vector<std::pair<BlockId, BlockId>> rows = {
+        {head, exit}, {head, hop}, {hop, exit}, {hop, spare}};
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+        EXPECT_EQ(trace.indirectEdges[k].src, rows[k].first) << "row " << k;
+        EXPECT_EQ(trace.indirectEdges[k].dst, rows[k].second) << "row " << k;
+    }
+    EXPECT_EQ(trace.indirectCount,
+              (std::vector<std::uint64_t>{0, kRuns, kRuns, 0}));
+    EXPECT_EQ(trace.indirectExec, 2 * kRuns);
+    EXPECT_TRUE(trace.returnRows.empty());
+    EXPECT_EQ(trace.sizeBytes(), heldBytes(trace));
 }
 
 TEST(BatchTrace, CallGraphCountsHandBuiltCalls)
@@ -383,24 +439,26 @@ TEST(BatchTrace, CallGraphCountsHandBuiltCalls)
 
 TEST(BatchTrace, SizeBytesMatchesHeldStreams)
 {
-    // Hand-built: 2 procs, 2 blocks, 2 call sites, 10 runs of 5 ops and
-    // 5 return-stack entries: 8 + 2 * 33 + 2 * 12 + 50 * 8 + 50 * 4.
+    // Hand-built: 2 procs, 2 blocks, 2 call sites, 1 return row, 10 runs
+    // of 5 ops and 5 return-stack entries:
+    // 8 + 2 * 33 + 2 * 12 + 8 + 50 * 4 + 50 * 4.
     const Program program = twinCallProgram();
     WalkOptions walk;
     walk.instrBudget = 5 * 10;
     const BatchTrace hand = walkBatchTrace(program, walk);
     EXPECT_EQ(hand.ops.size(), 50u);
-    EXPECT_EQ(hand.sizeBytes(), 698u);
+    EXPECT_EQ(hand.returnRows.size(), 1u);
+    EXPECT_EQ(hand.sizeBytes(), 506u);
     EXPECT_EQ(hand.sizeBytes(), heldBytes(hand));
 
-    // espresso's trace holds its streams at their exact size: 8 bytes per
+    // espresso's trace holds its streams at their exact size: 4 bytes per
     // op and 4 per return-stack entry, plus per-block tables that stay
     // under a tenth of the streams.
     const PreparedProgram espresso =
         preparedSuiteProgram("espresso", 2'000'000);
     const BatchTrace &trace = *espresso.batch;
     const std::size_t streams =
-        8 * trace.ops.size() + 4 * trace.rasOps.size();
+        4 * trace.ops.size() + 4 * trace.rasOps.size();
     EXPECT_EQ(trace.sizeBytes(), heldBytes(trace));
     EXPECT_GE(trace.sizeBytes(), streams);
     EXPECT_LE(trace.sizeBytes(), streams + streams / 10);
@@ -416,6 +474,20 @@ TEST(BatchTraceDeathTest, IndexCountPastTheCapIsFatal)
     EXPECT_EXIT(checkTraceIndexCount(kTraceIndexCap + std::size_t{1},
                                      "call sites"),
                 testing::ExitedWithCode(1), "call sites.*kTraceIndexCap");
+}
+
+TEST(BatchTraceDeathTest, TableRowsPastTheCapAreFatal)
+{
+    // An Indirect op indexes the indirect-edge table, a Ret op the
+    // return-row table; both indices share an op word with the tag.
+    checkTraceIndexCount(kTraceIndexCap, "indirect edges");
+    checkTraceIndexCount(kTraceIndexCap, "return rows");
+    EXPECT_EXIT(checkTraceIndexCount(kTraceIndexCap + std::size_t{1},
+                                     "indirect edges"),
+                testing::ExitedWithCode(1), "indirect edges.*kTraceIndexCap");
+    EXPECT_EXIT(checkTraceIndexCount(kTraceIndexCap + std::size_t{1},
+                                     "return rows"),
+                testing::ExitedWithCode(1), "return rows.*kTraceIndexCap");
 }
 
 TEST(ExperimentRunIndex, FirstMatchWinsLikeTheScan)

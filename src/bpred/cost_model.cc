@@ -64,6 +64,16 @@ condRealizationName(CondRealization realization)
     return "?";
 }
 
+Arch
+costClass(Arch arch)
+{
+    if (isPht(arch))
+        return Arch::PhtDirect;
+    if (isBtb(arch))
+        return Arch::BtbSmall;
+    return arch;
+}
+
 CostModel::CostModel(Arch arch, const Params &params)
     : arch_(arch), params_(params)
 {

@@ -104,6 +104,16 @@ class CostModel
     Params params_;
 };
 
+/**
+ * The architecture that names @p arch's Table-1 cost class: CostModel
+ * prices PHT-direct, PHT-correlated and PHT-local alike, and BTB-64x2 and
+ * BTB-256x4 alike, since the paper's §6 assumptions are per class. So a
+ * layout aligned for one member of a class is the layout of every member.
+ * Each static architecture is a class of its own; BT/FNT also orders
+ * chains by its own precedence (§6.1).
+ */
+Arch costClass(Arch arch);
+
 }  // namespace balign
 
 #endif  // BALIGN_BPRED_COST_MODEL_H

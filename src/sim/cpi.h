@@ -23,8 +23,9 @@
  * Results are bit-identical regardless of thread count and partition.
  *
  * Layouts are shared where the paper shares them: Original and Greedy are
- * architecture-independent; Cost and TryN are re-run per architecture with
- * that architecture's cost model. Under an architecture-independent
+ * architecture-independent; Cost and TryN are re-run per cost class
+ * (costClass(): the PHT architectures price alike, as do the BTBs) with
+ * that class's cost model. Under an architecture-independent
  * objective (ExtTSP) even the objective-guided aligners share one layout
  * across architectures — objectiveArchDependent() decides.
  */

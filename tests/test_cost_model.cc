@@ -2,12 +2,17 @@
  * @file
  * Tests for the architectural cost model (paper Table 1 and §6): exact
  * per-branch cycle costs for every architecture, the Figure-2 loop
- * transformation arithmetic, and realization selection.
+ * transformation arithmetic, realization selection, and the cost classes
+ * whose architectures price, and so align, alike.
  */
 
 #include <gtest/gtest.h>
 
 #include "bpred/cost_model.h"
+#include "core/align_program.h"
+#include "layout/layout_diff.h"
+#include "sim/cpi.h"
+#include "workload/suite.h"
 
 using namespace balign;
 
@@ -214,4 +219,97 @@ TEST(CostModel, Figure3Arithmetic)
         DirHint::Backward);
     EXPECT_DOUBLE_EQ(block_a_rot, 18005.0);
     EXPECT_DOUBLE_EQ(block_a_rot + model.singleExitJumpCost(1), 18007.0);
+}
+
+// ---- Cost classes ----------------------------------------------------------
+
+namespace {
+
+constexpr CondRealization kRealizations[] = {
+    CondRealization::FallAdjacent, CondRealization::TakenAdjacent,
+    CondRealization::NeitherJumpToFall, CondRealization::NeitherJumpToTaken};
+constexpr DirHint kHints[] = {DirHint::Forward, DirHint::Backward,
+                              DirHint::Unknown};
+constexpr Weight kWeights[] = {0, 1, 7, 1000, 123456};
+
+/// True when @p a and @p b price every point of the grid alike: every
+/// realization of every (taken, fall) weight pair under every pair of
+/// direction hints, the best "neither" realization and a jump.
+bool
+priceAlike(const CostModel &a, const CostModel &b)
+{
+    if (a.uncondCost() != b.uncondCost())
+        return false;
+    for (const Weight taken : kWeights) {
+        if (a.singleExitJumpCost(taken) != b.singleExitJumpCost(taken))
+            return false;
+        for (const Weight fall : kWeights) {
+            for (const DirHint dir_taken : kHints) {
+                for (const DirHint dir_fall : kHints) {
+                    if (a.bestNeitherRealization(taken, fall, dir_taken,
+                                                 dir_fall) !=
+                        b.bestNeitherRealization(taken, fall, dir_taken,
+                                                 dir_fall))
+                        return false;
+                    for (const CondRealization real : kRealizations) {
+                        if (a.condRealizationCost(taken, fall, real,
+                                                  dir_taken, dir_fall) !=
+                            b.condRealizationCost(taken, fall, real,
+                                                  dir_taken, dir_fall))
+                            return false;
+                    }
+                }
+            }
+        }
+    }
+    return true;
+}
+
+}  // namespace
+
+TEST(CostClass, NamesTheTableOneClasses)
+{
+    EXPECT_EQ(costClass(Arch::Fallthrough), Arch::Fallthrough);
+    EXPECT_EQ(costClass(Arch::BtFnt), Arch::BtFnt);
+    EXPECT_EQ(costClass(Arch::Likely), Arch::Likely);
+    for (const Arch arch :
+         {Arch::PhtDirect, Arch::PhtCorrelated, Arch::PhtLocal})
+        EXPECT_EQ(costClass(arch), Arch::PhtDirect) << archName(arch);
+    for (const Arch arch : {Arch::BtbSmall, Arch::BtbLarge})
+        EXPECT_EQ(costClass(arch), Arch::BtbSmall) << archName(arch);
+}
+
+TEST(CostClass, ArchitecturesPriceAlikeExactlyWithinAClass)
+{
+    // Within a class every price is equal; across classes some price
+    // differs, so no class merges architectures the model tells apart.
+    for (const Arch a : allArchs()) {
+        for (const Arch b : allArchs()) {
+            EXPECT_EQ(priceAlike(CostModel(a), CostModel(b)),
+                      costClass(a) == costClass(b))
+                << archName(a) << " vs " << archName(b);
+        }
+    }
+}
+
+TEST(CostClass, OneClassAlignsTheSuiteAlike)
+{
+    // Cost and Try15 lay every suite program out identically for every
+    // architecture of a class, which is what lets runConfigs align once
+    // per class.
+    for (ProgramSpec spec : benchmarkSuite()) {
+        spec.traceInstrs = 2'000'000;
+        const PreparedProgram prepared = prepareProgram(spec);
+        for (const AlignerKind kind : {AlignerKind::Cost, AlignerKind::Try15}) {
+            for (const Arch arch : allArchs()) {
+                if (costClass(arch) == arch)
+                    continue;
+                EXPECT_TRUE(layoutsIdentical(
+                    alignForArch(prepared.program, kind, arch),
+                    alignForArch(prepared.program, kind, costClass(arch))))
+                    << spec.name << " " << alignerKindName(kind) << " "
+                    << archName(arch);
+            }
+        }
+    }
 }

@@ -94,8 +94,17 @@ class BatchTraceBuilder
                 t.term[g] = static_cast<std::uint8_t>(block.term);
                 callBase_.push_back(
                     static_cast<std::uint32_t>(t.callSites.size()));
-                for (const CallSite &site : block.calls)
-                    t.callSites.push_back({g, site.offset, site.callee});
+                // Two calls of one offset and callee are one site, which
+                // siteIndex maps to its first row: keep only that row.
+                for (const CallSite &site : block.calls) {
+                    const auto first = t.callSites.begin() + callBase_.back();
+                    if (std::none_of(first, t.callSites.end(),
+                                     [&](const BatchTrace::CallSiteRow &row) {
+                                         return row.offset == site.offset &&
+                                                row.callee == site.callee;
+                                     }))
+                        t.callSites.push_back({g, site.offset, site.callee});
+                }
                 if (block.term == Terminator::IndirectJump) {
                     for (const std::uint32_t index : block.outEdges) {
                         edges_[edgeBase_[p] + index].aux =

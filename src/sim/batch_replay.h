@@ -162,8 +162,9 @@ struct BatchTrace
     /// Global dst of the block's FallThrough edge, or none. Only
     /// CondBranch and FallThrough blocks have one.
     std::vector<std::uint32_t> fallDst;
-    /// Every call site of the program, in proc, block and offset order;
-    /// Call ops, return rows and return-stack entries index it.
+    /// Every distinct (block, offset, callee) call site of the program,
+    /// in proc, block and call-line order; Call ops, return rows and
+    /// return-stack entries index it.
     std::vector<CallSiteRow> callSites;
 
     /// One out-edge of an IndirectJump block, global source and

@@ -365,11 +365,11 @@ TEST(BatchTrace, DecodesHandBuiltOps)
                   ras[i % ras.size()])
             << "return-stack entry " << i;
     }
-    // One call site table row per call line, both at offset 1. The two
-    // calls are alike, so both index the first row, and one return row
-    // holds every return: the callee's block back to that site.
-    ASSERT_EQ(trace.callSites.size(), 2u);
-    EXPECT_EQ(trace.callSites[1].offset, 1u);
+    // The two call lines are alike (offset 1, same callee), so they are
+    // one call site table row, and one return row holds every return:
+    // the callee's block back to that site.
+    ASSERT_EQ(trace.callSites.size(), 1u);
+    EXPECT_EQ(trace.callSites[0].offset, 1u);
     ASSERT_EQ(trace.returnRows.size(), 1u);
     EXPECT_EQ(trace.returnRows[0].block, 1u);
     EXPECT_EQ(trace.returnRows[0].site, 0u);

@@ -439,16 +439,16 @@ TEST(BatchTrace, CallGraphCountsHandBuiltCalls)
 
 TEST(BatchTrace, SizeBytesMatchesHeldStreams)
 {
-    // Hand-built: 2 procs, 2 blocks, 2 call sites, 1 return row, 10 runs
+    // Hand-built: 2 procs, 2 blocks, 1 call site, 1 return row, 10 runs
     // of 5 ops and 5 return-stack entries:
-    // 8 + 2 * 33 + 2 * 12 + 8 + 50 * 4 + 50 * 4.
+    // 8 + 2 * 33 + 12 + 8 + 50 * 4 + 50 * 4.
     const Program program = twinCallProgram();
     WalkOptions walk;
     walk.instrBudget = 5 * 10;
     const BatchTrace hand = walkBatchTrace(program, walk);
     EXPECT_EQ(hand.ops.size(), 50u);
     EXPECT_EQ(hand.returnRows.size(), 1u);
-    EXPECT_EQ(hand.sizeBytes(), 506u);
+    EXPECT_EQ(hand.sizeBytes(), 494u);
     EXPECT_EQ(hand.sizeBytes(), heldBytes(hand));
 
     // espresso's trace holds its streams at their exact size: 4 bytes per

@@ -309,6 +309,7 @@ programFromString(std::string_view text)
     std::size_t line_no = 0;
     bool saw_header = false;
     Weight total_weight = 0;  // every edge so far, at most the ceiling
+    std::uint64_t total_instrs = 0;  // every block so far, likewise
 
     auto fail = [&](const std::string &message) {
         result.program.reset();
@@ -365,6 +366,11 @@ programFromString(std::string_view text)
                 return fail("block ids must be dense and in order");
             if (instrs == 0)
                 return fail("block must have at least one instruction");
+            if (instrs > kMaxProgramInstrs - total_instrs)
+                return fail("block of " + std::to_string(instrs) +
+                            " instructions lifts the program past the 2^24 "
+                            "instruction ceiling");
+            total_instrs += instrs;
             const BlockId added = proc->addBlock(instrs, term);
             // Optional attributes.
             std::string_view attr;

@@ -20,7 +20,8 @@
  * Block/call/edge lines belong to the most recent proc line; blocks must
  * appear in id order (ids are dense). Ids, counts and weights are
  * unsigned decimal integers (no sign); bias is a decimal double. Edge
- * weights may total at most kMaxProfileWeight.
+ * weights may total at most kMaxProfileWeight, and block sizes at most
+ * kMaxProgramInstrs.
  */
 
 #ifndef BALIGN_CFG_SERIALIZE_H
@@ -45,6 +46,16 @@ namespace balign {
  * below 2^63. DESIGN.md §15.1 gives the derivation.
  */
 inline constexpr Weight kMaxProfileWeight = Weight{1} << 60;
+
+/**
+ * Ceiling on a program's total instruction count, enforced as blocks are
+ * read: a block that lifts the running total past it is a parse error on
+ * its line. The tools build tables with one entry per instruction (the
+ * word-model enumeration, the relaxed layout, the emitted text), so an
+ * unbounded block size is an unbounded allocation. 2^24 is about twice
+ * the ~8M instructions of the gcc model scaled to 40,000 procedures.
+ */
+inline constexpr std::uint64_t kMaxProgramInstrs = std::uint64_t{1} << 24;
 
 /// Writes @p program (including profile weights and biases) to @p os.
 void writeProgram(const Program &program, std::ostream &os);

@@ -296,3 +296,32 @@ TEST(Serialize, TotalEdgeWeightCeiling)
     EXPECT_FALSE(wrapped.ok());
     EXPECT_EQ(wrapped.errorLine, 7u);
 }
+
+TEST(Serialize, TotalInstructionCeiling)
+{
+    const auto text = [](std::uint64_t first, std::uint64_t second) {
+        return "balign-program v1\nprogram x\nmain 0\nproc 0 main entry 0\n"
+               "block 0 " + std::to_string(first) + " fall\nblock 1 " +
+               std::to_string(second) + " return\nedge 0 1 fall 1 1.0\n"
+               "endproc\n";
+    };
+    const std::uint64_t half = kMaxProgramInstrs / 2;
+
+    // A program of exactly the ceiling is accepted.
+    const ParseResult atCeiling = programFromString(text(half, half));
+    ASSERT_TRUE(atCeiling.ok()) << atCeiling.error;
+    EXPECT_EQ(atCeiling.program->proc(0).totalInstrs(), kMaxProgramInstrs);
+
+    // One more is rejected on the block that crosses it.
+    const ParseResult past = programFromString(text(half, half + 1));
+    EXPECT_FALSE(past.ok());
+    EXPECT_EQ(past.errorLine, 6u);
+    EXPECT_EQ(past.error, "block of " + std::to_string(half + 1) +
+                              " instructions lifts the program past the "
+                              "2^24 instruction ceiling");
+
+    // The one-block file of tests/corpus/reject/: 4e9 instructions.
+    const ParseResult huge = programFromString(text(4'000'000'000, 1));
+    EXPECT_FALSE(huge.ok());
+    EXPECT_EQ(huge.errorLine, 5u);
+}

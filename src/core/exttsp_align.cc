@@ -28,10 +28,9 @@ constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
 class MergeLoop
 {
   public:
-    MergeLoop(const Procedure &proc, const ExtTspParams &params,
+    MergeLoop(const Procedure &proc,
               const std::vector<std::uint32_t> &by_weight)
         : proc_(proc),
-          params_(params),
           chains_(proc.numBlocks(), proc.entry()),
           candidates_(by_weight),
           edges_(proc.numEdges()),
@@ -283,9 +282,9 @@ class MergeLoop
                 pos_u + proc_.block(edge.src).numInstrs;
             if (pos_v == end_u) {
                 gain += static_cast<double>(edge.weight) *
-                        params_.fallthroughWeight;
+                        kExtTspFallthroughWeight;
             } else {
-                gain += extTspJumpScore(params_, end_u, pos_v, edge.weight);
+                gain += extTspJumpScore(end_u, pos_v, edge.weight);
             }
         }
         return gain;
@@ -391,7 +390,6 @@ class MergeLoop
     }
 
     const Procedure &proc_;
-    const ExtTspParams &params_;
     ChainSet chains_;
     const std::vector<std::uint32_t> &candidates_;
     std::vector<EdgeInfo> edges_;
@@ -413,7 +411,7 @@ ExtTspAligner::alignProc(const Procedure &proc, const DirOracle &oracle,
                          const std::vector<std::uint32_t> &by_weight) const
 {
     (void)oracle;  // ExtTSP has no direction dependence
-    return MergeLoop(proc, params_, by_weight).run();
+    return MergeLoop(proc, by_weight).run();
 }
 
 }  // namespace balign

@@ -32,9 +32,6 @@ namespace balign {
 class ExtTspAligner : public Aligner
 {
   public:
-    ExtTspAligner() = default;
-    explicit ExtTspAligner(const ExtTspParams &params) : params_(params) {}
-
     std::string name() const override { return "exttsp"; }
     using Aligner::alignProc;
     ChainSet alignProc(const Procedure &proc, const DirOracle &oracle,
@@ -44,11 +41,6 @@ class ExtTspAligner : public Aligner
     /// nothing about Table-1 realization costs.
     bool wantsCostModelMaterialization() const override { return false; }
     bool objectiveGuided() const override { return true; }
-
-    const ExtTspParams &params() const { return params_; }
-
-  private:
-    ExtTspParams params_;
 };
 
 }  // namespace balign

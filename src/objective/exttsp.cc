@@ -1,71 +1,29 @@
 #include "objective/exttsp.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <sstream>
 
 #include "layout/materialize.h"
 
 namespace balign {
 
-std::string
-ExtTspParams::toString() const
-{
-    char buffer[192];
-    std::snprintf(buffer, sizeof(buffer),
-                  "fallthrough=%.17g forward=%.17g backward=%.17g "
-                  "fwd-window=%u bwd-window=%u",
-                  fallthroughWeight, forwardJumpWeight, backwardJumpWeight,
-                  forwardWindow, backwardWindow);
-    return buffer;
-}
-
-std::optional<ExtTspParams>
-ExtTspParams::fromString(std::string_view text)
-{
-    ExtTspParams params;
-    unsigned fwd = 0;
-    unsigned bwd = 0;
-    if (std::sscanf(std::string(text).c_str(),
-                    "fallthrough=%lg forward=%lg backward=%lg "
-                    "fwd-window=%u bwd-window=%u",
-                    &params.fallthroughWeight, &params.forwardJumpWeight,
-                    &params.backwardJumpWeight, &fwd, &bwd) != 5)
-        return std::nullopt;
-    params.forwardWindow = fwd;
-    params.backwardWindow = bwd;
-    return params;
-}
-
-bool
-operator==(const ExtTspParams &a, const ExtTspParams &b)
-{
-    return a.fallthroughWeight == b.fallthroughWeight &&
-           a.forwardJumpWeight == b.forwardJumpWeight &&
-           a.backwardJumpWeight == b.backwardJumpWeight &&
-           a.forwardWindow == b.forwardWindow &&
-           a.backwardWindow == b.backwardWindow;
-}
-
 double
-extTspJumpScore(const ExtTspParams &params, Addr source, Addr target,
-                Weight weight)
+extTspJumpScore(Addr source, Addr target, Weight weight)
 {
     const double w = static_cast<double>(weight);
     if (target >= source) {
         const Addr distance = target - source;
-        if (distance >= params.forwardWindow)
+        if (distance >= kExtTspForwardWindow)
             return 0.0;
-        return w * params.forwardJumpWeight *
+        return w * kExtTspForwardJumpWeight *
                (1.0 - static_cast<double>(distance) /
-                          static_cast<double>(params.forwardWindow));
+                          static_cast<double>(kExtTspForwardWindow));
     }
     const Addr distance = source - target;
-    if (distance >= params.backwardWindow)
+    if (distance >= kExtTspBackwardWindow)
         return 0.0;
-    return w * params.backwardJumpWeight *
+    return w * kExtTspBackwardJumpWeight *
            (1.0 - static_cast<double>(distance) /
-                      static_cast<double>(params.backwardWindow));
+                      static_cast<double>(kExtTspBackwardWindow));
 }
 
 namespace {
@@ -74,20 +32,18 @@ namespace {
 /// distance-decayed jump bonus from the transfer instruction at
 /// @p branch_addr to the edge's target block.
 double
-transferScore(const ExtTspParams &params, const ProcLayout &layout,
-              bool adjacent, Addr branch_addr, BlockId dst, Weight weight)
+transferScore(const ProcLayout &layout, bool adjacent, Addr branch_addr,
+              BlockId dst, Weight weight)
 {
     if (adjacent)
-        return static_cast<double>(weight) * params.fallthroughWeight;
-    return extTspJumpScore(params, branch_addr + 1,
-                           layout.blocks[dst].addr, weight);
+        return static_cast<double>(weight) * kExtTspFallthroughWeight;
+    return extTspJumpScore(branch_addr + 1, layout.blocks[dst].addr, weight);
 }
 
 }  // namespace
 
 double
-extTspScore(const Procedure &proc, const ProcLayout &layout,
-            const ExtTspParams &params)
+extTspScore(const Procedure &proc, const ProcLayout &layout)
 {
     double score = 0.0;
     for (const auto &block : proc.blocks()) {
@@ -106,12 +62,12 @@ extTspScore(const Procedure &proc, const ProcLayout &layout,
             // The branch instruction carries one edge; the other is a
             // fallthrough when adjacent (Fall/TakenAdjacent) or an
             // inserted jump (both Neither realizations).
-            score += transferScore(params, layout, false, bl.branchAddr,
+            score += transferScore(layout, false, bl.branchAddr,
                                    branch_edge.dst, branch_edge.weight);
             const bool through_adjacent =
                 bl.cond == CondRealization::FallAdjacent ||
                 bl.cond == CondRealization::TakenAdjacent;
-            score += transferScore(params, layout, through_adjacent,
+            score += transferScore(layout, through_adjacent,
                                    bl.jumpAddr, through_edge.dst,
                                    through_edge.weight);
             break;
@@ -119,7 +75,7 @@ extTspScore(const Procedure &proc, const ProcLayout &layout,
           case Terminator::UncondBranch: {
             const Edge &taken = proc.edge(
                 static_cast<std::uint32_t>(proc.takenEdge(block.id)));
-            score += transferScore(params, layout, bl.jumpRemoved,
+            score += transferScore(layout, bl.jumpRemoved,
                                    bl.branchAddr, taken.dst, taken.weight);
             break;
           }
@@ -130,7 +86,7 @@ extTspScore(const Procedure &proc, const ProcLayout &layout,
                 break;  // dead-end block: nothing to realize
             const Edge &fall =
                 proc.edge(static_cast<std::uint32_t>(fall_index));
-            score += transferScore(params, layout, !bl.jumpInserted,
+            score += transferScore(layout, !bl.jumpInserted,
                                    bl.jumpAddr, fall.dst, fall.weight);
             break;
           }
@@ -143,12 +99,11 @@ extTspScore(const Procedure &proc, const ProcLayout &layout,
 }
 
 double
-extTspScore(const Program &program, const ProgramLayout &layout,
-            const ExtTspParams &params)
+extTspScore(const Program &program, const ProgramLayout &layout)
 {
     double score = 0.0;
     for (const auto &proc : program.procs())
-        score += extTspScore(proc, layout.procs[proc.id()], params);
+        score += extTspScore(proc, layout.procs[proc.id()]);
     return score;
 }
 
@@ -169,7 +124,7 @@ ExtTspObjective::blockCost(const Procedure &proc, BlockId id, BlockId next,
         if (edge.dst != next)
             return 0.0;
         return -static_cast<double>(edge.weight) *
-               params_.fallthroughWeight;
+               kExtTspFallthroughWeight;
     };
     switch (block.term) {
       case Terminator::CondBranch:
@@ -197,7 +152,7 @@ ExtTspObjective::blockCostFloor(const Procedure &proc, BlockId id) const
         const Edge &edge =
             proc.edge(static_cast<std::uint32_t>(edge_index));
         return std::min(0.0, -static_cast<double>(edge.weight) *
-                                 params_.fallthroughWeight);
+                                 kExtTspFallthroughWeight);
     };
     switch (proc.block(id).term) {
       case Terminator::CondBranch:
@@ -218,7 +173,7 @@ double
 ExtTspObjective::layoutCost(const Procedure &proc,
                             const ProcLayout &layout) const
 {
-    return -extTspScore(proc, layout, params_);
+    return -extTspScore(proc, layout);
 }
 
 }  // namespace balign

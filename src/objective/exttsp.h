@@ -28,60 +28,42 @@
 #ifndef BALIGN_OBJECTIVE_EXTTSP_H
 #define BALIGN_OBJECTIVE_EXTTSP_H
 
-#include <optional>
+#include <cstdint>
 #include <string>
-#include <string_view>
 
 #include "objective/objective.h"
 
 namespace balign {
 
-/// Tunables of the ExtTSP score (defaults are the paper's).
-struct ExtTspParams
-{
-    /// Weight of a realized fallthrough transfer.
-    double fallthroughWeight = 1.0;
-    /// Peak weight of a short forward jump (decays linearly with distance).
-    double forwardJumpWeight = 0.1;
-    /// Peak weight of a short backward jump.
-    double backwardJumpWeight = 0.1;
-    /// Forward jump window in instruction words (score is 0 at and beyond).
-    std::uint32_t forwardWindow = 1024;
-    /// Backward jump window in instruction words.
-    std::uint32_t backwardWindow = 640;
-
-    /// One-line key=value serialization (round-trips via fromString).
-    std::string toString() const;
-    /// Inverse of toString; nullopt on malformed input.
-    static std::optional<ExtTspParams> fromString(std::string_view text);
-};
-
-bool operator==(const ExtTspParams &a, const ExtTspParams &b);
+/// Weight of a realized fallthrough transfer (the paper's value).
+inline constexpr double kExtTspFallthroughWeight = 1.0;
+/// Peak weight of a short forward jump (decays linearly with distance).
+inline constexpr double kExtTspForwardJumpWeight = 0.1;
+/// Peak weight of a short backward jump.
+inline constexpr double kExtTspBackwardJumpWeight = 0.1;
+/// Forward jump window in instruction words (score is 0 at and beyond).
+inline constexpr std::uint32_t kExtTspForwardWindow = 1024;
+/// Backward jump window in instruction words.
+inline constexpr std::uint32_t kExtTspBackwardWindow = 640;
 
 /**
  * Score of one realized jump (non-adjacent transfer) with weight @p weight
  * from the instruction END address @p source (branch address + 1) to block
  * start @p target. Adjacent fallthroughs are NOT priced here — callers
  * detect adjacency from the realization record and apply
- * fallthroughWeight.
+ * kExtTspFallthroughWeight.
  */
-double extTspJumpScore(const ExtTspParams &params, Addr source, Addr target,
-                       Weight weight);
+double extTspJumpScore(Addr source, Addr target, Weight weight);
 
 /// ExtTSP score of one realized procedure layout (higher is better).
-double extTspScore(const Procedure &proc, const ProcLayout &layout,
-                   const ExtTspParams &params = {});
+double extTspScore(const Procedure &proc, const ProcLayout &layout);
 
 /// ExtTSP score of a whole program layout.
-double extTspScore(const Program &program, const ProgramLayout &layout,
-                   const ExtTspParams &params = {});
+double extTspScore(const Program &program, const ProgramLayout &layout);
 
 class ExtTspObjective : public AlignmentObjective
 {
   public:
-    ExtTspObjective() = default;
-    explicit ExtTspObjective(const ExtTspParams &params) : params_(params) {}
-
     std::string name() const override { return "exttsp"; }
     ObjectiveKind kind() const override { return ObjectiveKind::ExtTsp; }
     bool archDependent() const override { return false; }
@@ -96,8 +78,7 @@ class ExtTspObjective : public AlignmentObjective
                      const DirOracle &oracle = DirOracle(),
                      BlockId prev = kNoBlock) const override;
 
-    /// Every out-edge realized as a fallthrough at once (0 when the
-    /// fallthrough weight is negative).
+    /// Every out-edge realized as a fallthrough at once.
     double blockCostFloor(const Procedure &proc,
                           BlockId id) const override;
 
@@ -105,11 +86,6 @@ class ExtTspObjective : public AlignmentObjective
     double layoutCost(const Procedure &proc,
                       const ProcLayout &layout) const override;
     using AlignmentObjective::layoutCost;
-
-    const ExtTspParams &params() const { return params_; }
-
-  private:
-    ExtTspParams params_;
 };
 
 }  // namespace balign

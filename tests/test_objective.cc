@@ -32,9 +32,9 @@
  * block of the suite or the corpus ever prices below its blockCostFloor,
  * under any objective, successor, predecessor or direction hint.
  *
- * The rest covers the interface itself: kind/name round-trips, ExtTspParams
- * serialization, makeObjective contracts, ExtTSP scoring identities, the
- * ExtTSP aligner's determinism, and its fallthrough-dominance guarantee.
+ * The rest covers the interface itself: kind/name round-trips,
+ * makeObjective contracts, ExtTSP scoring identities, the ExtTSP
+ * aligner's determinism, and its fallthrough-dominance guarantee.
  */
 
 #include <gtest/gtest.h>
@@ -814,36 +814,17 @@ TEST(ObjectiveKindTest, ExtTspNeedsNoModel)
     EXPECT_EQ(objective->materializationModel(), nullptr);
 }
 
-TEST(ObjectiveConfigTest, ExtTspParamsRoundTrip)
-{
-    ExtTspParams params;
-    params.fallthroughWeight = 1.25;
-    params.forwardJumpWeight = 0.05;
-    params.backwardJumpWeight = 0.125;
-    params.forwardWindow = 2048;
-    params.backwardWindow = 320;
-    const auto parsed = ExtTspParams::fromString(params.toString());
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_TRUE(*parsed == params);
-    // Defaults round-trip too, and garbage is rejected.
-    EXPECT_TRUE(ExtTspParams::fromString(ExtTspParams().toString())
-                    .has_value());
-    EXPECT_FALSE(ExtTspParams::fromString("fallthrough=1.0").has_value());
-    EXPECT_FALSE(ExtTspParams::fromString("").has_value());
-}
-
 TEST(ExtTspScoreTest, JumpScoreShape)
 {
-    const ExtTspParams params;
     // Fallthrough-distance forward jump of 0 words scores the full bonus.
-    EXPECT_DOUBLE_EQ(extTspJumpScore(params, 100, 100, 10), 1.0);
+    EXPECT_DOUBLE_EQ(extTspJumpScore(100, 100, 10), 1.0);
     // Linear decay to zero at the window edge.
-    EXPECT_DOUBLE_EQ(extTspJumpScore(params, 100, 100 + 512, 10),
+    EXPECT_DOUBLE_EQ(extTspJumpScore(100, 100 + 512, 10),
                      10 * 0.1 * 0.5);
-    EXPECT_DOUBLE_EQ(extTspJumpScore(params, 100, 100 + 1024, 10), 0.0);
-    EXPECT_DOUBLE_EQ(extTspJumpScore(params, 1000, 1000 - 320, 10),
+    EXPECT_DOUBLE_EQ(extTspJumpScore(100, 100 + 1024, 10), 0.0);
+    EXPECT_DOUBLE_EQ(extTspJumpScore(1000, 1000 - 320, 10),
                      10 * 0.1 * 0.5);
-    EXPECT_DOUBLE_EQ(extTspJumpScore(params, 1000, 1000 - 640, 10), 0.0);
+    EXPECT_DOUBLE_EQ(extTspJumpScore(1000, 1000 - 640, 10), 0.0);
 }
 
 TEST(ExtTspScoreTest, ProgramScoreIsProcedureSum)

@@ -224,40 +224,24 @@ diffLayout(const PreparedProgram &prepared, const ProgramLayout &layout,
 std::vector<Divergence>
 diffPrepared(const PreparedProgram &prepared, const DiffOptions &options)
 {
-    const std::vector<Arch> &archs =
-        options.archs.empty() ? allArchs() : options.archs;
-    const std::vector<AlignerKind> &kinds =
-        options.kinds.empty() ? allAlignerKinds() : options.kinds;
-    const std::vector<ObjectiveKind> objectives =
-        options.objectives.empty()
-            ? std::vector<ObjectiveKind>{options.align.objective}
-            : options.objectives;
-
     std::vector<Divergence> divergences;
-    for (const ObjectiveKind objective : objectives) {
-        for (const AlignerKind kind : kinds) {
-            for (const Arch arch : archs) {
-                // Aligned as runConfigs aligns (alignForArch), so under
-                // BT/FNT even Greedy layouts are architecture-specific.
-                AlignOptions arch_options = options.align;
-                arch_options.objective = objective;
-                // The differ wants layout bugs surfaced as divergences it
-                // can shrink, not as verifier panics.
-                arch_options.verify = false;
-                const ProgramLayout layout = alignForArch(
-                    prepared.program, kind, arch, arch_options);
+    forEachSweptLayout(
+        prepared.program, options.sweep,
+        [&](const SweepConfig &config, ProgramLayout &layout) {
+            for (const Arch arch : options.sweep.sweptArchs()) {
+                if (!config.serves(arch))
+                    continue;
                 std::optional<Divergence> divergence =
-                    diffLayout(prepared, layout, arch, kind);
-                if (divergence.has_value()) {
-                    divergence->objective = objective;
-                    divergences.push_back(std::move(*divergence));
-                    if (options.maxDivergences != 0 &&
-                        divergences.size() >= options.maxDivergences)
-                        return divergences;
-                }
+                    diffLayout(prepared, layout, arch, config.kind);
+                if (!divergence.has_value())
+                    continue;
+                divergence->objective = config.objective;
+                divergences.push_back(std::move(*divergence));
+                if (divergences.size() == options.maxDivergences)
+                    return true;
             }
-        }
-    }
+            return false;
+        });
     return divergences;
 }
 

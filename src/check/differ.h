@@ -20,9 +20,11 @@
  *     layout disagrees with the oracle on some EvalResult counter,
  *     penalties included.
  *
- * diffPrepared() mirrors runConfigs() layout construction exactly
- * (per-architecture cost models, the BT/FNT chain-ordering override) so
- * what gets diffed is what the experiments actually evaluate.
+ * diffPrepared() takes its layouts from forEachSweptLayout
+ * (core/align_program.h), the enumeration lint, verify and the fuzzer
+ * share, which aligns each one as runConfigs does (alignForArch), so
+ * what gets diffed is what the experiments actually evaluate. A layout
+ * the sweep folds over several architectures is diffed under each.
  */
 
 #ifndef BALIGN_CHECK_DIFFER_H
@@ -89,18 +91,8 @@ std::string formatDivergence(const Divergence &divergence);
 /// Configurations a diff sweeps.
 struct DiffOptions
 {
-    /// Architectures to check (empty = all eight).
-    std::vector<Arch> archs;
-    /// Aligners to check (empty = Original, Greedy, Cost, Try15).
-    std::vector<AlignerKind> kinds;
-    /// Alignment objectives to sweep; each objective realigns every
-    /// configured (architecture, aligner) pair under its own prices
-    /// (empty = just align.objective).
-    std::vector<ObjectiveKind> objectives;
-    /// Alignment options (the BT/FNT chain-order override is applied on
-    /// top, exactly as runConfigs does; the objective field is overridden
-    /// by the `objectives` sweep).
-    AlignOptions align;
+    /// The layouts to diff.
+    ConfigSweep sweep;
     /// Stop after this many divergences (0 = collect all).
     std::size_t maxDivergences = 1;
 };
@@ -123,7 +115,8 @@ std::optional<Divergence> diffLayout(const PreparedProgram &prepared,
                                      const ProgramLayout &layout, Arch arch,
                                      AlignerKind kind);
 
-/// Diffs every configured (architecture, aligner) pair of @p options.
+/// Diffs each layout of @p options' sweep under every architecture it
+/// serves.
 std::vector<Divergence> diffPrepared(const PreparedProgram &prepared,
                                      const DiffOptions &options = {});
 

@@ -638,19 +638,52 @@ loadRepro(const std::string &path)
     return repro;
 }
 
-std::optional<Divergence>
-lintGateCheck(const Program &program, const DiffOptions &options)
+ConfigSweep
+fuzzSweep()
 {
-    const std::vector<ObjectiveKind> objectives =
-        options.objectives.empty()
-            ? std::vector<ObjectiveKind>{options.align.objective}
-            : options.objectives;
-    for (const ObjectiveKind objective : objectives) {
+    ConfigSweep sweep;
+    sweep.kinds = allAlignerKindsExtended();
+    sweep.objectives = allObjectiveKinds();
+    return sweep;
+}
+
+namespace {
+
+/// A finding of @p kind on the layout of @p program aligned under
+/// @p config.
+Divergence
+finding(DivergenceKind kind, const Program &program,
+        const SweepConfig &config, std::string detail)
+{
+    Divergence divergence;
+    divergence.kind = kind;
+    divergence.arch = config.arch;
+    divergence.aligner = config.kind;
+    divergence.objective = config.objective;
+    divergence.program = program.name();
+    divergence.detail = std::move(detail);
+    return divergence;
+}
+
+/// @p sweep narrowed to the Fallthrough architecture.
+ConfigSweep
+atFallthrough(ConfigSweep sweep)
+{
+    sweep.archs = {Arch::Fallthrough};
+    return sweep;
+}
+
+}  // namespace
+
+std::optional<Divergence>
+lintGateCheck(const Program &program, const ConfigSweep &sweep)
+{
+    // One objective at a time, so the finding names the objective whose
+    // layouts broke a rule.
+    for (const ObjectiveKind objective : sweep.sweptObjectives()) {
         LintRunOptions run;
-        run.archs = options.archs;
-        run.kinds = options.kinds;
-        run.align = options.align;
-        run.align.objective = objective;
+        run.sweep = sweep;
+        run.sweep.objectives = {objective};
         const LintReport report = lintProgram(program, run);
         if (report.clean())
             continue;
@@ -671,102 +704,24 @@ lintGateCheck(const Program &program, const DiffOptions &options)
 }
 
 std::optional<Divergence>
-verifyGateCheck(const Program &program, const DiffOptions &options,
+verifyGateCheck(const Program &program, const ConfigSweep &sweep,
                 const LayoutMutator &mutate)
 {
     VerifyRunOptions run;
-    run.archs = options.archs;
-    run.kinds = options.kinds;
-    run.objectives = options.objectives;
-    run.align = options.align;
+    run.sweep = sweep;
     run.mutate = mutate;
     const VerifyRunReport report = verifyProgramLayouts(program, run);
-    if (report.verified())
+    if (!report.firstFailure.has_value())
         return std::nullopt;
-
-    Divergence divergence;
-    divergence.kind = DivergenceKind::Verify;
-    divergence.program = program.name();
-    // Pin the divergence to the first failing configuration so the repro
-    // names a concrete (arch, aligner, objective) triple.
-    for (const VerifyCertificate &certificate : report.certificates) {
-        if (certificate.result.verified())
-            continue;
-        for (const Arch arch : allArchs()) {
-            if (certificate.arch == archName(arch))
-                divergence.arch = arch;
-        }
-        for (const AlignerKind kind : allAlignerKindsExtended()) {
-            if (certificate.aligner == alignerKindName(kind))
-                divergence.aligner = kind;
-        }
-        if (const auto objective = parseObjectiveKind(certificate.objective))
-            divergence.objective = *objective;
-        break;
-    }
-    divergence.detail = formatVerifyReport(report, program.name());
-    return divergence;
+    // Pinned to the first failing configuration, so the repro names a
+    // concrete (arch, aligner, objective) triple.
+    return finding(DivergenceKind::Verify, program, *report.firstFailure,
+                   formatVerifyReport(report, program.name()));
 }
-
-namespace {
-
-/// One configured (aligner, objective) alignment handed to a gate: the
-/// aligner, the options (objective included) and cost model it was
-/// aligned under, and the layout itself.
-struct GateAlignment
-{
-    AlignerKind kind;
-    const AlignOptions &align;
-    const CostModel &model;
-    const ProgramLayout &layout;
-};
-
-using GateAlignmentCheck =
-    std::function<std::optional<Divergence>(const GateAlignment &)>;
-
-/**
- * Aligns @p program under every configured (aligner, objective) pair of
- * @p options (empty kinds widen to allAlignerKindsExtended(), empty
- * objectives to align.objective) with the Fallthrough cost model and the
- * verifier off — failures must become findings, not panics — and returns
- * the first finding @p check makes, stamped with its aligner and
- * objective.
- */
-std::optional<Divergence>
-firstAlignmentFinding(const Program &program, const DiffOptions &options,
-                      const GateAlignmentCheck &check)
-{
-    const std::vector<AlignerKind> &kinds =
-        options.kinds.empty() ? allAlignerKindsExtended() : options.kinds;
-    const std::vector<ObjectiveKind> objectives =
-        options.objectives.empty()
-            ? std::vector<ObjectiveKind>{options.align.objective}
-            : options.objectives;
-    const CostModel model(Arch::Fallthrough);
-    for (const AlignerKind kind : kinds) {
-        for (const ObjectiveKind objective : objectives) {
-            AlignOptions align = options.align;
-            align.objective = objective;
-            align.verify = false;
-            const ProgramLayout layout =
-                alignProgram(program, kind, &model, align);
-            std::optional<Divergence> finding =
-                check({kind, align, model, layout});
-            if (finding.has_value()) {
-                finding->aligner = kind;
-                finding->objective = objective;
-                return finding;
-            }
-        }
-    }
-    return std::nullopt;
-}
-
-}  // namespace
 
 std::optional<Divergence>
 realignGateCheck(const Program &program, const WalkOptions &walk,
-                 const DiffOptions &options)
+                 const ConfigSweep &sweep)
 {
     // Deterministic profile mutation: multiplicative noise moves some
     // procedures past any mid-range divergence threshold while others
@@ -779,25 +734,24 @@ realignGateCheck(const Program &program, const WalkOptions &walk,
     spec.seed = 0x5EED5EEDull;
     degradeProfile(degraded, walk, spec);
 
-    return firstAlignmentFinding(
-        program, options,
-        [&](const GateAlignment &gate) -> std::optional<Divergence> {
+    std::optional<Divergence> found;
+    forEachSweptLayout(
+        program, atFallthrough(sweep),
+        [&](const SweepConfig &config, ProgramLayout &old_layout) {
             auto report = [&](const std::string &what,
                               const std::string &detail) {
-                Divergence divergence;
-                divergence.kind = DivergenceKind::Realign;
-                divergence.program = program.name();
-                divergence.detail = "  " + what + ": " + detail + "\n";
-                return divergence;
+                found = finding(DivergenceKind::Realign, program, config,
+                                "  " + what + ": " + detail + "\n");
+                return true;
             };
 
-            const ProgramLayout &old_layout = gate.layout;
+            const CostModel model(config.arch);
             const ProgramLayout full =
-                alignProgram(degraded, gate.kind, &gate.model, gate.align);
+                alignProgram(degraded, config.kind, &model, config.align);
 
             const ProgramLayout incremental =
-                realignProgram(program, old_layout, degraded, gate.kind,
-                               &gate.model, gate.align, 0.0);
+                realignProgram(program, old_layout, degraded, config.kind,
+                               &model, config.align, 0.0);
             std::string mismatch =
                 describeLayoutDifference(full, incremental);
             if (!mismatch.empty())
@@ -805,8 +759,8 @@ realignGateCheck(const Program &program, const WalkOptions &walk,
                               mismatch);
 
             const ProgramLayout kept =
-                realignProgram(program, old_layout, degraded, gate.kind,
-                               &gate.model, gate.align, kNeverRealign);
+                realignProgram(program, old_layout, degraded, config.kind,
+                               &model, config.align, kNeverRealign);
             mismatch = describeLayoutDifference(old_layout, kept);
             if (!mismatch.empty())
                 return report(
@@ -815,8 +769,8 @@ realignGateCheck(const Program &program, const WalkOptions &walk,
 
             RealignStats stats;
             const ProgramLayout spliced =
-                realignProgram(program, old_layout, degraded, gate.kind,
-                               &gate.model, gate.align, 0.25, &stats);
+                realignProgram(program, old_layout, degraded, config.kind,
+                               &model, config.align, 0.25, &stats);
             const VerifyResult proof = verifyLayout(degraded, spliced);
             if (!proof.verified()) {
                 std::ostringstream detail;
@@ -826,25 +780,17 @@ realignGateCheck(const Program &program, const WalkOptions &walk,
                 return report("mid-threshold splice failed verification",
                               detail.str());
             }
-            return std::nullopt;
+            return false;
         });
+    return found;
 }
 
 std::optional<Divergence>
-estimateGateCheck(const Program &program, const DiffOptions &options)
+estimateGateCheck(const Program &program, const ConfigSweep &sweep)
 {
     // Estimate once; every check below runs against this copy.
     Program estimated = program;
-    const EstimateReport estimate = estimateProfile(estimated);
-    (void)estimate;
-
-    auto report = [&](const std::string &what, const std::string &detail) {
-        Divergence divergence;
-        divergence.kind = DivergenceKind::Estimate;
-        divergence.program = program.name();
-        divergence.detail = "  " + what + ": " + detail + "\n";
-        return divergence;
-    };
+    estimateProfile(estimated);
 
     // The synthesized profile must satisfy the same static invariants a
     // measured profile does (prof.*), plus the estimator's own (est.*).
@@ -854,67 +800,75 @@ estimateGateCheck(const Program &program, const DiffOptions &options)
         const LintReport lint = lintProgram(estimated, lint_run);
         if (!lint.clean()) {
             std::ostringstream detail;
+            detail << "  estimated profile fails static lint: ";
             for (const Diagnostic &diagnostic : lint.diagnostics) {
                 if (diagnostic.severity == Severity::Error)
                     detail << formatDiagnostic(diagnostic) << "; ";
             }
-            return report("estimated profile fails static lint",
-                          detail.str());
+            detail << "\n";
+            // Found before any layout: no configuration to name.
+            return finding(DivergenceKind::Estimate, program, SweepConfig(),
+                           detail.str());
         }
     }
 
     // Every aligner must produce a verifiable layout from the estimate.
-    return firstAlignmentFinding(
-        estimated, options,
-        [&](const GateAlignment &gate) -> std::optional<Divergence> {
-            const VerifyResult proof = verifyLayout(estimated, gate.layout);
+    std::optional<Divergence> found;
+    forEachSweptLayout(
+        estimated, atFallthrough(sweep),
+        [&](const SweepConfig &config, ProgramLayout &layout) {
+            const VerifyResult proof = verifyLayout(estimated, layout);
             if (proof.verified())
-                return std::nullopt;
-            return report("layout aligned on the estimated profile failed "
-                          "verification",
-                          formatVerifyFailure(proof.failures.front()));
+                return false;
+            found = finding(
+                DivergenceKind::Estimate, program, config,
+                "  layout aligned on the estimated profile failed "
+                "verification: " +
+                    formatVerifyFailure(proof.failures.front()) + "\n");
+            return true;
         });
+    return found;
 }
 
 std::optional<Divergence>
-emitGateCheck(const Program &program, const DiffOptions &options)
+emitGateCheck(const Program &program, const ConfigSweep &sweep)
 {
-    return firstAlignmentFinding(
-        program, options,
-        [&](const GateAlignment &gate) -> std::optional<Divergence> {
-            auto report = [&](EncodingModelKind encoding,
-                              const std::string &what,
-                              const std::string &detail) {
-                Divergence divergence;
-                divergence.kind = DivergenceKind::Emit;
-                divergence.program = program.name();
-                divergence.detail = std::string("  ") +
-                                    encodingModelKindName(encoding) +
-                                    ": " + what + ": " + detail + "\n";
-                return divergence;
-            };
-
+    std::optional<Divergence> found;
+    forEachSweptLayout(
+        program, atFallthrough(sweep),
+        [&](const SweepConfig &config, ProgramLayout &layout) {
             for (const EncodingModelKind encoding :
                  allEncodingModelKinds()) {
+                auto report = [&](DivergenceKind kind,
+                                  const std::string &what,
+                                  const std::string &detail) {
+                    found = finding(kind, program, config,
+                                    std::string("  ") +
+                                        encodingModelKindName(encoding) +
+                                        ": " + what + ": " + detail + "\n");
+                    return true;
+                };
+                auto emit = [&](const std::string &what,
+                                const std::string &detail) {
+                    return report(DivergenceKind::Emit, what, detail);
+                };
+
                 const EncodingModel &em = encodingModel(encoding);
                 const RelaxedLayout relaxed =
-                    relaxLayout(program, gate.layout, em);
+                    relaxLayout(program, layout, em);
                 if (!relaxed.converged)
-                    return report(encoding,
-                                  "relaxation did not converge",
-                                  relaxed.diagnostic);
+                    return emit("relaxation did not converge",
+                                relaxed.diagnostic);
 
-                const VerifyResult proof = verifyRelaxedLayout(
-                    program, gate.layout, relaxed, em);
+                const VerifyResult proof =
+                    verifyRelaxedLayout(program, layout, relaxed, em);
                 if (!proof.verified())
-                    return report(
-                        encoding, "relaxed layout failed verification",
-                        formatVerifyFailure(proof.failures.front()));
+                    return emit("relaxed layout failed verification",
+                                formatVerifyFailure(proof.failures.front()));
 
                 // Fixpoint determinism: relaxation keeps no hidden
                 // state, so a second run must reproduce every byte.
-                const RelaxedLayout again =
-                    relaxLayout(program, gate.layout, em);
+                const RelaxedLayout again = relaxLayout(program, layout, em);
                 if (again.totalBytes != relaxed.totalBytes ||
                     again.iterations != relaxed.iterations ||
                     again.instrs.size() != relaxed.instrs.size()) {
@@ -923,8 +877,7 @@ emitGateCheck(const Program &program, const DiffOptions &options)
                            << again.totalBytes << ", sweeps "
                            << relaxed.iterations << " vs "
                            << again.iterations;
-                    return report(encoding, "second relaxation diverged",
-                                  detail.str());
+                    return emit("second relaxation diverged", detail.str());
                 }
                 for (std::size_t i = 0; i < relaxed.instrs.size(); ++i) {
                     const RelaxedInstr &a = relaxed.instrs[i];
@@ -938,9 +891,8 @@ emitGateCheck(const Program &program, const DiffOptions &options)
                                << "/" << branchFormName(a.form) << " vs "
                                << b.byteAddr << "/"
                                << branchFormName(b.form);
-                        return report(encoding,
-                                      "second relaxation diverged",
-                                      detail.str());
+                        return emit("second relaxation diverged",
+                                    detail.str());
                     }
                 }
 
@@ -948,62 +900,33 @@ emitGateCheck(const Program &program, const DiffOptions &options)
                     buildElfObject(program, relaxed, em);
                 const ParsedElf parsed = parseElfObject(object);
                 if (!parsed.ok)
-                    return report(encoding,
-                                  "emitted object failed to parse",
-                                  parsed.error);
+                    return emit("emitted object failed to parse",
+                                parsed.error);
                 if (parsed.text != encodeText(relaxed, em)) {
                     std::ostringstream detail;
                     detail << "parsed " << parsed.text.size()
                            << " text byte(s), encoder produced "
                            << relaxed.totalBytes;
-                    return report(
-                        encoding,
-                        "parsed .text differs from the encoder output",
-                        detail.str());
+                    return emit("parsed .text differs from the encoder "
+                                "output",
+                                detail.str());
+                }
+
+                // The same object through the independent disassembler.
+                const ObjCheckResult check =
+                    checkObject(program, relaxed, object);
+                if (!check.verified()) {
+                    std::ostringstream detail;
+                    detail << check.totalFailures() << " of "
+                           << check.totalChecks()
+                           << " byte-level obligation checks failed";
+                    return report(DivergenceKind::Disasm, detail.str(),
+                                  formatObjFailure(check.failures.front()));
                 }
             }
-            return std::nullopt;
+            return false;
         });
-}
-
-std::optional<Divergence>
-disasmGateCheck(const Program &program, const DiffOptions &options)
-{
-    return firstAlignmentFinding(
-        program, options,
-        [&](const GateAlignment &gate) -> std::optional<Divergence> {
-            for (const EncodingModelKind encoding :
-                 allEncodingModelKinds()) {
-                const EncodingModel &em = encodingModel(encoding);
-                const RelaxedLayout relaxed =
-                    relaxLayout(program, gate.layout, em);
-                // Unconverged relaxations are the emit gate's finding;
-                // there is no trustworthy byte layout to validate.
-                if (!relaxed.converged)
-                    continue;
-
-                const std::vector<std::uint8_t> object =
-                    buildElfObject(program, relaxed, em);
-                const ObjCheckResult result =
-                    checkObject(program, relaxed, object);
-                if (result.verified())
-                    continue;
-
-                Divergence divergence;
-                divergence.kind = DivergenceKind::Disasm;
-                divergence.program = program.name();
-                std::ostringstream detail;
-                detail << "  " << encodingModelKindName(encoding) << ": "
-                       << result.totalFailures() << " of "
-                       << result.totalChecks()
-                       << " byte-level obligation checks failed: "
-                       << formatObjFailure(result.failures.front())
-                       << "\n";
-                divergence.detail = detail.str();
-                return divergence;
-            }
-            return std::nullopt;
-        });
+    return found;
 }
 
 std::uint64_t
@@ -1021,21 +944,7 @@ runFuzz(const FuzzOptions &options)
 {
     FuzzReport report;
 
-    // The fuzzer sweeps wider than the paper-scoped defaults: every
-    // aligner including ExtTsp, under every objective, so a finding
-    // records which objective shaped the diverging layout.
-    DiffOptions first_only = options.diff;
-    first_only.maxDivergences = 1;
-    if (first_only.kinds.empty())
-        first_only.kinds = allAlignerKindsExtended();
-    if (first_only.objectives.empty())
-        first_only.objectives = allObjectiveKinds();
-
-    const std::size_t archs = first_only.archs.empty()
-                                  ? allArchs().size()
-                                  : first_only.archs.size();
-    const std::size_t kinds = first_only.kinds.size();
-    const std::size_t objectives = first_only.objectives.size();
+    const DiffOptions first_only{options.sweep, 1};
 
     // Every per-seed gate, in order: the static and alignment-level
     // checks first (no trace replay), the differential oracle last.
@@ -1043,24 +952,21 @@ runFuzz(const FuzzOptions &options)
         std::function<std::optional<Divergence>(const PreparedProgram &)>;
     const Gate gates[] = {
         [&](const PreparedProgram &prepared) {
-            return lintGateCheck(prepared.program, first_only);
+            return lintGateCheck(prepared.program, options.sweep);
         },
         [&](const PreparedProgram &prepared) {
-            return verifyGateCheck(prepared.program, first_only,
+            return verifyGateCheck(prepared.program, options.sweep,
                                    options.layoutMutator);
         },
         [&](const PreparedProgram &prepared) {
             return realignGateCheck(prepared.program, prepared.walk,
-                                    first_only);
+                                    options.sweep);
         },
         [&](const PreparedProgram &prepared) {
-            return estimateGateCheck(prepared.program, first_only);
+            return estimateGateCheck(prepared.program, options.sweep);
         },
         [&](const PreparedProgram &prepared) {
-            return emitGateCheck(prepared.program, first_only);
-        },
-        [&](const PreparedProgram &prepared) {
-            return disasmGateCheck(prepared.program, first_only);
+            return emitGateCheck(prepared.program, options.sweep);
         },
         [&](const PreparedProgram &prepared) -> std::optional<Divergence> {
             std::vector<Divergence> divergences =
@@ -1099,7 +1005,10 @@ runFuzz(const FuzzOptions &options)
             run_seed(i);
     }
     report.programsRun = options.seeds;
-    report.configsChecked = options.seeds * archs * kinds * objectives;
+    report.configsChecked = options.seeds *
+                            options.sweep.sweptArchs().size() *
+                            options.sweep.sweptKinds().size() *
+                            options.sweep.sweptObjectives().size();
 
     for (std::size_t i = 0; i < options.seeds; ++i) {
         if (!found[i].has_value())

@@ -7,10 +7,11 @@
  * or one of the hand-built degenerate shapes (single-block loops, dense
  * indirect jumps, 1-instruction blocks, call chains past the walker's
  * depth cap, ...) — and runs it through one ordered table of gates: lint,
- * verify, realign, estimate, emit and disasm (the *GateCheck functions
- * below), then every aligner x architecture pair through the
- * differential harness (check/differ.h). The first finding wins; every
- * kind shrinks the same way.
+ * verify, realign, estimate and emit (the *GateCheck functions below),
+ * then the differential harness (check/differ.h). Every gate enumerates
+ * the campaign's ConfigSweep with forEachSweptLayout
+ * (core/align_program.h), the enumeration lint, verify and the differ
+ * share. The first finding wins; every kind shrinks the same way.
  *
  * When a divergence is found, the shrinker minimizes the repro in the
  * issue's order — drop procedures, drop blocks (truncate-to-return +
@@ -64,16 +65,18 @@ Program programForSeed(std::uint64_t seed);
 /// The walk driving a fuzz seed.
 WalkOptions walkForSeed(std::uint64_t seed, std::uint64_t instr_budget);
 
+/// The fuzzer's matrix: every architecture, every aligner including
+/// ExtTsp, every objective.
+ConfigSweep fuzzSweep();
+
 /// Fuzzing campaign configuration.
 struct FuzzOptions
 {
     std::uint64_t seeds = 100;      ///< number of seeds to run
     std::uint64_t firstSeed = 1;    ///< first seed value
     std::uint64_t walkInstrs = 20'000;  ///< per-seed instruction budget
-    /// Configurations to sweep. Unlike diffPrepared, empty kinds /
-    /// objectives here widen to allAlignerKindsExtended() and every
-    /// objective — the fuzzer's job is the full matrix.
-    DiffOptions diff;
+    /// Configurations to sweep.
+    ConfigSweep sweep = fuzzSweep();
     /// Directory for shrunk repro files (empty = do not save).
     std::string corpusDir;
     /// Parallelize seeds across this pool (null = serial).
@@ -101,75 +104,73 @@ struct FuzzReport
 
 /**
  * The fuzzer's lint pre-gate: lints @p program (already profiled — the
- * prof.* rules read its recorded weights) and the layouts of every
- * configuration in @p options, mirroring the differ's sweep. Returns a
- * DivergenceKind::Lint finding carrying the error diagnostics, or nullopt
- * for a clean bill.
+ * prof.* rules read its recorded weights) and every layout of @p sweep,
+ * one objective at a time. Returns a DivergenceKind::Lint finding
+ * carrying the error diagnostics, or nullopt for a clean bill.
  */
 std::optional<Divergence> lintGateCheck(const Program &program,
-                                        const DiffOptions &options = {});
+                                        const ConfigSweep &sweep =
+                                            fuzzSweep());
 
 /**
- * The fuzzer's verify pre-gate: aligns @p program under every
- * configuration in @p options and proves each layout semantically
- * equivalent (verify/driver.h). @p mutate, when set, corrupts each layout
- * first. Returns a DivergenceKind::Verify finding carrying the failed
- * proof obligations, or nullopt when every layout verifies.
+ * The fuzzer's verify pre-gate: proves each layout of @p sweep
+ * semantically equivalent to @p program (verify/driver.h). @p mutate,
+ * when set, corrupts each layout first. Returns a DivergenceKind::Verify
+ * finding carrying the failed proof obligations, or nullopt when every
+ * layout verifies.
  */
 std::optional<Divergence> verifyGateCheck(const Program &program,
-                                          const DiffOptions &options = {},
+                                          const ConfigSweep &sweep =
+                                              fuzzSweep(),
                                           const LayoutMutator &mutate = {});
+
+/*
+ * The gates below sweep the Fallthrough architecture only: they check
+ * what a pass does with a layout, not which layout an architecture gets.
+ */
 
 /**
  * The fuzzer's incremental-realignment gate: perturbs @p program's
- * profile deterministically, then for every configured (aligner,
- * objective) pair checks realignProgram's differential contract — the
- * threshold-0 incremental layout is byte-identical to a full
- * alignProgram of the perturbed profile, the threshold-infinity layout
- * byte-identical to the old one, and a mid-threshold splice passes the
- * translation validator. Returns a DivergenceKind::Realign finding, or
- * nullopt when the contract holds. @p walk feeds walk-based degradations.
+ * profile deterministically, then for each layout of @p sweep checks
+ * realignProgram's differential contract — the threshold-0 incremental
+ * layout is byte-identical to a full alignProgram of the perturbed
+ * profile, the threshold-infinity layout byte-identical to the old one,
+ * and a mid-threshold splice passes the translation validator. Returns a
+ * DivergenceKind::Realign finding, or nullopt when the contract holds.
+ * @p walk feeds walk-based degradations.
  */
 std::optional<Divergence> realignGateCheck(const Program &program,
                                            const WalkOptions &walk,
-                                           const DiffOptions &options = {});
+                                           const ConfigSweep &sweep =
+                                               fuzzSweep());
 
 /**
  * The fuzzer's static-estimator gate: estimates a profile for a copy of
  * @p program, checks the synthesized weights against the prof.* and
- * est.* invariants, then aligns the estimated copy under every
- * configured (aligner, objective) pair and proves each layout with the
- * translation validator. Returns a DivergenceKind::Estimate finding, or
- * nullopt when the estimator holds up.
+ * est.* invariants, then proves each layout of @p sweep aligned on the
+ * estimated copy with the translation validator. Returns a
+ * DivergenceKind::Estimate finding, or nullopt when the estimator holds
+ * up.
  */
 std::optional<Divergence> estimateGateCheck(const Program &program,
-                                            const DiffOptions &options = {});
+                                            const ConfigSweep &sweep =
+                                                fuzzSweep());
 
 /**
- * The fuzzer's emission gate: aligns @p program under every configured
- * (aligner, objective) pair, relaxes each layout under every encoding
- * model, and checks the full emission contract — convergence, the
- * relaxed-layout proof obligations (verify/verify.h), a byte-identical
- * second relaxation, the fixed-word byteAddr == wordAddr * kInstrBytes
- * identity, and an ELF object (emit/elf.h) that parses back with text
- * bytes equal to the encoder's. Returns a DivergenceKind::Emit finding,
- * or nullopt when the backend holds up.
+ * The fuzzer's emission gate: relaxes each layout of @p sweep once under
+ * every encoding model and checks the emission contract — convergence,
+ * the relaxed-layout proof obligations (verify/verify.h), a
+ * byte-identical second relaxation, and an ELF object (emit/elf.h) that
+ * parses back with text bytes equal to the encoder's — as a
+ * DivergenceKind::Emit finding; then decodes that same object with the
+ * independent disassembler and discharges the byte-level obligation
+ * family (disasm/checkobj.h) against the relaxed layout, as a
+ * DivergenceKind::Disasm finding carrying the first failed obligation.
+ * Returns nullopt when the backend and the object both hold up.
  */
 std::optional<Divergence> emitGateCheck(const Program &program,
-                                        const DiffOptions &options = {});
-
-/**
- * The fuzzer's binary-validation gate: aligns @p program under every
- * configured (aligner, objective) pair, emits an ELF object under every
- * encoding model, decodes it with the independent disassembler and
- * discharges the byte-level obligation family (disasm/checkobj.h)
- * against the relaxed layout. Unconverged relaxations are skipped — the
- * emit gate owns that finding. Returns a DivergenceKind::Disasm finding
- * carrying the first failed obligation, or nullopt when every object
- * validates.
- */
-std::optional<Divergence> disasmGateCheck(const Program &program,
-                                          const DiffOptions &options = {});
+                                        const ConfigSweep &sweep =
+                                            fuzzSweep());
 
 /// Runs the campaign: seeds -> programs -> differ -> shrink -> corpus.
 FuzzReport runFuzz(const FuzzOptions &options);

@@ -3,6 +3,7 @@
 #include <numeric>
 #include <utility>
 
+#include "bpred/arch.h"
 #include "core/greedy.h"
 #include "layout/materialize.h"
 #include "support/log.h"
@@ -133,6 +134,68 @@ alignForArch(const Program &program, AlignerKind kind, Arch arch,
     const CostModel model(arch);
     return alignProgram(program, kind, &model,
                         archAlignOptions(arch, options));
+}
+
+const std::vector<Arch> &
+ConfigSweep::sweptArchs() const
+{
+    return archs.empty() ? allArchs() : archs;
+}
+
+const std::vector<AlignerKind> &
+ConfigSweep::sweptKinds() const
+{
+    return kinds.empty() ? allAlignerKinds() : kinds;
+}
+
+std::vector<ObjectiveKind>
+ConfigSweep::sweptObjectives() const
+{
+    return objectives.empty() ? std::vector<ObjectiveKind>{align.objective}
+                              : objectives;
+}
+
+bool
+SweepConfig::serves(Arch target) const
+{
+    return archFolded ? target != Arch::BtFnt : target == arch;
+}
+
+const char *
+SweepConfig::archContext() const
+{
+    return archFolded ? "" : archName(arch);
+}
+
+bool
+forEachSweptLayout(const Program &program, const ConfigSweep &sweep,
+                   const SweepVisitor &visit)
+{
+    const std::vector<AlignerKind> &kinds = sweep.sweptKinds();
+    for (const ObjectiveKind objective : sweep.sweptObjectives()) {
+        const bool fold = !objectiveArchDependent(objective);
+        bool folded_done = false;
+        for (const Arch arch : sweep.sweptArchs()) {
+            SweepConfig config;
+            config.objective = objective;
+            config.arch = arch;
+            config.archFolded = fold && arch != Arch::BtFnt;
+            if (config.archFolded && std::exchange(folded_done, true))
+                continue;  // aligned once already, for an earlier arch
+            config.align = sweep.align;
+            config.align.objective = objective;
+            config.align.verify = false;
+            config.align = archAlignOptions(arch, config.align);
+            for (const AlignerKind kind : kinds) {
+                config.kind = kind;
+                ProgramLayout layout =
+                    alignForArch(program, kind, arch, config.align);
+                if (visit(config, layout))
+                    return true;
+            }
+        }
+    }
+    return false;
 }
 
 }  // namespace balign

@@ -4,7 +4,6 @@
 #include <ostream>
 #include <sstream>
 
-#include "layout/chain_order.h"
 #include "support/json.h"
 
 namespace balign {
@@ -19,6 +18,35 @@ LintReport::count(Severity severity) const
     }
     return n;
 }
+
+namespace {
+
+/// cost.monotone on one swept (objective, architecture) group: every
+/// candidate layout of @p group against its Greedy layout.
+void
+lintCostPairs(const Program &program, const SweepConfig &config,
+              const std::map<AlignerKind, ProgramLayout> &group,
+              LintReport &report)
+{
+    const auto greedy = group.find(AlignerKind::Greedy);
+    if (greedy == group.end())
+        return;
+    const CostModel model(config.arch);
+    const auto objective = makeObjective(config.objective, &model);
+    for (const AlignerKind candidate :
+         {AlignerKind::Cost, AlignerKind::Try15, AlignerKind::ExtTsp}) {
+        const auto found = group.find(candidate);
+        if (found == group.end())
+            continue;
+        lintCostMonotone(program, *objective, config.archContext(),
+                         greedy->second, alignerKindName(AlignerKind::Greedy),
+                         found->second, alignerKindName(candidate),
+                         report.diagnostics);
+        ++report.costPairsChecked;
+    }
+}
+
+}  // namespace
 
 LintReport
 lintProgram(const Program &program, const LintRunOptions &options)
@@ -39,56 +67,23 @@ lintProgram(const Program &program, const LintRunOptions &options)
     if (!options.layoutRules || !report.clean())
         return report;
 
-    const std::vector<Arch> &archs =
-        options.archs.empty() ? allArchs() : options.archs;
-    const std::vector<AlignerKind> &kinds =
-        options.kinds.empty() ? allAlignerKinds() : options.kinds;
-
-    // Under an architecture-independent objective (ExtTSP) the prices are
-    // identical on every architecture, so cost.monotone is checked once
-    // instead of per architecture.
-    const bool arch_dependent_objective =
-        objectiveArchDependent(options.align.objective);
-    bool objective_priced = false;
-
-    for (const Arch arch : archs) {
-        // alignForArch, as runConfigs aligns, so what gets linted is what
-        // the experiments evaluate.
-        AlignOptions align = options.align;
-        // Lint reports findings; a verifier panic would mask them.
-        align.verify = false;
-
-        std::map<AlignerKind, ProgramLayout> layouts;
-        for (const AlignerKind kind : kinds) {
-            layouts[kind] = alignForArch(program, kind, arch, align);
-            lintLayout(program, layouts[kind], archName(arch),
-                       alignerKindName(kind), report.diagnostics);
+    // cost.* compares each group's candidates against its Greedy layout
+    // once the group's last aligner has been swept.
+    const std::vector<AlignerKind> &kinds = options.sweep.sweptKinds();
+    std::map<AlignerKind, ProgramLayout> group;
+    forEachSweptLayout(
+        program, options.sweep,
+        [&](const SweepConfig &config, ProgramLayout &layout) {
+            lintLayout(program, layout, archName(config.arch),
+                       alignerKindName(config.kind), report.diagnostics);
             ++report.layoutsChecked;
-        }
-
-        if (!arch_dependent_objective && objective_priced)
-            continue;  // same prices on every architecture: already done
-        const auto greedy = layouts.find(AlignerKind::Greedy);
-        if (greedy == layouts.end())
-            continue;
-        const CostModel model(arch);
-        const auto objective = makeObjective(options.align.objective, &model);
-        const std::string arch_context =
-            objective->archDependent() ? archName(arch) : std::string();
-        for (const AlignerKind candidate :
-             {AlignerKind::Cost, AlignerKind::Try15, AlignerKind::ExtTsp}) {
-            const auto found = layouts.find(candidate);
-            if (found == layouts.end())
-                continue;
-            lintCostMonotone(program, *objective, arch_context,
-                             greedy->second,
-                             alignerKindName(AlignerKind::Greedy),
-                             found->second, alignerKindName(candidate),
-                             report.diagnostics);
-            ++report.costPairsChecked;
-        }
-        objective_priced = true;
-    }
+            group[config.kind] = std::move(layout);
+            if (config.kind == kinds.back()) {
+                lintCostPairs(program, config, group, report);
+                group.clear();
+            }
+            return false;
+        });
     return report;
 }
 

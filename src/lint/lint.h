@@ -1,9 +1,10 @@
 /**
  * @file
  * Static-analysis driver: runs the lint rule catalog (lint/rules.h) over a
- * program, its recorded edge profile, and the layouts every configured
- * (architecture, aligner) pair would produce — without replaying a single
- * trace event.
+ * program, its recorded edge profile, and every layout of its
+ * configuration sweep (core/align_program.h: ConfigSweep, the one
+ * enumeration verify, the differ and the fuzzer share) — without
+ * replaying a single trace event.
  *
  * Relation to the dynamic oracle (check/differ.h): the differ catches
  * divergences only when a recorded walk is replayed through both
@@ -33,7 +34,7 @@ inline constexpr int kLintSchemaVersion = 1;
 struct LintReport
 {
     std::vector<Diagnostic> diagnostics;
-    /// (architecture, aligner) layouts built and checked.
+    /// Swept layouts built and checked.
     std::size_t layoutsChecked = 0;
     /// cost.monotone (baseline, candidate) pairs compared.
     std::size_t costPairsChecked = 0;
@@ -55,27 +56,21 @@ struct LintReport
 /// Configuration for one lintProgram run.
 struct LintRunOptions
 {
-    /// Architectures whose layouts to check (empty = all eight).
-    std::vector<Arch> archs;
-    /// Aligners whose layouts to check (empty = Original, Greedy, Cost,
-    /// Try15).
-    std::vector<AlignerKind> kinds;
-    /// Alignment options; the BT/FNT chain-order override is applied on
-    /// top, exactly as the experiment runner does.
-    AlignOptions align;
+    /// The layouts to build and check.
+    ConfigSweep sweep;
     /// Rule tunables.
     LintOptions lint;
     /// Build and check layouts (layout.* rules) and compare Cost, Try15
-    /// and ExtTsp against Greedy per architecture (cost.* rules; requires
-    /// Greedy and at least one candidate in `kinds`).
+    /// and ExtTsp against Greedy per swept layout group (cost.* rules;
+    /// requires Greedy and at least one candidate in the sweep's kinds).
     bool layoutRules = true;
 };
 
 /**
- * Runs the full catalog: cfg.* and prof.* on @p program, then — for every
- * configured (architecture, aligner) pair — aligns the program exactly as
- * the experiment runner would and runs layout.* on the result, plus
- * cost.* per architecture. The profile rules consume whatever edge
+ * Runs the full catalog: cfg.* and prof.* on @p program, then layout.* on
+ * every layout of the sweep (forEachSweptLayout, aligned as the
+ * experiment runner aligns), plus cost.* on each (objective,
+ * architecture) group of them. The profile rules consume whatever edge
  * weights @p program carries; an unprofiled program passes them
  * vacuously.
  */

@@ -3,12 +3,12 @@
  * Verification sweep driver: proves every layout a program's experiment
  * matrix would produce.
  *
- * Mirrors lintProgram / runConfigs layout construction exactly — per-
- * architecture cost model, the BT/FNT chain-ordering override, the
- * objective sweep — so what gets proven is what the experiments evaluate.
- * Under an architecture-independent objective (ExtTSP) the layouts are
- * identical on every non-BT/FNT architecture, so one representative is
- * verified with an empty arch context instead of eight copies (BT/FNT
+ * The layouts come from forEachSweptLayout (core/align_program.h), the
+ * enumeration lint, the differ and the fuzzer share, which aligns each
+ * one as runConfigs does (alignForArch), so what gets proven is what the
+ * experiments evaluate. Under an architecture-independent objective
+ * (ExtTSP) the sweep aligns one representative for every non-BT/FNT
+ * architecture, whose certificate carries an empty arch context (BT/FNT
  * stays arch-specific through its chain ordering).
  *
  * The driver is also the injection point for the fuzzer's verify gate:
@@ -22,6 +22,7 @@
 
 #include <functional>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,16 +39,8 @@ using LayoutMutator = std::function<void(
 /// Configuration for one verifyProgramLayouts sweep.
 struct VerifyRunOptions
 {
-    /// Architectures whose layouts to prove (empty = all eight).
-    std::vector<Arch> archs;
-    /// Aligners whose layouts to prove (empty = Original, Greedy, Cost,
-    /// Try15).
-    std::vector<AlignerKind> kinds;
-    /// Objectives to sweep (empty = just align.objective).
-    std::vector<ObjectiveKind> objectives;
-    /// Alignment options; the BT/FNT chain-order override is applied on
-    /// top, exactly as the experiment runner does.
-    AlignOptions align;
+    /// The layouts to prove.
+    ConfigSweep sweep;
     /// Applied to each layout between alignment and verification.
     LayoutMutator mutate;
 };
@@ -58,15 +51,17 @@ struct VerifyRunReport
     std::vector<VerifyCertificate> certificates;
     std::size_t layoutsVerified = 0;
     std::size_t failedLayouts = 0;
+    /// The configuration of the first layout that failed its proof.
+    std::optional<SweepConfig> firstFailure;
 
     bool verified() const { return failedLayouts == 0; }
     std::size_t totalChecks() const;
 };
 
-/// Aligns @p program under every configured (objective, architecture,
-/// aligner) combination and proves each layout semantically equivalent.
-/// A layout whose word-model proof holds also has its relaxed byte
-/// layout proven under every encoding model, in the same certificate.
+/// Proves each layout of @p options' sweep semantically equivalent to
+/// @p program. A layout whose word-model proof holds also has its
+/// relaxed byte layout proven under every encoding model, in the same
+/// certificate.
 VerifyRunReport verifyProgramLayouts(const Program &program,
                                      const VerifyRunOptions &options = {});
 

@@ -59,8 +59,8 @@ TEST(Corpus, EveryFileDiffsClean)
     DiffOptions options;
     options.maxDivergences = 1;
     // Replay the full fuzzer sweep: all five aligners, both objectives.
-    options.kinds = allAlignerKindsExtended();
-    options.objectives = allObjectiveKinds();
+    options.sweep.kinds = allAlignerKindsExtended();
+    options.sweep.objectives = allObjectiveKinds();
     for (const auto &path : corpusFiles()) {
         const auto repro = loadRepro(path);
         ASSERT_TRUE(repro.has_value()) << path;

@@ -741,7 +741,7 @@ TEST(DisasmGate, CleanOnWellFormedProgram)
 {
     EXPECT_STREQ(divergenceKindName(DivergenceKind::Disasm), "disasm");
     const std::optional<Divergence> divergence =
-        disasmGateCheck(emitBase());
+        emitGateCheck(emitBase());
     EXPECT_FALSE(divergence.has_value())
         << formatDivergence(*divergence);
 }

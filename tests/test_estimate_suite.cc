@@ -144,7 +144,7 @@ TEST_P(EstimateSuite, EstimatedProfileLintsClean)
     // Two architectures keep the layout matrix cheap; prof.* / est.* /
     // cost.* are architecture-independent and run either way.
     LintRunOptions run;
-    run.archs = {Arch::BtFnt, Arch::PhtDirect};
+    run.sweep.archs = {Arch::BtFnt, Arch::PhtDirect};
     const LintReport report = lintProgram(program, run);
     EXPECT_EQ(report.profileProvenance, "estimated");
     if (report.errors() != 0)

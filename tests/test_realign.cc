@@ -308,7 +308,7 @@ TEST(Realign, CorpusReprosPassTheRealignGate)
     std::sort(files.begin(), files.end());
     ASSERT_GE(files.size(), 3u);
 
-    DiffOptions options;
+    ConfigSweep options;
     options.kinds = allAlignerKindsExtended();
     options.objectives = allObjectiveKinds();
     for (const std::string &path : files) {

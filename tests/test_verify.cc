@@ -266,7 +266,7 @@ TEST(VerifyDriver, SweepProvesFullMatrixWithArchDedup)
 {
     const Program program = verifyBase();
     VerifyRunOptions options;
-    options.objectives = allObjectiveKinds();
+    options.sweep.objectives = allObjectiveKinds();
     const VerifyRunReport report = verifyProgramLayouts(program, options);
 
     EXPECT_TRUE(report.verified())
@@ -293,8 +293,8 @@ TEST(VerifyDriver, MutatorFailuresLandInReportAndCertificates)
 {
     const Program program = verifyBase();
     VerifyRunOptions options;
-    options.archs = {Arch::Fallthrough};
-    options.kinds = {AlignerKind::Cost};
+    options.sweep.archs = {Arch::Fallthrough};
+    options.sweep.kinds = {AlignerKind::Cost};
     options.mutate = [](ProgramLayout &layout, Arch, AlignerKind,
                         ObjectiveKind) {
         layout.procs[0].blocks[layout.procs[0].order[1]].addr += 1;
@@ -311,8 +311,8 @@ TEST(VerifyDriver, CertificateJsonCarriesSchemaAndObligations)
 {
     const Program program = verifyBase();
     VerifyRunOptions options;
-    options.archs = {Arch::BtFnt};
-    options.kinds = {AlignerKind::Greedy};
+    options.sweep.archs = {Arch::BtFnt};
+    options.sweep.kinds = {AlignerKind::Greedy};
     const VerifyRunReport report = verifyProgramLayouts(program, options);
     ASSERT_EQ(report.certificates.size(), 1u);
 
@@ -338,14 +338,14 @@ TEST(VerifyDriver, CertificateJsonCarriesSchemaAndObligations)
 TEST(VerifyGate, CleanProgramPassesCorruptedLayoutFails)
 {
     const Program program = verifyBase();
-    DiffOptions diff;
-    diff.archs = {Arch::Fallthrough};
-    diff.kinds = {AlignerKind::Greedy};
+    ConfigSweep sweep;
+    sweep.archs = {Arch::Fallthrough};
+    sweep.kinds = {AlignerKind::Greedy};
 
-    EXPECT_FALSE(verifyGateCheck(program, diff).has_value());
+    EXPECT_FALSE(verifyGateCheck(program, sweep).has_value());
 
     const auto finding = verifyGateCheck(
-        program, diff,
+        program, sweep,
         [](ProgramLayout &layout, Arch, AlignerKind, ObjectiveKind) {
             layout.procs[0].blocks[layout.procs[0].order[1]].addr += 1;
         });
@@ -366,9 +366,9 @@ TEST(VerifyGate, FuzzCampaignCatchesAndShrinksInjectedFailure)
     FuzzOptions options;
     options.seeds = 1;
     options.walkInstrs = 2'000;
-    options.diff.archs = {Arch::Fallthrough};
-    options.diff.kinds = {AlignerKind::Greedy};
-    options.diff.objectives = {ObjectiveKind::TableCost};
+    options.sweep.archs = {Arch::Fallthrough};
+    options.sweep.kinds = {AlignerKind::Greedy};
+    options.sweep.objectives = {ObjectiveKind::TableCost};
     options.corpusDir = testing::TempDir() + "balign-verify-gate";
     std::filesystem::create_directories(options.corpusDir);
     options.layoutMutator = [](ProgramLayout &layout, Arch, AlignerKind,

@@ -50,7 +50,7 @@ VerifyRunOptions
 fullMatrix()
 {
     VerifyRunOptions options;
-    options.objectives = allObjectiveKinds();
+    options.sweep.objectives = allObjectiveKinds();
     return options;
 }
 

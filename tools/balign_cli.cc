@@ -524,7 +524,7 @@ runFuzz(const Options &opts, JsonOut &)
     options.firstSeed = opts.seed;
     options.walkInstrs = opts.instrs.value_or(20'000);
     options.corpusDir = opts.output;
-    options.diff.objectives = objectives(opts);
+    options.sweep.objectives = objectives(opts);
     ThreadPool pool(defaultThreads());
     options.pool = &pool;
 
@@ -553,10 +553,10 @@ runRepro(const Options &opts, JsonOut &)
 
     DiffOptions options;
     options.maxDivergences = 0;  // report every diverging configuration
-    // Replay the fuzzer's full sweep: all five aligners, both objectives
-    // (or just the forced one).
-    options.kinds = allAlignerKindsExtended();
-    options.objectives = objectives(opts);
+    // Replay the fuzzer's full sweep (under just the forced objective, if
+    // one is given).
+    options.sweep = fuzzSweep();
+    options.sweep.objectives = objectives(opts);
     const std::vector<Divergence> divergences =
         diffProgram(std::move(repro.program), repro.walk, options);
     if (divergences.empty()) {
@@ -597,7 +597,8 @@ runLint(const Options &opts, JsonOut &json)
 {
     const std::vector<Input> inputs = loadPrograms(opts, opts.inputs);
     LintRunOptions run;
-    run.align.objective = opts.objective.value_or(ObjectiveKind::TableCost);
+    run.sweep.align.objective =
+        opts.objective.value_or(ObjectiveKind::TableCost);
 
     std::size_t total_errors = 0;
     std::size_t total_warnings = 0;
@@ -621,7 +622,7 @@ runVerify(const Options &opts, JsonOut &json)
 {
     const std::vector<Input> inputs = loadPrograms(opts, opts.inputs);
     VerifyRunOptions run;
-    run.objectives = objectives(opts);
+    run.sweep.objectives = objectives(opts);
 
     std::size_t total_failed = 0;
     std::size_t total_layouts = 0;

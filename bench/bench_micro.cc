@@ -15,6 +15,9 @@
 #include "bpred/cost_model.h"
 #include "core/align_program.h"
 #include "core/exttsp_align.h"
+#include "disasm/checkobj.h"
+#include "emit/elf.h"
+#include "emit/relax.h"
 #include "estimate/estimate.h"
 #include "layout/materialize.h"
 #include "sim/batch_replay.h"
@@ -192,6 +195,74 @@ BM_Materialize(benchmark::State &state)
     }
 }
 BENCHMARK(BM_Materialize);
+
+/// compile-large's program at a smaller walk: gcc scaled to 4,000
+/// procedures, profiled by a 2M-instruction walk, laid out by Greedy.
+struct LargeGreedy
+{
+    Program program;
+    ProgramLayout layout;
+};
+
+const LargeGreedy &
+largeGreedy()
+{
+    static const LargeGreedy large = [] {
+        ProgramSpec spec = suiteSpec("gcc");
+        spec.numProcs = 4000;
+        Program program = generateProgram(spec);
+        WalkOptions options;
+        options.seed = traceSeed(spec);
+        options.instrBudget = 2'000'000;
+        profileProgram(program, options);
+        ProgramLayout layout =
+            alignProgram(program, AlignerKind::Greedy, nullptr);
+        return LargeGreedy{std::move(program), std::move(layout)};
+    }();
+    return large;
+}
+
+// Fragment relaxation of the large Greedy layout under the variable
+// encoding, in instructions/s.
+void
+BM_RelaxLayout(benchmark::State &state)
+{
+    const LargeGreedy &large = largeGreedy();
+    const EncodingModel &model = encodingModel(EncodingModelKind::Variable);
+    for (auto _ : state) {
+        const RelaxedLayout relaxed =
+            relaxLayout(large.program, large.layout, model);
+        benchmark::DoNotOptimize(relaxed.totalBytes);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(
+                                large.layout.totalInstrs));
+}
+BENCHMARK(BM_RelaxLayout)->Unit(benchmark::kMillisecond);
+
+// checkObject over the large layout's emitted object (parse, decode,
+// the five obligations), in object bytes/s.
+void
+BM_CheckObject(benchmark::State &state)
+{
+    const LargeGreedy &large = largeGreedy();
+    const EncodingModel &model = encodingModel(EncodingModelKind::Variable);
+    const RelaxedLayout relaxed =
+        relaxLayout(large.program, large.layout, model);
+    const std::vector<std::uint8_t> object =
+        buildElfObject(large.program, relaxed, model);
+    for (auto _ : state) {
+        const ObjCheckResult result =
+            checkObject(large.program, relaxed, object);
+        if (!result.verified())
+            fatal("BM_CheckObject: %s",
+                  formatObjFailure(result.failures.front()).c_str());
+        benchmark::DoNotOptimize(result.totalChecks());
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(object.size()));
+}
+BENCHMARK(BM_CheckObject)->Unit(benchmark::kMillisecond);
 
 // The static estimator on the gcc model scaled to range(0) procedures,
 // in blocks/s: the two sizes give its growth exponent in blocks.

@@ -912,9 +912,10 @@ emitGateCheck(const Program &program, const ConfigSweep &sweep)
                                 detail.str());
                 }
 
-                // The same object through the independent disassembler.
+                // The same parsed object through the independent
+                // disassembler.
                 const ObjCheckResult check =
-                    checkObject(program, relaxed, object);
+                    checkObject(program, relaxed, parsed);
                 if (!check.verified()) {
                     std::ostringstream detail;
                     detail << check.totalFailures() << " of "

@@ -60,8 +60,8 @@ class ObjChecker
 {
   public:
     ObjChecker(const Program &program, const RelaxedLayout &relaxed,
-               const std::vector<std::uint8_t> &objectBytes)
-        : program_(program), relaxed_(relaxed), objectBytes_(objectBytes)
+               const ParsedElf &elf)
+        : program_(program), relaxed_(relaxed), elf_(elf)
     {
     }
 
@@ -108,7 +108,6 @@ class ObjChecker
     parseAndDecode()
     {
         check(ObjObligation::DecodeTotality);
-        elf_ = parseElfObject(objectBytes_);
         if (!elf_.ok) {
             fail(ObjObligation::DecodeTotality, kNoProc, kNoAddr,
                  msg("object does not parse: ", elf_.error));
@@ -246,17 +245,17 @@ class ObjChecker
             if (!instr.hasTarget)
                 continue;
             check(ObjObligation::BranchTarget);
-            if (instr.target < proc.base ||
-                instr.target >= proc.base + proc.size) {
+            if (instr.target() < proc.base ||
+                instr.target() >= proc.base + proc.size) {
                 fail(ObjObligation::BranchTarget, id, instr.addr,
                      msg(instrClassName(instr.cls), " displacement ",
-                         instr.disp, " targets byte ", instr.target,
+                         instr.disp, " targets byte ", instr.target(),
                          " outside the procedure range [", proc.base, ", ",
                          proc.base + proc.size, ")"));
-            } else if (!bits_.test(instr.target)) {
+            } else if (!bits_.test(instr.target())) {
                 fail(ObjObligation::BranchTarget, id, instr.addr,
                      msg(instrClassName(instr.cls), " displacement ",
-                         instr.disp, " targets byte ", instr.target,
+                         instr.disp, " targets byte ", instr.target(),
                          ", which is not a decoded instruction "
                          "boundary"));
             }
@@ -350,7 +349,7 @@ class ObjChecker
                        "target)");
         if (source == nullptr)
             return msg("no source call slot at byte ", call.addr);
-        const ProcId callee = source->callee;
+        const ProcId callee = source->callee();
         if (reloc.symbol != kFirstProcSymbol + callee)
             return msg("relocation names symbol ", reloc.symbol,
                        ", expected ", kFirstProcSymbol + callee,
@@ -461,8 +460,7 @@ class ObjChecker
 
     const Program &program_;
     const RelaxedLayout &relaxed_;
-    const std::vector<std::uint8_t> &objectBytes_;
-    ParsedElf elf_;
+    const ParsedElf &elf_;
     ObjCheckResult result_;
 
     /// Failures per obligation, in discovery order.
@@ -545,7 +543,14 @@ ObjCheckResult
 checkObject(const Program &program, const RelaxedLayout &relaxed,
             const std::vector<std::uint8_t> &objectBytes)
 {
-    return ObjChecker(program, relaxed, objectBytes).run();
+    return checkObject(program, relaxed, parseElfObject(objectBytes));
+}
+
+ObjCheckResult
+checkObject(const Program &program, const RelaxedLayout &relaxed,
+            const ParsedElf &elf)
+{
+    return ObjChecker(program, relaxed, elf).run();
 }
 
 void

@@ -122,6 +122,12 @@ ObjCheckResult checkObject(const Program &program,
                            const RelaxedLayout &relaxed,
                            const std::vector<std::uint8_t> &objectBytes);
 
+/// The same checks over an object the caller has already parsed with
+/// parseElfObject (an unparsed one, ok false, fails decode totality).
+ObjCheckResult checkObject(const Program &program,
+                           const RelaxedLayout &relaxed,
+                           const ParsedElf &elf);
+
 /// Version of the check-obj certificate JSON schema.
 inline constexpr int kCheckObjSchemaVersion = 1;
 

@@ -1,5 +1,6 @@
 #include "disasm/disasm.h"
 
+#include <limits>
 #include <sstream>
 
 #include "support/types.h"
@@ -87,12 +88,11 @@ decodeFixedWord(const std::uint8_t *bytes, std::uint64_t addr,
     out = DecodedInstr{};
     out.cls = cls;
     out.form = BranchForm::None;
-    out.addr = addr;
+    out.addr = static_cast<std::uint32_t>(addr);
     out.size = 4;
-    out.disp = disp;
+    out.disp = static_cast<std::int32_t>(disp);
     if (cls == InstrClass::CondBranch || cls == InstrClass::Jump) {
         out.hasTarget = true;
-        out.target = addr + 4 + static_cast<std::uint64_t>(disp);
     } else if (raw != 0) {
         error = msg("nonzero displacement field in non-branch fixed-word "
                     "instruction at byte ",
@@ -108,7 +108,7 @@ decodeVariable(const std::uint8_t *bytes, std::uint64_t addr,
                std::uint64_t avail, DecodedInstr &out, std::string &error)
 {
     out = DecodedInstr{};
-    out.addr = addr;
+    out.addr = static_cast<std::uint32_t>(addr);
     out.form = BranchForm::None;
 
     const auto need = [&](std::uint64_t n) {
@@ -143,8 +143,6 @@ decodeVariable(const std::uint8_t *bytes, std::uint64_t addr,
             out.size = 6;
             out.disp = static_cast<std::int32_t>(readLe32(bytes + 2));
             out.hasTarget = true;
-            out.target =
-                addr + 6 + static_cast<std::uint64_t>(out.disp);
             return true;
         }
         error = msg("unknown two-byte opcode 0f ", hexByte(bytes[1]),
@@ -158,7 +156,6 @@ decodeVariable(const std::uint8_t *bytes, std::uint64_t addr,
         out.size = 2;
         out.disp = signExtend8(bytes[1]);
         out.hasTarget = true;
-        out.target = addr + 2 + static_cast<std::uint64_t>(out.disp);
         return true;
       case 0xeb:  // eb rel8: jmp short
         if (!need(2))
@@ -168,7 +165,6 @@ decodeVariable(const std::uint8_t *bytes, std::uint64_t addr,
         out.size = 2;
         out.disp = signExtend8(bytes[1]);
         out.hasTarget = true;
-        out.target = addr + 2 + static_cast<std::uint64_t>(out.disp);
         return true;
       case 0xe9:  // e9 rel32: jmp near
         if (!need(5))
@@ -178,7 +174,6 @@ decodeVariable(const std::uint8_t *bytes, std::uint64_t addr,
         out.size = 5;
         out.disp = static_cast<std::int32_t>(readLe32(bytes + 1));
         out.hasTarget = true;
-        out.target = addr + 5 + static_cast<std::uint64_t>(out.disp);
         return true;
       case 0xe8:  // e8 rel32: call (field zero; relocation carries it)
         if (!need(5))
@@ -264,6 +259,12 @@ disassembleObject(const ParsedElf &elf, EncodingModelKind model)
         return out;
     }
     out.textBytes = elf.text.size();
+    if (out.textBytes > std::numeric_limits<std::uint32_t>::max()) {
+        out.ok = false;
+        out.error = msg(".text of ", out.textBytes,
+                        " bytes is past the decoder's 32-bit addresses");
+        return out;
+    }
     for (std::uint32_t i = 0; i < elf.symbols.size(); ++i) {
         const ElfSymbolInfo &sym = elf.symbols[i];
         if (sym.info != kGlobalFunc)
@@ -416,7 +417,7 @@ liftCfg(const DecodedProc &proc, ByteBitmap &leaders, LiftedCfg &out)
         [instrs](std::size_t i) {
             const DecodedInstr &instr = instrs[i];
             return CfgInstr{instr.addr, instr.cls, instr.hasTarget,
-                            instr.target};
+                            instr.target()};
         },
         proc.base, proc.size, leaders, out);
 }
@@ -434,9 +435,9 @@ liftCfg(const RelaxedLayout &relaxed, ProcId proc, ByteBitmap &leaders,
             CfgInstr view{slot.byteAddr, slot.cls, false, 0};
             if ((slot.cls == InstrClass::CondBranch ||
                  slot.cls == InstrClass::Jump) &&
-                slot.targetBlock != kNoBlock) {
+                slot.targetBlock() != kNoBlock) {
                 view.hasTarget = true;
-                view.target = rp.blocks[slot.targetBlock].byteAddr;
+                view.target = rp.blocks[slot.targetBlock()].byteAddr;
             }
             return view;
         },

@@ -63,16 +63,14 @@ namespace balign {
 /// One decoded instruction.
 struct DecodedInstr
 {
-    /// Byte address within .text (program-global).
-    std::uint64_t addr = 0;
+    /// Byte address within .text (program-global). The decoder refuses
+    /// a .text of 2^32 bytes or more, so every address fits.
+    std::uint32_t addr = 0;
 
     /// Decoded displacement field, measured from the end of the
     /// instruction (zero for classes without one). For calls this is the
     /// raw rel32 field, which the writer leaves zero.
-    std::int64_t disp = 0;
-
-    /// Meaningful when hasTarget: addr + size + disp.
-    std::uint64_t target = 0;
+    std::int32_t disp = 0;
 
     InstrClass cls = InstrClass::Body;
 
@@ -85,7 +83,17 @@ struct DecodedInstr
 
     /// True for CondBranch/Jump.
     bool hasTarget = false;
+
+    /// Meaningful when hasTarget: addr + size + disp (modulo 2^64).
+    std::uint64_t
+    target() const
+    {
+        return std::uint64_t{addr} + size +
+               static_cast<std::uint64_t>(std::int64_t{disp});
+    }
 };
+static_assert(sizeof(DecodedInstr) <= 16,
+              "one DecodedInstr per instruction: keep it compact");
 
 /// One procedure's decode: the symbol that named it plus its instructions.
 struct DecodedProc

@@ -176,11 +176,11 @@ buildElfObject(const Program &program, const RelaxedLayout &relaxed,
     // rel32 field starts one byte after the opcode under both models.
     std::vector<std::uint8_t> rela;
     for (const RelaxedInstr &instr : relaxed.instrs) {
-        if (instr.cls != InstrClass::Call || instr.callee == kNoProc)
+        if (instr.cls != InstrClass::Call || instr.callee() == kNoProc)
             continue;
         Rela entry{};
         entry.offset = instr.byteAddr + 1;
-        entry.info = (static_cast<std::uint64_t>(2 + instr.callee) << 32) |
+        entry.info = (static_cast<std::uint64_t>(2 + instr.callee()) << 32) |
                      kRX8664Plt32;
         entry.addend = -4;
         appendStruct(rela, entry);

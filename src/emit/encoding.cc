@@ -1,5 +1,6 @@
 #include "emit/encoding.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "support/log.h"
@@ -19,6 +20,20 @@ appendLe32(std::vector<std::uint8_t> &out, std::int64_t value)
     out.push_back(static_cast<std::uint8_t>((v >> 24) & 0xff));
 }
 
+/// Sets every class and form of @p table to @p bytes and the
+/// displacement range [@p min_disp, @p max_disp]; nothing relaxable.
+void
+fillTable(EncodingTable &table, unsigned bytes, std::int64_t min_disp,
+          std::int64_t max_disp)
+{
+    for (std::size_t c = 0; c < kNumInstrClasses; ++c) {
+        table.bytes[c].fill(static_cast<std::uint8_t>(bytes));
+        table.minDisp[c].fill(min_disp);
+        table.maxDisp[c].fill(max_disp);
+        table.relaxable[c] = false;
+    }
+}
+
 /**
  * Legacy model: every slot is one kInstrBytes word and nothing relaxes.
  * The synthetic encoding is a class tag byte followed by the low three
@@ -29,27 +44,13 @@ appendLe32(std::vector<std::uint8_t> &out, std::int64_t value)
 class FixedWordModel final : public EncodingModel
 {
   public:
+    FixedWordModel() : EncodingModel(makeTable()) {}
+
     EncodingModelKind kind() const override
     {
         return EncodingModelKind::FixedWord;
     }
     const char *name() const override { return "fixed-word"; }
-
-    unsigned
-    instrBytes(InstrClass /*cls*/, BranchForm /*form*/) const override
-    {
-        return kInstrBytes;
-    }
-
-    bool relaxable(InstrClass /*cls*/) const override { return false; }
-
-    bool
-    displacementFits(InstrClass /*cls*/, BranchForm /*form*/,
-                     std::int64_t disp) const override
-    {
-        // Three displacement bytes in the synthetic record.
-        return disp >= -(1 << 23) && disp < (1 << 23);
-    }
 
     void
     encode(InstrClass cls, BranchForm /*form*/, std::int64_t disp,
@@ -61,6 +62,17 @@ class FixedWordModel final : public EncodingModel
         out.push_back(static_cast<std::uint8_t>(v & 0xff));
         out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xff));
         out.push_back(static_cast<std::uint8_t>((v >> 16) & 0xff));
+    }
+
+  private:
+    static EncodingTable
+    makeTable()
+    {
+        // Every slot one word; three displacement bytes in the synthetic
+        // record, whatever the class.
+        EncodingTable table;
+        fillTable(table, kInstrBytes, -(1 << 23), (1 << 23) - 1);
+        return table;
     }
 };
 
@@ -83,45 +95,13 @@ class FixedWordModel final : public EncodingModel
 class VariableModel final : public EncodingModel
 {
   public:
+    VariableModel() : EncodingModel(makeTable()) {}
+
     EncodingModelKind kind() const override
     {
         return EncodingModelKind::Variable;
     }
     const char *name() const override { return "variable"; }
-
-    unsigned
-    instrBytes(InstrClass cls, BranchForm form) const override
-    {
-        switch (cls) {
-          case InstrClass::Body: return 4;
-          case InstrClass::Call: return 5;
-          case InstrClass::CondBranch:
-            return form == BranchForm::Short ? 2 : 6;
-          case InstrClass::Jump:
-            return form == BranchForm::Short ? 2 : 5;
-          case InstrClass::IndirectJump: return 2;
-          case InstrClass::Return: return 1;
-        }
-        panic("VariableModel::instrBytes: bad class");
-    }
-
-    bool
-    relaxable(InstrClass cls) const override
-    {
-        return cls == InstrClass::CondBranch || cls == InstrClass::Jump;
-    }
-
-    bool
-    displacementFits(InstrClass cls, BranchForm form,
-                     std::int64_t disp) const override
-    {
-        if (!relaxable(cls))
-            return true;
-        if (form == BranchForm::Short)
-            return disp >= -128 && disp <= 127;
-        return disp >= std::numeric_limits<std::int32_t>::min() &&
-               disp <= std::numeric_limits<std::int32_t>::max();
-    }
 
     void
     encode(InstrClass cls, BranchForm form, std::int64_t disp,
@@ -163,9 +143,54 @@ class VariableModel final : public EncodingModel
         }
         panic("VariableModel::encode: bad class");
     }
+
+  private:
+    static EncodingTable
+    makeTable()
+    {
+        constexpr std::int64_t rel32_min =
+            std::numeric_limits<std::int32_t>::min();
+        constexpr std::int64_t rel32_max =
+            std::numeric_limits<std::int32_t>::max();
+        // Non-relaxable classes take any displacement (calls carry
+        // theirs in a relocation; the rest have none).
+        EncodingTable table;
+        fillTable(table, 0, std::numeric_limits<std::int64_t>::min(),
+                  std::numeric_limits<std::int64_t>::max());
+        const auto set = [&](InstrClass cls, unsigned bytes) {
+            table.bytes[static_cast<std::size_t>(cls)].fill(
+                static_cast<std::uint8_t>(bytes));
+        };
+        set(InstrClass::Body, 4);
+        set(InstrClass::Call, 5);
+        set(InstrClass::IndirectJump, 2);
+        set(InstrClass::Return, 1);
+        // Relaxable classes: the short form is rel8, any other is rel32.
+        const auto branch = [&](InstrClass cls, unsigned near_bytes) {
+            const auto c = static_cast<std::size_t>(cls);
+            set(cls, near_bytes);
+            table.minDisp[c].fill(rel32_min);
+            table.maxDisp[c].fill(rel32_max);
+            const auto s = static_cast<std::size_t>(BranchForm::Short);
+            table.bytes[c][s] = 2;
+            table.minDisp[c][s] = -128;
+            table.maxDisp[c][s] = 127;
+            table.relaxable[c] = true;
+        };
+        branch(InstrClass::CondBranch, 6);
+        branch(InstrClass::Jump, 5);
+        return table;
+    }
 };
 
 }  // namespace
+
+EncodingModel::EncodingModel(const EncodingTable &table) : table_(table)
+{
+    for (const auto &forms : table_.bytes)
+        for (const std::uint8_t bytes : forms)
+            table_.maxBytes = std::max(table_.maxBytes, bytes);
+}
 
 const char *
 branchFormName(BranchForm form)

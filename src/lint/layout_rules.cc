@@ -434,7 +434,7 @@ lintReach(const Procedure &proc, const ProcLayout &layout,
             continue;
         std::ostringstream msg;
         msg << "conditional branch at word " << instr.wordAddr
-            << " needs the near form: block " << instr.targetBlock
+            << " needs the near form: block " << instr.targetBlock()
             << " is " << instr.disp << " bytes away under the "
             << model.name() << " model";
         std::ostringstream hint;

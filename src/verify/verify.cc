@@ -630,13 +630,15 @@ verifyRelaxedLayout(const Program &program, const ProgramLayout &layout,
         const RelaxedInstr &instr = relaxed.instrs[i];
         const LayoutInstr &want = spec[i - spec_first];
 
+        // The slot's procedure is the relaxed range that holds it.
+        const RelaxedProc &holder = relaxed.procs[want.proc];
         checker.check(Obligation::RelaxContiguity,
                       instr.cls == want.cls &&
                           instr.wordAddr == want.wordAddr &&
-                          instr.proc == want.proc &&
+                          i - holder.firstInstr < holder.numInstrs &&
                           instr.block == want.block &&
-                          instr.targetBlock == want.targetBlock &&
-                          instr.callee == want.callee,
+                          instr.targetBlock() == want.targetBlock &&
+                          instr.callee() == want.callee,
                       want.proc, want.block, [&] {
                           std::ostringstream out;
                           out << "slot " << i << " ("
@@ -649,13 +651,15 @@ verifyRelaxedLayout(const Program &program, const ProgramLayout &layout,
                       });
 
         const unsigned expect_size = model.instrBytes(instr.cls, instr.form);
+        const std::uint64_t fixed_addr =
+            std::uint64_t{instr.wordAddr} * kInstrBytes;
         const bool fixed_ok =
             model.kind() != EncodingModelKind::FixedWord ||
-            instr.byteAddr == instr.wordAddr * kInstrBytes;
+            instr.byteAddr == fixed_addr;
         checker.check(Obligation::RelaxContiguity,
                       instr.byteAddr == cursor &&
                           instr.size == expect_size && fixed_ok,
-                      instr.proc, instr.block, [&] {
+                      want.proc, instr.block, [&] {
                           std::ostringstream out;
                           out << "slot " << i << " at byte "
                               << instr.byteAddr << " size "
@@ -664,7 +668,7 @@ verifyRelaxedLayout(const Program &program, const ProgramLayout &layout,
                               << cursor << " size " << expect_size;
                           if (!fixed_ok)
                               out << " (fixed-word model requires byte = "
-                                  << instr.wordAddr * kInstrBytes << ")";
+                                  << fixed_addr << ")";
                           return str(out);
                       });
         cursor += expect_size;
@@ -732,12 +736,21 @@ verifyRelaxedLayout(const Program &program, const ProgramLayout &layout,
     // displacement-range: every targeted slot's displacement is exactly
     // target minus end-of-instruction and representable in its form;
     // forms are Short/Near exactly for relaxable classes.
-    for (const RelaxedInstr &instr : relaxed.instrs) {
+    ProcId proc = 0;
+    for (std::size_t i = 0; i < relaxed.instrs.size(); ++i) {
+        const RelaxedInstr &instr = relaxed.instrs[i];
+        // The slot's procedure is the first range, in order, that holds
+        // it; kNoProc when none does.
+        while (proc < relaxed.procs.size() &&
+               i - relaxed.procs[proc].firstInstr >=
+                   relaxed.procs[proc].numInstrs)
+            ++proc;
+        const ProcId owner = proc < relaxed.procs.size() ? proc : kNoProc;
         const bool relaxable = model.relaxable(instr.cls);
         checker.check(Obligation::DisplacementRange,
                       relaxable ? instr.form != BranchForm::None
                                 : instr.form == BranchForm::None,
-                      instr.proc, instr.block, [&] {
+                      owner, instr.block, [&] {
                           std::ostringstream out;
                           out << instrClassName(instr.cls) << " at byte "
                               << instr.byteAddr << " carries form "
@@ -746,11 +759,11 @@ verifyRelaxedLayout(const Program &program, const ProgramLayout &layout,
                               << "relaxable under " << model.name();
                           return str(out);
                       });
-        if (instr.targetBlock == kNoBlock)
+        if (instr.targetBlock() == kNoBlock)
             continue;
-        if (instr.proc >= relaxed.procs.size() ||
-            instr.targetBlock >= relaxed.procs[instr.proc].blocks.size()) {
-            checker.check(Obligation::DisplacementRange, false, instr.proc,
+        if (owner == kNoProc ||
+            instr.targetBlock() >= relaxed.procs[owner].blocks.size()) {
+            checker.check(Obligation::DisplacementRange, false, owner,
                           instr.block, [&] {
                               return std::string(
                                   "branch target block has no relaxed "
@@ -759,18 +772,19 @@ verifyRelaxedLayout(const Program &program, const ProgramLayout &layout,
             continue;
         }
         const std::uint64_t target =
-            relaxed.procs[instr.proc].blocks[instr.targetBlock].byteAddr;
+            relaxed.procs[owner].blocks[instr.targetBlock()].byteAddr;
         const std::int64_t disp =
             static_cast<std::int64_t>(target) -
-            static_cast<std::int64_t>(instr.byteAddr + instr.size);
+            static_cast<std::int64_t>(std::uint64_t{instr.byteAddr} +
+                                      instr.size);
         checker.check(
             Obligation::DisplacementRange,
             instr.disp == disp &&
                 model.displacementFits(instr.cls, instr.form, disp),
-            instr.proc, instr.block, [&] {
+            owner, instr.block, [&] {
                 std::ostringstream out;
                 out << instrClassName(instr.cls) << " at byte "
-                    << instr.byteAddr << " to block " << instr.targetBlock
+                    << instr.byteAddr << " to block " << instr.targetBlock()
                     << " records displacement " << instr.disp
                     << " but the target at byte " << target << " is "
                     << disp << " away"

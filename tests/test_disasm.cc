@@ -286,7 +286,8 @@ corruptBranchTarget(std::vector<std::uint8_t> bytes,
             slot.form != BranchForm::Short || slot.disp >= 127)
             continue;
         const std::uint64_t target = slot.byteAddr + slot.size + slot.disp;
-        const RelaxedProc &proc = relaxed.procs[slot.proc];
+        const RelaxedProc &proc =
+            relaxed.procs[relaxed.procOf(&slot - relaxed.instrs.data())];
         if (boundaries.count(target + 1) ||
             target + 1 >= proc.byteBase + proc.byteSize)
             continue;
@@ -445,7 +446,7 @@ TEST(Disasm, DecodeRoundTripsRelaxedSlotsUnderBothModels)
                 ASSERT_EQ(got.hasTarget, branch);
                 if (branch) {
                     ASSERT_EQ(got.disp, want.disp);
-                    ASSERT_EQ(got.target,
+                    ASSERT_EQ(got.target(),
                               want.byteAddr + want.size + want.disp);
                 } else {
                     // Call displacement fields are zero in the bytes —
@@ -513,7 +514,7 @@ TEST(Disasm, LiftCfgRecoversLeadersAndSuccessors)
         instr.addr = addr;
         instr.cls = cls;
         instr.hasTarget = hasTarget;
-        instr.target = target;
+        instr.disp = static_cast<std::int32_t>(target - addr);
     };
     add(0, InstrClass::Body, false, 0);
     add(4, InstrClass::CondBranch, true, 16);

@@ -25,6 +25,7 @@
 #include "core/align_program.h"
 #include "emit/elf.h"
 #include "emit/relax.h"
+#include "layout/materialize.h"
 #include "objective/objective.h"
 #include "objective/size_aware.h"
 #include "objective/table_cost.h"
@@ -244,6 +245,49 @@ TEST(Relax, IterationCapYieldsDiagnosticNotALoop)
         << relaxed.diagnostic;
 }
 
+TEST(RelaxDeathTest, LayoutPastTheByteCapIsFatal)
+{
+    // One returning block whose layout claims 2^29 slots: at the
+    // variable model's widest form (6 bytes) that could take 3 GiB, past
+    // kMaxRelaxedBytes. The cap is checked before anything is enumerated.
+    Program program("too-big");
+    CfgBuilder(program.proc(program.addProc("main")))
+        .block(1, Terminator::Return);
+    ProgramLayout layout = originalLayout(program);
+    const std::uint32_t slots = std::uint32_t{1} << 29;
+    layout.procs[0].blocks[0].baseInstrs = slots;
+    layout.procs[0].blocks[0].finalInstrs = slots;
+    layout.procs[0].totalInstrs = slots;
+    layout.totalInstrs = slots;
+    const EncodingModel &variable =
+        encodingModel(EncodingModelKind::Variable);
+    EXPECT_EXIT(relaxLayout(program, layout, variable),
+                testing::ExitedWithCode(1), "relaxLayout.*kMaxRelaxedBytes");
+    EXPECT_EXIT(relaxProc(program.proc(0), layout.procs[0], variable),
+                testing::ExitedWithCode(1), "relaxProc.*kMaxRelaxedBytes");
+
+    // At 4 bytes a slot, the fixed-word model fits 2^29 slots exactly.
+    EXPECT_EXIT(
+        {
+            layout.procs[0].blocks[0].finalInstrs = slots + 1;
+            relaxLayout(program, layout,
+                        encodingModel(EncodingModelKind::FixedWord));
+        },
+        testing::ExitedWithCode(1), "kMaxRelaxedBytes");
+}
+
+TEST(RelaxDeathTest, ZeroSweepCapIsFatal)
+{
+    const Program program = emitBase();
+    const ProgramLayout layout = alignedBase(program, AlignerKind::Original);
+    RelaxOptions options;
+    options.maxIterations = 0;
+    EXPECT_EXIT(relaxLayout(program, layout,
+                            encodingModel(EncodingModelKind::Variable),
+                            options),
+                testing::ExitedWithCode(1), "maxIterations");
+}
+
 TEST(Relax, FixpointIsDeterministicAcrossRunsAndThreads)
 {
     const Program program = emitBase();
@@ -381,7 +425,7 @@ TEST(Elf, ObjectRoundTripsThroughTheReader)
         const ElfRelocation &reloc = parsed.relocations[calls];
         EXPECT_EQ(reloc.offset, instr.byteAddr + 1);
         EXPECT_EQ(reloc.type, 4u);  // R_X86_64_PLT32
-        EXPECT_EQ(reloc.symbol, 2u + instr.callee);
+        EXPECT_EQ(reloc.symbol, 2u + instr.callee());
         EXPECT_EQ(reloc.addend, -4);
         ++calls;
     }

@@ -2,14 +2,18 @@
  * @file
  * Tests for the layout materializer: identity layouts, sense inversion,
  * jump insertion/removal, address assignment, the cost-model-driven
- * "neither" realization, and the outcome-mapping helpers.
+ * "neither" realization, the outcome-mapping helpers and the out-edge
+ * index.
  */
 
 #include <gtest/gtest.h>
 
 #include "cfg/builder.h"
+#include "check/fuzz.h"
 #include "layout/materialize.h"
+#include "workload/generator.h"
 #include "workload/paper_figures.h"
+#include "workload/suite.h"
 
 using namespace balign;
 
@@ -267,4 +271,35 @@ TEST(Materialize, Figure1OriginalMatchesPaperAdjacency)
     EXPECT_EQ(layout.procs[0].jumpsInserted, 0u);
     EXPECT_EQ(layout.procs[0].jumpsRemoved, 0u);
     EXPECT_EQ(layout.totalInstrs, program.totalInstrs());
+}
+
+// ---- edge index --------------------------------------------------------------
+
+TEST(Materialize, OutEdgeIndexMatchesFindOutEdge)
+{
+    // One index reused across every procedure of programs with self
+    // loops, indirect hubs, duplicate-kind edges and unreachable blocks.
+    std::vector<Program> programs;
+    for (std::size_t kind = 0; kind < numDegenerateKinds(); ++kind)
+        programs.push_back(degenerateProgram(kind, 3));
+    programs.push_back(generateProgram(suiteSpec("gcc")));
+    OutEdgeIndex index;
+    for (const Program &program : programs) {
+        for (const Procedure &proc : program.procs()) {
+            index.index(proc);
+            for (BlockId id = 0; id < proc.numBlocks(); ++id) {
+                for (const EdgeKind kind :
+                     {EdgeKind::Taken, EdgeKind::FallThrough}) {
+                    const std::int64_t edge = proc.findOutEdge(id, kind);
+                    const BlockId want =
+                        edge < 0 ? kNoBlock
+                                 : proc.edge(static_cast<std::uint32_t>(edge))
+                                       .dst;
+                    ASSERT_EQ(index.dst(id, kind), want)
+                        << program.name() << " " << proc.name() << " block "
+                        << id;
+                }
+            }
+        }
+    }
 }

@@ -13,6 +13,7 @@
 #include <optional>
 
 #include "bpred/cost_model.h"
+#include "cfg/serialize.h"
 #include "core/align_program.h"
 #include "core/exttsp_align.h"
 #include "disasm/checkobj.h"
@@ -263,6 +264,39 @@ BM_CheckObject(benchmark::State &state)
                             static_cast<std::int64_t>(object.size()));
 }
 BENCHMARK(BM_CheckObject)->Unit(benchmark::kMillisecond);
+
+// The large program's .balign text: writing it, in text bytes/s.
+void
+BM_WriteProgram(benchmark::State &state)
+{
+    const LargeGreedy &large = largeGreedy();
+    std::size_t bytes = 0;
+    for (auto _ : state) {
+        const std::string text = programToString(large.program);
+        bytes = text.size();
+        benchmark::DoNotOptimize(text.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_WriteProgram)->Unit(benchmark::kMillisecond);
+
+// Parsing the same text back (with validation), in text bytes/s.
+void
+BM_ParseProgram(benchmark::State &state)
+{
+    const std::string text = programToString(largeGreedy().program);
+    for (auto _ : state) {
+        const ParseResult parsed = programFromString(text);
+        if (!parsed.ok())
+            fatal("BM_ParseProgram: %s", parsed.error.c_str());
+        benchmark::DoNotOptimize(parsed.program->numProcs());
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_ParseProgram)->Unit(benchmark::kMillisecond);
 
 // The static estimator on the gcc model scaled to range(0) procedures,
 // in blocks/s: the two sizes give its growth exponent in blocks.

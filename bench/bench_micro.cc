@@ -12,6 +12,10 @@
 #include <algorithm>
 #include <optional>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "bpred/cost_model.h"
 #include "cfg/serialize.h"
 #include "core/align_program.h"
@@ -282,7 +286,19 @@ BM_WriteProgram(benchmark::State &state)
 }
 BENCHMARK(BM_WriteProgram)->Unit(benchmark::kMillisecond);
 
-// Parsing the same text back (with validation), in text bytes/s.
+#if defined(__GLIBC__)
+/// Heap bytes the allocator holds in use: arena chunks plus mmapped ones.
+std::size_t
+heapInUse()
+{
+    const struct mallinfo2 info = mallinfo2();
+    return info.uordblks + info.hblkhd;
+}
+#endif
+
+// Parsing the same text back (with validation), in text bytes/s. The
+// `heap_bytes_per_block` counter is the heap one parsed program holds,
+// over its blocks (glibc only).
 void
 BM_ParseProgram(benchmark::State &state)
 {
@@ -295,6 +311,16 @@ BM_ParseProgram(benchmark::State &state)
     }
     state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(text.size()));
+#if defined(__GLIBC__)
+    const std::size_t before = heapInUse();
+    const ParseResult parsed = programFromString(text);
+    const double held = static_cast<double>(heapInUse() - before);
+    std::size_t blocks = 0;
+    for (const Procedure &proc : parsed.program->procs())
+        blocks += proc.numBlocks();
+    state.counters["heap_bytes_per_block"] =
+        held / static_cast<double>(std::max<std::size_t>(blocks, 1));
+#endif
 }
 BENCHMARK(BM_ParseProgram)->Unit(benchmark::kMillisecond);
 

@@ -41,8 +41,8 @@ enum class EdgeKind : std::uint8_t {
 
 /**
  * A directed control-flow edge with its profile weight (dynamic traversal
- * count). Edges are stored in the owning Procedure; blocks index into that
- * store.
+ * count). Edges are stored in the owning Procedure, which also threads
+ * them into per-block out- and in-edge lists.
  */
 struct Edge
 {
@@ -71,14 +71,15 @@ struct CallSite
 /**
  * A basic block: straight-line code of @c numInstrs instructions (including
  * the terminating branch instruction, when the terminator is a branch,
- * indirect jump or return) plus any embedded call sites.
+ * indirect jump or return) plus any embedded call sites. Its edges are
+ * listed by the owning Procedure (Procedure::outEdges, inEdges). Fields
+ * run largest first, so only the tail pads.
  */
 struct BasicBlock
 {
+    std::vector<CallSite> calls;
     BlockId id = kNoBlock;
     std::uint32_t numInstrs = 1;
-    Terminator term = Terminator::FallThrough;
-    std::vector<CallSite> calls;
 
     /**
      * Deterministic outcome pattern for conditional branches (0 = none,
@@ -89,7 +90,6 @@ struct BasicBlock
      * the behaviour that makes correlated (two-level) predictors beat
      * per-site counters on real programs.
      */
-    std::uint8_t patternLength = 0;
     std::uint32_t patternMask = 0;
 
     /**
@@ -101,12 +101,10 @@ struct BasicBlock
      * branch has executed.
      */
     BlockId correlatedWith = kNoBlock;
-    bool correlatedInvert = false;
 
-    /// Out-edge indices into Procedure::edges(), in no particular order.
-    std::vector<std::uint32_t> outEdges;
-    /// In-edge indices into Procedure::edges().
-    std::vector<std::uint32_t> inEdges;
+    Terminator term = Terminator::FallThrough;
+    std::uint8_t patternLength = 0;  ///< see patternMask
+    bool correlatedInvert = false;   ///< see correlatedWith
 
     /// True if the terminator occupies an instruction slot.
     bool

@@ -66,7 +66,7 @@ fillStaticStats(const Program &program, ProgramStats &stats)
                 continue;
             ++static_sites;
             Weight executed = 0;
-            for (auto index : block.outEdges)
+            for (auto index : proc.outEdges(block.id))
                 executed += proc.edge(index).weight;
             site_counts.push_back(executed);
         }

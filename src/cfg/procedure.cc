@@ -4,6 +4,24 @@
 
 namespace balign {
 
+namespace {
+
+/// Appends edge @p index to the circular list whose last edge is @p last,
+/// threaded through @p next.
+void
+append(std::uint32_t &last, std::vector<std::uint32_t> &next,
+       std::uint32_t index)
+{
+    // The new last edge leads back to the first: itself when alone.
+    const std::uint32_t first = last == EdgeList::kEnd ? index : next[last];
+    next.push_back(first);
+    if (last != EdgeList::kEnd)
+        next[last] = index;
+    last = index;
+}
+
+}  // namespace
+
 const char *
 terminatorName(Terminator term)
 {
@@ -25,6 +43,8 @@ Procedure::addBlock(std::uint32_t num_instrs, Terminator term)
     block.numInstrs = num_instrs;
     block.term = term;
     blocks_.push_back(std::move(block));
+    outLast_.push_back(EdgeList::kEnd);
+    inLast_.push_back(EdgeList::kEnd);
     return blocks_.back().id;
 }
 
@@ -43,15 +63,15 @@ Procedure::addEdge(BlockId src, BlockId dst, EdgeKind kind, Weight weight,
     edge.bias = bias;
     const auto index = static_cast<std::uint32_t>(edges_.size());
     edges_.push_back(edge);
-    blocks_[src].outEdges.push_back(index);
-    blocks_[dst].inEdges.push_back(index);
+    append(outLast_[src], outNext_, index);
+    append(inLast_[dst], inNext_, index);
     return index;
 }
 
 std::int64_t
 Procedure::findOutEdge(BlockId src, EdgeKind kind) const
 {
-    for (auto index : blocks_[src].outEdges) {
+    for (const std::uint32_t index : outEdges(src)) {
         if (edges_[index].kind == kind)
             return index;
     }
@@ -87,7 +107,7 @@ Weight
 Procedure::blockWeight(BlockId id) const
 {
     Weight total = 0;
-    for (auto index : blocks_[id].inEdges)
+    for (const std::uint32_t index : inEdges(id))
         total += edges_[index].weight;
     return total;
 }

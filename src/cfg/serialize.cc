@@ -533,8 +533,8 @@ programFromString(std::string_view text)
     return result;
 }
 
-ParseResult
-readProgram(std::istream &is)
+std::string
+readText(std::istream &is)
 {
     // Chunked reads from the stream buffer, not one virtual call per
     // character.
@@ -545,7 +545,13 @@ readProgram(std::istream &is)
              (got = buf->sgetn(chunk, sizeof chunk)) > 0;)
             text.append(chunk, static_cast<std::size_t>(got));
     }
-    return programFromString(text);
+    return text;
+}
+
+ParseResult
+readProgram(std::istream &is)
+{
+    return programFromString(readText(is));
 }
 
 void

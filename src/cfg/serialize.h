@@ -81,7 +81,10 @@ struct ParseResult
  */
 ParseResult programFromString(std::string_view text);
 
-/// Reads the rest of @p is in 64 KiB chunks, then parses it as
+/// The rest of @p is, read in 64 KiB chunks.
+std::string readText(std::istream &is);
+
+/// Reads the rest of @p is (readText), then parses it as
 /// programFromString does.
 ParseResult readProgram(std::istream &is);
 

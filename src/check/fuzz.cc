@@ -452,7 +452,7 @@ truncateBlock(const Program &program, ProcId victim, BlockId target)
             work.pop_back();
             if (id == target)
                 continue;
-            for (const std::uint32_t index : old.block(id).outEdges) {
+            for (const std::uint32_t index : old.outEdges(id)) {
                 const BlockId dst = old.edge(index).dst;
                 if (!reachable[dst]) {
                     reachable[dst] = true;
@@ -610,22 +610,28 @@ loadRepro(const std::string &path)
         warn("loadRepro: cannot open %s", path.c_str());
         return std::nullopt;
     }
-    std::ostringstream buffer;
-    buffer << file.rdbuf();
-    const std::string text = buffer.str();
+    const std::string text = readText(file);
 
+    // The walk header is the first line it matches. The pattern starts
+    // with '#', so only comment lines, copied one at a time, are tried.
     Repro repro;
-    std::istringstream lines(text);
     std::string line;
-    while (std::getline(lines, line)) {
-        unsigned long long seed = 0, budget = 0;
-        if (std::sscanf(line.c_str(),
-                        "# balign-fuzz-walk seed=%llu budget=%llu", &seed,
-                        &budget) == 2) {
-            repro.walk.seed = seed;
-            repro.walk.instrBudget = budget;
-            break;
+    for (std::size_t pos = 0; pos < text.size();) {
+        std::size_t eol = text.find('\n', pos);
+        if (eol == std::string::npos)
+            eol = text.size();
+        if (text[pos] == '#') {
+            line.assign(text, pos, eol - pos);
+            unsigned long long seed = 0, budget = 0;
+            if (std::sscanf(line.c_str(),
+                            "# balign-fuzz-walk seed=%llu budget=%llu",
+                            &seed, &budget) == 2) {
+                repro.walk.seed = seed;
+                repro.walk.instrBudget = budget;
+                break;
+            }
         }
+        pos = eol + 1;
     }
 
     ParseResult parsed = programFromString(text);

@@ -74,7 +74,7 @@ CostAligner::alignProc(const Procedure &proc, const DirOracle &base_oracle,
         // Would another predecessor of D profit more from the slot?
         const double benefit = cost_unlinked - cost_linked;
         bool better_pred = false;
-        for (std::uint32_t in_index : proc.block(dst).inEdges) {
+        for (std::uint32_t in_index : proc.inEdges(dst)) {
             const Edge &in_edge = proc.edge(in_index);
             if (in_edge.src == src)
                 continue;

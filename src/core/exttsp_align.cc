@@ -214,16 +214,6 @@ class MergeLoop
         }
     }
 
-    /// Index of edge @p index in the out-edge list of its source.
-    std::size_t
-    slot(std::uint32_t index) const
-    {
-        const std::vector<std::uint32_t> &out =
-            proc_.block(proc_.edge(index).src).outEdges;
-        return static_cast<std::size_t>(
-            std::find(out.begin(), out.end(), index) - out.begin());
-    }
-
     /// ExtTSP gain of concatenating t's chain after s's: the new score of
     /// every CFG edge crossing the two chains (cross edges score 0 while
     /// the chains are apart; intra-chain distances are unchanged). Terms
@@ -267,7 +257,8 @@ class MergeLoop
                           return y.fromB;
                       if (x.index != y.index)
                           return x.index < y.index;
-                      return slot(x.edge) < slot(y.edge);
+                      // Same source: out-edge order, which is index order.
+                      return x.edge < y.edge;
                   });
 
         const std::uint64_t shift = chainInfo_[a].size;
@@ -314,7 +305,7 @@ class MergeLoop
         // Every candidate into the merged chain's head is priced against
         // the head's chain, which grows by b; reprice() queues nothing for
         // one whose gain is unchanged.
-        for (const std::uint32_t index : proc_.block(head).inEdges)
+        for (const std::uint32_t index : proc_.inEdges(head))
             touch(edges_[index].rank);
 
         chains_.link(seed.src, seed.dst);
@@ -322,7 +313,7 @@ class MergeLoop
 
         // A candidate into seed.dst from another conditional block is now
         // infeasible; its sibling, if it was blocked by it, is free again.
-        for (const std::uint32_t index : proc_.block(seed.dst).inEdges) {
+        for (const std::uint32_t index : proc_.inEdges(seed.dst)) {
             const std::uint32_t sibling = edges_[index].sibling;
             if (sibling != kNone &&
                 edges_[index].rank < edges_[sibling].rank)
@@ -331,7 +322,7 @@ class MergeLoop
         // Every candidate out of the merged chain's tail is priced
         // against the longer chain now.
         for (const std::uint32_t index :
-             proc_.block(chainInfo_[members_[seed.src].chain].tail).outEdges)
+             proc_.outEdges(chainInfo_[members_[seed.src].chain].tail))
             touch(edges_[index].rank);
 
         for (const std::uint32_t rank : touched_) {

@@ -104,13 +104,12 @@ class Relaxer
         placed.blocks.assign(
             layout.blocks.size(),
             RelaxedBlock{placed.byteBase, 0, placed.firstInstr, 0});
-        edges_.index(proc);
         frags_.clear();
         starts_.assign(layout.blocks.size(), BlockStart{});
         fixedShort_ = 0;
         FragmentBuilder builder{*this, proc, layout, out, placed.blocks,
                                 placed.firstInstr};
-        forEachProcSlot(proc, layout, edges_, builder);
+        forEachProcSlot(proc, layout, builder);
         builder.checkSlots();
         placed.numInstrs = builder.declared;
         resolveTargets();
@@ -385,7 +384,6 @@ class Relaxer
     std::array<BranchForm, kNumInstrClasses> initialForm_{};
     std::array<std::uint8_t, kNumInstrClasses> initialSize_{};
 
-    OutEdgeIndex edges_;
     std::vector<Fragment> frags_;
     std::vector<BlockStart> starts_;
     /// ends_[k] is where fragment k - 1's branch ends (0 for k = 0).

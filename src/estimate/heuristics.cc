@@ -119,16 +119,16 @@ branchProbabilities(const Procedure &proc, const ProcAnalysis &analysis,
         return false;
     };
     auto is_dead_end = [&](const BasicBlock &block) {
-        return block.outEdges.empty() && block.term != Terminator::Return;
+        return proc.outEdges(block.id).empty() &&
+               block.term != Terminator::Return;
     };
 
     for (const BasicBlock &block : proc.blocks()) {
         // Robustness first (the lint rules run the estimator before
         // validation): only edges with in-range endpoints participate.
         std::vector<std::uint32_t> outs;
-        for (const std::uint32_t index : block.outEdges) {
-            if (index < proc.numEdges() &&
-                proc.edge(index).dst < proc.numBlocks())
+        for (const std::uint32_t index : proc.outEdges(block.id)) {
+            if (proc.edge(index).dst < proc.numBlocks())
                 outs.push_back(index);
         }
         if (outs.empty())

@@ -88,13 +88,11 @@ trapBlocks(const Procedure &proc, const RpoOrder &rpo)
     struct Frame
     {
         BlockId block;
-        std::size_t edgePos;
+        EdgeList::iterator next;  ///< the next out-edge to follow
     };
     std::vector<Frame> work;
 
     auto valid_dst = [&](std::uint32_t e) -> std::int64_t {
-        if (e >= proc.numEdges())
-            return -1;
         const BlockId dst = proc.edge(e).dst;
         if (dst >= n || !rpo.reachable(dst))
             return -1;
@@ -104,17 +102,15 @@ trapBlocks(const Procedure &proc, const RpoOrder &rpo)
     for (const BlockId root : rpo.order) {
         if (visited[root])
             continue;
-        work.push_back({root, 0});
+        work.push_back({root, proc.outEdges(root).begin()});
         visited[root] = true;
         index[root] = lowlink[root] = next_index++;
         stack.push_back(root);
         onStack[root] = true;
         while (!work.empty()) {
             Frame &frame = work.back();
-            const BasicBlock &block = proc.block(frame.block);
-            if (frame.edgePos < block.outEdges.size()) {
-                const std::int64_t dst =
-                    valid_dst(block.outEdges[frame.edgePos++]);
+            if (frame.next != proc.outEdges(frame.block).end()) {
+                const std::int64_t dst = valid_dst(*frame.next++);
                 if (dst < 0)
                     continue;
                 const BlockId d = static_cast<BlockId>(dst);
@@ -123,7 +119,7 @@ trapBlocks(const Procedure &proc, const RpoOrder &rpo)
                     index[d] = lowlink[d] = next_index++;
                     stack.push_back(d);
                     onStack[d] = true;
-                    work.push_back({d, 0});
+                    work.push_back({d, proc.outEdges(d).begin()});
                 } else if (onStack[d]) {
                     lowlink[frame.block] =
                         std::min(lowlink[frame.block], index[d]);
@@ -156,7 +152,7 @@ trapBlocks(const Procedure &proc, const RpoOrder &rpo)
                     if (size == 1) {
                         // Self-loop check for singleton SCCs.
                         for (const std::uint32_t e :
-                             proc.block(member).outEdges) {
+                             proc.outEdges(member)) {
                             if (valid_dst(e) ==
                                 static_cast<std::int64_t>(member))
                                 cyclic = true;
@@ -174,7 +170,7 @@ trapBlocks(const Procedure &proc, const RpoOrder &rpo)
     // An SCC is a trap iff it is cyclic and no edge leaves it.
     std::vector<bool> escapes(sccCyclic.size(), false);
     for (const BlockId b : rpo.order) {
-        for (const std::uint32_t e : proc.block(b).outEdges) {
+        for (const std::uint32_t e : proc.outEdges(b)) {
             const std::int64_t dst = valid_dst(e);
             if (dst >= 0 && sccOf[b] >= 0 &&
                 sccOf[static_cast<BlockId>(dst)] != sccOf[b])
@@ -296,7 +292,7 @@ class Materializer
     outWeight(BlockId b) const
     {
         Weight sum = 0;
-        for (const std::uint32_t e : proc_.block(b).outEdges) {
+        for (const std::uint32_t e : proc_.outEdges(b)) {
             if (roleOf(freqs_, e) != EdgeRole::Dead)
                 sum += proc_.edge(e).weight;
         }
@@ -311,7 +307,7 @@ class Materializer
     {
         edges_.clear();
         weights_.clear();
-        for (const std::uint32_t e : proc_.block(b).inEdges) {
+        for (const std::uint32_t e : proc_.inEdges(b)) {
             if (roleOf(freqs_, e) != role)
                 continue;
             edges_.push_back(e);
@@ -368,7 +364,7 @@ class Materializer
         Weight entries = 0;
         for (const BlockId x : loop.blocks) {
             entries += absorbed_[x];
-            for (const std::uint32_t e : proc_.block(x).outEdges) {
+            for (const std::uint32_t e : proc_.outEdges(x)) {
                 if (roleOf(freqs_, e) != EdgeRole::Dead &&
                     stamp_[proc_.edge(e).dst] != l)
                     entries += proc_.edge(e).weight;
@@ -457,7 +453,7 @@ propagateFrequencies(const Procedure &proc, const ProcAnalysis &analysis,
         for (unsigned pass = 0; pass < kIrreduciblePasses; ++pass) {
             for (const BlockId b : rpo.order) {
                 double in = b == proc.entry() ? 1.0 : 0.0;
-                for (const std::uint32_t e : proc.block(b).inEdges) {
+                for (const std::uint32_t e : proc.inEdges(b)) {
                     if (role(e) != EdgeRole::Dead)
                         in += f[proc.edge(e).src] * edgeProb[e];
                 }
@@ -470,7 +466,7 @@ propagateFrequencies(const Procedure &proc, const ProcAnalysis &analysis,
         for (std::size_t l = 0; l < loops.loops.size(); ++l) {
             const BlockId h = loops.loops[l].header;
             double entering = h == proc.entry() ? 1.0 : 0.0;
-            for (const std::uint32_t e : proc.block(h).inEdges) {
+            for (const std::uint32_t e : proc.inEdges(h)) {
                 if (role(e) == EdgeRole::Forward)
                     entering += f[proc.edge(e).src] * edgeProb[e];
             }
@@ -495,7 +491,7 @@ propagateFrequencies(const Procedure &proc, const ProcAnalysis &analysis,
                 double inC = b == head ? 1.0 : 0.0;
                 double inR = inC;
                 if (b != head) {
-                    for (const std::uint32_t e : proc.block(b).inEdges) {
+                    for (const std::uint32_t e : proc.inEdges(b)) {
                         if (role(e) != EdgeRole::Forward)
                             continue;
                         const BlockId src = proc.edge(e).src;
@@ -529,7 +525,7 @@ propagateFrequencies(const Procedure &proc, const ProcAnalysis &analysis,
             sweep(members, loop.header, l);
             double cyclic = 0.0, rawCyclic = 0.0;
             for (const BlockId latch : loop.latches) {
-                for (const std::uint32_t e : proc.block(latch).outEdges) {
+                for (const std::uint32_t e : proc.outEdges(latch)) {
                     if (role(e) != EdgeRole::Dead &&
                         proc.edge(e).dst == loop.header) {
                         cyclic += fc[latch] * edgeProb[e];
@@ -573,7 +569,7 @@ propagateFrequencies(const Procedure &proc, const ProcAnalysis &analysis,
     double trapMass = 0.0;
     for (const BlockId b : rpo.order) {
         bool has_out = false;
-        for (const std::uint32_t e : proc.block(b).outEdges)
+        for (const std::uint32_t e : proc.outEdges(b))
             has_out = has_out || role(e) != EdgeRole::Dead;
         if (!has_out) {
             freqs.sinks.push_back({b, freqs.flow[b], false});
@@ -583,7 +579,7 @@ propagateFrequencies(const Procedure &proc, const ProcAnalysis &analysis,
             continue;
         bool entered = b == proc.entry();
         double mass = entered ? 1.0 : 0.0;
-        for (const std::uint32_t e : proc.block(b).inEdges) {
+        for (const std::uint32_t e : proc.inEdges(b)) {
             if (role(e) == EdgeRole::Forward && !trap[proc.edge(e).src]) {
                 entered = true;
                 mass += freqs.flow[proc.edge(e).src] * edgeProb[e];

@@ -58,23 +58,8 @@ instrClassName(InstrClass cls)
 }
 
 void
-OutEdgeIndex::index(const Procedure &proc)
-{
-    taken_.assign(proc.numBlocks(), kNoBlock);
-    fall_.assign(proc.numBlocks(), kNoBlock);
-    for (const Edge &edge : proc.edges()) {
-        if (edge.kind == EdgeKind::Other)
-            continue;
-        BlockId &dst = edge.kind == EdgeKind::Taken ? taken_[edge.src]
-                                                    : fall_[edge.src];
-        if (dst == kNoBlock)
-            dst = edge.dst;
-    }
-}
-
-void
 appendProcInstrs(const Procedure &proc, const ProcLayout &layout,
-                 std::vector<LayoutInstr> &instrs, OutEdgeIndex &edges)
+                 std::vector<LayoutInstr> &instrs)
 {
     struct Sink
     {
@@ -118,8 +103,7 @@ appendProcInstrs(const Procedure &proc, const ProcLayout &layout,
             instrs.back().targetBlock = target;
         }
     } sink{proc, instrs};
-    edges.index(proc);
-    forEachProcSlot(proc, layout, edges, sink);
+    forEachProcSlot(proc, layout, sink);
 }
 
 namespace {

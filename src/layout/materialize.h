@@ -70,30 +70,15 @@ CondOutcome condOutcome(CondRealization realization, EdgeKind kind);
 /// jump).
 EdgeKind branchTargetKind(CondRealization realization);
 
-/**
- * Each block's first taken and first fall-through destination, from one
- * pass over a procedure's edges in index order: the edge
- * Procedure::findOutEdge finds, without a scan of the block's out-edges
- * per lookup. Reusable across procedures.
- */
-class OutEdgeIndex
+/// Destination of @p id's first out-edge of @p kind (Procedure::
+/// findOutEdge), kNoBlock when it has none.
+inline BlockId
+outEdgeDst(const Procedure &proc, BlockId id, EdgeKind kind)
 {
-  public:
-    /// Indexes @p proc's edges, replacing any earlier procedure's.
-    void index(const Procedure &proc);
-
-    /// Destination of @p id's first out-edge of @p kind (Taken or
-    /// FallThrough), kNoBlock when it has none.
-    BlockId
-    dst(BlockId id, EdgeKind kind) const
-    {
-        return kind == EdgeKind::Taken ? taken_[id] : fall_[id];
-    }
-
-  private:
-    std::vector<BlockId> taken_;
-    std::vector<BlockId> fall_;
-};
+    const std::int64_t edge = proc.findOutEdge(id, kind);
+    return edge < 0 ? kNoBlock
+                    : proc.edge(static_cast<std::uint32_t>(edge)).dst;
+}
 
 /**
  * Appends every instruction slot of @p layout to @p instrs in address
@@ -103,12 +88,11 @@ class OutEdgeIndex
  * targetBlock resolved through the realization (branchTargetKind for
  * conditional branches, the displaced successor for inserted jumps).
  * This is the ground truth the verifier's relaxed obligations check the
- * emit backend's relaxation against. @p edges is scratch, re-indexed
- * for @p proc; a caller walking one procedure at a time reuses it and
- * one buffer.
+ * emit backend's relaxation against; a caller walking one procedure at
+ * a time can reuse one buffer.
  */
 void appendProcInstrs(const Procedure &proc, const ProcLayout &layout,
-                      std::vector<LayoutInstr> &instrs, OutEdgeIndex &edges);
+                      std::vector<LayoutInstr> &instrs);
 
 /// A block's realized terminator slot: its class and, for a conditional
 /// branch or jump, its destination block (kNoBlock otherwise).
@@ -121,8 +105,8 @@ struct TerminatorSlot
 /**
  * The enumeration behind appendProcInstrs, written through @p sink so
  * that a pass keeping its own per-slot record (relaxation) fills it
- * directly. Branch destinations come from @p edges, indexed for
- * @p proc. Per block in layout order, @p sink receives:
+ * directly. Branch destinations come from outEdgeDst. Per block in
+ * layout order, @p sink receives:
  *  - bodies(wordAddr, count, block) for the block's baseInstrs slots,
  *    at word addresses wordAddr, wordAddr + 1, ...;
  *  - call(slot, callee) for each call slot, the last call at an offset
@@ -134,8 +118,7 @@ struct TerminatorSlot
  */
 template <typename Sink>
 void
-forEachProcSlot(const Procedure &proc, const ProcLayout &layout,
-                const OutEdgeIndex &edges, Sink &sink)
+forEachProcSlot(const Procedure &proc, const ProcLayout &layout, Sink &sink)
 {
     for (const BlockId id : layout.order) {
         const BasicBlock &block = proc.block(id);
@@ -154,10 +137,11 @@ forEachProcSlot(const Procedure &proc, const ProcLayout &layout,
             switch (block.term) {
               case Terminator::CondBranch:
                 term = {InstrClass::CondBranch,
-                        edges.dst(id, branchTargetKind(bl.cond))};
+                        outEdgeDst(proc, id, branchTargetKind(bl.cond))};
                 break;
               case Terminator::UncondBranch:
-                term = {InstrClass::Jump, edges.dst(id, EdgeKind::Taken)};
+                term = {InstrClass::Jump,
+                        outEdgeDst(proc, id, EdgeKind::Taken)};
                 break;
               case Terminator::IndirectJump:
                 term.cls = InstrClass::IndirectJump;
@@ -177,8 +161,9 @@ forEachProcSlot(const Procedure &proc, const ProcLayout &layout,
                 block.term == Terminator::CondBranch &&
                 bl.cond == CondRealization::NeitherJumpToTaken;
             sink.jump(bl.jumpAddr, id,
-                      edges.dst(id, to_taken ? EdgeKind::Taken
-                                             : EdgeKind::FallThrough));
+                      outEdgeDst(proc, id,
+                                 to_taken ? EdgeKind::Taken
+                                          : EdgeKind::FallThrough));
         }
     }
 }

@@ -10,7 +10,6 @@
  * and loops) are lint-only and run only from lintCfg.
  */
 
-#include <algorithm>
 #include <sstream>
 #include <vector>
 
@@ -69,6 +68,17 @@ void
 lintEdgeTargets(const Procedure &proc, std::vector<Diagnostic> &sink)
 {
     const ProcId pid = proc.id();
+    // Which edges their endpoints list. addEdge threads every edge into
+    // exactly its endpoints' lists, so a miss (or a list entry naming
+    // another block) means an endpoint was rewritten afterwards.
+    std::vector<bool> in_src_outs(proc.numEdges(), false);
+    std::vector<bool> in_dst_ins(proc.numEdges(), false);
+    for (const BasicBlock &block : proc.blocks()) {
+        for (const std::uint32_t index : proc.outEdges(block.id))
+            in_src_outs[index] = proc.edge(index).src == block.id;
+        for (const std::uint32_t index : proc.inEdges(block.id))
+            in_dst_ins[index] = proc.edge(index).dst == block.id;
+    }
     for (std::uint32_t i = 0; i < proc.numEdges(); ++i) {
         const Edge &edge = proc.edge(i);
         if (edge.src >= proc.numBlocks() || edge.dst >= proc.numBlocks()) {
@@ -80,8 +90,7 @@ lintEdgeTargets(const Procedure &proc, std::vector<Diagnostic> &sink)
                  "edges may only connect existing blocks");
             continue;
         }
-        const auto &outs = proc.block(edge.src).outEdges;
-        if (std::find(outs.begin(), outs.end(), i) == outs.end()) {
+        if (!in_src_outs[i]) {
             std::ostringstream out;
             out << "edge " << i << " (" << edge.src << " -> " << edge.dst
                 << ") missing from its source block's outEdges";
@@ -89,8 +98,7 @@ lintEdgeTargets(const Procedure &proc, std::vector<Diagnostic> &sink)
                  "wire edges with Procedure::addEdge, which indexes both "
                  "endpoints");
         }
-        const auto &ins = proc.block(edge.dst).inEdges;
-        if (std::find(ins.begin(), ins.end(), i) == ins.end()) {
+        if (!in_dst_ins[i]) {
             std::ostringstream out;
             out << "edge " << i << " (" << edge.src << " -> " << edge.dst
                 << ") missing from its destination block's inEdges";
@@ -99,16 +107,10 @@ lintEdgeTargets(const Procedure &proc, std::vector<Diagnostic> &sink)
                  "endpoints");
         }
     }
-    // Out/in index lists must point at real edges owned by the block.
+    // Each list entry must name the listing block as its endpoint.
     for (const BasicBlock &block : proc.blocks()) {
-        for (const std::uint32_t index : block.outEdges) {
-            if (index >= proc.numEdges()) {
-                std::ostringstream out;
-                out << "outEdges index " << index << " out of range ("
-                    << proc.numEdges() << " edges)";
-                emit(sink, "cfg.edge-targets", {pid, block.id, kNoEdge},
-                     str(out), "rebuild the block's edge index lists");
-            } else if (proc.edge(index).src != block.id) {
+        for (const std::uint32_t index : proc.outEdges(block.id)) {
+            if (proc.edge(index).src != block.id) {
                 std::ostringstream out;
                 out << "outEdges lists edge " << index
                     << " whose source is block " << proc.edge(index).src;
@@ -116,14 +118,8 @@ lintEdgeTargets(const Procedure &proc, std::vector<Diagnostic> &sink)
                      str(out), "rebuild the block's edge index lists");
             }
         }
-        for (const std::uint32_t index : block.inEdges) {
-            if (index >= proc.numEdges()) {
-                std::ostringstream out;
-                out << "inEdges index " << index << " out of range ("
-                    << proc.numEdges() << " edges)";
-                emit(sink, "cfg.edge-targets", {pid, block.id, kNoEdge},
-                     str(out), "rebuild the block's edge index lists");
-            } else if (proc.edge(index).dst != block.id) {
+        for (const std::uint32_t index : proc.inEdges(block.id)) {
+            if (proc.edge(index).dst != block.id) {
                 std::ostringstream out;
                 out << "inEdges lists edge " << index
                     << " whose destination is block "
@@ -141,9 +137,7 @@ lintTerminatorArity(const Procedure &proc, std::vector<Diagnostic> &sink)
     const ProcId pid = proc.id();
     for (const BasicBlock &block : proc.blocks()) {
         unsigned taken = 0, fall = 0, other = 0;
-        for (const std::uint32_t index : block.outEdges) {
-            if (index >= proc.numEdges())
-                continue;  // reported by cfg.edge-targets
+        for (const std::uint32_t index : proc.outEdges(block.id)) {
             switch (proc.edge(index).kind) {
               case EdgeKind::Taken: ++taken; break;
               case EdgeKind::FallThrough: ++fall; break;
@@ -170,7 +164,7 @@ lintTerminatorArity(const Procedure &proc, std::vector<Diagnostic> &sink)
             expected = "one or more Other edges and nothing else";
             break;
           case Terminator::Return:
-            bad = !block.outEdges.empty();
+            bad = !proc.outEdges(block.id).empty();
             expected = "no out-edges";
             break;
         }
@@ -244,9 +238,7 @@ reachableFromEntry(const Procedure &proc)
     while (!work.empty()) {
         const BlockId id = work.back();
         work.pop_back();
-        for (const std::uint32_t index : proc.block(id).outEdges) {
-            if (index >= proc.numEdges())
-                continue;
+        for (const std::uint32_t index : proc.outEdges(id)) {
             const BlockId dst = proc.edge(index).dst;
             if (dst < proc.numBlocks() && !reachable[dst]) {
                 reachable[dst] = true;
@@ -269,7 +261,7 @@ lintReachability(const Procedure &proc, std::vector<Diagnostic> &sink)
                  "dead code keeps its original position and dilutes "
                  "layout locality; consider garbage-collecting it");
         }
-        const bool sink_block = block.outEdges.empty();
+        const bool sink_block = proc.outEdges(block.id).empty();
         if (sink_block && block.term != Terminator::Return) {
             std::ostringstream out;
             out << terminatorName(block.term)

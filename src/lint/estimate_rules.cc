@@ -45,7 +45,7 @@ checkProbabilities(const Program &program, const EstimateReport &report,
             double sum = 0.0;
             std::size_t valid = 0;
             bool in_range = true;
-            for (const std::uint32_t e : block.outEdges) {
+            for (const std::uint32_t e : proc.outEdges(block.id)) {
                 if (e >= probs.size() ||
                     proc.edge(e).dst >= proc.numBlocks())
                     continue;
@@ -80,17 +80,13 @@ checkFlow(const Program &estimated, const LintOptions &options,
     Weight total_excess = 0;
     for (const Procedure &proc : estimated.procs()) {
         for (const BasicBlock &block : proc.blocks()) {
-            if (block.id == proc.entry() || block.outEdges.empty())
+            if (block.id == proc.entry() || proc.outEdges(block.id).empty())
                 continue;
             Weight in = 0, out = 0;
-            for (const std::uint32_t e : block.inEdges) {
-                if (e < proc.numEdges())
-                    in += proc.edge(e).weight;
-            }
-            for (const std::uint32_t e : block.outEdges) {
-                if (e < proc.numEdges())
-                    out += proc.edge(e).weight;
-            }
+            for (const std::uint32_t e : proc.inEdges(block.id))
+                in += proc.edge(e).weight;
+            for (const std::uint32_t e : proc.outEdges(block.id))
+                out += proc.edge(e).weight;
             if (out > in) {
                 std::ostringstream msg;
                 msg << "estimated profile emits more flow than it "

@@ -361,9 +361,8 @@ lintLoopSplit(const Procedure &proc, const ProcLayout &layout,
         // Heat = how often the loop actually iterates (back-edge weight).
         Weight back_weight = 0;
         for (const BlockId latch : loop.latches) {
-            for (const std::uint32_t index : proc.block(latch).outEdges) {
-                if (index < proc.numEdges() &&
-                    proc.edge(index).dst == loop.header)
+            for (const std::uint32_t index : proc.outEdges(latch)) {
+                if (proc.edge(index).dst == loop.header)
                     back_weight += proc.edge(index).weight;
             }
         }
@@ -378,10 +377,8 @@ lintLoopSplit(const Procedure &proc, const ProcLayout &layout,
         std::size_t hot = 0;
         for (const BlockId id : loop.blocks) {
             Weight in = 0;
-            for (const std::uint32_t index : proc.block(id).inEdges) {
-                if (index < proc.numEdges())
-                    in += proc.edge(index).weight;
-            }
+            for (const std::uint32_t index : proc.inEdges(id))
+                in += proc.edge(index).weight;
             if (in < back_weight / 8 && id != loop.header)
                 continue;
             const std::uint32_t slot = layout.blocks[id].orderIndex;

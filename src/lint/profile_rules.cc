@@ -37,10 +37,8 @@ Weight
 inflow(const Procedure &proc, const BasicBlock &block)
 {
     Weight sum = 0;
-    for (const std::uint32_t index : block.inEdges) {
-        if (index < proc.numEdges())
-            sum += proc.edge(index).weight;
-    }
+    for (const std::uint32_t index : proc.inEdges(block.id))
+        sum += proc.edge(index).weight;
     return sum;
 }
 
@@ -48,10 +46,8 @@ Weight
 outflow(const Procedure &proc, const BasicBlock &block)
 {
     Weight sum = 0;
-    for (const std::uint32_t index : block.outEdges) {
-        if (index < proc.numEdges())
-            sum += proc.edge(index).weight;
-    }
+    for (const std::uint32_t index : proc.outEdges(block.id))
+        sum += proc.edge(index).weight;
     return sum;
 }
 
@@ -66,7 +62,7 @@ lintFlowConservation(const Program &program, const LintOptions &options,
         for (const BasicBlock &block : proc.blocks()) {
             if (block.id == proc.entry())
                 continue;  // receives call/restart activations
-            if (block.outEdges.empty())
+            if (proc.outEdges(block.id).empty())
                 continue;  // sink: Return or dead end absorbs flow
             const Weight in = inflow(proc, block);
             const Weight out = outflow(proc, block);
@@ -177,9 +173,7 @@ lintUnreachableWeight(const Program &program, std::vector<Diagnostic> &sink)
             while (!work.empty()) {
                 const BlockId id = work.back();
                 work.pop_back();
-                for (const std::uint32_t index : proc.block(id).outEdges) {
-                    if (index >= proc.numEdges())
-                        continue;
+                for (const std::uint32_t index : proc.outEdges(id)) {
                     const BlockId dst = proc.edge(index).dst;
                     if (dst < proc.numBlocks() && !reachable[dst]) {
                         reachable[dst] = true;

@@ -165,8 +165,8 @@ class FlowSampler
     pickOut(BlockId b) const
     {
         std::int64_t best = -1;
-        for (const std::uint32_t index : proc_.block(b).outEdges) {
-            if (index >= proc_.numEdges() || residual_[index] == 0)
+        for (const std::uint32_t index : proc_.outEdges(b)) {
+            if (residual_[index] == 0)
                 continue;
             const Edge &edge = proc_.edge(index);
             if (edge.dst >= proc_.numBlocks())
@@ -182,8 +182,8 @@ class FlowSampler
     pickIn(BlockId b) const
     {
         std::int64_t best = -1;
-        for (const std::uint32_t index : proc_.block(b).inEdges) {
-            if (index >= proc_.numEdges() || residual_[index] == 0)
+        for (const std::uint32_t index : proc_.inEdges(b)) {
+            if (residual_[index] == 0)
                 continue;
             const Edge &edge = proc_.edge(index);
             if (edge.src >= proc_.numBlocks())
@@ -413,9 +413,8 @@ driftProfile(Program &program, double t)
             } else if (block.term == Terminator::IndirectJump) {
                 // Reverse the weight ranking across the sorted targets.
                 std::vector<std::uint32_t> indices;
-                for (const std::uint32_t index : block.outEdges) {
-                    if (index < proc.numEdges() &&
-                        proc.edge(index).kind == EdgeKind::Other)
+                for (const std::uint32_t index : proc.outEdges(block.id)) {
+                    if (proc.edge(index).kind == EdgeKind::Other)
                         indices.push_back(index);
                 }
                 std::sort(indices.begin(), indices.end(),

@@ -106,7 +106,7 @@ class BatchTraceBuilder
                         t.callSites.push_back({g, site.offset, site.callee});
                 }
                 if (block.term == Terminator::IndirectJump) {
-                    for (const std::uint32_t index : block.outEdges) {
+                    for (const std::uint32_t index : proc.outEdges(block.id)) {
                         edges_[edgeBase_[p] + index].aux =
                             static_cast<std::uint32_t>(t.indirectEdges.size());
                         t.indirectEdges.push_back(
@@ -393,7 +393,7 @@ applyTraceProfile(Program &program, const BatchTrace &trace)
                 addWeight(proc, proc.fallThroughEdge(block.id), fall);
                 break;
               case Terminator::IndirectJump:
-                for (const std::uint32_t index : block.outEdges)
+                for (const std::uint32_t index : proc.outEdges(block.id))
                     proc.edge(index).weight += trace.indirectCount[slot++];
                 break;
               case Terminator::Return:

@@ -73,20 +73,20 @@ FlatProgram::FlatProgram(const Program &program)
                 break;
               }
               case Terminator::IndirectJump: {
-                row.succEdge[0] =
-                    static_cast<std::uint32_t>(targetEdge.size());
-                row.succEdge[1] =
-                    static_cast<std::uint32_t>(block.outEdges.size());
+                const std::size_t first = targetEdge.size();
                 bool any = false;
-                for (const std::uint32_t index : block.outEdges) {
+                for (const std::uint32_t index : proc.outEdges(block.id)) {
                     const Edge &edge = proc.edge(index);
                     targetEdge.push_back(index);
                     targetDst.push_back(base + edge.dst);
                     targetWeight.push_back(edge.bias);
                     any = any || edge.bias > 0.0;
                 }
+                row.succEdge[0] = static_cast<std::uint32_t>(first);
+                row.succEdge[1] =
+                    static_cast<std::uint32_t>(targetEdge.size() - first);
                 if (!any)
-                    std::fill(targetWeight.end() - block.outEdges.size(),
+                    std::fill(targetWeight.begin() + first,
                               targetWeight.end(), 1.0);
                 break;
               }

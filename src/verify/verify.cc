@@ -616,7 +616,6 @@ verifyRelaxedLayout(const Program &program, const ProgramLayout &layout,
         return std::move(checker.result);
 
     std::vector<LayoutInstr> spec;
-    OutEdgeIndex spec_edges;
     std::size_t spec_first = 0;  // global slot of spec[0]
     ProcId spec_proc = 0;        // next procedure to enumerate
     std::uint64_t cursor = 0;
@@ -625,7 +624,7 @@ verifyRelaxedLayout(const Program &program, const ProgramLayout &layout,
             spec_first += spec.size();
             spec.clear();
             appendProcInstrs(program.proc(spec_proc),
-                             layout.procs[spec_proc], spec, spec_edges);
+                             layout.procs[spec_proc], spec);
             ++spec_proc;
         }
         const RelaxedInstr &instr = relaxed.instrs[i];

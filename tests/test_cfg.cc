@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "cfg/builder.h"
 #include "cfg/program.h"
 #include "cfg/validate.h"
+#include "lint/rules.h"
 
 using namespace balign;
 
@@ -31,7 +35,17 @@ makeDiamond()
     return proc;
 }
 
+std::vector<std::uint32_t>
+listed(EdgeList list)
+{
+    return {list.begin(), list.end()};
+}
+
 }  // namespace
+
+// The edge lists live in the Procedure: a block is its payload only, with
+// no padding between fields (48 bytes where a vector header is 24).
+static_assert(sizeof(BasicBlock) <= 48, "BasicBlock grew");
 
 TEST(Procedure, AddBlockAssignsDenseIds)
 {
@@ -47,14 +61,114 @@ TEST(Procedure, EdgeWiring)
 {
     const Procedure proc = makeDiamond();
     EXPECT_EQ(proc.numEdges(), 4u);
-    EXPECT_EQ(proc.block(0).outEdges.size(), 2u);
-    EXPECT_EQ(proc.block(3).inEdges.size(), 2u);
+    EXPECT_EQ(proc.outEdges(0).size(), 2u);
+    EXPECT_EQ(proc.inEdges(3).size(), 2u);
     const auto taken = proc.takenEdge(0);
     ASSERT_GE(taken, 0);
     EXPECT_EQ(proc.edge(static_cast<std::uint32_t>(taken)).dst, 2u);
     const auto fall = proc.fallThroughEdge(0);
     ASSERT_GE(fall, 0);
     EXPECT_EQ(proc.edge(static_cast<std::uint32_t>(fall)).dst, 1u);
+}
+
+TEST(Procedure, ListsKeepInsertionOrderWithInterleavedBlocks)
+{
+    Procedure proc(0, "p");
+    proc.addBlock(1, Terminator::IndirectJump);
+    proc.addBlock(1, Terminator::Return);
+    const std::uint32_t e0 = proc.addEdge(0, 1, EdgeKind::Other);
+    proc.addBlock(1, Terminator::IndirectJump);
+    const std::uint32_t e1 = proc.addEdge(0, 2, EdgeKind::Other);
+    const std::uint32_t e2 = proc.addEdge(2, 1, EdgeKind::Other);
+    proc.addBlock(1, Terminator::Return);
+    const std::uint32_t e3 = proc.addEdge(0, 3, EdgeKind::Other);
+    const std::uint32_t e4 = proc.addEdge(2, 3, EdgeKind::Other);
+    const std::uint32_t e5 = proc.addEdge(0, 1, EdgeKind::Other);
+
+    EXPECT_EQ(listed(proc.outEdges(0)),
+              (std::vector<std::uint32_t>{e0, e1, e3, e5}));
+    EXPECT_EQ(listed(proc.outEdges(2)), (std::vector<std::uint32_t>{e2, e4}));
+    EXPECT_TRUE(proc.outEdges(1).empty());
+    EXPECT_TRUE(proc.outEdges(3).empty());
+    EXPECT_TRUE(proc.inEdges(0).empty());
+    EXPECT_EQ(listed(proc.inEdges(1)),
+              (std::vector<std::uint32_t>{e0, e2, e5}));
+    EXPECT_EQ(listed(proc.inEdges(2)), (std::vector<std::uint32_t>{e1}));
+    EXPECT_EQ(listed(proc.inEdges(3)), (std::vector<std::uint32_t>{e3, e4}));
+    EXPECT_EQ(proc.outEdges(0).front(), e0);
+    EXPECT_EQ(proc.outEdges(0).size(), 4u);
+}
+
+TEST(Procedure, JoinWithManyInEdgesListsThemInOrder)
+{
+    constexpr std::uint32_t kPreds = 100'000;
+    Procedure proc(0, "join");
+    for (std::uint32_t i = 0; i < kPreds; ++i)
+        proc.addBlock(1, Terminator::UncondBranch);
+    const BlockId join = proc.addBlock(1, Terminator::Return);
+    for (BlockId b = 0; b < kPreds; ++b)
+        proc.addEdge(b, join, EdgeKind::Taken, b);
+
+    std::uint32_t expected = 0;
+    for (const std::uint32_t index : proc.inEdges(join)) {
+        ASSERT_EQ(index, expected);
+        ASSERT_EQ(proc.edge(index).src, expected);
+        ++expected;
+    }
+    EXPECT_EQ(expected, kPreds);
+    EXPECT_EQ(proc.blockWeight(join),
+              Weight{kPreds} * (kPreds - 1) / 2);
+    EXPECT_EQ(proc.outEdges(kPreds - 1).front(), kPreds - 1);
+    EXPECT_TRUE(validate(proc).empty());
+}
+
+TEST(Procedure, CopyAndMoveKeepTheLists)
+{
+    const Procedure original = makeDiamond();
+    const auto check = [](const Procedure &proc) {
+        EXPECT_EQ(listed(proc.outEdges(0)),
+                  (std::vector<std::uint32_t>{0, 1}));
+        EXPECT_EQ(listed(proc.inEdges(3)),
+                  (std::vector<std::uint32_t>{2, 3}));
+        EXPECT_EQ(listed(proc.inEdges(1)), (std::vector<std::uint32_t>{0}));
+        EXPECT_TRUE(proc.outEdges(3).empty());
+    };
+    Procedure copy = original;
+    check(copy);
+    // The copy's lists are its own: growing it leaves the original's.
+    copy.addEdge(2, 3, EdgeKind::Taken);
+    EXPECT_EQ(listed(copy.inEdges(3)), (std::vector<std::uint32_t>{2, 3, 4}));
+    check(original);
+
+    Procedure moved = std::move(copy);
+    EXPECT_EQ(listed(moved.inEdges(3)),
+              (std::vector<std::uint32_t>{2, 3, 4}));
+    Procedure assigned;
+    assigned = original;
+    check(assigned);
+}
+
+TEST(Procedure, RetargetedEdgeRaisesEdgeTargets)
+{
+    Procedure proc = makeDiamond();
+    // Edge 2 (1 -> 3) now claims 1 -> 2: block 2 exists, but the lists
+    // still file the edge under block 3's in-edges.
+    proc.edge(2).dst = 2;
+    std::vector<Diagnostic> diagnostics;
+    lintCfgProcErrors(proc, nullptr, diagnostics);
+    unsigned missing = 0, stale = 0;
+    for (const Diagnostic &diagnostic : diagnostics) {
+        if (diagnostic.rule != "cfg.edge-targets")
+            continue;
+        EXPECT_EQ(diagnostic.loc.edge, 2u);
+        if (diagnostic.loc.block == 2)
+            ++missing;  // absent from block 2's in-edges
+        if (diagnostic.loc.block == 3)
+            ++stale;  // block 3 lists an edge that no longer enters it
+    }
+    EXPECT_EQ(missing, 1u);
+    EXPECT_EQ(stale, 1u);
+    EXPECT_FALSE(validate(proc).empty());
 }
 
 TEST(Procedure, FindMissingEdgeReturnsNegative)
@@ -168,7 +282,7 @@ TEST(CfgBuilder, OtherEdgesOnIndirect)
     const BlockId c1 = b.block(1, Terminator::Return);
     const BlockId c2 = b.block(1, Terminator::Return);
     b.other(sw, c1).other(sw, c2);
-    EXPECT_EQ(proc.block(sw).outEdges.size(), 2u);
+    EXPECT_EQ(proc.outEdges(sw).size(), 2u);
 }
 
 // ---- validate ----------------------------------------------------------------

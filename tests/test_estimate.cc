@@ -103,14 +103,14 @@ checkMaterialized(Program &program)
             largest = std::max(largest, edge.weight);
         for (const BasicBlock &block : proc.blocks()) {
             Weight in = 0, out = 0;
-            for (const std::uint32_t e : block.inEdges)
+            for (const std::uint32_t e : proc.inEdges(block.id))
                 in += proc.edge(e).weight;
-            for (const std::uint32_t e : block.outEdges)
+            for (const std::uint32_t e : proc.outEdges(block.id))
                 out += proc.edge(e).weight;
             if (block.id == proc.entry()) {
                 EXPECT_EQ(out - in, report.procs[proc.id()].entryCount)
                     << "entry of proc " << proc.id();
-            } else if (!block.outEdges.empty()) {
+            } else if (!proc.outEdges(block.id).empty()) {
                 EXPECT_GE(in, out) << "block " << block.id;
                 absorbed += in - out;
             }

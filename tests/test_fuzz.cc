@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
 #include <string>
 
 #include "cfg/builder.h"
@@ -186,6 +187,28 @@ TEST(Fuzz, ReproFilesRoundTripWalkAndProgram)
     EXPECT_EQ(loaded->walk.instrBudget, repro.walk.instrBudget);
     EXPECT_EQ(programToString(loaded->program),
               programToString(repro.program));
+}
+
+TEST(Fuzz, ReproHeaderAfterOtherCommentLinesIsFound)
+{
+    // The first matching line wins: after other comment lines and a
+    // near miss, and before a second header further down.
+    const std::string path = testing::TempDir() + "balign-late-walk.balign";
+    {
+        std::ofstream file(path);
+        file << "# a corpus note\n"
+             << "#\n"
+             << "# balign-fuzz-walk seed=oops budget=1\n"
+             << "# balign-fuzz-walk seed=42 budget=9000\n"
+             << programToString(shrinkableProgram())
+             << "# balign-fuzz-walk seed=7 budget=8\n";
+    }
+    const auto loaded = loadRepro(path);
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(loaded->walk.seed, 42u);
+    EXPECT_EQ(loaded->walk.instrBudget, 9000u);
+    EXPECT_EQ(programToString(loaded->program),
+              programToString(shrinkableProgram()));
 }
 
 TEST(Fuzz, PlainProgramFilesLoadWithDefaultWalk)

@@ -279,7 +279,7 @@ TEST(Lint, FlowConservationFiresOnOverOutflow)
     Program program = profiledBase();
     // Block 1 suddenly emits 1000 activations it never received.
     Procedure &proc = program.proc(0);
-    proc.edge(proc.block(1).outEdges.front()).weight += 1'000;
+    proc.edge(proc.outEdges(1).front()).weight += 1'000;
     EXPECT_TRUE(hasRule(profDiags(program), "prof.flow-conservation", 0, 1));
 }
 
@@ -288,7 +288,7 @@ TEST(Lint, FlowConservationFiresOnExcessInflow)
     Program program = profiledBase();
     // Inflate block 1's inflow past the truncated-walk allowance.
     Procedure &proc = program.proc(0);
-    proc.edge(proc.block(1).inEdges.front()).weight += 1'000;
+    proc.edge(proc.inEdges(1).front()).weight += 1'000;
     EXPECT_TRUE(hasRule(profDiags(program), "prof.flow-conservation", 0, 1));
 }
 
@@ -589,7 +589,7 @@ TEST(Lint, GateReportsCorruptionAsLintDivergence)
 {
     Program program = profiledBase();
     Procedure &proc = program.proc(0);
-    proc.edge(proc.block(1).outEdges.front()).weight += 1'000;
+    proc.edge(proc.outEdges(1).front()).weight += 1'000;
     const std::optional<Divergence> divergence = lintGateCheck(program);
     ASSERT_TRUE(divergence.has_value());
     EXPECT_EQ(divergence->kind, DivergenceKind::Lint);

@@ -22,9 +22,9 @@ std::int64_t
 imbalance(const Procedure &proc, BlockId id, Weight external_in = 0)
 {
     std::int64_t net = static_cast<std::int64_t>(external_in);
-    for (auto e : proc.block(id).inEdges)
+    for (auto e : proc.inEdges(id))
         net += static_cast<std::int64_t>(proc.edge(e).weight);
-    for (auto e : proc.block(id).outEdges)
+    for (auto e : proc.outEdges(id))
         net -= static_cast<std::int64_t>(proc.edge(e).weight);
     return net;
 }
@@ -48,7 +48,7 @@ TEST(Figure1, HotTakenEdgesMatchPaper)
     const Program program = figure1Espresso();
     const Procedure &proc = program.proc(0);
     auto weight_of = [&](BlockId src, BlockId dst) -> Weight {
-        for (auto e : proc.block(src).outEdges) {
+        for (auto e : proc.outEdges(src)) {
             const Edge &edge = proc.edge(e);
             if (edge.dst == dst && edge.kind == EdgeKind::Taken)
                 return edge.weight;

@@ -59,7 +59,7 @@ TEST(Profiler, WeightsAreFlowConserving)
     // both sides), modulo the at-most-one truncated run at budget end.
     const Weight in = proc.blockWeight(1);
     Weight out = 0;
-    for (auto index : proc.block(1).outEdges)
+    for (auto index : proc.outEdges(1))
         out += proc.edge(index).weight;
     EXPECT_NEAR(static_cast<double>(in), static_cast<double>(out), 1.0);
 }
@@ -203,7 +203,8 @@ TEST(Profiler, IndirectEdgesTakeTheirOwnCounts)
         EXPECT_EQ(proc.edge(e).weight, traversals[e]) << e;
         total += proc.edge(e).weight;
     }
-    const auto &targets = proc.block(sw).outEdges;
+    const EdgeList outs = proc.outEdges(sw);
+    const std::vector<std::uint32_t> targets(outs.begin(), outs.end());
     EXPECT_GT(traversals[targets[0]], traversals[targets[1]]);
     EXPECT_GT(traversals[targets[1]], 0u);
     EXPECT_EQ(traversals[targets[2]], 0u);

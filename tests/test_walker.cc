@@ -298,8 +298,9 @@ TEST(Walker, IndirectJumpFollowsBiases)
     WalkOptions options;
     options.instrBudget = 40'000;
     profileProgram(program, options);
-    const Weight w0 = proc.edge(proc.block(sw).outEdges[0]).weight;
-    const Weight w1 = proc.edge(proc.block(sw).outEdges[1]).weight;
+    auto target = proc.outEdges(sw).begin();
+    const Weight w0 = proc.edge(*target++).weight;
+    const Weight w1 = proc.edge(*target).weight;
     EXPECT_NEAR(static_cast<double>(w0) / static_cast<double>(w0 + w1),
                 0.75, 0.02);
 }

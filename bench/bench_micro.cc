@@ -1,9 +1,8 @@
 /**
  * @file
  * Micro-benchmarks (google-benchmark): throughput of the core components —
- * the trace walker, the batched predictor replay, the aligners (and the
- * ExtTSP merge loop's growth with procedure size), the materializer and
- * the static profile estimator. These are engineering
+ * the trace walker, the batched predictor replay, the aligners, the
+ * materializer and the static profile estimator. These are engineering
  * benchmarks for the library itself, not paper reproductions.
  */
 
@@ -19,7 +18,6 @@
 #include "bpred/cost_model.h"
 #include "cfg/serialize.h"
 #include "core/align_program.h"
-#include "core/exttsp_align.h"
 #include "disasm/checkobj.h"
 #include "emit/elf.h"
 #include "emit/relax.h"
@@ -32,7 +30,6 @@
 #include "support/saturating_counter.h"
 #include "trace/walker.h"
 #include "workload/generator.h"
-#include "workload/shapes.h"
 #include "workload/suite.h"
 
 using namespace balign;
@@ -164,31 +161,6 @@ BM_AlignTryN(benchmark::State &state)
     }
 }
 BENCHMARK(BM_AlignTryN)->Arg(5)->Arg(10)->Arg(15);
-
-// The ExtTSP merge loop on one conditional ladder of range(0) blocks
-// (workload/shapes.h). The generator's procedures stay small, so only a
-// hand-built shape shows how the loop grows with procedure size;
-// bench/fit_growth.py fits the growth exponent from the JSON output.
-void
-BM_ExtTspLadder(benchmark::State &state)
-{
-    const Program program =
-        largeShapeProgram(LargeShape::Ladder,
-                          static_cast<std::size_t>(state.range(0)), 1);
-    const Procedure &proc = program.proc(program.mainProc());
-    const ExtTspAligner aligner;
-    for (auto _ : state) {
-        const ChainSet chains = aligner.alignProc(proc);
-        benchmark::DoNotOptimize(chains.numLinks());
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            state.range(0));
-}
-BENCHMARK(BM_ExtTspLadder)
-    ->Arg(1000)
-    ->Arg(4000)
-    ->Arg(16000)
-    ->Unit(benchmark::kMillisecond);
 
 void
 BM_Materialize(benchmark::State &state)

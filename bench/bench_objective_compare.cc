@@ -1,22 +1,18 @@
 /**
  * @file
- * Objective comparison: the 1994 Table-1 cost aligners vs. the modern
- * ExtTSP objective (Newell & Pupyrev, arXiv:1809.04676) on the same CFGs,
- * traces and simulator.
+ * Objective comparison: the 1994 Table-1 cost aligners scored by the
+ * modern ExtTSP objective (Newell & Pupyrev, arXiv:1809.04676) on the same
+ * CFGs, traces and simulator. The ExtTsp configuration is not a column:
+ * it lays out Greedy's chains (DESIGN.md §9.2).
  *
- * For every suite program and each of Greedy, Cost, Try15 (guided by the
- * paper's Table-1 objective) and ExtTsp (guided by the ExtTSP objective),
- * the bench reports:
+ * For every suite program and each of Greedy, Cost and Try15 (guided by
+ * the paper's Table-1 objective), the bench reports:
  *
  *   - the ExtTSP score of the layout (higher is better; computed on the
  *     architecture-independent layout, i.e. without the BT/FNT override),
  *   - the dynamic fall-through rate, averaged over all 8 architectures,
  *   - the relative CPI vs. the original layout, averaged over all 8
  *     architectures.
- *
- * The run FAILS (exit 1) if ExtTsp's fall-through rate drops below
- * Greedy's on any program — the regression guard for the chain-merging
- * aligner and its fallback splice.
  *
  * Flags:
  *   --quick   cap the per-program trace at 50k instructions (CI smoke;
@@ -27,7 +23,6 @@
 
 #include <cstring>
 #include <iostream>
-#include <sstream>
 
 #include "bench_util.h"
 #include "core/align_program.h"
@@ -51,7 +46,6 @@ const Contender kContenders[] = {
     {"greedy", AlignerKind::Greedy, ObjectiveKind::TableCost},
     {"cost", AlignerKind::Cost, ObjectiveKind::TableCost},
     {"try15", AlignerKind::Try15, ObjectiveKind::TableCost},
-    {"exttsp", AlignerKind::ExtTsp, ObjectiveKind::ExtTsp},
 };
 
 constexpr std::size_t kNumContenders =
@@ -107,8 +101,6 @@ main(int argc, char **argv)
     // plain Fallthrough-model alignment, no BT/FNT override) so one score
     // describes each contender's layout per program.
     std::vector<std::vector<Row>> rows(runs.size());
-    bool regression = false;
-    std::ostringstream failures;
     for (std::size_t r = 0; r < runs.size(); ++r) {
         const ExperimentRun &run = runs[r];
         const ProgramSpec &spec = suite[r];
@@ -137,14 +129,6 @@ main(int argc, char **argv)
             }
             row.meanFallThrough /= static_cast<double>(allArchs().size());
             row.meanRelCpi /= static_cast<double>(allArchs().size());
-        }
-        // Regression guard: ExtTsp (index 3) must keep at least Greedy's
-        // (index 0) fall-through rate on every program.
-        if (rows[r][3].meanFallThrough < rows[r][0].meanFallThrough - 1e-9) {
-            regression = true;
-            failures << "  " << run.name << ": exttsp fall-through "
-                     << rows[r][3].meanFallThrough << "% < greedy "
-                     << rows[r][0].meanFallThrough << "%\n";
         }
     }
 
@@ -175,13 +159,11 @@ main(int argc, char **argv)
             }
             os << "}}";
         }
-        os << "],\"fall_through_regression\":"
-           << (regression ? "true" : "false") << "}\n";
+        os << "]}\n";
     } else {
         Table table({"Program", "Score/Greedy", "Score/Cost", "Score/Try15",
-                     "Score/ExtTsp", "FT%/Greedy", "FT%/Cost", "FT%/Try15",
-                     "FT%/ExtTsp", "CPI/Greedy", "CPI/Cost", "CPI/Try15",
-                     "CPI/ExtTsp"});
+                     "FT%/Greedy", "FT%/Cost", "FT%/Try15", "CPI/Greedy",
+                     "CPI/Cost", "CPI/Try15"});
         for (std::size_t r = 0; r < runs.size(); ++r) {
             Table &row = table.row().cell(runs[r].name);
             for (std::size_t c = 0; c < kNumContenders; ++c)
@@ -191,8 +173,8 @@ main(int argc, char **argv)
             for (std::size_t c = 0; c < kNumContenders; ++c)
                 row.cell(rows[r][c].meanRelCpi, 3);
         }
-        std::cout << "Objective comparison: Table-1 cost aligners vs "
-                     "ExtTSP\n(score = ExtTSP layout score, higher "
+        std::cout << "Objective comparison: Table-1 cost aligners under "
+                     "the ExtTSP score\n(score = ExtTSP layout score, higher "
                      "better; FT% and rel CPI averaged over all 8 "
                      "architectures)\n\n";
         table.print(std::cout);
@@ -201,12 +183,5 @@ main(int argc, char **argv)
     std::cerr << bench::timingJson("objective_compare", defaultThreads(),
                                    suite.size(), wall.seconds(), times)
               << "\n";
-    if (regression) {
-        std::fprintf(stderr,
-                     "FAIL: ExtTsp fall-through rate regressed below "
-                     "Greedy:\n%s",
-                     failures.str().c_str());
-        return 1;
-    }
     return 0;
 }

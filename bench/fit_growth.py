@@ -5,8 +5,8 @@ The exponent k is the least-squares slope of log(real_time) against
 log(argument) over the runs named PREFIX/<argument>, so time ~ n^k.
 Repeated runs of one argument are reduced to their median.
 
-    bench_micro --benchmark_filter=ExtTsp --benchmark_format=json > m.json
-    python3 bench/fit_growth.py m.json BM_ExtTspLadder
+    bench_micro --benchmark_filter=EstimateGcc --benchmark_format=json > m.json
+    python3 bench/fit_growth.py m.json BM_EstimateGcc
 """
 
 import argparse
@@ -36,7 +36,7 @@ def growth_exponent(report, prefix):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument('report', help='google-benchmark JSON output')
-    parser.add_argument('prefix', help='benchmark family, e.g. BM_ExtTspLadder')
+    parser.add_argument('prefix', help='benchmark family, e.g. BM_EstimateGcc')
     args = parser.parse_args()
     with open(args.report) as f:
         report = json.load(f)

@@ -16,7 +16,7 @@
  * reported as-is (the cfg.irreducible lint rule surfaces them); no
  * natural loop is formed for them, which downstream consumers must keep
  * in mind: the loop-based rules (prof.flow, layout.loop-split) and the
- * Try15/ExtTSP hot-path assumptions only see properly nested loops.
+ * Try15 hot-path assumptions only see properly nested loops.
  */
 
 #ifndef BALIGN_ANALYSIS_LOOPS_H

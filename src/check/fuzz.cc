@@ -648,7 +648,6 @@ ConfigSweep
 fuzzSweep()
 {
     ConfigSweep sweep;
-    sweep.kinds = allAlignerKindsExtended();
     sweep.objectives = allObjectiveKinds();
     return sweep;
 }

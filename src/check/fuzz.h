@@ -65,8 +65,8 @@ Program programForSeed(std::uint64_t seed);
 /// The walk driving a fuzz seed.
 WalkOptions walkForSeed(std::uint64_t seed, std::uint64_t instr_budget);
 
-/// The fuzzer's matrix: every architecture, every aligner including
-/// ExtTsp, every objective.
+/// The fuzzer's matrix: every architecture, every aligner, every
+/// objective.
 ConfigSweep fuzzSweep();
 
 /// Fuzzing campaign configuration.

@@ -1,7 +1,6 @@
 #include "core/aligner.h"
 
 #include "core/cost_align.h"
-#include "core/exttsp_align.h"
 #include "core/greedy.h"
 #include "core/try15.h"
 #include "objective/table_cost.h"
@@ -50,16 +49,6 @@ allAlignerKinds()
     return kinds;
 }
 
-const std::vector<AlignerKind> &
-allAlignerKindsExtended()
-{
-    static const std::vector<AlignerKind> kinds = {
-        AlignerKind::Original, AlignerKind::Greedy, AlignerKind::Cost,
-        AlignerKind::Try15,    AlignerKind::ExtTsp,
-    };
-    return kinds;
-}
-
 double
 blockAlignCost(const Procedure &proc, const CostModel &model, BlockId id,
                BlockId next, const DirOracle &oracle, BlockId prev)
@@ -75,6 +64,9 @@ makeAligner(AlignerKind kind, const CostModel *model,
       case AlignerKind::Original:
         return nullptr;  // handled by the driver (identity layout)
       case AlignerKind::Greedy:
+      case AlignerKind::ExtTsp:
+        // ExtTsp lays out Greedy's chains: a merge loop ranked by ExtTSP
+        // gain tied them (DESIGN.md §9.2).
         return std::make_unique<GreedyAligner>();
       case AlignerKind::Cost:
         if (objectiveArchDependent(options.objective) && model == nullptr)
@@ -86,10 +78,6 @@ makeAligner(AlignerKind kind, const CostModel *model,
             panic("makeAligner: Try15 aligner needs a cost model");
         return std::make_unique<Try15Aligner>(
             makeObjective(options.objective, model), options);
-      case AlignerKind::ExtTsp:
-        // ExtTSP chains by its own score regardless of options.objective,
-        // which still governs materialization and the fallback splice.
-        return std::make_unique<ExtTspAligner>();
     }
     panic("makeAligner: bad kind");
 }

@@ -60,8 +60,8 @@ struct LintRunOptions
     ConfigSweep sweep;
     /// Rule tunables.
     LintOptions lint;
-    /// Build and check layouts (layout.* rules) and compare Cost, Try15
-    /// and ExtTsp against Greedy per swept layout group (cost.* rules;
+    /// Build and check layouts (layout.* rules) and compare Cost and Try15
+    /// against Greedy per swept layout group (cost.* rules;
     /// requires Greedy and at least one candidate in the sweep's kinds).
     bool layoutRules = true;
 };

@@ -24,8 +24,7 @@ allLintRules()
          "non-return block has no successor (walk unwinds silently)"},
         {"cfg.irreducible", Severity::Warning,
          "loop region has a second entry (retreating edge that is not a "
-         "back edge); Try15 grouping and ExtTSP chain merging assume "
-         "reducible loops"},
+         "back edge); Try15 grouping assumes reducible loops"},
 
         // Profile consistency.
         {"prof.flow-conservation", Severity::Error,

@@ -123,8 +123,8 @@ void lintObject(const Program &program, const Disassembly &disasm,
                 std::vector<Diagnostic> &sink);
 
 // ---------------------------------------------------------------------
-// cost.* — objective monotonicity. A candidate layout (Cost / Try15 /
-// ExtTsp) must not price more than the baseline (Greedy) under the active
+// cost.* — objective monotonicity. A candidate layout (Cost / Try15)
+// must not price more than the baseline (Greedy) under the active
 // alignment objective; prices are recomputed independently by the
 // objective's layoutCost, not read from any aligner.
 

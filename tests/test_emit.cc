@@ -191,7 +191,7 @@ TEST(Encoding, VariableShortAndNearFormsDiffer)
 TEST(Relax, FixedWordIsTheWordModelTimesInstrBytes)
 {
     const Program program = emitBase();
-    for (const AlignerKind kind : allAlignerKindsExtended()) {
+    for (const AlignerKind kind : allAlignerKinds()) {
         const ProgramLayout layout = alignedBase(program, kind);
         const RelaxedLayout relaxed = relaxLayout(
             program, layout, encodingModel(EncodingModelKind::FixedWord));
@@ -526,7 +526,7 @@ TEST(SizeAware, EveryAlignerProducesVerifiableLayouts)
     const CostModel model(Arch::BtFnt);
     AlignOptions options;
     options.objective = ObjectiveKind::SizeAware;
-    for (const AlignerKind kind : allAlignerKindsExtended()) {
+    for (const AlignerKind kind : allAlignerKinds()) {
         const ProgramLayout layout =
             alignProgram(program, kind, &model, options);
         const VerifyResult proof = verifyLayout(program, layout);

@@ -329,7 +329,7 @@ TEST(DegradeDegenerate, ZeroProfileTripsNoteAndAlignersTolerateIt)
     // crash, and the result must still pass the translation validator
     // (AlignOptions.verify defaults to on).
     const CostModel model(Arch::BtFnt);
-    for (const AlignerKind kind : allAlignerKindsExtended()) {
+    for (const AlignerKind kind : allAlignerKinds()) {
         for (const ObjectiveKind objective : allObjectiveKinds()) {
             AlignOptions options;
             options.objective = objective;

@@ -180,7 +180,7 @@ TEST(Realign, ThresholdEndpointsAreByteIdentical)
         const PreparedProgram prepared = preparedSuiteProgram(name);
         const Program moved = movedProfile(prepared);
         const CostModel model(Arch::BtFnt);
-        for (const AlignerKind kind : allAlignerKindsExtended()) {
+        for (const AlignerKind kind : allAlignerKinds()) {
             for (const ObjectiveKind objective : allObjectiveKinds()) {
                 AlignOptions options;
                 options.objective = objective;
@@ -309,7 +309,6 @@ TEST(Realign, CorpusReprosPassTheRealignGate)
     ASSERT_GE(files.size(), 3u);
 
     ConfigSweep options;
-    options.kinds = allAlignerKindsExtended();
     options.objectives = allObjectiveKinds();
     for (const std::string &path : files) {
         const std::optional<Repro> repro = loadRepro(path);

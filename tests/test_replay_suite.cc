@@ -61,7 +61,7 @@ fullConfigMatrix()
 {
     std::vector<ExperimentConfig> configs;
     for (const Arch arch : allArchs()) {
-        for (const AlignerKind kind : allAlignerKindsExtended())
+        for (const AlignerKind kind : allAlignerKinds())
             configs.push_back({arch, kind});
     }
     for (const Arch arch : allArchs()) {

@@ -4,7 +4,7 @@
  * RelaxedLayout carries (per instruction, block and procedure, plus the
  * layout-wide totals and the diagnostic), for a fixed set of inputs:
  *
- *  - the 24 suite programs under the Original, Greedy, Cost and ExtTSP
+ *  - the 24 suite programs under the Original, Greedy, Cost and ExtTsp
  *    layouts, each relaxed under both encoding models;
  *  - tests/corpus/relax-chain.balign at the default sweep cap (three
  *    sweeps) and at maxIterations = 1 (the unconverged diagnostic);
@@ -135,8 +135,8 @@ profileWith(Program &program, std::uint64_t seed, std::uint64_t budget)
     profileProgram(program, options);
 }
 
-/// Original, Greedy, Cost (BT/FNT prices) and ExtTSP (its own
-/// objective), each relaxed under both encoding models.
+/// Original, Greedy, Cost (BT/FNT prices) and ExtTsp (Greedy's chains
+/// under the ExtTSP objective), each relaxed under both encoding models.
 void
 mixLayouts(Digest &digest, const Program &program)
 {
@@ -194,5 +194,5 @@ TEST(RelaxSuite, MatchesPinnedDigest)
 
     EXPECT_EQ(suite.value(), 0x6b3d10c46bd6d2e5ull) << std::hex << suite.value();
     EXPECT_EQ(corpus.value(), 0x4985d2f5f04bddc3ull) << std::hex << corpus.value();
-    EXPECT_EQ(large.value(), 0xff7c32ee3a915066ull) << std::hex << large.value();
+    EXPECT_EQ(large.value(), 0x8b296da4b61d0572ull) << std::hex << large.value();
 }

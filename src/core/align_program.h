@@ -10,6 +10,7 @@
 #define BALIGN_CORE_ALIGN_PROGRAM_H
 
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "cfg/program.h"
@@ -46,6 +47,36 @@ ProgramLayout alignForArch(const Program &program, AlignerKind kind,
                            Arch arch, const AlignOptions &options = {});
 
 /**
+ * What sets a configuration's layout apart. For one program and one set of
+ * AlignOptions, configurations with equal classes get the same layout, so
+ * runConfigs aligns each class once, and forEachSweptLayout aligns each
+ * once and serves every architecture of it. The class of (kind,
+ * objective, arch), from layoutClass:
+ *  - BT/FNT orders chains by its own precedence (§6.1), so its
+ *    layouts serve BT/FNT alone;
+ *  - Cost and Try15 under an architecture-dependent (Table-1) objective
+ *    price through the cost model, so they get one layout per costClass;
+ *  - every other layout serves every non-BT/FNT architecture;
+ *  - ExtTsp lays out Greedy's chains, so it is classed as Greedy, and an
+ *    aligner no objective guides (Original, Greedy) is classed under
+ *    TableCost whatever the objective.
+ */
+struct LayoutClass
+{
+    AlignerKind kind = AlignerKind::Original;
+    ObjectiveKind objective = ObjectiveKind::TableCost;
+    /// The serving architecture class, named by its costClass (or
+    /// BtFnt); nullopt for every non-BT/FNT architecture.
+    std::optional<Arch> arch;
+
+    auto operator<=>(const LayoutClass &) const = default;
+};
+
+/// The class of the layout @p kind aligns under @p objective for @p arch.
+LayoutClass layoutClass(AlignerKind kind, ObjectiveKind objective,
+                        Arch arch);
+
+/**
  * The configuration matrix a check aligns a program under: lint, verify,
  * the differential oracle and the fuzzer's gates each hold one and
  * enumerate it with forEachSweptLayout.
@@ -74,22 +105,21 @@ struct ConfigSweep
 struct SweepConfig
 {
     ObjectiveKind objective = ObjectiveKind::TableCost;
-    /// The architecture the layout was aligned for.
+    /// The architecture the layout was aligned for: the first swept
+    /// architecture of its layoutClass.
     Arch arch = Arch::Fallthrough;
     AlignerKind kind = AlignerKind::Original;
-    /// The layout stands for every non-BT/FNT architecture of the sweep:
-    /// under an architecture-independent objective only BT/FNT's chain
-    /// order sets an architecture's layout apart, so @c arch, the first
-    /// other architecture swept, is aligned once for all of them.
-    bool archFolded = false;
     /// The options the layout was aligned with (alignProgram under
     /// CostModel(arch) with these reproduces it).
     AlignOptions align;
 
-    /// Whether @p target is served by this layout.
+    /// layoutClass of this configuration.
+    LayoutClass layoutClass() const;
+    /// Whether @p target is served by this layout: it has the same
+    /// layoutClass as @c arch.
     bool serves(Arch target) const;
-    /// The architecture a report names: empty when folded (any
-    /// architecture), else archName(arch).
+    /// The architecture a report names: empty when the layout serves
+    /// every non-BT/FNT architecture, else archName(arch).
     const char *archContext() const;
 };
 
@@ -98,11 +128,12 @@ using SweepVisitor =
     std::function<bool(const SweepConfig &, ProgramLayout &)>;
 
 /**
- * Aligns @p program under each configuration of @p sweep once, in the
- * order objective, architecture, aligner, with alignForArch and the
- * verifier off (a check reports a broken layout, it does not panic on
- * it), and hands each layout to @p visit. Returns true when @p visit
- * stopped the sweep.
+ * Aligns @p program once per objective, aligner and layoutClass of
+ * @p sweep, in the order objective, architecture, aligner, with
+ * alignForArch and the verifier off (a check reports a broken layout, it
+ * does not panic on it), and hands each layout to @p visit. A class is
+ * aligned at its first swept architecture and serves() the rest. Returns
+ * true when @p visit stopped the sweep.
  */
 bool forEachSweptLayout(const Program &program, const ConfigSweep &sweep,
                         const SweepVisitor &visit);

@@ -22,12 +22,12 @@
  * the pool (see sim/runner.h for the suite-level parallel runner).
  * Results are bit-identical regardless of thread count and partition.
  *
- * Layouts are shared where the paper shares them: Original and Greedy are
- * architecture-independent; Cost and TryN are re-run per cost class
- * (costClass(): the PHT architectures price alike, as do the BTBs) with
- * that class's cost model. Under an architecture-independent
- * objective (ExtTSP) even the objective-guided aligners share one layout
- * across architectures — objectiveArchDependent() decides.
+ * Layouts are shared where the paper shares them, by layoutClass()
+ * (core/align_program.h): Original, Greedy and ExtTsp have one layout
+ * off BT/FNT whatever the objective; Cost and TryN are re-run per cost
+ * class (costClass(): the PHT architectures price alike, as do the BTBs)
+ * with that class's cost model, or share one layout off BT/FNT under an
+ * architecture-independent objective (ExtTSP).
  */
 
 #ifndef BALIGN_SIM_CPI_H

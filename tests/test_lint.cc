@@ -149,8 +149,11 @@ TEST(Lint, CleanProgramLintsClean)
     const LintReport report = lintProgram(program);
     EXPECT_TRUE(report.clean());
     EXPECT_EQ(report.warnings(), 0u);
-    EXPECT_EQ(report.layoutsChecked, 32u);   // 8 archs x 4 aligners
-    EXPECT_EQ(report.costPairsChecked, 16u); // 8 archs x {cost, try15}
+    // One layout per layoutClass: Original and Greedy have BT/FNT's and
+    // one for the rest; Cost and Try15 have BT/FNT's and one per cost
+    // class of the rest (fallthrough, likely, PHT, BTB).
+    EXPECT_EQ(report.layoutsChecked, 2u * 2u + 2u * 5u);
+    EXPECT_EQ(report.costPairsChecked, 2u * 5u); // {cost, try15} x classes
 }
 
 // ---------------------------------------------------------------------

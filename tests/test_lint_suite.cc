@@ -79,8 +79,8 @@ TEST_P(LintSuite, ProgramLintsClean)
     Program program = generateProgram(suiteSpec(GetParam()));
     profileWith(program, 1, kSuiteBudget);
     const LintReport report = lintProgram(program);
-    EXPECT_EQ(report.layoutsChecked, 32u);
-    EXPECT_EQ(report.costPairsChecked, 16u);
+    EXPECT_EQ(report.layoutsChecked, 14u);
+    EXPECT_EQ(report.costPairsChecked, 10u);
     if (report.errors() != 0 || report.warnings() != 0)
         ADD_FAILURE() << formatLintReport(report, GetParam());
 }

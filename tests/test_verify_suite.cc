@@ -79,8 +79,8 @@ TEST_P(VerifySuite, AllLayoutsProve)
     profileWith(program, 1, kSuiteBudget);
     const VerifyRunReport report =
         verifyProgramLayouts(program, fullMatrix());
-    EXPECT_EQ(report.layoutsVerified, 72u);
-    EXPECT_EQ(report.certificates.size(), 72u);
+    EXPECT_EQ(report.layoutsVerified, 36u);
+    EXPECT_EQ(report.certificates.size(), 36u);
     if (!report.verified())
         ADD_FAILURE() << formatVerifyReport(report, GetParam());
 }

@@ -14,8 +14,7 @@ namespace balign {
 
 Try15Aligner::Try15Aligner(const CostModel &model,
                            const AlignOptions &options)
-    : objective_(std::make_unique<TableCostObjective>(model)),
-      options_(options)
+    : Try15Aligner(std::make_unique<TableCostObjective>(model), options)
 {
 }
 
@@ -25,6 +24,10 @@ Try15Aligner::Try15Aligner(std::unique_ptr<AlignmentObjective> objective,
 {
     if (objective_ == nullptr)
         panic("Try15Aligner: null objective");
+    if (options_.groupSize < 1 || options_.groupSize > kMaxTry15GroupSize)
+        panic("Try15Aligner: group size %zu outside [1, %zu] "
+              "(kMaxTry15GroupSize)",
+              options_.groupSize, kMaxTry15GroupSize);
 }
 
 namespace {
@@ -217,8 +220,7 @@ Try15Aligner::alignProc(const Procedure &proc, const DirOracle &base_oracle,
             candidates.push_back(index);
     }
 
-    const std::size_t group_size = std::max<std::size_t>(
-        1, std::min<std::size_t>(options_.groupSize, 20));
+    const std::size_t group_size = options_.groupSize;
 
     std::size_t cursor = 0;
     while (cursor < candidates.size()) {

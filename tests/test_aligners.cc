@@ -269,6 +269,16 @@ TEST(Try15, NameReflectsGroupSize)
     EXPECT_TRUE(aligner.wantsCostModelMaterialization());
 }
 
+TEST(Try15Death, GroupSizeOutsideCapPanics)
+{
+    const CostModel model(Arch::Likely);
+    for (const std::size_t size : {std::size_t{0}, kMaxTry15GroupSize + 1}) {
+        AlignOptions options;
+        options.groupSize = size;
+        EXPECT_DEATH(Try15Aligner(model, options), "kMaxTry15GroupSize");
+    }
+}
+
 TEST(Try15, TidyPassDoesNotUndoLoopTransformation)
 {
     // Hot self-loop on FALLTHROUGH: the search decides "align neither";

@@ -52,7 +52,7 @@ constexpr int kParseMutants = 2000;
 constexpr int kObjectMutants = 1000;
 
 /// Pinned digests (see the file comment).
-constexpr std::uint64_t kParseDigest = 0x485fba1ab08bc771ull;
+constexpr std::uint64_t kParseDigest = 0x282aae3f8fb00364ull;
 constexpr std::uint64_t kObjectDigest = 0x557f0c6f764eb5efull;
 
 /// 64-bit FNV-1a, folded over successive fields.
